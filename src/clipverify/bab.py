@@ -21,18 +21,17 @@ by exact forward evaluation, so a "falsified" verdict is always certified.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .clipping import (
+from .clipping import (  # noqa: F401  (coordinate_ascent: patch point for tracers)
     ConstraintSet,
-    DualStatus,
+    active_rows,
     coordinate_ascent,
+    dual_ascent,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
 )
@@ -46,7 +45,9 @@ from .crown import (
 from .geometry import BoxDomain, LinearConstraint
 from .network import CanonicalProblem
 
-# Split constraints kept per subdomain in activation mode (most recent win).
+# Input-space constraints kept per subdomain, split constraints in activation
+# mode and harvested final planes in input mode (most recent win).  Dropping
+# old constraints only loosens bounds, and it caps the dual cost per node.
 CONSTRAINT_BUDGET = 16
 # Random points (plus the center) evaluated per surviving child domain.
 FALSIFY_SAMPLES = 8
@@ -278,22 +279,6 @@ def branch_activation(sub: Subdomain, pick: tuple):
     return children[0], children[1]
 
 
-def _worker_count(batch: int) -> int:
-    env = os.environ.get("CLIPVERIFY_THREADS", "")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, batch))
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _critical_neurons(problem, cfg: BabConfig, info: BoundsResult | None, splits: dict):
     """Top-k unstable, unassigned neurons per layer by branching score."""
     if info is None:
@@ -318,17 +303,21 @@ def _bound_node(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, overr
     """One bounding pass over a region, with in-pass complete clipping.
 
     When complete clipping is enabled and constraints exist, each layer's
-    freshly computed bounds are tightened for the critical neurons by
-    coordinate ascent over the constraint set before the layer's relaxation
-    is built (the final layer tightens its still-unverified rows).  Returns
-    the pass result plus the per-layer refinements applied (NaN = none).
-    Raises InfeasibleSplitError when the region is provably empty.
+    freshly computed bounds are tightened for the critical neurons before
+    the layer's relaxation is built (the final layer tightens its
+    still-unverified rows).  The constraints are screened against the box
+    once; each layer then runs one batched dual ascent over the lower
+    objectives and the negated upper objectives of all its critical
+    neurons.  Returns the pass result plus the per-layer refinements applied
+    (NaN = none).  Raises InfeasibleSplitError when the region is provably
+    empty, at the first layer with neurons to refine.
     """
     refinements = {}
     refine = None
     last = problem.model.num_layers - 1
     if cfg.clip in ("complete", "both") and cset.size:
         criticals = _critical_neurons(problem, cfg, score_info, splits)
+        active = active_rows(box, cset)
 
         def refine(i, planes, lower, upper):
             if i == last:
@@ -337,25 +326,24 @@ def _bound_node(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, overr
                 idxs = criticals.get(i, np.zeros(0, dtype=int))
             if idxs.size == 0:
                 return lower, upper
+            if active is None:
+                raise InfeasibleSplitError("constraints exclude the whole box")
+            objs, consts = planes.a_low[idxs], planes.c_low[idxs]
+            if i != last:
+                objs = np.vstack([objs, -planes.a_up[idxs]])
+                consts = np.concatenate([consts, -planes.c_up[idxs]])
+            bounds, _ = dual_ascent(objs, consts, box, cset, active, cfg.passes)
             lower = lower.copy()
             upper = upper.copy()
             lo_ref = np.full(lower.size, np.nan)
             hi_ref = np.full(upper.size, np.nan)
-            for j in idxs:
-                sol = coordinate_ascent(
-                    planes.a_low[j], float(planes.c_low[j]), box, cset, cfg.passes
-                )
-                if sol.status is DualStatus.INFEASIBLE_PRIMAL:
-                    raise InfeasibleSplitError("constraints exclude the whole box")
-                if sol.bound > lower[j]:
-                    lower[j] = lo_ref[j] = sol.bound
-                if i != last:
-                    sol_up = coordinate_ascent(
-                        -planes.a_up[j], -float(planes.c_up[j]), box, cset, cfg.passes
-                    )
-                    new_up = -sol_up.bound
-                    if new_up < upper[j]:
-                        upper[j] = hi_ref[j] = new_up
+            new_lo = bounds[: idxs.size]
+            rise = new_lo > lower[idxs]
+            lower[idxs[rise]] = lo_ref[idxs[rise]] = new_lo[rise]
+            if i != last:
+                new_up = -bounds[idxs.size :]
+                drop = new_up < upper[idxs]
+                upper[idxs[drop]] = hi_ref[idxs[drop]] = new_up[drop]
             refinements[i] = (lo_ref, hi_ref)
             return lower, upper
 
@@ -436,7 +424,6 @@ def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | No
     deadline = t0 + cfg.timeout
     rng = np.random.default_rng(cfg.seed)
     stats = BabStats()
-    workers = _worker_count(cfg.batch)
 
     heap = []
     counter = 0
@@ -462,7 +449,7 @@ def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | No
                 "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
             )
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        results = _map_ordered(bound_one, batch, workers)
+        results = [bound_one(sub) for sub in batch]
         for sub, outcome in zip(batch, results):
             stats.domains_visited += 1
             stats.max_depth = max(stats.max_depth, sub.depth)
@@ -492,7 +479,8 @@ def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | No
             new_cset = sub.constraints
             if unverified.size == 1:
                 new_cset = new_cset.appended(
-                    final_plane_to_constraint(res.planes[-1], int(unverified[0]))
+                    final_plane_to_constraint(res.planes[-1], int(unverified[0])),
+                    budget=CONSTRAINT_BUDGET,
                 )
             overrides = _merge_overrides(
                 sub.overrides, refinements, problem.model.num_layers
@@ -541,7 +529,6 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
     deadline = t0 + cfg.timeout
     rng = np.random.default_rng(cfg.seed)
     stats = BabStats()
-    workers = _worker_count(2 * cfg.batch)
 
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)
@@ -563,7 +550,7 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
     verified_floor = np.inf
 
     def expand(sub: Subdomain):
-        """Branch one subdomain and bound its children (thread-safe part)."""
+        """Branch one subdomain and bound its children."""
         pick = _pick_branch_neuron(sub)
         if pick is not None:
             children = list(branch_activation(sub, pick))
@@ -608,7 +595,7 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
                 "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
             )
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        expansions = _map_ordered(expand, batch, workers)
+        expansions = [expand(sub) for sub in batch]
         for sub, result in zip(batch, expansions):
             if result[0] == "point":
                 val = problem.value(result[1])

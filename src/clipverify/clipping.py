@@ -7,14 +7,20 @@ known to hold on the region of interest:
   box-and-constraints by Lagrangian duality.  For a single constraint the
   dual is an exactly solvable concave piecewise-linear line search; several
   constraints are handled by coordinate ascent over their multipliers.
-  The single-constraint solve is equivalent to a continuous knapsack
-  problem, exposed through :func:`to_knapsack` / :func:`greedy_knapsack`.
+  :func:`dual_ascent` runs that ascent for a whole stack of objectives at
+  once (one sorted kink walk per constraint covers every row), so a layer's
+  critical neurons cost one batched solve against constraints screened
+  once by :func:`active_rows`; :func:`coordinate_ascent` is its one-row
+  case.  The single-constraint solve is equivalent to a continuous
+  knapsack problem, exposed through :func:`to_knapsack` /
+  :func:`greedy_knapsack`.
 
 * Relaxed clipping: shrink the box itself.  For one constraint the tightest
   axis-aligned enclosure of box-intersect-half-space has a closed form, one
   independent clip per coordinate.  Multiple constraints are applied either
-  in parallel against the original box or sequentially with recomputed
-  centers (order-dependent, usually tighter).
+  in parallel against the original box (one array expression over all
+  constraints and coordinates) or sequentially with recomputed centers
+  (order-dependent, usually tighter).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from .geometry import (
     ZERO_COEFF_TOL,
     BoxDomain,
+    EmptyBoxError,
     FeasibilityStatus,
     GeometryError,
     LinearConstraint,
@@ -150,6 +157,12 @@ class KnapsackInstance:
             raise GeometryError("gains and loads must be matching 1-D arrays")
 
 
+def _dual_rows(objs, consts, center, radius, cset: ConstraintSet, beta) -> np.ndarray:
+    """:func:`dual_value` for every row of ``objs`` with its row of ``beta``."""
+    shifted = objs + beta @ cset.normals
+    return shifted @ center - np.abs(shifted) @ radius + consts + beta @ cset.offsets
+
+
 def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
     """Lagrangian dual objective at multipliers ``beta`` (all >= 0).
 
@@ -159,13 +172,32 @@ def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
     """
     a = np.asarray(a, dtype=float)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    shifted = a + beta @ cset.normals if cset.size else a
-    mid = float(shifted @ box.center) - float(np.abs(shifted) @ box.radius)
-    return mid + float(c) + float(beta @ cset.offsets)
+    return float(_dual_rows(a[None, :], c, box.center, box.radius, cset, beta[None, :])[0])
 
 
-def _line_search(a: np.ndarray, box: BoxDomain, g: np.ndarray, h: float) -> float:
-    """Maximizer of the concave 1-D dual along one constraint's multiplier.
+def active_rows(box: BoxDomain, cset: ConstraintSet) -> np.ndarray | None:
+    """Screen every row of ``cset`` against the box at once.
+
+    Returns the indices (in stored order) of the rows that cut through the
+    box, or None when some row excludes the whole box.  This is
+    :func:`classify_constraint` applied to all rows: the classification
+    depends only on the box and the set, so one screen serves every
+    objective solved against them.
+    """
+    if box.is_empty:
+        raise EmptyBoxError("operation requires a nonempty box")
+    if cset.dim != box.dim:
+        raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
+    mid = cset.normals @ box.center + cset.offsets
+    span = np.abs(cset.normals) @ box.radius
+    if np.any(mid - span > 0.0):
+        return None
+    return np.flatnonzero(mid + span > 0.0)
+
+
+def _line_search(rest: np.ndarray, center, radius, g: np.ndarray, h: float) -> np.ndarray:
+    """Maximizer of the concave 1-D dual along one constraint's multiplier,
+    for each row of ``rest`` (shape (K, n)).
 
     The dual objective ``beta -> min_box (a + beta g) . x + beta h + const``
     is piecewise linear with kinks where a coordinate of ``a + beta g``
@@ -174,18 +206,51 @@ def _line_search(a: np.ndarray, box: BoxDomain, g: np.ndarray, h: float) -> floa
     settled, which decreases monotonically across sorted kinks; the maximum
     sits at the first kink where the slope becomes nonpositive.  The caller
     guarantees the constraint is ACTIVE for the box, which makes the start
-    slope positive and the end slope nonpositive.
+    slope positive and the end slope nonpositive.  The kinks of all rows
+    are sorted and walked together, one row per axis-0 entry.
     """
     nz = g != 0.0
-    q = -a[nz] / g[nz]
-    order = np.argsort(q, kind="stable")
-    spans = (np.abs(g[nz]) * box.radius[nz])[order]
-    settled = np.cumsum(spans)
-    pending = settled[-1] - settled
-    slope_base = float(g @ box.center) + h
+    q = -rest[:, nz] / g[nz]
+    order = np.argsort(q, axis=1, kind="stable")
+    spans = (np.abs(g[nz]) * radius[nz])[order]
+    settled = np.cumsum(spans, axis=1)
+    pending = settled[:, -1:] - settled
+    slope_base = float(g @ center) + h
     grads = slope_base + pending - settled
-    idx = int(np.argmax(grads <= 0.0))
-    return max(float(q[order[idx]]), 0.0)
+    first = np.argmax(grads <= 0.0, axis=1)
+    rows = np.arange(q.shape[0])
+    return np.maximum(q[rows, order[rows, first]], 0.0)
+
+
+def dual_ascent(objs, consts, box: BoxDomain, cset: ConstraintSet, active, passes: int = 1,
+                trace: list | None = None):
+    """Coordinate ascent on the duals of K objectives at once.
+
+    Row r lower-bounds ``objs[r] . x + consts[r]`` over box intersect the
+    half-spaces of ``cset``, exactly as :func:`coordinate_ascent` does for
+    one objective: each pass visits the rows listed in ``active`` (as
+    returned by :func:`active_rows`; redundant rows keep multiplier zero) and
+    re-solves that multiplier's line search for all K objectives together,
+    with the other multipliers fixed.  The rows never interact.  The dual
+    objective is evaluated once, at the end; when ``trace`` is a list, the
+    K-vector of dual values is also appended before the first update and
+    after every update (its last entry equals the returned bounds).
+    Returns ``(bounds, beta)`` with shapes (K,) and (K, m).
+    """
+    objs = np.asarray(objs, dtype=float)
+    consts = np.asarray(consts, dtype=float)
+    center, radius = box.center, box.radius
+    beta = np.zeros((objs.shape[0], cset.size))
+    if trace is not None:
+        trace.append(_dual_rows(objs, consts, center, radius, cset, beta))
+    for _ in range(passes):
+        for k in active:
+            g = cset.normals[k]
+            rest = objs + beta @ cset.normals - beta[:, k : k + 1] * g
+            beta[:, k] = _line_search(rest, center, radius, g, float(cset.offsets[k]))
+            if trace is not None:
+                trace.append(_dual_rows(objs, consts, center, radius, cset, beta))
+    return _dual_rows(objs, consts, center, radius, cset, beta), beta
 
 
 def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSolution:
@@ -205,7 +270,7 @@ def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSo
     if status is FeasibilityStatus.REDUNDANT:
         bound = dual_value(a, c, box, cset, 0.0)
         return DualSolution(bound, 0.0, DualStatus.OPTIMAL, [bound])
-    beta = _line_search(a, box, cons.normal, cons.offset)
+    beta = float(_line_search(a[None, :], box.center, box.radius, cons.normal, cons.offset)[0])
     bound = dual_value(a, c, box, cset, beta)
     return DualSolution(bound, beta, DualStatus.OPTIMAL, [bound])
 
@@ -224,7 +289,9 @@ def coordinate_ascent(a, c, box: BoxDomain, cset: ConstraintSet, passes: int = 1
     is removed from the effective objective before its line search).  Every
     update can only raise the concave dual objective, so the result is a
     monotone sequence of valid lower bounds; with one constraint and one
-    pass it reproduces :func:`tighten_lower_single`.
+    pass it reproduces :func:`tighten_lower_single`.  This is the one-row
+    case of :func:`dual_ascent`, with the dual value after every update
+    kept in ``trace``.
 
     Constraints redundant for the box keep multiplier zero.  Any constraint
     infeasible for the box on its own makes the subproblem vacuous and
@@ -233,27 +300,14 @@ def coordinate_ascent(a, c, box: BoxDomain, cset: ConstraintSet, passes: int = 1
     a = np.asarray(a, dtype=float)
     if passes < 1:
         raise ValueError("passes must be at least 1")
-    m = cset.size
-    if m == 0:
-        bound = dual_value(a, c, box, cset, np.zeros(0))
-        return DualSolution(bound, np.zeros(0), DualStatus.OPTIMAL, [bound])
-
-    active = []
-    for k in range(m):
-        status = classify_constraint(box, cset.row(k))
-        if status is FeasibilityStatus.INFEASIBLE:
-            return DualSolution(np.inf, np.full(m, np.inf), DualStatus.INFEASIBLE_PRIMAL, [np.inf])
-        if status is FeasibilityStatus.ACTIVE:
-            active.append(k)
-
-    beta = np.zeros(m)
-    trace = [dual_value(a, c, box, cset, beta)]
-    for _ in range(passes):
-        for k in active:
-            rest = a + beta @ cset.normals - beta[k] * cset.normals[k]
-            beta[k] = _line_search(rest, box, cset.normals[k], float(cset.offsets[k]))
-            trace.append(dual_value(a, c, box, cset, beta))
-    return DualSolution(trace[-1], beta, DualStatus.OPTIMAL, trace)
+    active = active_rows(box, cset)
+    if active is None:
+        return DualSolution(
+            np.inf, np.full(cset.size, np.inf), DualStatus.INFEASIBLE_PRIMAL, [np.inf]
+        )
+    trace = []
+    bounds, beta = dual_ascent(a[None, :], [float(c)], box, cset, active, passes, trace)
+    return DualSolution(float(bounds[0]), beta[0], DualStatus.OPTIMAL, [float(t[0]) for t in trace])
 
 
 def to_knapsack(a, c, box: BoxDomain, cons: LinearConstraint) -> KnapsackInstance:
@@ -354,19 +408,27 @@ def relaxed_clip_single(box: BoxDomain, cons: LinearConstraint) -> BoxDomain:
 def relaxed_clip_parallel(box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
     """Apply every constraint's closed-form clip against the original box.
 
-    Equals the per-coordinate intersection of all single-constraint results,
-    so the outcome does not depend on constraint order.
+    Equals the per-coordinate intersection of all single-constraint results
+    (:func:`relaxed_clip_single`), so the outcome does not depend on
+    constraint order; all clips are one (m, n) array expression.  An empty
+    result is returned as the canonical empty box.
     """
     if box.is_empty or cset.size == 0:
         return box.copy()
-    lower = box.lower.copy()
-    upper = box.upper.copy()
-    for cons in cset:
-        clipped = relaxed_clip_single(box, cons)
-        if clipped.is_empty:
-            return BoxDomain.empty(box.dim)
-        lower = np.maximum(lower, clipped.lower)
-        upper = np.minimum(upper, clipped.upper)
+    active = active_rows(box, cset)
+    if active is None:
+        return BoxDomain.empty(box.dim)
+    g = cset.normals[active]
+    terms = g * box.center - np.abs(g) * box.radius
+    rest = terms.sum(axis=1, keepdims=True) - terms
+    usable = np.abs(g) >= ZERO_COEFF_TOL
+    clip = (-rest - cset.offsets[active, None]) / np.where(usable, g, 1.0)
+    caps = np.where(usable & (g > 0.0), clip, np.inf)
+    floors = np.where(usable & (g < 0.0), clip, -np.inf)
+    upper = np.minimum(box.upper, caps.min(axis=0, initial=np.inf))
+    lower = np.maximum(box.lower, floors.max(axis=0, initial=-np.inf))
+    if np.any(lower > upper):
+        return BoxDomain.empty(box.dim)
     return BoxDomain(lower, upper)
 
 

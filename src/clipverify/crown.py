@@ -23,7 +23,9 @@ from .geometry import BoxDomain, concretize
 from .network import NetworkModel
 
 # Intervals narrower than this are collapsed to a stable neuron at the sign
-# of the upper bound; avoids dividing by u - l in the chord slope.
+# of the upper bound; avoids dividing by u - l in the chord slope.  A
+# collapsed neuron with l < 0 <= u keeps the identity slopes, but its upper
+# side is lifted by -l (see relax_relu) so that the envelope stays sound.
 STABLE_WIDTH_TOL = 1e-12
 
 
@@ -196,6 +198,10 @@ def relax_relu(
         status = neuron_status(l, u)
         if status is NeuronStatus.STABLE_ACTIVE:
             dl[j] = du[j] = 1.0
+            if l < 0.0:
+                # A tiny interval straddling zero, collapsed to active:
+                # relu(z) <= z - l on [l, u], while the identity dips below.
+                bu[j] = -l
         elif status is NeuronStatus.STABLE_INACTIVE:
             pass
         else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clipverify import bab
 from clipverify import (
     AffineLayer,
     BabConfig,
@@ -244,6 +245,28 @@ def test_worker_env_var_respected(monkeypatch):
     out1 = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
     assert out.status == out1.status == "verified"
     assert out.stats.bound_history == out1.stats.bound_history
+
+
+def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
+    # f(x) = delta + |x| - 0.5 |x| on a box straddling 0: true minimum delta,
+    # but the cancelling ReLU pairs make the relaxation loose, so input
+    # bisection has to go about 20 levels deep before the bound clears 0.
+    w1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    w2 = np.array([[1.0, 1.0, -0.5, -0.5]])
+    model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
+    prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
+    sizes = []
+    original = bab._bound_node
+
+    def spy(problem, cfg, box, splits, cset, *rest):
+        sizes.append(cset.size)
+        return original(problem, cfg, box, splits, cset, *rest)
+
+    monkeypatch.setattr(bab, "_bound_node", spy)
+    out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
+    assert out.status == "verified"
+    assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
+    assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
 def test_config_validation():

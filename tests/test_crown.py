@@ -61,6 +61,21 @@ def test_relaxation_stable_sides_exact():
     np.testing.assert_allclose(rel.upper_offset, [0.0, 0.0])
 
 
+def test_collapsed_straddling_neuron_envelope_is_sound():
+    # u - l < STABLE_WIDTH_TOL collapses the neuron to stable-active; its
+    # upper side must still cover relu(z) at z = l < 0.
+    l, u = -4e-13, 5e-13
+    assert neuron_status(l, u) is NeuronStatus.STABLE_ACTIVE
+    rel = relax_relu(np.array([l]), np.array([u]), AlphaPolicy.fixed())
+    z = np.append(np.linspace(l, u, 101), [l, 0.0, u])
+    relu = np.maximum(z, 0.0)
+    assert np.all(rel.upper_slope[0] * z + rel.upper_offset[0] >= relu)
+    assert np.all(rel.lower_slope[0] * z + rel.lower_offset[0] <= relu)
+    # truly stable neurons keep their exact zero offsets
+    rel = relax_relu(np.array([0.0, 1e-13]), np.array([5e-13, 2e-13]), AlphaPolicy.fixed())
+    np.testing.assert_array_equal(rel.upper_offset, [0.0, 0.0])
+
+
 def test_adaptive_alpha_picks_steeper_side():
     pol = AlphaPolicy.adaptive()
     rel = relax_relu(np.array([-1.0]), np.array([2.0]), pol)  # u >= -l: slope 1
