@@ -15,8 +15,13 @@ nonnegative over the box":
   clipping machinery.
 
 Subdomains live in a worst-bound-first queue; work proceeds in batches with
-a wall-clock timeout between batches.  Candidate counterexamples are checked
-by exact forward evaluation, so a "falsified" verdict is always certified.
+a wall-clock timeout between batches.  A batch is bounded in one pass of
+:func:`bound_batch`: input mode bounds the popped subdomains together,
+activation mode the children of all popped subdomains.  Complete clipping
+stays per subdomain, inside each one's refine hook.  Results are consumed
+in queue order, so the search is the same as bounding one at a time.
+Candidate counterexamples are checked by exact forward evaluation, so a
+"falsified" verdict is always certified.
 """
 
 from __future__ import annotations
@@ -35,12 +40,15 @@ from .clipping import (  # noqa: F401  (coordinate_ascent: patch point for trace
     relaxed_clip_parallel,
     relaxed_clip_sequential,
 )
-from .crown import (
+from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
     InfeasibleSplitError,
+    bound_batch,
     compute_bounds,
+    stack_overrides,
+    stack_splits,
 )
 from .geometry import BoxDomain, LinearConstraint
 from .network import CanonicalProblem
@@ -279,28 +287,33 @@ def branch_activation(sub: Subdomain, pick: tuple):
     return children[0], children[1]
 
 
-def _critical_neurons(problem, cfg: BabConfig, info: BoundsResult | None, splits: dict):
+def _branch_scores(info: BoundsResult, splits: dict) -> list:
+    """BaBSR score of every hidden neuron, one array per layer, with -inf
+    wherever the neuron is stable or already assigned a side."""
+    scores = []
+    for lb, coeff in zip(info.layer_bounds[:-1], info.objective_coeffs):
+        unstable = (lb.lower < 0.0) & (lb.upper > 0.0)
+        score = babsr_intercept_score(lb.lower, lb.upper, coeff)
+        scores.append(np.where(unstable, score, -np.inf))
+    for li, j in splits:
+        scores[li][j] = -np.inf
+    return scores
+
+
+def _critical_neurons(cfg: BabConfig, info: BoundsResult | None, splits: dict):
     """Top-k unstable, unassigned neurons per layer by branching score."""
     if info is None:
         return {}
     out = {}
-    for i in range(problem.model.num_layers - 1):
-        lb = info.layer_bounds[i]
-        unstable = (lb.lower < 0.0) & (lb.upper > 0.0)
-        for (li, j), _ in splits.items():
-            if li == i:
-                unstable[j] = False
-        if not unstable.any():
-            continue
-        scores = babsr_intercept_score(lb.lower, lb.upper, info.objective_coeffs[i])
-        idx = select_topk(scores, cfg.topk, unstable)
+    for i, scores in enumerate(_branch_scores(info, splits)):
+        idx = select_topk(scores, cfg.topk, scores > -np.inf)
         if idx.size:
             out[i] = idx
     return out
 
 
-def _bound_node(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, overrides, score_info):
-    """One bounding pass over a region, with in-pass complete clipping.
+def _clip_hook(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, score_info, refinements: dict):
+    """Refine hook running complete clipping over one region, or None.
 
     When complete clipping is enabled and constraints exist, each layer's
     freshly computed bounds are tightened for the critical neurons before
@@ -308,47 +321,74 @@ def _bound_node(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, overr
     still-unverified rows).  The constraints are screened against the box
     once; each layer then runs one batched dual ascent over the lower
     objectives and the negated upper objectives of all its critical
-    neurons.  Returns the pass result plus the per-layer refinements applied
-    (NaN = none).  Raises InfeasibleSplitError when the region is provably
-    empty, at the first layer with neurons to refine.
+    neurons.  The per-layer refinements applied (NaN = none) are stored in
+    ``refinements``.  The hook raises InfeasibleSplitError when the region
+    is provably empty, at the first layer with neurons to refine.
     """
-    refinements = {}
-    refine = None
+    if cfg.clip not in ("complete", "both") or not cset.size:
+        return None
     last = problem.model.num_layers - 1
-    if cfg.clip in ("complete", "both") and cset.size:
-        criticals = _critical_neurons(problem, cfg, score_info, splits)
-        active = active_rows(box, cset)
+    criticals = _critical_neurons(cfg, score_info, splits)
+    active = active_rows(box, cset)
 
-        def refine(i, planes, lower, upper):
-            if i == last:
-                idxs = np.flatnonzero(lower < 0.0)
-            else:
-                idxs = criticals.get(i, np.zeros(0, dtype=int))
-            if idxs.size == 0:
-                return lower, upper
-            if active is None:
-                raise InfeasibleSplitError("constraints exclude the whole box")
-            objs, consts = planes.a_low[idxs], planes.c_low[idxs]
-            if i != last:
-                objs = np.vstack([objs, -planes.a_up[idxs]])
-                consts = np.concatenate([consts, -planes.c_up[idxs]])
-            bounds, _ = dual_ascent(objs, consts, box, cset, active, cfg.passes)
-            lower = lower.copy()
-            upper = upper.copy()
-            lo_ref = np.full(lower.size, np.nan)
-            hi_ref = np.full(upper.size, np.nan)
-            new_lo = bounds[: idxs.size]
-            rise = new_lo > lower[idxs]
-            lower[idxs[rise]] = lo_ref[idxs[rise]] = new_lo[rise]
-            if i != last:
-                new_up = -bounds[idxs.size :]
-                drop = new_up < upper[idxs]
-                upper[idxs[drop]] = hi_ref[idxs[drop]] = new_up[drop]
-            refinements[i] = (lo_ref, hi_ref)
+    def refine(i, planes, lower, upper):
+        if i == last:
+            idxs = np.flatnonzero(lower < 0.0)
+        else:
+            idxs = criticals.get(i, np.zeros(0, dtype=int))
+        if idxs.size == 0:
             return lower, upper
+        if active is None:
+            raise InfeasibleSplitError("constraints exclude the whole box")
+        objs, consts = planes.a_low[idxs], planes.c_low[idxs]
+        if i != last:
+            objs = np.vstack([objs, -planes.a_up[idxs]])
+            consts = np.concatenate([consts, -planes.c_up[idxs]])
+        bounds, _ = dual_ascent(objs, consts, box, cset, active, cfg.passes)
+        lower = lower.copy()
+        upper = upper.copy()
+        lo_ref = np.full(lower.size, np.nan)
+        hi_ref = np.full(upper.size, np.nan)
+        new_lo = bounds[: idxs.size]
+        rise = new_lo > lower[idxs]
+        lower[idxs[rise]] = lo_ref[idxs[rise]] = new_lo[rise]
+        if i != last:
+            new_up = -bounds[idxs.size :]
+            drop = new_up < upper[idxs]
+            upper[idxs[drop]] = hi_ref[idxs[drop]] = new_up[drop]
+        refinements[i] = (lo_ref, hi_ref)
+        return lower, upper
 
-    res = compute_bounds(problem.model, box, cfg.alpha, splits, overrides, refine)
-    return res, refinements
+    return refine
+
+
+def _bound_nodes(problem, cfg: BabConfig, subs) -> list:
+    """Bound a batch of regions in one pass, with in-pass complete clipping.
+
+    Each subdomain contributes its box, splits, constraints and overrides;
+    its cached planes (its parent's) pick the critical neurons that its
+    refine hook (:func:`_clip_hook`) tightens.  Returns, per subdomain, the
+    pass result plus the per-layer refinements applied, or None when the
+    region is provably empty.
+    """
+    if not subs:
+        return []
+    model = problem.model
+    refinements = [{} for _ in subs]
+    hooks = [
+        _clip_hook(problem, cfg, sub.box, sub.splits, sub.constraints, sub.planes, ref)
+        for sub, ref in zip(subs, refinements)
+    ]
+    results = bound_batch(
+        model,
+        np.stack([sub.box.lower for sub in subs]),
+        np.stack([sub.box.upper for sub in subs]),
+        cfg.alpha,
+        stack_splits(model, [sub.splits for sub in subs]),
+        stack_overrides(model, [sub.overrides for sub in subs]),
+        hooks,
+    )
+    return [None if res is None else (res, ref) for res, ref in zip(results, refinements)]
 
 
 def _merge_overrides(base, refinements, n_layers: int):
@@ -412,11 +452,11 @@ def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
 def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
     """Verify by input splitting (see module docstring).
 
-    Subdomains are popped worst bound first; each pop costs one bounding
-    pass with complete clipping against the planes inherited from its
-    ancestors, then the box is bisected and both children are clipped
-    against those planes, screened by cheap plane bounds, and probed for
-    counterexamples before entering the queue.
+    Subdomains are popped worst bound first, a batch at a time; the batch
+    is bounded in one pass, each subdomain with complete clipping against
+    the planes inherited from its ancestors.  Then each box is bisected and
+    both children are clipped against those planes, screened by cheap plane
+    bounds, and probed for counterexamples before entering the queue.
     """
     if cfg.mode != "input":
         raise ValueError("config mode is not 'input'")
@@ -434,14 +474,6 @@ def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | No
     counter += 1
     verified_floor = np.inf
 
-    def bound_one(sub: Subdomain):
-        try:
-            return _bound_node(
-                problem, cfg, sub.box, {}, sub.constraints, sub.overrides, sub.planes
-            )
-        except InfeasibleSplitError:
-            return None
-
     while heap:
         if time.perf_counter() >= deadline:
             qmin = _queue_min(heap)
@@ -449,7 +481,7 @@ def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | No
                 "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
             )
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        results = [bound_one(sub) for sub in batch]
+        results = _bound_nodes(problem, cfg, batch)
         for sub, outcome in zip(batch, results):
             stats.domains_visited += 1
             stats.max_depth = max(stats.max_depth, sub.depth)
@@ -520,8 +552,9 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
 
     The root is bounded once; afterwards every popped subdomain branches on
     its best-scoring unstable neuron (falling back to an input bisection
-    when none is left), children inherit the accumulated split constraints,
-    are clipped and re-bounded immediately, and survivors enter the queue.
+    when none is left), children inherit the accumulated split constraints
+    and are clipped, the children of the whole batch are bounded in one
+    pass, and survivors enter the queue.
     """
     if cfg.mode != "activation":
         raise ValueError("config mode is not 'activation'")
@@ -533,9 +566,12 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)
 
-    empty_cset = ConstraintSet.empty(problem.box.dim)
-    res, _ = _bound_node(problem, cfg, problem.box, {}, empty_cset, None, None)
+    root = Subdomain(problem.box, {}, ConstraintSet.empty(problem.box.dim), -np.inf)
+    (outcome,) = _bound_nodes(problem, cfg, [root])
     stats.domains_visited = 1
+    if outcome is None:
+        return _outcome("verified", stats, t0)  # the whole box is provably empty
+    res = outcome[0]
     if probe is not None:
         probe.record_bounds((), res)
     root_bound = float(res.final_lower.min())
@@ -544,49 +580,29 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
 
     heap = []
     counter = 0
-    root = Subdomain(problem.box, {}, empty_cset, root_bound, 0, res, None, ())
+    root = replace(root, bound=root_bound, planes=res)
     heappush(heap, (root_bound, counter, root))
     counter += 1
     verified_floor = np.inf
 
-    def expand(sub: Subdomain):
-        """Branch one subdomain and bound its children."""
+    def branch(sub: Subdomain):
+        """Split one subdomain; returns ("point", x) or (decision, children),
+        a child None where relaxed clipping emptied its box."""
         pick = _pick_branch_neuron(sub)
         if pick is not None:
-            children = list(branch_activation(sub, pick))
+            children = branch_activation(sub, pick)
             decision = pick
         else:
             if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
                 return ("point", sub.box.center.copy())
             lo_child, hi_child, cut = branch_input(sub)
-            children = [lo_child, hi_child]
+            children = (lo_child, hi_child)
             decision = ("input",) + cut
-        records = []
+        clipped = []
         for child in children:
             cbox = _clip_box(cfg, child.box, child.constraints)
-            if cbox.is_empty:
-                records.append(("infeasible", None, False))
-                continue
-            try:
-                child_res, refinements = _bound_node(
-                    problem, cfg, cbox, child.splits, child.constraints,
-                    child.overrides, sub.planes,
-                )
-            except InfeasibleSplitError:
-                records.append(("infeasible", None, True))
-                continue
-            cbound = max(sub.bound, float(child_res.final_lower.min()))
-            child = replace(
-                child,
-                box=cbox,
-                bound=cbound,
-                planes=child_res,
-                overrides=_merge_overrides(
-                    child.overrides, refinements, problem.model.num_layers
-                ),
-            )
-            records.append(("bounded", child, True))
-        return ("children", decision, records)
+            clipped.append(None if cbox.is_empty else replace(child, box=cbox))
+        return (decision, clipped)
 
     while heap:
         if time.perf_counter() >= deadline:
@@ -595,23 +611,42 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
                 "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
             )
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        expansions = [expand(sub) for sub in batch]
-        for sub, result in zip(batch, expansions):
+        branched = [branch(sub) for sub in batch]
+        pending = [
+            child
+            for result in branched
+            if result[0] != "point"
+            for child in result[1]
+            if child is not None
+        ]
+        bounded = iter(_bound_nodes(problem, cfg, pending))
+        for sub, result in zip(batch, branched):
             if result[0] == "point":
                 val = problem.value(result[1])
                 if val < 0.0:
                     return _outcome("falsified", stats, t0, result[1], float(val))
                 verified_floor = min(verified_floor, val)
                 continue
-            _, decision, records = result
+            decision, clipped = result
             if probe is not None:
                 probe.decisions[sub.path] = decision
-            for kind, child, visited in records:
-                if visited:
-                    stats.domains_visited += 1
-                    stats.max_depth = max(stats.max_depth, sub.depth + 1)
-                if kind == "infeasible":
-                    continue
+            for child in clipped:
+                if child is None:
+                    continue  # verified by infeasibility
+                outcome = next(bounded)
+                stats.domains_visited += 1
+                stats.max_depth = max(stats.max_depth, sub.depth + 1)
+                if outcome is None:
+                    continue  # region proved empty: verified by infeasibility
+                child_res, refinements = outcome
+                child = replace(
+                    child,
+                    bound=max(sub.bound, float(child_res.final_lower.min())),
+                    planes=child_res,
+                    overrides=_merge_overrides(
+                        child.overrides, refinements, problem.model.num_layers
+                    ),
+                )
                 if probe is not None:
                     probe.record_bounds(child.path, child.planes)
                 if child.bound >= 0.0:
@@ -630,25 +665,16 @@ def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe
 
 def _pick_branch_neuron(sub: Subdomain):
     """Highest-scoring unstable, unassigned neuron; ties to lowest (layer, j)."""
-    info = sub.planes
-    if info is None:
+    if sub.planes is None:
         return None
-    best = None
-    best_score = -np.inf
-    for i in range(len(info.layer_bounds) - 1):
-        lb = info.layer_bounds[i]
-        unstable = (lb.lower < 0.0) & (lb.upper > 0.0)
-        for (li, j) in sub.splits:
-            if li == i:
-                unstable[j] = False
-        if not unstable.any():
-            continue
-        scores = babsr_intercept_score(lb.lower, lb.upper, info.objective_coeffs[i])
-        for j in np.flatnonzero(unstable):
-            if scores[j] > best_score:
-                best_score = float(scores[j])
-                best = (i, int(j))
-    return best
+    scores = _branch_scores(sub.planes, sub.splits)
+    flat = np.concatenate(scores) if scores else np.zeros(0)
+    if flat.size == 0 or flat.max() == -np.inf:
+        return None
+    k = int(np.argmax(flat))
+    ends = np.cumsum([s.size for s in scores])
+    layer = int(np.searchsorted(ends, k, side="right"))
+    return layer, k - int(ends[layer] - scores[layer].size)
 
 
 def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:

@@ -125,16 +125,6 @@ class ConstraintSet:
             offsets = offsets[-budget:]
         return ConstraintSet(normals, offsets)
 
-    def extended(self, other: "ConstraintSet", budget: int | None = None) -> "ConstraintSet":
-        if other.size == 0:
-            return self
-        normals = np.vstack([self.normals, other.normals]) if self.size else other.normals.copy()
-        offsets = np.concatenate([self.offsets, other.offsets])
-        if budget is not None and normals.shape[0] > budget:
-            normals = normals[-budget:]
-            offsets = offsets[-budget:]
-        return ConstraintSet(normals, offsets)
-
     def satisfied(self, x: np.ndarray, tol: float = 0.0) -> bool:
         if self.size == 0:
             return True

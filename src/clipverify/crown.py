@@ -7,6 +7,14 @@ layers, replacing each ReLU with linear lower / upper envelopes chosen by
 the sign of the accumulated coefficient, and are turned into scalar interval
 bounds by concretizing against the box.
 
+A whole batch of boxes is bounded in one pass (:func:`bound_batch`): every
+array carries a leading batch axis, so each layer costs a few array
+operations for all domains together.  One backward walk gives both planes:
+it walks the stacked rows ``[W; -W]`` for the lower side only, because the
+upper plane of z is minus the lower plane of -z and negation is exact.
+Each layer is then concretized once, and its ReLU relaxation is built
+row-wise with masks.  :func:`compute_bounds` is the one-box case.
+
 Unstable ReLUs use the triangle envelope: upper side is the chord through
 ``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
 origin with a selectable slope ``alpha`` in [0, 1].
@@ -19,7 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import BoxDomain, concretize
+from .geometry import (  # noqa: F401  (concretize: patch point for tracers)
+    BoxDomain,
+    EmptyBoxError,
+    concretize,
+)
 from .network import NetworkModel
 
 # Intervals narrower than this are collapsed to a stable neuron at the sign
@@ -144,6 +156,46 @@ def classify_neurons(bounds: LayerBounds):
     return statuses, gap
 
 
+def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
+    """Envelopes for bound arrays of any shape, one neuron per element,
+    with masks in place of a per-neuron loop.
+
+    Returns the :class:`ReluRelaxation` (arrays shaped like ``lower``) and
+    the mask of neurons whose forced side the bounds rule out.
+    """
+    on, off = forced > 0, forced < 0
+    free = ~(on | off)
+    width = upper - lower
+    collapsed = width < STABLE_WIDTH_TOL
+    active = free & np.where(collapsed, upper >= 0.0, lower >= 0.0)
+    unstable = free & ~collapsed & (lower < 0.0) & (upper > 0.0)
+    slope = upper / np.where(unstable, width, 1.0)
+    if policy.kind == "fixed":
+        alpha = policy.value
+    else:
+        alpha = np.where(upper >= -lower, 1.0, 0.0)
+    identity = on | active
+    lower_slope = np.where(identity, 1.0, np.where(unstable, alpha, 0.0))
+    upper_slope = np.where(identity, 1.0, np.where(unstable, slope, 0.0))
+    # A tiny interval straddling zero, collapsed to active: relu(z) <= z - l
+    # on [l, u], while the identity dips below.
+    upper_offset = np.where(
+        active & (lower < 0.0), -lower, np.where(unstable, -lower * slope, 0.0)
+    )
+    rel = ReluRelaxation(lower_slope, np.zeros_like(lower), upper_slope, upper_offset)
+    return rel, (on & (upper < 0.0)) | (off & (lower > 0.0))
+
+
+def _forced_side_error(j: int, side, lower, upper) -> InfeasibleSplitError:
+    if side > 0:
+        return InfeasibleSplitError(
+            f"neuron {j} forced active but its upper bound {upper} is negative"
+        )
+    return InfeasibleSplitError(
+        f"neuron {j} forced inactive but its lower bound {lower} is positive"
+    )
+
+
 def relax_relu(
     lower: np.ndarray,
     upper: np.ndarray,
@@ -161,115 +213,246 @@ def relax_relu(
     forced : array of {-1, 0, +1} or None
         +1 pins the neuron to its active side (identity), -1 to its inactive
         side (zero); 0 leaves it free.  A forced side that the interval
-        rules out raises :class:`InfeasibleSplitError`.
+        rules out raises :class:`InfeasibleSplitError` for the first such
+        neuron.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower/upper must be matching 1-D arrays")
-    w = lower.size
     if forced is None:
-        forced = np.zeros(w, dtype=int)
+        forced = np.zeros(lower.size, dtype=int)
     else:
         forced = np.asarray(forced, dtype=int)
-        if forced.shape != (w,):
+        if forced.shape != lower.shape:
             raise ValueError("forced assignment shape does not match layer width")
-
-    dl = np.zeros(w)
-    bl = np.zeros(w)
-    du = np.zeros(w)
-    bu = np.zeros(w)
-
-    for j in range(w):
-        l, u = lower[j], upper[j]
-        if forced[j] > 0:
-            if u < 0.0:
-                raise InfeasibleSplitError(
-                    f"neuron {j} forced active but its upper bound {u} is negative"
-                )
-            dl[j] = du[j] = 1.0
-            continue
-        if forced[j] < 0:
-            if l > 0.0:
-                raise InfeasibleSplitError(
-                    f"neuron {j} forced inactive but its lower bound {l} is positive"
-                )
-            continue
-        status = neuron_status(l, u)
-        if status is NeuronStatus.STABLE_ACTIVE:
-            dl[j] = du[j] = 1.0
-            if l < 0.0:
-                # A tiny interval straddling zero, collapsed to active:
-                # relu(z) <= z - l on [l, u], while the identity dips below.
-                bu[j] = -l
-        elif status is NeuronStatus.STABLE_INACTIVE:
-            pass
-        else:
-            slope = u / (u - l)
-            du[j] = slope
-            bu[j] = -l * slope
-            if policy.kind == "fixed":
-                dl[j] = policy.value
-            else:
-                dl[j] = 1.0 if u >= -l else 0.0
-    return ReluRelaxation(dl, bl, du, bu)
+    rel, bad = _relax_rows(lower, upper, policy, forced)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise _forced_side_error(j, forced[j], lower[j], upper[j])
+    return rel
 
 
-def _backward(layers, relaxations, target: int, collect_coeffs: bool = False):
-    """Planes for layer ``target``'s pre-activations in the network input.
+def _workspace(layers, batch: int) -> np.ndarray:
+    """Three flat buffers, each large enough for any ``(batch, 2r, w)``
+    coefficient array of a backward walk through ``layers``."""
+    widest = max(max(layer.weights.shape) for layer in layers)
+    return np.empty((3, batch * 2 * widest * widest))
 
-    ``relaxations[k]`` must cover the ReLU after layer k for k < target.
-    Walking from the target towards the input, a positive accumulated
-    coefficient keeps the envelope side it multiplies (lower side for the
-    lower plane), a negative one swaps sides.
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[: int(np.prod(shape))].reshape(shape)
+
+
+def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bool = False):
+    """Lower planes, in the network input, of the rows ``[W; -W]`` of layer
+    ``target`` for ``batch`` domains at once.
+
+    ``relaxations[k]`` holds ``(batch, w_k)`` envelope arrays for the ReLU
+    after layer k, for every k < target.  Walking from the target towards
+    the input, a positive accumulated coefficient keeps the lower side of
+    the envelope it multiplies and a negative one takes the upper side.
+    The first half of the rows are the lower planes of the target; the
+    second half are its upper planes negated, since the upper plane of z
+    is minus the lower plane of -z.
+
+    The intermediate coefficient arrays rotate through the three buffers of
+    ``work`` (see :func:`_workspace`): at these sizes, fresh large
+    temporaries cost more than the arithmetic done in them.  Only the
+    returned arrays are newly allocated.
+
+    Returns coefficients ``(batch, 2r, n)``, constants ``(batch, 2r)`` and,
+    with ``collect_coeffs``, ``{k: (batch, w_k)}`` means over the lower rows
+    of the coefficients accumulated on layer k's post-activations.
     """
-    al = layers[target].weights.copy()
-    cl = layers[target].bias.copy()
-    au = al.copy()
-    cu = cl.copy()
+    weights, bias = layers[target].weights, layers[target].bias
+    rows = weights.shape[0]
+    stack = np.vstack([weights, -weights])
+    c = np.repeat(np.concatenate([bias, -bias])[None], batch, axis=0)
+    if target == 0:
+        return np.repeat(stack[None], batch, axis=0), c, {}
+    a = _view(work[0], (batch,) + stack.shape)
+    a[...] = stack
     coeffs = {}
     for k in range(target - 1, -1, -1):
         rel = relaxations[k]
         if collect_coeffs:
-            coeffs[k] = al.mean(axis=0)
-        pos, neg = np.maximum(al, 0.0), np.minimum(al, 0.0)
-        cl = cl + pos @ rel.lower_offset + neg @ rel.upper_offset
-        al = pos * rel.lower_slope + neg * rel.upper_slope
-        pos, neg = np.maximum(au, 0.0), np.minimum(au, 0.0)
-        cu = cu + pos @ rel.upper_offset + neg @ rel.lower_offset
-        au = pos * rel.upper_slope + neg * rel.lower_slope
-        cl = cl + al @ layers[k].bias
-        cu = cu + au @ layers[k].bias
-        al = al @ layers[k].weights
-        au = au @ layers[k].weights
-    if collect_coeffs:
-        return BoundingPlanes(al, cl, au, cu), coeffs
-    return BoundingPlanes(al, cl, au, cu)
+            coeffs[k] = a[:, :rows].mean(axis=1)
+        neg = np.minimum(a, 0.0, out=_view(work[1], a.shape))
+        pos = np.maximum(a, 0.0, out=a)
+        c = (
+            c
+            + (pos @ rel.lower_offset[:, :, None])[..., 0]
+            + (neg @ rel.upper_offset[:, :, None])[..., 0]
+        )
+        pos *= rel.lower_slope[:, None, :]
+        neg *= rel.upper_slope[:, None, :]
+        pos += neg
+        c = c + pos @ layers[k].bias
+        out = _view(work[2], (batch, a.shape[1], layers[k].weights.shape[1])) if k else None
+        a = np.matmul(pos, layers[k].weights, out=out)
+        work = (work[2], work[1], work[0])
+    return a, c, coeffs
 
 
 def backward_bound(model: NetworkModel, relaxations, target: int) -> BoundingPlanes:
-    """Public wrapper around the backward pass for one target layer."""
+    """Planes for layer ``target``'s pre-activations under given relaxations."""
     if not 0 <= target < model.num_layers:
         raise ValueError(f"target layer {target} out of range")
     if len(relaxations) < target:
         raise ValueError("need a relaxation for every layer before the target")
-    return _backward(model.layers, relaxations, target)
+    batched = [
+        ReluRelaxation(
+            *(np.asarray(x, dtype=float)[None] for x in
+              (r.lower_slope, r.lower_offset, r.upper_slope, r.upper_offset))
+        )
+        for r in relaxations[:target]
+    ]
+    a, c, _ = _walk(model.layers, batched, target, 1, _workspace(model.layers, 1))
+    r = a.shape[1] // 2
+    return BoundingPlanes(a[0, :r], c[0, :r], -a[0, r:], -c[0, r:])
 
 
-def _normalize_splits(splits, model: NetworkModel):
-    """Split dict {(layer, neuron): +-1} to per-layer forced arrays."""
-    forced = [np.zeros(layer.out_dim, dtype=int) for layer in model.layers[:-1]]
-    if not splits:
-        return forced
-    for (li, j), pol in splits.items():
-        if not 0 <= li < model.num_layers - 1:
-            raise ValueError(f"split layer {li} out of range")
-        if not 0 <= j < model.layers[li].out_dim:
-            raise ValueError(f"split neuron {j} out of range for layer {li}")
-        if pol not in (-1, 1):
-            raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
-        forced[li][j] = pol
+def stack_splits(model: NetworkModel, splits_per_domain) -> list:
+    """Split dicts {(layer, neuron): +-1}, one per domain, to per-layer
+    ``(B, w)`` forced-side arrays."""
+    forced = [
+        np.zeros((len(splits_per_domain), layer.out_dim), dtype=int)
+        for layer in model.layers[:-1]
+    ]
+    for b, splits in enumerate(splits_per_domain):
+        for (li, j), pol in (splits or {}).items():
+            if not 0 <= li < model.num_layers - 1:
+                raise ValueError(f"split layer {li} out of range")
+            if not 0 <= j < model.layers[li].out_dim:
+                raise ValueError(f"split neuron {j} out of range for layer {li}")
+            if pol not in (-1, 1):
+                raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
+            forced[li][b, j] = pol
     return forced
+
+
+def stack_overrides(model: NetworkModel, overrides_per_domain) -> list:
+    """Override lists, one per domain, to per-layer ``(lower, upper)`` pairs
+    of ``(B, w)`` arrays (NaN = none); None for a layer no domain touches.
+
+    A domain's list may be None or shorter than the network; its entries
+    are None or ``(lower, upper)`` pairs whose sides may be None.
+    """
+    out = []
+    for i, layer in enumerate(model.layers):
+        entries = [
+            ovr[i] if ovr is not None and i < len(ovr) else None
+            for ovr in overrides_per_domain
+        ]
+        if all(e is None for e in entries):
+            out.append(None)
+            continue
+        lo = np.full((len(entries), layer.out_dim), np.nan)
+        hi = lo.copy()
+        for b, entry in enumerate(entries):
+            if entry is not None:
+                if entry[0] is not None:
+                    lo[b] = entry[0]
+                if entry[1] is not None:
+                    hi[b] = entry[1]
+        out.append((lo, hi))
+    return out
+
+
+def _bound_rows(model, lowers, uppers, policy, forced, overrides, hooks) -> list:
+    """The batched pass behind :func:`bound_batch`; a proven-empty domain
+    gets the :class:`InfeasibleSplitError` that proved it instead of None."""
+    lowers = np.asarray(lowers, dtype=float)
+    uppers = np.asarray(uppers, dtype=float)
+    if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim:
+        raise ValueError("box corners must be (B, n) arrays matching the model input")
+    if np.any(lowers > uppers):
+        raise EmptyBoxError("operation requires a nonempty box")
+    batch = lowers.shape[0]
+    center = (0.5 * (lowers + uppers))[:, :, None]
+    radius = (0.5 * (uppers - lowers))[:, :, None]
+    hooks = hooks if hooks is not None else [None] * batch
+    failed = [None] * batch
+    last = model.num_layers - 1
+    work = _workspace(model.layers, batch)
+
+    relaxations = []
+    all_bounds = []
+    all_planes = []
+    for i in range(model.num_layers):
+        a, c, coeffs = _walk(model.layers, relaxations, i, batch, work, collect_coeffs=i == last)
+        r = a.shape[1] // 2
+        ext = (a @ center)[..., 0] - (np.abs(a) @ radius)[..., 0] + c
+        lower, upper = ext[:, :r], -ext[:, r:]
+        if overrides is not None and overrides[i] is not None:
+            ovr_lo, ovr_hi = overrides[i]
+            lower = np.where(np.isnan(ovr_lo), lower, np.maximum(lower, ovr_lo))
+            upper = np.where(np.isnan(ovr_hi), upper, np.minimum(upper, ovr_hi))
+        a_up, c_up = -a[:, r:], -c[:, r:]
+        planes = [BoundingPlanes(a[b, :r], c[b, :r], a_up[b], c_up[b]) for b in range(batch)]
+        for b, hook in enumerate(hooks):
+            if hook is None or failed[b] is not None:
+                continue
+            try:
+                lower[b], upper[b] = hook(i, planes[b], lower[b], upper[b])
+            except InfeasibleSplitError as err:
+                failed[b] = err
+        for b in np.flatnonzero(np.any(lower > upper, axis=1)):
+            if failed[b] is None:
+                failed[b] = InfeasibleSplitError(f"layer {i} bounds crossed after tightening")
+        all_bounds.append((lower, upper))
+        all_planes.append(planes)
+        if i < last:
+            side = forced[i] if forced is not None else np.zeros(lower.shape, dtype=int)
+            rel, bad = _relax_rows(lower, upper, policy, side)
+            for b in np.flatnonzero(bad.any(axis=1)):
+                if failed[b] is None:
+                    j = int(np.argmax(bad[b]))
+                    failed[b] = _forced_side_error(j, side[b, j], lower[b, j], upper[b, j])
+            relaxations.append(rel)
+
+    return [
+        failed[b]
+        if failed[b] is not None
+        else BoundsResult(
+            layer_bounds=[LayerBounds(lo[b], hi[b]) for lo, hi in all_bounds],
+            planes=[planes[b] for planes in all_planes],
+            final_lower=all_bounds[-1][0][b].copy(),
+            objective_coeffs=[coeffs[k][b] for k in range(last)],
+        )
+        for b in range(batch)
+    ]
+
+
+def bound_batch(
+    model: NetworkModel,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    policy: AlphaPolicy | None = None,
+    forced=None,
+    overrides=None,
+    hooks=None,
+) -> list:
+    """Bound every layer of ``model`` over B boxes in one pass.
+
+    ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
+    is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0 free;
+    see :func:`stack_splits`), ``overrides[i]`` None or a ``(lower, upper)``
+    pair of ``(B, w_i)`` arrays intersected into layer i's bounds (NaN =
+    none; see :func:`stack_overrides`), and ``hooks[b]`` None or domain b's
+    refine hook (see :func:`compute_bounds`).
+
+    Returns one :class:`BoundsResult` per box, or None for a box proven
+    empty: by bounds that cross after overrides and hook, by a forced side
+    the bounds rule out, or by a hook raising :class:`InfeasibleSplitError`.
+    A proven-empty domain's hook is not called again, and its row never
+    reaches the others.
+    """
+    out = _bound_rows(
+        model, lowers, uppers, policy or AlphaPolicy.fixed(1.0), forced, overrides, hooks
+    )
+    return [None if isinstance(res, InfeasibleSplitError) else res for res in out]
 
 
 def compute_bounds(
@@ -280,7 +463,8 @@ def compute_bounds(
     overrides=None,
     refine_hook=None,
 ) -> BoundsResult:
-    """Bound every layer of ``model`` over ``box``.
+    """Bound every layer of ``model`` over ``box``: the one-box case of
+    :func:`bound_batch`.
 
     Layers are processed front to back; each one gets fresh planes from a
     backward pass through the relaxations built so far, then concrete
@@ -298,43 +482,17 @@ def compute_bounds(
     upper) or a forced side is unsatisfiable; callers treat that as a
     verified-empty subproblem.
     """
-    policy = policy or AlphaPolicy.fixed(1.0)
     if box.dim != model.input_dim:
         raise ValueError("box dimension does not match model input")
-    forced = _normalize_splits(splits, model)
-    n_layers = model.num_layers
-
-    relaxations = []
-    all_bounds = []
-    all_planes = []
-    coeffs = {}
-    for i in range(n_layers):
-        last = i == n_layers - 1
-        if last:
-            planes, coeffs = _backward(model.layers, relaxations, i, collect_coeffs=True)
-        else:
-            planes = _backward(model.layers, relaxations, i)
-        lower = np.atleast_1d(concretize(planes.a_low, planes.c_low, box, "min"))
-        upper = np.atleast_1d(concretize(planes.a_up, planes.c_up, box, "max"))
-        if overrides is not None and i < len(overrides) and overrides[i] is not None:
-            ovr_lo, ovr_hi = overrides[i]
-            if ovr_lo is not None:
-                lower = np.where(np.isnan(ovr_lo), lower, np.maximum(lower, ovr_lo))
-            if ovr_hi is not None:
-                upper = np.where(np.isnan(ovr_hi), upper, np.minimum(upper, ovr_hi))
-        if refine_hook is not None:
-            lower, upper = refine_hook(i, planes, lower, upper)
-        if np.any(lower > upper):
-            raise InfeasibleSplitError(f"layer {i} bounds crossed after tightening")
-        all_bounds.append(LayerBounds(lower, upper))
-        all_planes.append(planes)
-        if not last:
-            relaxations.append(relax_relu(lower, upper, policy, forced[i]))
-
-    objective_coeffs = [coeffs.get(k) for k in range(n_layers - 1)]
-    return BoundsResult(
-        layer_bounds=all_bounds,
-        planes=all_planes,
-        final_lower=all_bounds[-1].lower.copy(),
-        objective_coeffs=objective_coeffs,
+    (res,) = _bound_rows(
+        model,
+        box.lower[None],
+        box.upper[None],
+        policy or AlphaPolicy.fixed(1.0),
+        stack_splits(model, [splits]),
+        stack_overrides(model, [overrides]),
+        [refine_hook],
     )
+    if isinstance(res, InfeasibleSplitError):
+        raise res
+    return res

@@ -256,13 +256,13 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
     prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
     sizes = []
-    original = bab._bound_node
+    original = bab._clip_hook
 
     def spy(problem, cfg, box, splits, cset, *rest):
         sizes.append(cset.size)
         return original(problem, cfg, box, splits, cset, *rest)
 
-    monkeypatch.setattr(bab, "_bound_node", spy)
+    monkeypatch.setattr(bab, "_clip_hook", spy)
     out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
@@ -309,3 +309,32 @@ def test_multi_row_problem_falsifies():
         out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
         assert out.status == "falsified"
         assert prob.value(out.counterexample) < 0.0
+
+
+def test_branch_pick_ties_go_to_lowest_layer_and_index():
+    from clipverify import BoundsResult, LayerBounds
+
+    # every unstable neuron scores 0.5; neuron (0, 2) is stable
+    info = BoundsResult(
+        layer_bounds=[
+            LayerBounds(np.array([-1.0, -1.0, 1.0]), np.array([1.0, 1.0, 2.0])),
+            LayerBounds(np.array([-1.0, -2.0]), np.array([1.0, 2.0])),
+            LayerBounds(np.array([-1.0]), np.array([1.0])),
+        ],
+        planes=[],
+        final_lower=np.array([-1.0]),
+        objective_coeffs=[np.array([-1.0, -1.0, -1.0]), np.array([-1.0, -0.5])],
+    )
+    box = BoxDomain(np.zeros(1), np.ones(1))
+
+    def pick(splits):
+        sub = Subdomain(box, splits, ConstraintSet.empty(1), -1.0, planes=info)
+        return bab._pick_branch_neuron(sub)
+
+    assert pick({}) == (0, 0)
+    assert pick({(0, 0): 1}) == (0, 1)
+    assert pick({(0, 0): 1, (0, 1): -1}) == (1, 0)
+    assert pick({(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1}) is None
+    assert bab._pick_branch_neuron(Subdomain(box, {}, ConstraintSet.empty(1), -1.0)) is None
+    crit = bab._critical_neurons(BabConfig(topk=1), info, {(0, 0): 1})
+    assert {i: idx.tolist() for i, idx in crit.items()} == {0: [1], 1: [0]}

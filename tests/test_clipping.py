@@ -27,9 +27,7 @@ def test_constraint_set_construction():
     assert cs.size == 0 and cs.dim == 3
     cs = cs.appended(LinearConstraint(np.array([1.0, 0.0, 0.0]), -1.0))
     assert cs.size == 1
-    cs2 = cs.extended(cs)
-    assert cs2.size == 2
-    row = cs2.row(0)
+    row = cs.row(0)
     assert row.offset == -1.0
 
 
