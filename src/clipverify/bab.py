@@ -1,31 +1,41 @@
-"""Branch and bound drivers coupling bound propagation with clipping.
+"""Branch and bound coupling bound propagation with clipping.
 
-Two refinement strategies over the canonical problem "every output row
-nonnegative over the box":
+One search loop (:func:`run_bab`) serves both refinement strategies over
+the canonical problem "every output row nonnegative over the box".  They
+differ only in how a subdomain branches (:func:`_branch`):
 
-* input splitting: bisect the widest box coordinate.  Each bounding pass
-  leaves behind the final-layer lower planes of rows it could not verify;
-  the half-space where such a plane is negative is the only part of the
-  subdomain that can still hide a counterexample, so children are clipped
-  against those planes and critical neurons are re-tightened against them.
+* input splitting: bisect the widest box coordinate.  A bounding pass
+  leaves behind the final-layer lower planes of the rows it could not
+  verify; where such a plane is negative is the only part of the
+  subdomain that can still hide a counterexample, so the plane of a lone
+  open row is added to the children's constraints.
 
 * activation splitting: pin the unstable ReLU with the highest branching
-  score to each of its two sides.  Every pin yields a sound input-space
-  half-space (from the neuron's cached bounding planes) that feeds the same
-  clipping machinery.
+  score to each of its two sides (bisect when none is left).  Every pin
+  yields a sound input-space half-space from the neuron's planes.
 
-Subdomains live in a worst-bound-first queue; work proceeds in batches with
-a wall-clock timeout between batches.  A batch is bounded in one pass of
-:func:`bound_batch`: input mode bounds the popped subdomains together,
-activation mode the children of all popped subdomains.  Complete clipping
-stays per subdomain, inside each one's refine hook.  Results are consumed
-in queue order, so the search is the same as bounding one at a time.
-Candidate counterexamples are checked by exact forward evaluation, so a
-"falsified" verdict is always certified.
+Either way the constraints feed the same clipping.  The root is bounded
+first.  Then each round pops up to ``cfg.batch`` subdomains, worst bound
+first, evaluates point boxes exactly and branches the rest.  Each child
+is screened, in this order:
+
+1. relaxed clipping of its box against its constraints (an empty box
+   closes it);
+2. its parent's final planes over the clipped box (a bound >= 0 closes
+   it);
+3. a few sampled points, any of which may falsify the problem.
+
+The round's surviving children are bounded in one pass of
+:func:`bound_batch`, with complete clipping inside each one's refine
+hook; a child whose bound reaches 0 is closed and the others are queued.
+The deadline is checked between rounds.  Candidate counterexamples are
+checked by exact forward evaluation, so a "falsified" verdict is always
+certified.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -65,16 +75,15 @@ POINT_RADIUS_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """One ReLU pin: neuron (layer, index) forced to a side of split_point.
+    """One ReLU pin: neuron (layer, index) forced to a side of zero.
 
-    Polarity +1 keeps the active side (pre-activation >= split_point), -1
-    the inactive side.  Only split_point 0.0 is supported by the engine.
+    Polarity +1 keeps the active side (pre-activation >= 0), -1 the
+    inactive side.
     """
 
     layer: int
     neuron: int
     polarity: int
-    split_point: float = 0.0
 
     def __post_init__(self):
         if self.polarity not in (-1, 1):
@@ -215,8 +224,6 @@ def split_constraint_to_input(planes: BoundingPlanes, assignment: SplitAssignmen
     Both are necessary conditions, so clipping with them never removes a
     point of the pinned region.
     """
-    if assignment.split_point != 0.0:
-        raise ValueError("only split_point 0.0 is supported")
     j = assignment.neuron
     if assignment.polarity > 0:
         return LinearConstraint(-planes.a_up[j].copy(), -float(planes.c_up[j]))
@@ -440,227 +447,9 @@ def _quick_child_bound(planes: BoundingPlanes, box: BoxDomain) -> float:
     return float((mid - span).min())
 
 
-def _queue_min(heap) -> float:
-    return heap[0][0] if heap else np.inf
-
-
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     stats.wall_time = time.perf_counter() - t0
     return VerificationOutcome(status, counterexample, value, bound, stats)
-
-
-def input_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
-    """Verify by input splitting (see module docstring).
-
-    Subdomains are popped worst bound first, a batch at a time; the batch
-    is bounded in one pass, each subdomain with complete clipping against
-    the planes inherited from its ancestors.  Then each box is bisected and
-    both children are clipped against those planes, screened by cheap plane
-    bounds, and probed for counterexamples before entering the queue.
-    """
-    if cfg.mode != "input":
-        raise ValueError("config mode is not 'input'")
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.timeout
-    rng = np.random.default_rng(cfg.seed)
-    stats = BabStats()
-
-    heap = []
-    counter = 0
-    root = Subdomain(
-        problem.box, {}, ConstraintSet.empty(problem.box.dim), -np.inf, 0, None, None, ()
-    )
-    heappush(heap, (root.bound, counter, root))
-    counter += 1
-    verified_floor = np.inf
-
-    while heap:
-        if time.perf_counter() >= deadline:
-            qmin = _queue_min(heap)
-            return _outcome(
-                "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
-            )
-        batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        results = _bound_nodes(problem, cfg, batch)
-        for sub, outcome in zip(batch, results):
-            stats.domains_visited += 1
-            stats.max_depth = max(stats.max_depth, sub.depth)
-            if outcome is None:
-                continue  # region proved empty: verified by infeasibility
-            res, refinements = outcome
-            if probe is not None:
-                probe.record_bounds(sub.path, res)
-            fresh = float(res.final_lower.min())
-            node_bound = fresh if np.isinf(sub.bound) else max(sub.bound, fresh)
-            if node_bound >= 0.0:
-                verified_floor = min(verified_floor, node_bound)
-                continue
-            if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
-                val = problem.value(sub.box.center)
-                if val < 0.0:
-                    return _outcome(
-                        "falsified", stats, t0, sub.box.center.copy(), float(val)
-                    )
-                verified_floor = min(verified_floor, val)
-                continue
-            # Planes of still-unverified rows describe where a counterexample
-            # can hide.  With several rows open at once their half-spaces may
-            # not be stacked (a point can violate one row while clearing
-            # another), so harvest only a lone open row.
-            unverified = np.flatnonzero(res.final_lower < 0.0)
-            new_cset = sub.constraints
-            if unverified.size == 1:
-                new_cset = new_cset.appended(
-                    final_plane_to_constraint(res.planes[-1], int(unverified[0])),
-                    budget=CONSTRAINT_BUDGET,
-                )
-            overrides = _merge_overrides(
-                sub.overrides, refinements, problem.model.num_layers
-            )
-            carrier = replace(
-                sub, constraints=new_cset, planes=res, overrides=overrides, bound=node_bound
-            )
-            forced_dim = forced_at = None
-            if probe is not None and probe.replay is not None:
-                recorded = probe.replay.get(sub.path)
-                if recorded is not None:
-                    forced_dim, forced_at = recorded
-            lo_child, hi_child, cut = branch_input(carrier, forced_dim, forced_at)
-            if probe is not None:
-                probe.decisions[sub.path] = cut
-            for child in (lo_child, hi_child):
-                cbox = _clip_box(cfg, child.box, child.constraints)
-                if cbox.is_empty:
-                    continue  # verified by infeasibility
-                cbound = max(node_bound, _quick_child_bound(res.planes[-1], cbox))
-                if cbound >= 0.0:
-                    verified_floor = min(verified_floor, cbound)
-                    continue
-                hit = _try_falsify(problem, cbox, rng)
-                if hit is not None:
-                    return _outcome("falsified", stats, t0, hit[1], hit[0])
-                heappush(heap, (cbound, counter, replace(child, box=cbox, bound=cbound)))
-                counter += 1
-        if heap:
-            stats.bound_history.append(float(_queue_min(heap)))
-    bound = None if np.isinf(verified_floor) else float(verified_floor)
-    return _outcome("verified", stats, t0, bound=bound)
-
-
-def activation_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
-    """Verify by ReLU splitting (see module docstring).
-
-    The root is bounded once; afterwards every popped subdomain branches on
-    its best-scoring unstable neuron (falling back to an input bisection
-    when none is left), children inherit the accumulated split constraints
-    and are clipped, the children of the whole batch are bounded in one
-    pass, and survivors enter the queue.
-    """
-    if cfg.mode != "activation":
-        raise ValueError("config mode is not 'activation'")
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.timeout
-    rng = np.random.default_rng(cfg.seed)
-    stats = BabStats()
-
-    if time.perf_counter() >= deadline:
-        return _outcome("unknown", stats, t0)
-
-    root = Subdomain(problem.box, {}, ConstraintSet.empty(problem.box.dim), -np.inf)
-    (outcome,) = _bound_nodes(problem, cfg, [root])
-    stats.domains_visited = 1
-    if outcome is None:
-        return _outcome("verified", stats, t0)  # the whole box is provably empty
-    res = outcome[0]
-    if probe is not None:
-        probe.record_bounds((), res)
-    root_bound = float(res.final_lower.min())
-    if root_bound >= 0.0:
-        return _outcome("verified", stats, t0, bound=root_bound)
-
-    heap = []
-    counter = 0
-    root = replace(root, bound=root_bound, planes=res)
-    heappush(heap, (root_bound, counter, root))
-    counter += 1
-    verified_floor = np.inf
-
-    def branch(sub: Subdomain):
-        """Split one subdomain; returns ("point", x) or (decision, children),
-        a child None where relaxed clipping emptied its box."""
-        pick = _pick_branch_neuron(sub)
-        if pick is not None:
-            children = branch_activation(sub, pick)
-            decision = pick
-        else:
-            if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
-                return ("point", sub.box.center.copy())
-            lo_child, hi_child, cut = branch_input(sub)
-            children = (lo_child, hi_child)
-            decision = ("input",) + cut
-        clipped = []
-        for child in children:
-            cbox = _clip_box(cfg, child.box, child.constraints)
-            clipped.append(None if cbox.is_empty else replace(child, box=cbox))
-        return (decision, clipped)
-
-    while heap:
-        if time.perf_counter() >= deadline:
-            qmin = _queue_min(heap)
-            return _outcome(
-                "unknown", stats, t0, bound=None if np.isinf(qmin) else float(qmin)
-            )
-        batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        branched = [branch(sub) for sub in batch]
-        pending = [
-            child
-            for result in branched
-            if result[0] != "point"
-            for child in result[1]
-            if child is not None
-        ]
-        bounded = iter(_bound_nodes(problem, cfg, pending))
-        for sub, result in zip(batch, branched):
-            if result[0] == "point":
-                val = problem.value(result[1])
-                if val < 0.0:
-                    return _outcome("falsified", stats, t0, result[1], float(val))
-                verified_floor = min(verified_floor, val)
-                continue
-            decision, clipped = result
-            if probe is not None:
-                probe.decisions[sub.path] = decision
-            for child in clipped:
-                if child is None:
-                    continue  # verified by infeasibility
-                outcome = next(bounded)
-                stats.domains_visited += 1
-                stats.max_depth = max(stats.max_depth, sub.depth + 1)
-                if outcome is None:
-                    continue  # region proved empty: verified by infeasibility
-                child_res, refinements = outcome
-                child = replace(
-                    child,
-                    bound=max(sub.bound, float(child_res.final_lower.min())),
-                    planes=child_res,
-                    overrides=_merge_overrides(
-                        child.overrides, refinements, problem.model.num_layers
-                    ),
-                )
-                if probe is not None:
-                    probe.record_bounds(child.path, child.planes)
-                if child.bound >= 0.0:
-                    verified_floor = min(verified_floor, child.bound)
-                    continue
-                hit = _try_falsify(problem, child.box, rng)
-                if hit is not None:
-                    return _outcome("falsified", stats, t0, hit[1], hit[0])
-                heappush(heap, (child.bound, counter, child))
-                counter += 1
-        if heap:
-            stats.bound_history.append(float(_queue_min(heap)))
-    bound = None if np.isinf(verified_floor) else float(verified_floor)
-    return _outcome("verified", stats, t0, bound=bound)
 
 
 def _pick_branch_neuron(sub: Subdomain):
@@ -677,8 +466,101 @@ def _pick_branch_neuron(sub: Subdomain):
     return layer, k - int(ends[layer] - scores[layer].size)
 
 
+def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
+    """Split a bounded, open subdomain in two: the only step of the search
+    that depends on the mode.  Returns the decision and the two children.
+
+    Input mode bisects, or takes the cut ``probe.replay`` recorded for this
+    path.  Before that it harvests the final plane of a lone open row: with
+    several rows open their half-spaces may not be stacked (a point can
+    violate one row while clearing another).  Activation mode pins the
+    best-scoring unstable neuron and bisects when none is left.
+    """
+    if cfg.mode == "activation":
+        pick = _pick_branch_neuron(sub)
+        if pick is not None:
+            return pick, branch_activation(sub, pick)
+        lo_child, hi_child, cut = branch_input(sub)
+        return ("input",) + cut, (lo_child, hi_child)
+    unverified = np.flatnonzero(sub.planes.final_lower < 0.0)
+    if unverified.size == 1:
+        harvested = final_plane_to_constraint(sub.planes.planes[-1], int(unverified[0]))
+        sub = replace(
+            sub, constraints=sub.constraints.appended(harvested, budget=CONSTRAINT_BUDGET)
+        )
+    dim = at = None
+    if probe is not None and probe.replay is not None:
+        dim, at = probe.replay.get(sub.path, (None, None))
+    lo_child, hi_child, cut = branch_input(sub, dim, at)
+    return cut, (lo_child, hi_child)
+
+
 def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
-    """Dispatch to the configured search mode."""
-    if cfg.mode == "input":
-        return input_bab(problem, cfg, probe)
-    return activation_bab(problem, cfg, probe)
+    """Verify ``problem`` by branch and bound (see module docstring).
+
+    Returns "verified" once every subdomain is closed, "falsified" with a
+    certified counterexample, or "unknown" at the deadline together with
+    the lowest open bound.
+    """
+    t0 = time.perf_counter()
+    deadline = t0 + cfg.timeout
+    rng = np.random.default_rng(cfg.seed)
+    stats = BabStats()
+    heap = []
+    tiebreak = itertools.count()
+    verified_floor = np.inf  # lowest bound of a closed subdomain
+
+    def settle(subs):
+        """Bound subdomains in one pass; queue those still open."""
+        nonlocal verified_floor
+        for sub, outcome in zip(subs, _bound_nodes(problem, cfg, subs)):
+            stats.domains_visited += 1
+            stats.max_depth = max(stats.max_depth, sub.depth)
+            if outcome is None:
+                continue  # region proved empty: verified by infeasibility
+            res, refinements = outcome
+            if probe is not None:
+                probe.record_bounds(sub.path, res)
+            bound = max(sub.bound, float(res.final_lower.min()))
+            if bound >= 0.0:
+                verified_floor = min(verified_floor, bound)
+                continue
+            overrides = _merge_overrides(sub.overrides, refinements, problem.model.num_layers)
+            sub = replace(sub, bound=bound, planes=res, overrides=overrides)
+            heappush(heap, (bound, next(tiebreak), sub))
+
+    if time.perf_counter() >= deadline:
+        return _outcome("unknown", stats, t0)
+    settle([Subdomain(problem.box, {}, ConstraintSet.empty(problem.box.dim), -np.inf)])
+    while heap:
+        if time.perf_counter() >= deadline:
+            return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
+        batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
+        children = []
+        for sub in batch:
+            if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
+                val = problem.value(sub.box.center)
+                if val < 0.0:
+                    return _outcome("falsified", stats, t0, sub.box.center.copy(), float(val))
+                verified_floor = min(verified_floor, val)
+                continue
+            decision, pair = _branch(cfg, sub, probe)
+            if probe is not None:
+                probe.decisions[sub.path] = decision
+            for child in pair:
+                box = _clip_box(cfg, child.box, child.constraints)
+                if box.is_empty:
+                    continue  # verified by infeasibility
+                bound = max(sub.bound, _quick_child_bound(sub.planes.planes[-1], box))
+                if bound >= 0.0:
+                    verified_floor = min(verified_floor, bound)
+                    continue
+                hit = _try_falsify(problem, box, rng)
+                if hit is not None:
+                    return _outcome("falsified", stats, t0, hit[1], hit[0])
+                children.append(replace(child, box=box, bound=bound))
+        settle(children)
+        if heap:
+            stats.bound_history.append(float(heap[0][0]))
+    bound = None if np.isinf(verified_floor) else float(verified_floor)
+    return _outcome("verified", stats, t0, bound=bound)

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--topk", type=int, default=20,
                         help="neurons tightened per layer by complete clipping (default: 20)")
     parser.add_argument("--batch", type=int, default=8,
-                        help="subdomains popped and bounded together in one pass (default: 8)")
+                        help="subdomains popped per round; their children are bounded "
+                             "together in one pass (default: 8)")
     parser.add_argument("--passes", type=int, default=1,
                         help="coordinate ascent sweeps per tightening (default: 1)")
     parser.add_argument("--timeout", type=float, default=60.0,

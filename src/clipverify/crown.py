@@ -90,13 +90,13 @@ class LayerBounds:
 class ReluRelaxation:
     """Per-neuron linear envelope slopes and offsets for one ReLU layer.
 
-    Guarantees ``lower_slope * z + lower_offset <= relu(z) <= upper_slope * z
-    + upper_offset`` for all z in [l, u] (or, for a forced neuron, for all z
-    on the forced side).
+    Guarantees ``lower_slope * z <= relu(z) <= upper_slope * z +
+    upper_offset`` for all z in [l, u] (or, for a forced neuron, for all z
+    on the forced side).  The lower side always passes through the origin,
+    so it has no offset.
     """
 
     lower_slope: np.ndarray
-    lower_offset: np.ndarray
     upper_slope: np.ndarray
     upper_offset: np.ndarray
 
@@ -139,23 +139,6 @@ def neuron_status(lower: float, upper: float) -> NeuronStatus:
     return NeuronStatus.UNSTABLE
 
 
-def classify_neurons(bounds: LayerBounds):
-    """Status and envelope-gap score per neuron of one layer.
-
-    The gap is the largest vertical distance between the two envelope sides,
-    ``-u * l / (u - l)`` for an unstable neuron and zero for a stable one.
-    It measures how much the relaxation can lose on that neuron.
-    """
-    lower = np.asarray(bounds.lower, dtype=float)
-    upper = np.asarray(bounds.upper, dtype=float)
-    statuses = [neuron_status(l, u) for l, u in zip(lower, upper)]
-    gap = np.zeros(lower.size)
-    for j, st in enumerate(statuses):
-        if st is NeuronStatus.UNSTABLE:
-            gap[j] = -upper[j] * lower[j] / (upper[j] - lower[j])
-    return statuses, gap
-
-
 def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
     """Envelopes for bound arrays of any shape, one neuron per element,
     with masks in place of a per-neuron loop.
@@ -182,7 +165,7 @@ def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
     upper_offset = np.where(
         active & (lower < 0.0), -lower, np.where(unstable, -lower * slope, 0.0)
     )
-    rel = ReluRelaxation(lower_slope, np.zeros_like(lower), upper_slope, upper_offset)
+    rel = ReluRelaxation(lower_slope, upper_slope, upper_offset)
     return rel, (on & (upper < 0.0)) | (off & (lower > 0.0))
 
 
@@ -252,9 +235,10 @@ def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bo
     after layer k, for every k < target.  Walking from the target towards
     the input, a positive accumulated coefficient keeps the lower side of
     the envelope it multiplies and a negative one takes the upper side.
-    The first half of the rows are the lower planes of the target; the
-    second half are its upper planes negated, since the upper plane of z
-    is minus the lower plane of -z.
+    The lower side passes through the origin, so only the upper side adds
+    to the constants.  The first half of the rows are the lower planes of
+    the target; the second half are its upper planes negated, since the
+    upper plane of z is minus the lower plane of -z.
 
     The intermediate coefficient arrays rotate through the three buffers of
     ``work`` (see :func:`_workspace`): at these sizes, fresh large
@@ -280,11 +264,7 @@ def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bo
             coeffs[k] = a[:, :rows].mean(axis=1)
         neg = np.minimum(a, 0.0, out=_view(work[1], a.shape))
         pos = np.maximum(a, 0.0, out=a)
-        c = (
-            c
-            + (pos @ rel.lower_offset[:, :, None])[..., 0]
-            + (neg @ rel.upper_offset[:, :, None])[..., 0]
-        )
+        c = c + (neg @ rel.upper_offset[:, :, None])[..., 0]
         pos *= rel.lower_slope[:, None, :]
         neg *= rel.upper_slope[:, None, :]
         pos += neg
@@ -293,24 +273,6 @@ def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bo
         a = np.matmul(pos, layers[k].weights, out=out)
         work = (work[2], work[1], work[0])
     return a, c, coeffs
-
-
-def backward_bound(model: NetworkModel, relaxations, target: int) -> BoundingPlanes:
-    """Planes for layer ``target``'s pre-activations under given relaxations."""
-    if not 0 <= target < model.num_layers:
-        raise ValueError(f"target layer {target} out of range")
-    if len(relaxations) < target:
-        raise ValueError("need a relaxation for every layer before the target")
-    batched = [
-        ReluRelaxation(
-            *(np.asarray(x, dtype=float)[None] for x in
-              (r.lower_slope, r.lower_offset, r.upper_slope, r.upper_offset))
-        )
-        for r in relaxations[:target]
-    ]
-    a, c, _ = _walk(model.layers, batched, target, 1, _workspace(model.layers, 1))
-    r = a.shape[1] // 2
-    return BoundingPlanes(a[0, :r], c[0, :r], -a[0, r:], -c[0, r:])
 
 
 def stack_splits(model: NetworkModel, splits_per_domain) -> list:

@@ -39,7 +39,6 @@ def relax_relu_loop(lower, upper, policy, forced=None) -> ReluRelaxation:
     w = lower.size
     forced = np.zeros(w, dtype=int) if forced is None else np.asarray(forced, dtype=int)
     dl = np.zeros(w)
-    bl = np.zeros(w)
     du = np.zeros(w)
     bu = np.zeros(w)
     for j in range(w):
@@ -72,11 +71,11 @@ def relax_relu_loop(lower, upper, policy, forced=None) -> ReluRelaxation:
                 dl[j] = policy.value
             else:
                 dl[j] = 1.0 if u >= -l else 0.0
-    return ReluRelaxation(dl, bl, du, bu)
+    return ReluRelaxation(dl, du, bu)
 
 
 def _fields(rel):
-    return (rel.lower_slope, rel.lower_offset, rel.upper_slope, rel.upper_offset)
+    return (rel.lower_slope, rel.upper_slope, rel.upper_offset)
 
 
 def _assert_bitwise(got, want):

@@ -8,8 +8,6 @@ from clipverify import (
     InfeasibleSplitError,
     NetworkModel,
     NeuronStatus,
-    backward_bound,
-    classify_neurons,
     compute_bounds,
     concretize,
     neuron_status,
@@ -28,16 +26,6 @@ def test_neuron_status_three_ways():
     assert neuron_status(-1e-15, 1e-15) is NeuronStatus.STABLE_ACTIVE
 
 
-def test_classify_neurons_gap():
-    from clipverify import LayerBounds
-
-    statuses, gap = classify_neurons(LayerBounds(np.array([-1.0, 1.0]), np.array([3.0, 2.0])))
-    assert statuses[0] is NeuronStatus.UNSTABLE
-    assert statuses[1] is NeuronStatus.STABLE_ACTIVE
-    assert abs(gap[0] - 3.0 / 4.0) < 1e-12  # -u*l/(u-l)
-    assert gap[1] == 0.0
-
-
 def test_relaxation_envelopes_relu():
     rng = np.random.default_rng(17)
     for policy in (AlphaPolicy.fixed(0.0), AlphaPolicy.fixed(0.5), AlphaPolicy.adaptive()):
@@ -46,7 +34,7 @@ def test_relaxation_envelopes_relu():
             u = rng.uniform(0.01, 3.0)
             rel = relax_relu(np.array([l]), np.array([u]), policy)
             z = rng.uniform(l, u, size=64)
-            lo = rel.lower_slope[0] * z + rel.lower_offset[0]
+            lo = rel.lower_slope[0] * z
             hi = rel.upper_slope[0] * z + rel.upper_offset[0]
             relu = np.maximum(z, 0.0)
             assert np.all(lo <= relu + 1e-10)
@@ -57,7 +45,6 @@ def test_relaxation_stable_sides_exact():
     rel = relax_relu(np.array([0.5, -2.0]), np.array([1.5, -1.0]), AlphaPolicy.fixed())
     np.testing.assert_allclose(rel.lower_slope, [1.0, 0.0])
     np.testing.assert_allclose(rel.upper_slope, [1.0, 0.0])
-    np.testing.assert_allclose(rel.lower_offset, [0.0, 0.0])
     np.testing.assert_allclose(rel.upper_offset, [0.0, 0.0])
 
 
@@ -70,7 +57,7 @@ def test_collapsed_straddling_neuron_envelope_is_sound():
     z = np.append(np.linspace(l, u, 101), [l, 0.0, u])
     relu = np.maximum(z, 0.0)
     assert np.all(rel.upper_slope[0] * z + rel.upper_offset[0] >= relu)
-    assert np.all(rel.lower_slope[0] * z + rel.lower_offset[0] <= relu)
+    assert np.all(rel.lower_slope[0] * z <= relu)
     # truly stable neurons keep their exact zero offsets
     rel = relax_relu(np.array([0.0, 1e-13]), np.array([5e-13, 2e-13]), AlphaPolicy.fixed())
     np.testing.assert_array_equal(rel.upper_offset, [0.0, 0.0])
@@ -156,10 +143,11 @@ def test_backward_bound_single_layer_is_exact():
     # no ReLU involved: planes must reproduce the affine map itself
     layer = AffineLayer(np.array([[2.0, -1.0]]), np.array([0.5]))
     net = NetworkModel([layer])
-    planes = backward_bound(net, [], 0)
+    planes = compute_bounds(net, BoxDomain(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))).planes[0]
     np.testing.assert_allclose(planes.a_low, [[2.0, -1.0]])
     np.testing.assert_allclose(planes.a_up, [[2.0, -1.0]])
     np.testing.assert_allclose(planes.c_low, [0.5])
+    np.testing.assert_allclose(planes.c_up, [0.5])
 
 
 def test_splits_stay_sound_on_their_regions(model, box):
