@@ -16,21 +16,25 @@ differ only in how a subdomain branches (:func:`_branch`):
 
 Either way the constraints feed the same clipping.  The root is bounded
 first.  Then each round pops up to ``cfg.batch`` subdomains, worst bound
-first, evaluates point boxes exactly and branches the rest.  Each child
-is screened, in this order:
+first, evaluates point boxes exactly and branches the rest.  The round's
+children are screened together (:func:`_screen_children`), each by, in
+this order:
 
 1. relaxed clipping of its box against its constraints (an empty box
-   closes it);
+   closes it), one array expression for all children;
 2. its parent's final planes over the clipped box (a bound >= 0 closes
    it);
-3. a few sampled points, any of which may falsify the problem.
+3. a few sampled points, any of which may falsify the problem: one draw
+   and one forward evaluation for all survivors, the first hit in search
+   order winning.
 
 The round's surviving children are bounded in one pass of
-:func:`bound_batch`, with complete clipping inside each one's refine
-hook; a child whose bound reaches 0 is closed and the others are queued.
-The deadline is checked between rounds.  Candidate counterexamples are
-checked by exact forward evaluation, so a "falsified" verdict is always
-certified.
+:func:`bound_batch`.  Complete clipping runs inside that pass, through one
+refine built per pass (:func:`_clip_refine`): each layer's critical
+neurons of all the children go to one batched dual ascent.  A child whose
+bound reaches 0 is closed and the others are queued.  The deadline is
+checked between rounds.  Candidate counterexamples are checked by exact
+forward evaluation, so a "falsified" verdict is always certified.
 """
 
 from __future__ import annotations
@@ -42,19 +46,20 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .clipping import (  # noqa: F401  (coordinate_ascent: patch point for tracers)
+from .clipping import (  # noqa: F401  (coordinate_ascent, relaxed_clip_parallel: tracer patches)
     ConstraintSet,
-    active_rows,
     coordinate_ascent,
-    dual_ascent,
+    dual_ascent_batch,
+    relaxed_clip_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
+    screen_rows,
+    stack_constraints,
 )
 from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
-    InfeasibleSplitError,
     bound_batch,
     compute_bounds,
     stack_overrides,
@@ -294,77 +299,124 @@ def branch_activation(sub: Subdomain, pick: tuple):
     return children[0], children[1]
 
 
-def _branch_scores(info: BoundsResult, splits: dict) -> list:
-    """BaBSR score of every hidden neuron, one array per layer, with -inf
-    wherever the neuron is stable or already assigned a side."""
+def _branch_scores(widths, infos, splits) -> list:
+    """BaBSR score of every hidden neuron of B domains, one ``(B, w)``
+    array per layer of the given ``widths``, with -inf wherever the neuron
+    is stable or already assigned a side (everywhere for a domain whose
+    ``infos`` entry is None)."""
     scores = []
-    for lb, coeff in zip(info.layer_bounds[:-1], info.objective_coeffs):
-        unstable = (lb.lower < 0.0) & (lb.upper > 0.0)
-        score = babsr_intercept_score(lb.lower, lb.upper, coeff)
-        scores.append(np.where(unstable, score, -np.inf))
-    for li, j in splits:
-        scores[li][j] = -np.inf
+    for i, w in enumerate(widths):
+        none = np.zeros(w)
+        lower = np.array([none if info is None else info.layer_bounds[i].lower for info in infos])
+        upper = np.array([none if info is None else info.layer_bounds[i].upper for info in infos])
+        coeff = np.array([none if info is None else info.objective_coeffs[i] for info in infos])
+        unstable = (lower < 0.0) & (upper > 0.0)
+        scores.append(np.where(unstable, babsr_intercept_score(lower, upper, coeff), -np.inf))
+    for b, assigned in enumerate(splits):
+        for li, j in assigned:
+            scores[li][b, j] = -np.inf
     return scores
 
 
+def _critical_masks(cfg: BabConfig, widths, infos, splits) -> list:
+    """Per hidden layer, a ``(B, w)`` mask of each domain's top-k unstable,
+    unassigned neurons by branching score (ties to the lower index)."""
+    masks = []
+    for scores in _branch_scores(widths, infos, splits):
+        if scores.shape[1] <= cfg.topk:
+            masks.append(scores > -np.inf)
+            continue
+        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.topk]
+        mask = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(mask, top, np.take_along_axis(scores, top, axis=1) > -np.inf, axis=1)
+        masks.append(mask)
+    return masks
+
+
 def _critical_neurons(cfg: BabConfig, info: BoundsResult | None, splits: dict):
-    """Top-k unstable, unassigned neurons per layer by branching score."""
+    """Top-k unstable, unassigned neurons per layer of one domain: the
+    one-domain case of :func:`_critical_masks`, as index arrays."""
     if info is None:
         return {}
-    out = {}
-    for i, scores in enumerate(_branch_scores(info, splits)):
-        idx = select_topk(scores, cfg.topk, scores > -np.inf)
-        if idx.size:
-            out[i] = idx
-    return out
+    widths = [lb.lower.size for lb in info.layer_bounds[:-1]]
+    masks = _critical_masks(cfg, widths, [info], [splits])
+    return {i: np.flatnonzero(m[0]) for i, m in enumerate(masks) if m[0].any()}
 
 
-def _clip_hook(problem, cfg: BabConfig, box, splits, cset: ConstraintSet, score_info, refinements: dict):
-    """Refine hook running complete clipping over one region, or None.
+def _clip_refine(cfg: BabConfig, model, subs, refinements):
+    """The refine of one bounding pass over ``subs`` (see
+    :func:`bound_batch`), running complete clipping for all of them, or
+    None when complete clipping is off or no subdomain has constraints.
 
-    When complete clipping is enabled and constraints exist, each layer's
-    freshly computed bounds are tightened for the critical neurons before
-    the layer's relaxation is built (the final layer tightens its
-    still-unverified rows).  The constraints are screened against the box
-    once; each layer then runs one batched dual ascent over the lower
-    objectives and the negated upper objectives of all its critical
-    neurons.  The per-layer refinements applied (NaN = none) are stored in
-    ``refinements``.  The hook raises InfeasibleSplitError when the region
-    is provably empty, at the first layer with neurons to refine.
+    Each layer's freshly computed bounds are tightened for every domain's
+    critical neurons before the layer's relaxation is built; the final
+    layer tightens each domain's still-unverified rows.  The constraint
+    stacks, their screen against the boxes and the critical neurons (from
+    each domain's cached planes, its parent's) are built once per pass.
+    Each layer then runs one batched dual ascent over the lower objectives
+    and the negated upper objectives of the critical neurons of every
+    alive domain with constraints.  The per-layer refinements applied to
+    domain b (NaN = none) are stored in ``refinements[b]``.  A domain whose
+    constraints exclude its whole box is proven empty at the first layer
+    where it has neurons to refine.
     """
-    if cfg.clip not in ("complete", "both") or not cset.size:
+    if cfg.clip not in ("complete", "both"):
         return None
-    last = problem.model.num_layers - 1
-    criticals = _critical_neurons(cfg, score_info, splits)
-    active = active_rows(box, cset)
+    sizes = np.array([sub.constraints.size for sub in subs])
+    if not sizes.any():
+        return None
+    last = model.num_layers - 1
+    lowers = np.array([sub.box.lower for sub in subs])
+    uppers = np.array([sub.box.upper for sub in subs])
+    centers, radii = 0.5 * (lowers + uppers), 0.5 * (uppers - lowers)
+    normals, offsets = stack_constraints([sub.constraints for sub in subs])
+    feasible, active = screen_rows(centers, radii, normals, offsets)
+    widths = [layer.out_dim for layer in model.layers[:-1]]
+    critical = _critical_masks(
+        cfg, widths, [sub.planes for sub in subs], [sub.splits for sub in subs]
+    )
 
-    def refine(i, planes, lower, upper):
-        if i == last:
-            idxs = np.flatnonzero(lower < 0.0)
-        else:
-            idxs = criticals.get(i, np.zeros(0, dtype=int))
-        if idxs.size == 0:
-            return lower, upper
-        if active is None:
-            raise InfeasibleSplitError("constraints exclude the whole box")
-        objs, consts = planes.a_low[idxs], planes.c_low[idxs]
+    def refine(i, planes, lower, upper, alive):
+        crit = lower < 0.0 if i == last else critical[i]
+        counts = crit.sum(axis=1)
+        need = alive & (sizes > 0) & (counts > 0)
+        doms = np.flatnonzero(need & feasible)
+        if doms.size == 0:
+            return lower, upper, need & ~feasible
+        if doms.size == len(subs):
+            doms = slice(None)
+        counts = counts[doms]
+        k = int(counts.max())
+        # each domain's critical neurons first, in index order; the rest of
+        # a row is padding, solved but left as it was
+        idx = np.argsort(~crit[doms], axis=1, kind="stable")[:, :k]
+        valid = np.arange(k) < counts[:, None]
+        rows = np.arange(len(subs))[doms, None]
+        objs, consts = planes.a_low[rows, idx], planes.c_low[rows, idx]
         if i != last:
-            objs = np.vstack([objs, -planes.a_up[idxs]])
-            consts = np.concatenate([consts, -planes.c_up[idxs]])
-        bounds, _ = dual_ascent(objs, consts, box, cset, active, cfg.passes)
+            objs = np.concatenate([objs, -planes.a_up[rows, idx]], axis=1)
+            consts = np.concatenate([consts, -planes.c_up[rows, idx]], axis=1)
+        bounds, _ = dual_ascent_batch(
+            objs, consts, centers[doms], radii[doms], normals[doms], offsets[doms],
+            active[doms], cfg.passes,
+        )
         lower = lower.copy()
         upper = upper.copy()
-        lo_ref = np.full(lower.size, np.nan)
-        hi_ref = np.full(upper.size, np.nan)
-        new_lo = bounds[: idxs.size]
-        rise = new_lo > lower[idxs]
-        lower[idxs[rise]] = lo_ref[idxs[rise]] = new_lo[rise]
+        here = np.arange(len(idx))[:, None]
+        lo_ref = np.full((len(idx), lower.shape[1]), np.nan)
+        hi_ref = lo_ref.copy()
+        old_lo = lower[rows, idx]
+        rise = valid & (bounds[:, :k] > old_lo)
+        lower[rows, idx] = np.where(rise, bounds[:, :k], old_lo)
+        lo_ref[here, idx] = np.where(rise, bounds[:, :k], np.nan)
         if i != last:
-            new_up = -bounds[idxs.size :]
-            drop = new_up < upper[idxs]
-            upper[idxs[drop]] = hi_ref[idxs[drop]] = new_up[drop]
-        refinements[i] = (lo_ref, hi_ref)
-        return lower, upper
+            new_up, old_up = -bounds[:, k:], upper[rows, idx]
+            drop = valid & (new_up < old_up)
+            upper[rows, idx] = np.where(drop, new_up, old_up)
+            hi_ref[here, idx] = np.where(drop, new_up, np.nan)
+        for j, b in enumerate(rows[:, 0]):
+            refinements[b][i] = (lo_ref[j], hi_ref[j])
+        return lower, upper, need & ~feasible
 
     return refine
 
@@ -373,27 +425,23 @@ def _bound_nodes(problem, cfg: BabConfig, subs) -> list:
     """Bound a batch of regions in one pass, with in-pass complete clipping.
 
     Each subdomain contributes its box, splits, constraints and overrides;
-    its cached planes (its parent's) pick the critical neurons that its
-    refine hook (:func:`_clip_hook`) tightens.  Returns, per subdomain, the
-    pass result plus the per-layer refinements applied, or None when the
-    region is provably empty.
+    its cached planes (its parent's) pick the critical neurons that the
+    pass's refine (:func:`_clip_refine`) tightens.  Returns, per subdomain,
+    the pass result plus the per-layer refinements applied, or None when
+    the region is provably empty.
     """
     if not subs:
         return []
     model = problem.model
     refinements = [{} for _ in subs]
-    hooks = [
-        _clip_hook(problem, cfg, sub.box, sub.splits, sub.constraints, sub.planes, ref)
-        for sub, ref in zip(subs, refinements)
-    ]
     results = bound_batch(
         model,
-        np.stack([sub.box.lower for sub in subs]),
-        np.stack([sub.box.upper for sub in subs]),
+        np.array([sub.box.lower for sub in subs]),
+        np.array([sub.box.upper for sub in subs]),
         cfg.alpha,
         stack_splits(model, [sub.splits for sub in subs]),
         stack_overrides(model, [sub.overrides for sub in subs]),
-        hooks,
+        _clip_refine(cfg, model, subs, refinements),
     )
     return [None if res is None else (res, ref) for res, ref in zip(results, refinements)]
 
@@ -418,33 +466,129 @@ def _merge_overrides(base, refinements, n_layers: int):
     return merged
 
 
-def _clip_box(cfg: BabConfig, box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
-    if cfg.clip not in ("relaxed", "both") or cset.size == 0 or box.is_empty:
-        return box
-    if cfg.sequential_clip:
-        return relaxed_clip_sequential(box, cset, "centroid" if cfg.reorder else "given")
-    return relaxed_clip_parallel(box, cset)
+def _clip_boxes(cfg: BabConfig, children):
+    """Relaxed clipping of each child's box against its constraints.
+
+    Returns the ``(S, n)`` clipped corners and a mask of the children whose
+    box is nonempty.  The parallel clip runs for all children at once.
+    """
+    lowers = np.array([child.box.lower for child in children])
+    uppers = np.array([child.box.upper for child in children])
+    csets = [child.constraints for child in children]
+    if cfg.clip not in ("relaxed", "both") or not any(cset.size for cset in csets):
+        return lowers, uppers, np.ones(len(children), dtype=bool)
+    if not cfg.sequential_clip:
+        lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stack_constraints(csets))
+        return lowers, uppers, ~empty
+    order = "centroid" if cfg.reorder else "given"
+    nonempty = np.ones(len(children), dtype=bool)
+    for j, child in enumerate(children):
+        box = relaxed_clip_sequential(child.box, child.constraints, order)
+        nonempty[j] = not box.is_empty
+        if nonempty[j]:
+            lowers[j], uppers[j] = box.lower, box.upper
+    return lowers, uppers, nonempty
+
+
+def _sample_points(lowers, uppers, rng):
+    """Each box's center followed by ``FALSIFY_SAMPLES`` uniform points,
+    ``(S, 1 + FALSIFY_SAMPLES, n)``, and a mask of the boxes that drew them.
+
+    One draw serves every box of positive radius, in order, with the same
+    numbers as one draw per box; a box of zero radius draws nothing and its
+    sample slots repeat its center.
+    """
+    pts = np.empty((lowers.shape[0], 1 + FALSIFY_SAMPLES, lowers.shape[1]))
+    pts[:, :] = (0.5 * (lowers + uppers))[:, None]
+    drew = (0.5 * (uppers - lowers)).max(axis=1) > 0.0
+    if drew.any():
+        wide = slice(None) if drew.all() else drew
+        # Clipping can leave a coordinate at [0.0, -0.0], and rng.uniform
+        # rejects the negative zero width; adding 0.0 turns -0.0 into 0.0
+        # and leaves every other value as it is.
+        pts[wide, 1:] = rng.uniform(
+            lowers[wide, None] + 0.0, uppers[wide, None] + 0.0,
+            size=(int(drew.sum()), FALSIFY_SAMPLES, lowers.shape[1]),
+        )
+    return pts, drew
+
+
+def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | None:
+    """Evaluate each box's center plus a few random points, all in one
+    call; return ``(box index, value, point)`` of the first box, in order,
+    with a negative value (its lowest, first such point), or None."""
+    pts, drew = _sample_points(lowers, uppers, rng)
+    s, per, n = pts.shape
+    vals = problem.model.evaluate(pts.reshape(s * per, n)).min(axis=1).reshape(s, per)
+    vals[~drew, 1:] = np.inf
+    hits = np.flatnonzero(vals.min(axis=1) < 0.0)
+    if hits.size == 0:
+        return None
+    j = int(hits[0])
+    k = int(np.argmin(vals[j]))
+    return j, float(vals[j, k]), pts[j, k].copy()
 
 
 def _try_falsify(problem: CanonicalProblem, box: BoxDomain, rng) -> tuple | None:
-    """Evaluate the center plus a few random points; certify any hit."""
-    pts = box.center[None, :]
-    if float(box.radius.max()) > 0.0:
-        pts = np.vstack(
-            [pts, rng.uniform(box.lower, box.upper, size=(FALSIFY_SAMPLES, box.dim))]
-        )
-    vals = problem.model.evaluate(pts).min(axis=1)
-    j = int(np.argmin(vals))
-    if vals[j] < 0.0:
-        return float(vals[j]), pts[j].copy()
-    return None
+    """Evaluate the center plus a few random points; certify any hit.  The
+    one-box case of :func:`_falsify_boxes`."""
+    hit = _falsify_boxes(problem, box.lower[None], box.upper[None], rng)
+    return None if hit is None else hit[1:]
+
+
+def _plane_bounds(a_low, c_low, centers, radii) -> np.ndarray:
+    """Lowest of each box's lower planes over the box, for S boxes: planes
+    ``(S, r, n)`` and ``(S, r)``, boxes ``(S, n)``."""
+    mid = (a_low @ centers[..., None])[..., 0] + c_low
+    span = (np.abs(a_low) @ radii[..., None])[..., 0]
+    return (mid - span).min(axis=1)
 
 
 def _quick_child_bound(planes: BoundingPlanes, box: BoxDomain) -> float:
-    """Cheapest sound bound for a child: parent planes over the child box."""
-    mid = planes.a_low @ box.center + planes.c_low
-    span = np.abs(planes.a_low) @ box.radius
-    return float((mid - span).min())
+    """Cheapest sound bound for a child: parent planes over the child box.
+    The one-box case of :func:`_plane_bounds`."""
+    return float(
+        _plane_bounds(planes.a_low[None], planes.c_low[None], box.center[None], box.radius[None])[0]
+    )
+
+
+def _screen_children(problem: CanonicalProblem, cfg: BabConfig, pairs, rng):
+    """Screen a round's children, given as ``(parent, child)`` pairs in
+    search order, all at once.
+
+    Each child's box is relaxed-clipped (an empty box closes it), its
+    parent's final planes bound it over the clipped box (a bound >= 0
+    closes it), and the survivors' sampled points are evaluated together.
+    Returns the surviving children with clipped box and bound, the lowest
+    bound of the children the planes closed (inf if none), and ``(value,
+    point)`` of the first survivor in search order with a negative point,
+    or None (the survivors are then left out: the search ends).
+    """
+    if not pairs:
+        return [], np.inf, None
+    children = [child for _, child in pairs]
+    lowers, uppers, nonempty = _clip_boxes(cfg, children)
+    parents = [parent for parent, _ in pairs]
+    final = [parent.planes.planes[-1] for parent in parents]
+    quick = _plane_bounds(
+        np.array([planes.a_low for planes in final]),
+        np.array([planes.c_low for planes in final]),
+        0.5 * (lowers + uppers),
+        0.5 * (uppers - lowers),
+    )
+    bounds = np.maximum([parent.bound for parent in parents], quick)
+    floor = float(bounds[nonempty & (bounds >= 0.0)].min(initial=np.inf))
+    keep = np.flatnonzero(nonempty & (bounds < 0.0))
+    if keep.size == 0:
+        return [], floor, None
+    hit = _falsify_boxes(problem, lowers[keep], uppers[keep], rng)
+    if hit is not None:
+        return [], floor, hit[1:]
+    survivors = [
+        replace(children[j], box=BoxDomain(lowers[j], uppers[j]), bound=float(bounds[j]))
+        for j in keep
+    ]
+    return survivors, floor, None
 
 
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
@@ -456,7 +600,8 @@ def _pick_branch_neuron(sub: Subdomain):
     """Highest-scoring unstable, unassigned neuron; ties to lowest (layer, j)."""
     if sub.planes is None:
         return None
-    scores = _branch_scores(sub.planes, sub.splits)
+    widths = [lb.lower.size for lb in sub.planes.layer_bounds[:-1]]
+    scores = [row[0] for row in _branch_scores(widths, [sub.planes], [sub.splits])]
     flat = np.concatenate(scores) if scores else np.zeros(0)
     if flat.size == 0 or flat.max() == -np.inf:
         return None
@@ -536,29 +681,25 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         if time.perf_counter() >= deadline:
             return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        children = []
+        pairs, point_hit = [], None
         for sub in batch:
             if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
                 val = problem.value(sub.box.center)
                 if val < 0.0:
-                    return _outcome("falsified", stats, t0, sub.box.center.copy(), float(val))
+                    # children branched before this point come first
+                    point_hit = (float(val), sub.box.center.copy())
+                    break
                 verified_floor = min(verified_floor, val)
                 continue
             decision, pair = _branch(cfg, sub, probe)
             if probe is not None:
                 probe.decisions[sub.path] = decision
-            for child in pair:
-                box = _clip_box(cfg, child.box, child.constraints)
-                if box.is_empty:
-                    continue  # verified by infeasibility
-                bound = max(sub.bound, _quick_child_bound(sub.planes.planes[-1], box))
-                if bound >= 0.0:
-                    verified_floor = min(verified_floor, bound)
-                    continue
-                hit = _try_falsify(problem, box, rng)
-                if hit is not None:
-                    return _outcome("falsified", stats, t0, hit[1], hit[0])
-                children.append(replace(child, box=box, bound=bound))
+            pairs.extend((sub, child) for child in pair)
+        children, floor, hit = _screen_children(problem, cfg, pairs, rng)
+        verified_floor = min(verified_floor, floor)
+        hit = hit or point_hit
+        if hit is not None:
+            return _outcome("falsified", stats, t0, hit[1], hit[0])
         settle(children)
         if heap:
             stats.bound_history.append(float(heap[0][0]))

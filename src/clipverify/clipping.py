@@ -7,20 +7,24 @@ known to hold on the region of interest:
   box-and-constraints by Lagrangian duality.  For a single constraint the
   dual is an exactly solvable concave piecewise-linear line search; several
   constraints are handled by coordinate ascent over their multipliers.
-  :func:`dual_ascent` runs that ascent for a whole stack of objectives at
-  once (one sorted kink walk per constraint covers every row), so a layer's
-  critical neurons cost one batched solve against constraints screened
-  once by :func:`active_rows`; :func:`coordinate_ascent` is its one-row
-  case.  The single-constraint solve is equivalent to a continuous
-  knapsack problem, exposed through :func:`to_knapsack` /
-  :func:`greedy_knapsack`.
+  :func:`dual_ascent_batch` runs that ascent for B domains at once, each
+  with its own box, constraint stack (padded to the largest by
+  :func:`stack_constraints`) and K objectives: one sorted kink walk per
+  constraint row covers every objective of every domain where the row is
+  active, as screened once per domain by :func:`screen_rows`.  So one
+  solve serves a layer's critical neurons in every domain of a bounding
+  pass.  :func:`dual_ascent` is its one-box case and
+  :func:`coordinate_ascent` its one-objective case.  The single-constraint
+  solve is equivalent to a continuous knapsack problem, exposed through
+  :func:`to_knapsack` / :func:`greedy_knapsack`.
 
 * Relaxed clipping: shrink the box itself.  For one constraint the tightest
   axis-aligned enclosure of box-intersect-half-space has a closed form, one
   independent clip per coordinate.  Multiple constraints are applied either
-  in parallel against the original box (one array expression over all
-  constraints and coordinates) or sequentially with recomputed centers
-  (order-dependent, usually tighter).
+  in parallel against the original box (:func:`relaxed_clip_batch`: one
+  array expression over the constraints and coordinates of D domains;
+  :func:`relaxed_clip_parallel` is its one-box case) or sequentially with
+  recomputed centers (order-dependent, usually tighter).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .geometry import (
     FeasibilityStatus,
     GeometryError,
     LinearConstraint,
-    centroid_distance,
     classify_constraint,
 )
 
@@ -147,10 +150,20 @@ class KnapsackInstance:
             raise GeometryError("gains and loads must be matching 1-D arrays")
 
 
-def _dual_rows(objs, consts, center, radius, cset: ConstraintSet, beta) -> np.ndarray:
-    """:func:`dual_value` for every row of ``objs`` with its row of ``beta``."""
-    shifted = objs + beta @ cset.normals
-    return shifted @ center - np.abs(shifted) @ radius + consts + beta @ cset.offsets
+def _dual_rows(objs, consts, centers, radii, normals, offsets, beta) -> np.ndarray:
+    """:func:`dual_value` of every objective row of B domains at once.
+
+    ``objs`` (B, K, n), ``consts`` (B, K), ``centers`` / ``radii`` (B, n),
+    ``normals`` (B, M, n), ``offsets`` (B, M) and ``beta`` (B, K, M);
+    returns (B, K).
+    """
+    shifted = objs + beta @ normals
+    return (
+        (shifted @ centers[..., None])[..., 0]
+        - (np.abs(shifted) @ radii[..., None])[..., 0]
+        + consts
+        + (beta @ offsets[..., None])[..., 0]
+    )
 
 
 def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
@@ -162,32 +175,72 @@ def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
     """
     a = np.asarray(a, dtype=float)
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    return float(_dual_rows(a[None, :], c, box.center, box.radius, cset, beta[None, :])[0])
+    value = _dual_rows(
+        a[None, None], np.array([[float(c)]]), box.center[None], box.radius[None],
+        cset.normals[None], cset.offsets[None], beta[None, None],
+    )
+    return float(value[0, 0])
+
+
+def stack_constraints(csets) -> tuple:
+    """Constraint sets of B domains as ``(B, M, n)`` normals and ``(B, M)``
+    offsets, M the largest set.  Shorter sets are padded with the row
+    ``0 . x + 0 <= 0``, which holds everywhere: :func:`screen_rows` finds it
+    neither infeasible nor active, so it never takes part in a solve or a
+    clip.  No padding is done when every set has M rows."""
+    m = max(cset.size for cset in csets)
+    if all(cset.size == m for cset in csets):
+        return (
+            np.array([cset.normals for cset in csets]),
+            np.array([cset.offsets for cset in csets]),
+        )
+    normals = np.zeros((len(csets), m, csets[0].dim))
+    offsets = np.zeros((len(csets), m))
+    for b, cset in enumerate(csets):
+        normals[b, : cset.size] = cset.normals
+        offsets[b, : cset.size] = cset.offsets
+    return normals, offsets
+
+
+def screen_rows(centers, radii, normals, offsets) -> tuple:
+    """Screen every constraint row of B domains against its domain's box.
+
+    With boxes given by ``centers`` / ``radii`` (B, n) and constraints by
+    ``normals`` (B, M, n) / ``offsets`` (B, M), returns ``(feasible,
+    active)``: a (B,) mask of the domains no row excludes entirely, and a
+    (B, M) mask of the rows not redundant for their box.  In a feasible
+    domain, those are the rows that cut through the box (ACTIVE for
+    :func:`classify_constraint`).
+    """
+    mid = (normals @ centers[..., None])[..., 0] + offsets
+    span = (np.abs(normals) @ radii[..., None])[..., 0]
+    return ~np.any(mid - span > 0.0, axis=1), mid + span > 0.0
 
 
 def active_rows(box: BoxDomain, cset: ConstraintSet) -> np.ndarray | None:
     """Screen every row of ``cset`` against the box at once.
 
     Returns the indices (in stored order) of the rows that cut through the
-    box, or None when some row excludes the whole box.  This is
-    :func:`classify_constraint` applied to all rows: the classification
-    depends only on the box and the set, so one screen serves every
-    objective solved against them.
+    box, or None when some row excludes the whole box.  This is the one-box
+    case of :func:`screen_rows`: the classification depends only on the
+    box and the set, so one screen serves every objective solved against
+    them.
     """
     if box.is_empty:
         raise EmptyBoxError("operation requires a nonempty box")
     if cset.dim != box.dim:
         raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
-    mid = cset.normals @ box.center + cset.offsets
-    span = np.abs(cset.normals) @ box.radius
-    if np.any(mid - span > 0.0):
-        return None
-    return np.flatnonzero(mid + span > 0.0)
+    feasible, active = screen_rows(
+        box.center[None], box.radius[None], cset.normals[None], cset.offsets[None]
+    )
+    return np.flatnonzero(active[0]) if feasible[0] else None
 
 
-def _line_search(rest: np.ndarray, center, radius, g: np.ndarray, h: float) -> np.ndarray:
+def _line_search(rest: np.ndarray, centers, radii, g: np.ndarray, h) -> np.ndarray:
     """Maximizer of the concave 1-D dual along one constraint's multiplier,
-    for each row of ``rest`` (shape (K, n)).
+    for each objective row ``rest[b, r]`` of each domain b (shape (B, K, n);
+    domain b's box is ``centers[b]`` / ``radii[b]`` and its constraint
+    ``g[b] . x + h[b] <= 0``).  Returns (B, K).
 
     The dual objective ``beta -> min_box (a + beta g) . x + beta h + const``
     is piecewise linear with kinks where a coordinate of ``a + beta g``
@@ -195,52 +248,86 @@ def _line_search(rest: np.ndarray, center, radius, g: np.ndarray, h: float) -> n
     ``g . center + h`` minus/plus the half-width terms whose sign has
     settled, which decreases monotonically across sorted kinks; the maximum
     sits at the first kink where the slope becomes nonpositive.  The caller
-    guarantees the constraint is ACTIVE for the box, which makes the start
-    slope positive and the end slope nonpositive.  The kinks of all rows
-    are sorted and walked together, one row per axis-0 entry.
+    guarantees the constraint is ACTIVE for every domain's box, which makes
+    the start slope positive and the end slope nonpositive.  A zero
+    coefficient is a kink at +inf with zero span: it sorts after every real
+    kink and leaves the slopes there unchanged, so it is never the maximizer.
+    The kinks of all rows of all domains are sorted and walked together.
     """
+    b, k, n = rest.shape
     nz = g != 0.0
-    q = -rest[:, nz] / g[nz]
-    order = np.argsort(q, axis=1, kind="stable")
-    spans = (np.abs(g[nz]) * radius[nz])[order]
-    settled = np.cumsum(spans, axis=1)
-    pending = settled[:, -1:] - settled
-    slope_base = float(g @ center) + h
-    grads = slope_base + pending - settled
-    first = np.argmax(grads <= 0.0, axis=1)
-    rows = np.arange(q.shape[0])
-    return np.maximum(q[rows, order[rows, first]], 0.0)
+    q = np.where(nz[:, None, :], -rest / np.where(nz, g, 1.0)[:, None, :], np.inf)
+    order = np.argsort(q, axis=2, kind="stable")
+    spans = (np.abs(g) * radii)[np.arange(b)[:, None, None], order]
+    settled = np.cumsum(spans, axis=2)
+    pending = settled[..., -1:] - settled
+    slope_base = (g[:, None, :] @ centers[..., None])[:, 0] + h[:, None]
+    grads = slope_base[..., None] + pending - settled
+    rows = np.arange(b * k)
+    first = order.reshape(-1, n)[rows, np.argmax(grads <= 0.0, axis=2).ravel()]
+    return np.maximum(q.reshape(-1, n)[rows, first], 0.0).reshape(b, k)
+
+
+def dual_ascent_batch(objs, consts, centers, radii, normals, offsets, active, passes: int = 1,
+                      trace: list | None = None):
+    """Coordinate ascent on the duals of K objectives in each of B domains.
+
+    Row r of domain b lower-bounds ``objs[b, r] . x + consts[b, r]`` over
+    domain b's box (``centers[b]`` / ``radii[b]``) intersect its half-spaces
+    ``normals[b] @ x + offsets[b] <= 0``, exactly as
+    :func:`coordinate_ascent` does for one objective.  Each pass visits the
+    constraint rows in stored order and re-solves one multiplier's line
+    search for every objective of every domain in which that row is
+    ``active`` (a (B, M) mask from :func:`screen_rows`, whose domains must
+    all be feasible), with the other multipliers fixed.  Rows that are not
+    active, padding included, keep multiplier zero and never reach the line
+    search.  Objectives and domains never interact.  The dual objective is
+    evaluated once, at the end; when ``trace`` is a list, the (B, K) dual
+    values are also appended before the first update and after every
+    constraint row's update (the last entry equals the returned bounds).
+    Returns ``(bounds, beta)`` with shapes (B, K) and (B, K, M).
+    """
+    objs = np.asarray(objs, dtype=float)
+    consts = np.asarray(consts, dtype=float)
+    beta = np.zeros(objs.shape[:2] + (normals.shape[1],))
+
+    def value():
+        return _dual_rows(objs, consts, centers, radii, normals, offsets, beta)
+
+    if trace is not None:
+        trace.append(value())
+    for _ in range(passes):
+        for k in np.flatnonzero(active.any(axis=0)):
+            b = slice(None) if active[:, k].all() else np.flatnonzero(active[:, k])
+            g = normals[b, k]
+            rest = objs[b] + beta[b] @ normals[b] - beta[b, :, k : k + 1] * g[:, None, :]
+            beta[b, :, k] = _line_search(rest, centers[b], radii[b], g, offsets[b, k])
+            if trace is not None:
+                trace.append(value())
+    return value(), beta
 
 
 def dual_ascent(objs, consts, box: BoxDomain, cset: ConstraintSet, active, passes: int = 1,
                 trace: list | None = None):
-    """Coordinate ascent on the duals of K objectives at once.
+    """Coordinate ascent on the duals of K objectives over one box: the
+    B = 1 case of :func:`dual_ascent_batch`.
 
-    Row r lower-bounds ``objs[r] . x + consts[r]`` over box intersect the
-    half-spaces of ``cset``, exactly as :func:`coordinate_ascent` does for
-    one objective: each pass visits the rows listed in ``active`` (as
-    returned by :func:`active_rows`; redundant rows keep multiplier zero) and
-    re-solves that multiplier's line search for all K objectives together,
-    with the other multipliers fixed.  The rows never interact.  The dual
-    objective is evaluated once, at the end; when ``trace`` is a list, the
-    K-vector of dual values is also appended before the first update and
-    after every update (its last entry equals the returned bounds).
-    Returns ``(bounds, beta)`` with shapes (K,) and (K, m).
+    ``active`` lists the rows of ``cset`` that cut through the box, as
+    returned by :func:`active_rows`; the others keep multiplier zero.
+    ``trace`` receives K-vectors.  Returns ``(bounds, beta)`` with shapes
+    (K,) and (K, m).
     """
     objs = np.asarray(objs, dtype=float)
-    consts = np.asarray(consts, dtype=float)
-    center, radius = box.center, box.radius
-    beta = np.zeros((objs.shape[0], cset.size))
+    mask = np.zeros((1, cset.size), dtype=bool)
+    mask[0, active] = True
+    steps = [] if trace is not None else None
+    bounds, beta = dual_ascent_batch(
+        objs[None], np.asarray(consts, dtype=float)[None], box.center[None], box.radius[None],
+        cset.normals[None], cset.offsets[None], mask, passes, steps,
+    )
     if trace is not None:
-        trace.append(_dual_rows(objs, consts, center, radius, cset, beta))
-    for _ in range(passes):
-        for k in active:
-            g = cset.normals[k]
-            rest = objs + beta @ cset.normals - beta[:, k : k + 1] * g
-            beta[:, k] = _line_search(rest, center, radius, g, float(cset.offsets[k]))
-            if trace is not None:
-                trace.append(_dual_rows(objs, consts, center, radius, cset, beta))
-    return _dual_rows(objs, consts, center, radius, cset, beta), beta
+        trace.extend(step[0] for step in steps)
+    return bounds[0], beta[0]
 
 
 def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSolution:
@@ -260,7 +347,12 @@ def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSo
     if status is FeasibilityStatus.REDUNDANT:
         bound = dual_value(a, c, box, cset, 0.0)
         return DualSolution(bound, 0.0, DualStatus.OPTIMAL, [bound])
-    beta = float(_line_search(a[None, :], box.center, box.radius, cons.normal, cons.offset)[0])
+    beta = float(
+        _line_search(
+            a[None, None], box.center[None], box.radius[None], cons.normal[None],
+            np.array([cons.offset]),
+        )[0, 0]
+    )
     bound = dual_value(a, c, box, cset, beta)
     return DualSolution(bound, beta, DualStatus.OPTIMAL, [bound])
 
@@ -395,31 +487,50 @@ def relaxed_clip_single(box: BoxDomain, cons: LinearConstraint) -> BoxDomain:
     return BoxDomain(lower, upper)
 
 
-def relaxed_clip_parallel(box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
-    """Apply every constraint's closed-form clip against the original box.
+def relaxed_clip_batch(lowers, uppers, normals, offsets) -> tuple:
+    """Every constraint's closed-form clip against its domain's box, for D
+    domains at once.
 
-    Equals the per-coordinate intersection of all single-constraint results
-    (:func:`relaxed_clip_single`), so the outcome does not depend on
-    constraint order; all clips are one (m, n) array expression.  An empty
-    result is returned as the canonical empty box.
+    Boxes are ``lowers`` / ``uppers`` (D, n), constraints ``normals`` (D, M,
+    n) / ``offsets`` (D, M) (see :func:`stack_constraints`).  For each
+    domain this is the per-coordinate intersection of all its
+    single-constraint results (:func:`relaxed_clip_single`), so the outcome
+    does not depend on constraint order; all clips are one (D, M, n) array
+    expression.  Rows that do not cut through their box leave it as it is.
+    Returns the clipped ``(lowers, uppers)`` and a (D,) mask of the domains
+    whose result is empty (their rows of the corners are then meaningless).
+    """
+    centers = 0.5 * (lowers + uppers)
+    radii = 0.5 * (uppers - lowers)
+    feasible, active = screen_rows(centers, radii, normals, offsets)
+    g = normals
+    terms = g * centers[:, None, :] - np.abs(g) * radii[:, None, :]
+    rest = terms.sum(axis=2, keepdims=True) - terms
+    usable = active[..., None] & (np.abs(g) >= ZERO_COEFF_TOL)
+    clip = (-rest - offsets[..., None]) / np.where(usable, g, 1.0)
+    caps = np.where(usable & (g > 0.0), clip, np.inf)
+    floors = np.where(usable & (g < 0.0), clip, -np.inf)
+    upper = np.minimum(uppers, caps.min(axis=1, initial=np.inf))
+    lower = np.maximum(lowers, floors.max(axis=1, initial=-np.inf))
+    return lower, upper, ~feasible | np.any(lower > upper, axis=1)
+
+
+def relaxed_clip_parallel(box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
+    """Apply every constraint's closed-form clip against the original box:
+    the one-box case of :func:`relaxed_clip_batch`.
+
+    An empty result is returned as the canonical empty box.
     """
     if box.is_empty or cset.size == 0:
         return box.copy()
-    active = active_rows(box, cset)
-    if active is None:
+    if cset.dim != box.dim:
+        raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
+    lower, upper, empty = relaxed_clip_batch(
+        box.lower[None], box.upper[None], cset.normals[None], cset.offsets[None]
+    )
+    if empty[0]:
         return BoxDomain.empty(box.dim)
-    g = cset.normals[active]
-    terms = g * box.center - np.abs(g) * box.radius
-    rest = terms.sum(axis=1, keepdims=True) - terms
-    usable = np.abs(g) >= ZERO_COEFF_TOL
-    clip = (-rest - cset.offsets[active, None]) / np.where(usable, g, 1.0)
-    caps = np.where(usable & (g > 0.0), clip, np.inf)
-    floors = np.where(usable & (g < 0.0), clip, -np.inf)
-    upper = np.minimum(box.upper, caps.min(axis=0, initial=np.inf))
-    lower = np.maximum(box.lower, floors.max(axis=0, initial=-np.inf))
-    if np.any(lower > upper):
-        return BoxDomain.empty(box.dim)
-    return BoxDomain(lower, upper)
+    return BoxDomain(lower[0], upper[0])
 
 
 def relaxed_clip_sequential(box: BoxDomain, cset: ConstraintSet, order: str = "given") -> BoxDomain:
@@ -430,24 +541,46 @@ def relaxed_clip_sequential(box: BoxDomain, cset: ConstraintSet, order: str = "g
     the same set.  ``order="given"`` keeps the stored order;
     ``order="centroid"`` sorts by ascending distance between the initial box
     center and each constraint plane (zero-normal rows go last).
+
+    The result equals the chain of :func:`relaxed_clip_single` calls in
+    that order, bit for bit, computed on the corner arrays without building
+    a box or a constraint per row.
     """
     if order not in ("given", "centroid"):
         raise GeometryError(f"unknown order {order!r}")
     if box.is_empty or cset.size == 0:
         return box.copy()
-    indices = list(range(cset.size))
+    if cset.dim != box.dim:
+        raise GeometryError("constraint dimension does not match box")
+    indices = range(cset.size)
     if order == "centroid":
-        dists = []
-        for k in indices:
-            row = cset.row(k)
-            if np.abs(row.normal).max(initial=0.0) <= ZERO_COEFF_TOL:
-                dists.append(np.inf)
-            else:
-                dists.append(centroid_distance(box, row))
-        indices = list(np.argsort(np.asarray(dists), kind="stable"))
-    current = box.copy()
+        center = box.center
+        dists = [
+            np.inf
+            if np.abs(g).max(initial=0.0) <= ZERO_COEFF_TOL
+            # centroid_distance, without its per-row checks
+            else abs(float(g @ center) + h) / float(np.linalg.norm(g))
+            for g, h in zip(cset.normals, cset.offsets.tolist())
+        ]
+        indices = np.argsort(np.asarray(dists), kind="stable")
+    lower, upper = box.lower.copy(), box.upper.copy()
     for k in indices:
-        current = relaxed_clip_single(current, cset.row(k))
-        if current.is_empty:
+        g, h = cset.normals[k], float(cset.offsets[k])
+        center, radius = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        # classify_constraint: an infeasible row empties the box, a
+        # redundant one leaves it as it is
+        mid = float(g @ center) + h
+        span = float(np.abs(g) @ radius)
+        if mid - span > 0.0:
             return BoxDomain.empty(box.dim)
-    return current
+        if mid + span <= 0.0:
+            continue
+        # relaxed_clip_single, every coordinate at once
+        terms = g * center - np.abs(g) * radius
+        usable = np.abs(g) >= ZERO_COEFF_TOL
+        clip = (-(float(terms.sum()) - terms) - h) / np.where(usable, g, 1.0)
+        upper = np.where(usable & (g > 0.0) & (clip < upper), clip, upper)
+        lower = np.where(usable & (g < 0.0) & (clip > lower), clip, lower)
+        if np.any(lower > upper):
+            return BoxDomain.empty(box.dim)
+    return BoxDomain(lower, upper)

@@ -13,7 +13,12 @@ operations for all domains together.  One backward walk gives both planes:
 it walks the stacked rows ``[W; -W]`` for the lower side only, because the
 upper plane of z is minus the lower plane of -z and negation is exact.
 Each layer is then concretized once, and its ReLU relaxation is built
-row-wise with masks.  :func:`compute_bounds` is the one-box case.
+row-wise with masks.  Between the two, one optional batched ``refine``
+callable may tighten the layer's bounds for the whole batch: it gets the
+layer index, the batch's planes and bounds and a mask of the domains still
+alive, and returns the tightened bounds and a mask of the domains it proved
+empty (see :func:`bound_batch`).  :func:`compute_bounds` is the one-box
+case, with a per-domain ``refine_hook``.
 
 Unstable ReLUs use the triangle envelope: upper side is the chord through
 ``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
@@ -322,7 +327,7 @@ def stack_overrides(model: NetworkModel, overrides_per_domain) -> list:
     return out
 
 
-def _bound_rows(model, lowers, uppers, policy, forced, overrides, hooks) -> list:
+def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> list:
     """The batched pass behind :func:`bound_batch`; a proven-empty domain
     gets the :class:`InfeasibleSplitError` that proved it instead of None."""
     lowers = np.asarray(lowers, dtype=float)
@@ -334,7 +339,6 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, hooks) -> list
     batch = lowers.shape[0]
     center = (0.5 * (lowers + uppers))[:, :, None]
     radius = (0.5 * (uppers - lowers))[:, :, None]
-    hooks = hooks if hooks is not None else [None] * batch
     failed = [None] * batch
     last = model.num_layers - 1
     work = _workspace(model.layers, batch)
@@ -351,15 +355,15 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, hooks) -> list
             ovr_lo, ovr_hi = overrides[i]
             lower = np.where(np.isnan(ovr_lo), lower, np.maximum(lower, ovr_lo))
             upper = np.where(np.isnan(ovr_hi), upper, np.minimum(upper, ovr_hi))
-        a_up, c_up = -a[:, r:], -c[:, r:]
-        planes = [BoundingPlanes(a[b, :r], c[b, :r], a_up[b], c_up[b]) for b in range(batch)]
-        for b, hook in enumerate(hooks):
-            if hook is None or failed[b] is not None:
-                continue
-            try:
-                lower[b], upper[b] = hook(i, planes[b], lower[b], upper[b])
-            except InfeasibleSplitError as err:
-                failed[b] = err
+        planes = BoundingPlanes(a[:, :r], c[:, :r], -a[:, r:], -c[:, r:])
+        if refine is not None:
+            alive = np.array([err is None for err in failed])
+            if alive.any():
+                lower, upper, empty = refine(i, planes, lower, upper, alive)
+                for b in np.flatnonzero(empty & alive):
+                    failed[b] = InfeasibleSplitError(
+                        f"layer {i}: refinement proved the domain empty"
+                    )
         for b in np.flatnonzero(np.any(lower > upper, axis=1)):
             if failed[b] is None:
                 failed[b] = InfeasibleSplitError(f"layer {i} bounds crossed after tightening")
@@ -379,7 +383,9 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, hooks) -> list
         if failed[b] is not None
         else BoundsResult(
             layer_bounds=[LayerBounds(lo[b], hi[b]) for lo, hi in all_bounds],
-            planes=[planes[b] for planes in all_planes],
+            planes=[
+                BoundingPlanes(p.a_low[b], p.c_low[b], p.a_up[b], p.c_up[b]) for p in all_planes
+            ],
             final_lower=all_bounds[-1][0][b].copy(),
             objective_coeffs=[coeffs[k][b] for k in range(last)],
         )
@@ -394,27 +400,60 @@ def bound_batch(
     policy: AlphaPolicy | None = None,
     forced=None,
     overrides=None,
-    hooks=None,
+    refine=None,
 ) -> list:
     """Bound every layer of ``model`` over B boxes in one pass.
 
     ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
     is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0 free;
-    see :func:`stack_splits`), ``overrides[i]`` None or a ``(lower, upper)``
-    pair of ``(B, w_i)`` arrays intersected into layer i's bounds (NaN =
-    none; see :func:`stack_overrides`), and ``hooks[b]`` None or domain b's
-    refine hook (see :func:`compute_bounds`).
+    see :func:`stack_splits`), and ``overrides[i]`` None or a ``(lower,
+    upper)`` pair of ``(B, w_i)`` arrays intersected into layer i's bounds
+    (NaN = none; see :func:`stack_overrides`).
+
+    ``refine``, when given, may tighten every layer's bounds before its
+    ReLU relaxation is built (branch and bound runs complete clipping
+    there).  It is called once per layer, as ``refine(i, planes, lower,
+    upper, alive) -> (lower, upper, empty)``:
+
+    * ``planes`` is a :class:`BoundingPlanes` whose arrays carry the batch
+      axis: ``a_low`` / ``a_up`` are ``(B, w_i, n)`` and ``c_low`` /
+      ``c_up`` are ``(B, w_i)``;
+    * ``lower`` / ``upper`` are layer i's ``(B, w_i)`` bounds after the
+      overrides;
+    * ``alive`` is a ``(B,)`` mask of the domains not yet proven empty.
+      The rows of the other domains are meaningless and must not be used;
+      the call is skipped when no domain is alive;
+    * it returns the tightened ``(B, w_i)`` bounds (rows of domains not
+      alive are ignored) and a ``(B,)`` mask of the domains it proved
+      empty.
 
     Returns one :class:`BoundsResult` per box, or None for a box proven
-    empty: by bounds that cross after overrides and hook, by a forced side
-    the bounds rule out, or by a hook raising :class:`InfeasibleSplitError`.
-    A proven-empty domain's hook is not called again, and its row never
-    reaches the others.
+    empty: by bounds that cross after overrides and refinement, by a forced
+    side the bounds rule out, or by ``refine``.  A domain proven empty is
+    never alive again, and its row never reaches the others.
     """
     out = _bound_rows(
-        model, lowers, uppers, policy or AlphaPolicy.fixed(1.0), forced, overrides, hooks
+        model, lowers, uppers, policy or AlphaPolicy.fixed(1.0), forced, overrides, refine
     )
     return [None if isinstance(res, InfeasibleSplitError) else res for res in out]
+
+
+def _one_box_refine(hook):
+    """A per-domain ``refine_hook`` as the batched refine of a B = 1 pass;
+    the hook's InfeasibleSplitError propagates."""
+    if hook is None:
+        return None
+
+    def refine(i, planes, lower, upper, alive):
+        one = BoundingPlanes(planes.a_low[0], planes.c_low[0], planes.a_up[0], planes.c_up[0])
+        lo, hi = hook(i, one, lower[0], upper[0])
+        return (
+            np.asarray(lo, dtype=float)[None],
+            np.asarray(hi, dtype=float)[None],
+            np.zeros(1, dtype=bool),
+        )
+
+    return refine
 
 
 def compute_bounds(
@@ -436,8 +475,10 @@ def compute_bounds(
     * ``overrides[i]``, an optional ``(lower, upper)`` pair of arrays (NaN
       entries mean "no override"), is intersected into layer i's bounds;
     * ``refine_hook(i, planes, lower, upper) -> (lower, upper)``, when
-      given, may tighten further (branch and bound uses it to run
-      constraint-driven clipping mid-pass).
+      given, may tighten further, and may raise
+      :class:`InfeasibleSplitError` to declare the box empty.  It sees one
+      domain's planes and bounds; it is the batched ``refine`` of
+      :func:`bound_batch` for a batch of one.
 
     ``splits`` maps ``(layer, neuron)`` to +-1 and pins ReLUs to one side.
     Raises :class:`InfeasibleSplitError` when overrides cross (lower >
@@ -453,7 +494,7 @@ def compute_bounds(
         policy or AlphaPolicy.fixed(1.0),
         stack_splits(model, [splits]),
         stack_overrides(model, [overrides]),
-        [refine_hook],
+        _one_box_refine(refine_hook),
     )
     if isinstance(res, InfeasibleSplitError):
         raise res

@@ -267,13 +267,13 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
     prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
     sizes = []
-    original = bab._clip_hook
+    original = bab._bound_nodes
 
-    def spy(problem, cfg, box, splits, cset, *rest):
-        sizes.append(cset.size)
-        return original(problem, cfg, box, splits, cset, *rest)
+    def spy(problem, cfg, subs):
+        sizes.extend(sub.constraints.size for sub in subs)
+        return original(problem, cfg, subs)
 
-    monkeypatch.setattr(bab, "_clip_hook", spy)
+    monkeypatch.setattr(bab, "_bound_nodes", spy)
     out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET

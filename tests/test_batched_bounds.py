@@ -4,7 +4,8 @@
   (kept below as the reference): equal bit for bit, and the same
   InfeasibleSplitError message for the first bad neuron.
 * ``bound_batch`` over B boxes against ``compute_bounds`` on each box:
-  equal within 1e-12, None exactly where the single-box call raises.
+  equal within 1e-12, None exactly where the single-box call raises.  The
+  batched refine runs the per-domain refine hooks (``refine_from_hooks``).
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from clipverify import (
     AlphaPolicy,
+    BoundingPlanes,
     BoxDomain,
     InfeasibleSplitError,
     NeuronStatus,
@@ -240,6 +242,39 @@ def _assert_same_result(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=BATCH_TOL)
 
 
+def refine_from_hooks(hooks, calls):
+    """A batched refine that runs domain b's per-domain hook (or none) on
+    its planes and bounds while b is alive; a hook raising
+    InfeasibleSplitError proves its domain empty.  Every call's layer,
+    alive mask and empty mask are appended to ``calls``."""
+
+    def refine(i, planes, lower, upper, alive):
+        lower, upper = lower.copy(), upper.copy()
+        empty = np.zeros(alive.shape, dtype=bool)
+        for b in np.flatnonzero(alive):
+            if hooks[b] is None:
+                continue
+            one = BoundingPlanes(planes.a_low[b], planes.c_low[b], planes.a_up[b], planes.c_up[b])
+            try:
+                lower[b], upper[b] = hooks[b](i, one, lower[b], upper[b])
+            except InfeasibleSplitError:
+                empty[b] = True
+        calls.append((i, alive.copy(), empty))
+        return lower, upper, empty
+
+    return refine
+
+
+def _assert_dead_stay_dead(calls, results):
+    """A domain the refine proved empty is never alive again, and its
+    result is None."""
+    dead = np.zeros(len(results), dtype=bool)
+    for _, alive, empty in calls:
+        assert not np.any(alive & dead)
+        dead |= empty & alive
+    assert all(results[b] is None for b in np.flatnonzero(dead))
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -254,6 +289,7 @@ def test_batched_pass_matches_one_box_at_a_time(seed, batch, policy):
     kinds = rng.choice(["none", "tighten", "raise"], size=batch, p=[0.4, 0.4, 0.2])
     domains = [_domain(rng, problem, root.layer_bounds, k) for k in kinds]
 
+    calls = []
     got = bound_batch(
         model,
         np.stack([d[0].lower for d in domains]),
@@ -261,9 +297,11 @@ def test_batched_pass_matches_one_box_at_a_time(seed, batch, policy):
         policy,
         stack_splits(model, [d[1] for d in domains]),
         stack_overrides(model, [d[2] for d in domains]),
-        [d[3]() for d in domains],
+        refine_from_hooks([d[3]() for d in domains], calls),
     )
     assert len(got) == batch
+    assert [i for i, _, _ in calls] == list(range(len(calls)))
+    _assert_dead_stay_dead(calls, got)
     for res, (box, splits, overrides, make_hook) in zip(got, domains):
         try:
             want = compute_bounds(model, box, policy, splits, overrides, make_hook())
@@ -278,17 +316,24 @@ def test_batch_with_an_empty_domain_keeps_the_others():
     rng = np.random.default_rng(3)
     problem = random_network_problem(rng)
     model, box = problem.model, problem.box
+    calls = []
 
-    def reject(i, planes, lower, upper):
-        raise InfeasibleSplitError("rejected")
+    def reject_middle(i, planes, lower, upper, alive):
+        # poison the rejected domain's rows: they must not reach the others
+        lower, upper = lower.copy(), upper.copy()
+        lower[1], upper[1] = np.inf, -np.inf
+        calls.append((i, alive.copy(), np.array([False, True, False])))
+        return lower, upper, calls[-1][2]
 
     got = bound_batch(
         model,
         np.stack([box.lower] * 3),
         np.stack([box.upper] * 3),
-        hooks=[None, reject, None],
+        refine=reject_middle,
     )
     assert got[1] is None
+    assert len(calls) == model.num_layers
+    _assert_dead_stay_dead(calls, got)
     want = compute_bounds(model, box)
     _assert_same_result(got[0], want)
     _assert_same_result(got[2], want)

@@ -1,7 +1,8 @@
-"""Property tests: the batched clipping paths against their one-row references."""
+"""Property tests: the batched clipping paths against their one-row and
+one-domain references."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clipverify import (
@@ -9,10 +10,15 @@ from clipverify import (
     ConstraintSet,
     DualStatus,
     active_rows,
+    centroid_distance,
     coordinate_ascent,
     dual_ascent,
+    dual_ascent_batch,
     relaxed_clip_parallel,
+    relaxed_clip_sequential,
     relaxed_clip_single,
+    screen_rows,
+    stack_constraints,
 )
 from clipverify.geometry import ZERO_COEFF_TOL
 
@@ -106,6 +112,53 @@ def test_batched_ascent_matches_per_row_ascent(case):
 
 
 @st.composite
+def domain_batches(draw):
+    """B domains over one dimension, each with its own box, 0-16 constraint
+    rows (so stacking pads) and K objectives."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    domains = []
+    for _ in range(draw(st.sampled_from([1, 3, 8]))):
+        box = draw(boxes(n))
+        cset = draw(constraint_sets(box, draw(st.integers(0, 16))))
+        objs = np.array(draw(st.lists(st.lists(GRID, min_size=n, max_size=n),
+                                      min_size=k, max_size=k)))
+        consts = np.array(draw(st.lists(GRID, min_size=k, max_size=k)))
+        domains.append((box, cset, objs, consts))
+    return domains, draw(st.integers(1, 2))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(domain_batches())
+def test_batched_ascent_matches_per_domain_ascent(case):
+    domains, passes = case
+    normals, offsets = stack_constraints([cset for _, cset, _, _ in domains])
+    centers = np.array([box.center for box, _, _, _ in domains])
+    radii = np.array([box.radius for box, _, _, _ in domains])
+    feasible, active = screen_rows(centers, radii, normals, offsets)
+    for b, (box, cset, _, _) in enumerate(domains):
+        rows = active_rows(box, cset)
+        assert feasible[b] == (rows is not None)
+        assert not active[b, cset.size :].any()  # padding
+        if rows is not None:
+            np.testing.assert_array_equal(np.flatnonzero(active[b]), rows)
+    ok = np.flatnonzero(feasible)
+    if ok.size == 0:
+        return
+    objs = np.array([domains[b][2] for b in ok])
+    consts = np.array([domains[b][3] for b in ok])
+    bounds, beta = dual_ascent_batch(objs, consts, centers[ok], radii[ok], normals[ok],
+                                     offsets[ok], active[ok], passes)
+    for j, b in enumerate(ok):
+        box, cset, a, c = domains[b]
+        want, want_beta = dual_ascent(a, c, box, cset, active_rows(box, cset), passes)
+        np.testing.assert_allclose(bounds[j], want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(beta[j, :, : cset.size], want_beta, rtol=0.0, atol=1e-12)
+        assert np.all(beta[j, :, cset.size :] == 0.0)
+
+
+@st.composite
 def clip_cases(draw):
     n = draw(st.integers(1, 5))
     box = draw(boxes(n))
@@ -147,3 +200,32 @@ def test_active_rows_flags_infeasible_and_skips_redundant():
     np.testing.assert_array_equal(active_rows(box, cset), [1])
     infeasible = ConstraintSet(np.array([[1.0, 1.0]]), np.array([1.0]))
     assert active_rows(box, infeasible) is None
+
+
+def _sequential_reference(box, cset, order):
+    """The chain of single-constraint clips that relaxed_clip_sequential
+    replaces, with rows ordered as it orders them."""
+    indices = range(cset.size)
+    if order == "centroid":
+        dists = [
+            np.inf if np.abs(row.normal).max() <= ZERO_COEFF_TOL else centroid_distance(box, row)
+            for row in cset
+        ]
+        indices = np.argsort(dists, kind="stable")
+    current = box.copy()
+    for k in indices:
+        current = relaxed_clip_single(current, cset.row(k))
+        if current.is_empty:
+            return BoxDomain.empty(box.dim)
+    return current
+
+
+@settings(max_examples=200, deadline=None)
+@given(clip_cases(), st.sampled_from(["given", "centroid"]))
+def test_sequential_clip_equals_chain_of_singles_bitwise(case, order):
+    box, cset = case
+    got = relaxed_clip_sequential(box, cset, order)
+    want = _sequential_reference(box, cset, order)
+    assert got.is_empty == want.is_empty
+    assert got.lower.tobytes() == want.lower.tobytes()
+    assert got.upper.tobytes() == want.upper.tobytes()
