@@ -15,26 +15,32 @@ differ only in how a subdomain branches (:func:`_branch`):
   yields a sound input-space half-space from the neuron's planes.
 
 Either way the constraints feed the same clipping.  The root is bounded
-first.  Then each round pops up to ``cfg.batch`` subdomains, worst bound
-first, evaluates point boxes exactly and branches the rest.  The round's
-children are screened together (:func:`_screen_children`), each by, in
-this order:
+first.  Then each round:
 
-1. relaxed clipping of its box against its constraints (an empty box
-   closes it), one array expression for all children;
-2. its parent's final planes over the clipped box (a bound >= 0 closes
-   it);
-3. a few sampled points, any of which may falsify the problem: one draw
-   and one forward evaluation for all survivors, the first hit in search
-   order winning.
+1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
+   point boxes exactly; the others are the round's parents;
+2. scores the parents once, together (:func:`_branch_scores`), when
+   branching or complete clipping needs the scores;
+3. branches each parent in two;
+4. screens the children together (:func:`_screen_children`), each by, in
+   this order: relaxed clipping of its box against its constraints (an
+   empty box closes it), its parent's final planes over the clipped box (a
+   bound >= 0 closes it), and a few sampled points, any of which may
+   falsify the problem (the first hit in search order wins).  Each screen
+   is one array expression, draw or forward evaluation for all children;
+5. bounds the survivors in one pass of :func:`bound_batch`.  The clipped
+   corners and constraint stacks the screen built go in as they are; so do
+   the children's pins and overrides, stacked (see :class:`Subdomain`).
+   Complete clipping runs inside the pass (:func:`_clip_refine`): each
+   layer's critical neurons of all the children go to one batched dual
+   ascent.  A child's critical neurons are its parent's best-scoring ones,
+   its own pin left out.  The refine writes its tightenings into the
+   pass's override stacks, whose rows become the children's overrides;
+6. closes each child whose bound reaches 0 and queues the others.
 
-The round's surviving children are bounded in one pass of
-:func:`bound_batch`.  Complete clipping runs inside that pass, through one
-refine built per pass (:func:`_clip_refine`): each layer's critical
-neurons of all the children go to one batched dual ascent.  A child whose
-bound reaches 0 is closed and the others are queued.  The deadline is
-checked between rounds.  Candidate counterexamples are checked by exact
-forward evaluation, so a "falsified" verdict is always certified.
+The deadline is checked between rounds.  Candidate counterexamples are
+checked by exact forward evaluation, so a "falsified" verdict is always
+certified.
 """
 
 from __future__ import annotations
@@ -62,8 +68,6 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     BoundsResult,
     bound_batch,
     compute_bounds,
-    stack_overrides,
-    stack_splits,
 )
 from .geometry import BoxDomain, LinearConstraint
 from .network import CanonicalProblem
@@ -115,7 +119,7 @@ class BabConfig:
             raise ValueError(f"unknown clip setting {self.clip!r}")
         if self.topk < 1 or self.batch < 1 or self.passes < 1:
             raise ValueError("topk, batch and passes must be positive")
-        if self.timeout < 0:
+        if not self.timeout >= 0:  # also rejects NaN, which would never expire
             raise ValueError("timeout must be nonnegative")
 
 
@@ -123,21 +127,45 @@ class BabConfig:
 class Subdomain:
     """One open region of the search: a box plus everything known about it.
 
-    ``splits`` maps (layer, neuron) to the pinned polarity.  ``constraints``
-    are input-space half-spaces valid for any counterexample inside the box.
-    ``planes`` caches the most recent bounding pass touching this region
-    (the parent's until the node is bounded itself).  ``overrides`` carries
-    accumulated neuron-interval tightenings (NaN entries mean untouched).
+    Pins and overrides are kept in the per-domain form of the arguments
+    :func:`bound_batch` takes, so a round only stacks them:
+
+    * ``lower`` / ``upper``: the ``(n,)`` box corners;
+    * ``forced``: per hidden layer, a ``(w_i,)`` int array of ReLU pins,
+      +1 active, -1 inactive, 0 free;
+    * ``overrides``: per layer, a ``(lower, upper)`` pair of ``(w_i,)``
+      arrays of accumulated bound tightenings, NaN where there is none;
+    * ``constraints``: input-space half-spaces valid for any
+      counterexample inside the box;
+    * ``planes``: the most recent bounding pass touching this region (the
+      parent's until the node is bounded itself).
+
+    Children share these arrays with their parent; none is ever modified
+    in place.
     """
 
-    box: BoxDomain
-    splits: dict
+    lower: np.ndarray
+    upper: np.ndarray
+    forced: list
+    overrides: list
     constraints: ConstraintSet
     bound: float
     depth: int = 0
     planes: BoundsResult | None = None
-    overrides: list | None = None
     path: tuple = ()
+
+    @classmethod
+    def root(cls, problem: CanonicalProblem) -> "Subdomain":
+        """The problem's whole box: nothing pinned, overridden or constrained."""
+        layers = problem.model.layers
+        return cls(
+            problem.box.lower.copy(),
+            problem.box.upper.copy(),
+            [np.zeros(layer.out_dim, dtype=int) for layer in layers[:-1]],
+            [(np.full(layer.out_dim, np.nan),) * 2 for layer in layers],
+            ConstraintSet.empty(problem.box.dim),
+            -np.inf,
+        )
 
 
 @dataclass
@@ -201,16 +229,6 @@ def babsr_intercept_score(lower, upper, mean_coeff) -> np.ndarray:
     return np.where(width > 0.0, score, 0.0)
 
 
-def select_topk(scores: np.ndarray, k: int, eligible=None) -> np.ndarray:
-    """Indices of the k best-scoring eligible neurons, ties to lower index."""
-    scores = np.asarray(scores, dtype=float)
-    idx = np.arange(scores.size) if eligible is None else np.flatnonzero(eligible)
-    if idx.size == 0 or k <= 0:
-        return np.zeros(0, dtype=int)
-    order = idx[np.lexsort((idx, -scores[idx]))]
-    return order[: min(k, order.size)]
-
-
 def final_plane_to_constraint(planes: BoundingPlanes, row: int) -> LinearConstraint:
     """Half-space containing every point where an output row can be negative.
 
@@ -239,44 +257,36 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
     """Bisect the box along ``dim`` (default: widest, ties to lowest index)
     at ``at`` (default: the midpoint, clamped into the box when given).
 
-    Children inherit splits, constraints, cached planes and overrides.
+    Children inherit pins, overrides, constraints and cached planes.
     """
-    radius = sub.box.radius
+    radius = 0.5 * (sub.upper - sub.lower)
     if float(radius.max()) <= 0.0:
         raise ValueError("cannot branch a zero-volume box")
     if dim is None:
         dim = int(np.argmax(radius))
     if at is None:
-        mid = float(sub.box.center[dim])
+        mid = float(0.5 * (sub.lower[dim] + sub.upper[dim]))
     else:
-        mid = float(min(max(at, sub.box.lower[dim]), sub.box.upper[dim]))
-    lo_box = sub.box.copy()
-    lo_box.upper[dim] = mid
-    hi_box = sub.box.copy()
-    hi_box.lower[dim] = mid
-    children = []
-    for side, box in enumerate((lo_box, hi_box)):
-        children.append(
-            replace(
-                sub,
-                box=box,
-                splits=dict(sub.splits),
-                depth=sub.depth + 1,
-                path=sub.path + (side,),
-            )
-        )
-    return children[0], children[1], (dim, mid)
+        mid = float(min(max(at, sub.lower[dim]), sub.upper[dim]))
+    lo_upper = sub.upper.copy()
+    lo_upper[dim] = mid
+    hi_lower = sub.lower.copy()
+    hi_lower[dim] = mid
+    depth = sub.depth + 1
+    lo_child = replace(sub, upper=lo_upper, depth=depth, path=sub.path + (0,))
+    hi_child = replace(sub, lower=hi_lower, depth=depth, path=sub.path + (1,))
+    return lo_child, hi_child, (dim, mid)
 
 
 def branch_activation(sub: Subdomain, pick: tuple):
     """Split a subdomain on one unstable neuron; returns (active, inactive).
 
-    Each child pins the neuron to one side, records the pin in ``splits``
-    and appends the implied input half-space (from the subdomain's cached
-    planes) to its constraint set under the recency budget.
+    Each child pins the neuron to one side in ``forced`` and appends the
+    implied input half-space (from the subdomain's cached planes) to its
+    constraint set under the recency budget.
     """
     layer, neuron = pick
-    if (layer, neuron) in sub.splits:
+    if sub.forced[layer][neuron] != 0:
         raise ValueError(f"neuron ({layer}, {neuron}) is already assigned")
     if sub.planes is None:
         raise ValueError("subdomain has no cached bounding planes to split with")
@@ -287,10 +297,13 @@ def branch_activation(sub: Subdomain, pick: tuple):
     for side, polarity in enumerate((1, -1)):
         assignment = SplitAssignment(layer, neuron, polarity)
         cons = split_constraint_to_input(sub.planes.planes[layer], assignment)
+        forced = list(sub.forced)
+        forced[layer] = forced[layer].copy()
+        forced[layer][neuron] = polarity
         children.append(
             replace(
                 sub,
-                splits={**sub.splits, (layer, neuron): polarity},
+                forced=forced,
                 constraints=sub.constraints.appended(cons, budget=CONSTRAINT_BUDGET),
                 depth=sub.depth + 1,
                 path=sub.path + (side,),
@@ -299,81 +312,85 @@ def branch_activation(sub: Subdomain, pick: tuple):
     return children[0], children[1]
 
 
-def _branch_scores(widths, infos, splits) -> list:
-    """BaBSR score of every hidden neuron of B domains, one ``(B, w)``
-    array per layer of the given ``widths``, with -inf wherever the neuron
-    is stable or already assigned a side (everywhere for a domain whose
-    ``infos`` entry is None)."""
+def _branch_scores(subs) -> list:
+    """BaBSR score of every hidden neuron of the bounded subdomains
+    ``subs``, one ``(B, w)`` array per hidden layer, with -inf wherever the
+    neuron is stable or pinned."""
     scores = []
-    for i, w in enumerate(widths):
-        none = np.zeros(w)
-        lower = np.array([none if info is None else info.layer_bounds[i].lower for info in infos])
-        upper = np.array([none if info is None else info.layer_bounds[i].upper for info in infos])
-        coeff = np.array([none if info is None else info.objective_coeffs[i] for info in infos])
-        unstable = (lower < 0.0) & (upper > 0.0)
+    for i in range(len(subs[0].forced)):
+        lower = np.array([sub.planes.layer_bounds[i].lower for sub in subs])
+        upper = np.array([sub.planes.layer_bounds[i].upper for sub in subs])
+        coeff = np.array([sub.planes.objective_coeffs[i] for sub in subs])
+        free = np.array([sub.forced[i] for sub in subs]) == 0
+        unstable = (lower < 0.0) & (upper > 0.0) & free
         scores.append(np.where(unstable, babsr_intercept_score(lower, upper, coeff), -np.inf))
-    for b, assigned in enumerate(splits):
-        for li, j in assigned:
-            scores[li][b, j] = -np.inf
     return scores
 
 
-def _critical_masks(cfg: BabConfig, widths, infos, splits) -> list:
-    """Per hidden layer, a ``(B, w)`` mask of each domain's top-k unstable,
-    unassigned neurons by branching score (ties to the lower index)."""
+def _critical_masks(cfg: BabConfig, scores) -> list:
+    """Per hidden layer, a ``(B, w)`` mask of each domain's top-k neurons by
+    branching score (ties to the lower index), leaving out those that score
+    -inf (stable or pinned)."""
     masks = []
-    for scores in _branch_scores(widths, infos, splits):
-        if scores.shape[1] <= cfg.topk:
-            masks.append(scores > -np.inf)
+    for layer_scores in scores:
+        if layer_scores.shape[1] <= cfg.topk:
+            masks.append(layer_scores > -np.inf)
             continue
-        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.topk]
-        mask = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(mask, top, np.take_along_axis(scores, top, axis=1) > -np.inf, axis=1)
+        top = np.argsort(-layer_scores, axis=1, kind="stable")[:, : cfg.topk]
+        mask = np.zeros(layer_scores.shape, dtype=bool)
+        finite = np.take_along_axis(layer_scores, top, axis=1) > -np.inf
+        np.put_along_axis(mask, top, finite, axis=1)
         masks.append(mask)
     return masks
 
 
-def _critical_neurons(cfg: BabConfig, info: BoundsResult | None, splits: dict):
-    """Top-k unstable, unassigned neurons per layer of one domain: the
-    one-domain case of :func:`_critical_masks`, as index arrays."""
-    if info is None:
-        return {}
-    widths = [lb.lower.size for lb in info.layer_bounds[:-1]]
-    masks = _critical_masks(cfg, widths, [info], [splits])
-    return {i: np.flatnonzero(m[0]) for i, m in enumerate(masks) if m[0].any()}
+def _pick_branch_neurons(scores) -> list:
+    """Each domain's highest-scoring unstable, unpinned neuron as
+    ``(layer, index)``, ties to the lowest; None for a domain with none."""
+    flat = np.concatenate(scores, axis=1)
+    best = np.argmax(flat, axis=1)
+    ends = np.cumsum([layer_scores.shape[1] for layer_scores in scores])
+    picks = []
+    for b, k in enumerate(best.tolist()):
+        if flat[b, k] == -np.inf:
+            picks.append(None)
+            continue
+        layer = int(np.searchsorted(ends, k, side="right"))
+        picks.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
+    return picks
 
 
-def _clip_refine(cfg: BabConfig, model, subs, refinements):
+def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, forced, overrides):
     """The refine of one bounding pass over ``subs`` (see
     :func:`bound_batch`), running complete clipping for all of them, or
-    None when complete clipping is off or no subdomain has constraints.
+    None when complete clipping is off or no subdomain has constraints
+    (``stacks`` is None).
+
+    ``lowers`` / ``uppers`` are the domains' ``(B, n)`` corners and
+    ``stacks`` their constraint stacks (see :func:`stack_constraints`).
+    ``scores`` are the branching scores of each domain's parent, one row
+    per domain; with the domain's own pins (``forced``) left out they pick
+    its critical neurons.  ``overrides`` are the pass's override stacks.
 
     Each layer's freshly computed bounds are tightened for every domain's
     critical neurons before the layer's relaxation is built; the final
-    layer tightens each domain's still-unverified rows.  The constraint
-    stacks, their screen against the boxes and the critical neurons (from
-    each domain's cached planes, its parent's) are built once per pass.
-    Each layer then runs one batched dual ascent over the lower objectives
-    and the negated upper objectives of the critical neurons of every
-    alive domain with constraints.  The per-layer refinements applied to
-    domain b (NaN = none) are stored in ``refinements[b]``.  A domain whose
-    constraints exclude its whole box is proven empty at the first layer
-    where it has neurons to refine.
+    layer tightens each domain's still-unverified rows.  Each layer runs
+    one batched dual ascent over the lower objectives and the negated
+    upper objectives of the critical neurons of every alive domain with
+    constraints.  Every tightening is also written into ``overrides``, so
+    that after the pass its rows carry each domain's accumulated
+    tightenings.  A domain whose constraints exclude its whole box is
+    proven empty at the first layer where it has neurons to refine.
     """
-    if cfg.clip not in ("complete", "both"):
+    if cfg.clip not in ("complete", "both") or stacks is None:
         return None
+    normals, offsets = stacks
     sizes = np.array([sub.constraints.size for sub in subs])
-    if not sizes.any():
-        return None
     last = model.num_layers - 1
-    lowers = np.array([sub.box.lower for sub in subs])
-    uppers = np.array([sub.box.upper for sub in subs])
     centers, radii = 0.5 * (lowers + uppers), 0.5 * (uppers - lowers)
-    normals, offsets = stack_constraints([sub.constraints for sub in subs])
     feasible, active = screen_rows(centers, radii, normals, offsets)
-    widths = [layer.out_dim for layer in model.layers[:-1]]
     critical = _critical_masks(
-        cfg, widths, [sub.planes for sub in subs], [sub.splits for sub in subs]
+        cfg, [np.where(pins != 0, -np.inf, s) for pins, s in zip(forced, scores)]
     )
 
     def refine(i, planes, lower, upper, alive):
@@ -400,90 +417,40 @@ def _clip_refine(cfg: BabConfig, model, subs, refinements):
             objs, consts, centers[doms], radii[doms], normals[doms], offsets[doms],
             active[doms], cfg.passes,
         )
+        # A raised bound exceeds the override it was computed under, so it
+        # replaces that override; likewise for a lowered upper bound.
+        ovr_lo, ovr_hi = overrides[i]
         lower = lower.copy()
         upper = upper.copy()
-        here = np.arange(len(idx))[:, None]
-        lo_ref = np.full((len(idx), lower.shape[1]), np.nan)
-        hi_ref = lo_ref.copy()
         old_lo = lower[rows, idx]
         rise = valid & (bounds[:, :k] > old_lo)
         lower[rows, idx] = np.where(rise, bounds[:, :k], old_lo)
-        lo_ref[here, idx] = np.where(rise, bounds[:, :k], np.nan)
+        ovr_lo[rows, idx] = np.where(rise, bounds[:, :k], ovr_lo[rows, idx])
         if i != last:
             new_up, old_up = -bounds[:, k:], upper[rows, idx]
             drop = valid & (new_up < old_up)
             upper[rows, idx] = np.where(drop, new_up, old_up)
-            hi_ref[here, idx] = np.where(drop, new_up, np.nan)
-        for j, b in enumerate(rows[:, 0]):
-            refinements[b][i] = (lo_ref[j], hi_ref[j])
+            ovr_hi[rows, idx] = np.where(drop, new_up, ovr_hi[rows, idx])
         return lower, upper, need & ~feasible
 
     return refine
 
 
-def _bound_nodes(problem, cfg: BabConfig, subs) -> list:
-    """Bound a batch of regions in one pass, with in-pass complete clipping.
+def _clip_boxes(cfg: BabConfig, children, lowers, uppers, normals, offsets):
+    """Relaxed clipping of each child's box, given as the rows of the
+    ``(S, n)`` corners, against its constraints (stacked as ``normals`` /
+    ``offsets``).
 
-    Each subdomain contributes its box, splits, constraints and overrides;
-    its cached planes (its parent's) pick the critical neurons that the
-    pass's refine (:func:`_clip_refine`) tightens.  Returns, per subdomain,
-    the pass result plus the per-layer refinements applied, or None when
-    the region is provably empty.
+    Returns the clipped corners and a mask of the children whose box is
+    nonempty.  The parallel clip runs for all children at once.
     """
-    if not subs:
-        return []
-    model = problem.model
-    refinements = [{} for _ in subs]
-    results = bound_batch(
-        model,
-        np.array([sub.box.lower for sub in subs]),
-        np.array([sub.box.upper for sub in subs]),
-        cfg.alpha,
-        stack_splits(model, [sub.splits for sub in subs]),
-        stack_overrides(model, [sub.overrides for sub in subs]),
-        _clip_refine(cfg, model, subs, refinements),
-    )
-    return [None if res is None else (res, ref) for res, ref in zip(results, refinements)]
-
-
-def _merge_overrides(base, refinements, n_layers: int):
-    """Fold refinement arrays into an override list (NaN entries inert)."""
-    if not refinements:
-        return base
-    merged = list(base) if base is not None else [None] * n_layers
-    while len(merged) < n_layers:
-        merged.append(None)
-    for i, (lo_ref, hi_ref) in refinements.items():
-        if np.all(np.isnan(lo_ref)) and np.all(np.isnan(hi_ref)):
-            continue
-        if merged[i] is None:
-            merged[i] = (lo_ref, hi_ref)
-        else:
-            old_lo, old_hi = merged[i]
-            new_lo = lo_ref if old_lo is None else np.fmax(old_lo, lo_ref)
-            new_hi = hi_ref if old_hi is None else np.fmin(old_hi, hi_ref)
-            merged[i] = (new_lo, new_hi)
-    return merged
-
-
-def _clip_boxes(cfg: BabConfig, children):
-    """Relaxed clipping of each child's box against its constraints.
-
-    Returns the ``(S, n)`` clipped corners and a mask of the children whose
-    box is nonempty.  The parallel clip runs for all children at once.
-    """
-    lowers = np.array([child.box.lower for child in children])
-    uppers = np.array([child.box.upper for child in children])
-    csets = [child.constraints for child in children]
-    if cfg.clip not in ("relaxed", "both") or not any(cset.size for cset in csets):
-        return lowers, uppers, np.ones(len(children), dtype=bool)
     if not cfg.sequential_clip:
-        lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stack_constraints(csets))
+        lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, normals, offsets)
         return lowers, uppers, ~empty
     order = "centroid" if cfg.reorder else "given"
     nonempty = np.ones(len(children), dtype=bool)
     for j, child in enumerate(children):
-        box = relaxed_clip_sequential(child.box, child.constraints, order)
+        box = relaxed_clip_sequential(BoxDomain(lowers[j], uppers[j]), child.constraints, order)
         nonempty[j] = not box.is_empty
         if nonempty[j]:
             lowers[j], uppers[j] = box.lower, box.upper
@@ -552,43 +519,58 @@ def _quick_child_bound(planes: BoundingPlanes, box: BoxDomain) -> float:
     )
 
 
-def _screen_children(problem: CanonicalProblem, cfg: BabConfig, pairs, rng):
-    """Screen a round's children, given as ``(parent, child)`` pairs in
-    search order, all at once.
+def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
+    """Screen a round's children all at once.  ``children[2 p]`` and
+    ``children[2 p + 1]`` are the children of ``parents[p]``, and
+    ``children`` is in search order.
 
     Each child's box is relaxed-clipped (an empty box closes it), its
     parent's final planes bound it over the clipped box (a bound >= 0
     closes it), and the survivors' sampled points are evaluated together.
-    Returns the surviving children with clipped box and bound, the lowest
-    bound of the children the planes closed (inf if none), and ``(value,
-    point)`` of the first survivor in search order with a negative point,
-    or None (the survivors are then left out: the search ends).
+
+    Returns the survivors, the lowest bound of the children the planes
+    closed (inf if none), and ``(value, point)`` of the first survivor in
+    search order with a negative point, or None.  The survivors are
+    ``(keep, lowers, uppers, stacks)``: their indices in ``children``,
+    their clipped ``(S, n)`` corners, and their constraints stacked as
+    ``(S, M, n)`` normals and ``(S, M)`` offsets, M their largest set
+    (None when that is empty or clipping is off).  Each survivor's
+    ``bound`` is set.  When there is none, or on a hit, the survivors are
+    None: a hit ends the search.
     """
-    if not pairs:
-        return [], np.inf, None
-    children = [child for _, child in pairs]
-    lowers, uppers, nonempty = _clip_boxes(cfg, children)
-    parents = [parent for parent, _ in pairs]
+    if not children:
+        return None, np.inf, None
+    lowers = np.array([child.lower for child in children])
+    uppers = np.array([child.upper for child in children])
+    sizes = np.array([child.constraints.size for child in children])
+    nonempty = np.ones(len(children), dtype=bool)
+    normals = None
+    if cfg.clip != "none" and sizes.any():
+        normals, offsets = stack_constraints([child.constraints for child in children])
+        if cfg.clip in ("relaxed", "both"):
+            lowers, uppers, nonempty = _clip_boxes(cfg, children, lowers, uppers, normals, offsets)
     final = [parent.planes.planes[-1] for parent in parents]
     quick = _plane_bounds(
-        np.array([planes.a_low for planes in final]),
-        np.array([planes.c_low for planes in final]),
+        np.array([planes.a_low for planes in final]).repeat(2, axis=0),
+        np.array([planes.c_low for planes in final]).repeat(2, axis=0),
         0.5 * (lowers + uppers),
         0.5 * (uppers - lowers),
     )
-    bounds = np.maximum([parent.bound for parent in parents], quick)
+    bounds = np.maximum(np.repeat([parent.bound for parent in parents], 2), quick)
     floor = float(bounds[nonempty & (bounds >= 0.0)].min(initial=np.inf))
     keep = np.flatnonzero(nonempty & (bounds < 0.0))
     if keep.size == 0:
-        return [], floor, None
+        return None, floor, None
     hit = _falsify_boxes(problem, lowers[keep], uppers[keep], rng)
     if hit is not None:
-        return [], floor, hit[1:]
-    survivors = [
-        replace(children[j], box=BoxDomain(lowers[j], uppers[j]), bound=float(bounds[j]))
-        for j in keep
-    ]
-    return survivors, floor, None
+        return None, floor, hit[1:]
+    for j in keep:
+        children[j].bound = float(bounds[j])
+    # trimmed to the survivors' largest set, the stacks are what stacking
+    # the survivors' own sets gives
+    m = int(sizes[keep].max())
+    stacks = None if normals is None or m == 0 else (normals[keep, :m], offsets[keep, :m])
+    return (keep, lowers[keep], uppers[keep], stacks), floor, None
 
 
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
@@ -596,33 +578,18 @@ def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     return VerificationOutcome(status, counterexample, value, bound, stats)
 
 
-def _pick_branch_neuron(sub: Subdomain):
-    """Highest-scoring unstable, unassigned neuron; ties to lowest (layer, j)."""
-    if sub.planes is None:
-        return None
-    widths = [lb.lower.size for lb in sub.planes.layer_bounds[:-1]]
-    scores = [row[0] for row in _branch_scores(widths, [sub.planes], [sub.splits])]
-    flat = np.concatenate(scores) if scores else np.zeros(0)
-    if flat.size == 0 or flat.max() == -np.inf:
-        return None
-    k = int(np.argmax(flat))
-    ends = np.cumsum([s.size for s in scores])
-    layer = int(np.searchsorted(ends, k, side="right"))
-    return layer, k - int(ends[layer] - scores[layer].size)
-
-
-def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
+def _branch(cfg: BabConfig, sub: Subdomain, pick, probe: BranchProbe | None):
     """Split a bounded, open subdomain in two: the only step of the search
     that depends on the mode.  Returns the decision and the two children.
 
     Input mode bisects, or takes the cut ``probe.replay`` recorded for this
     path.  Before that it harvests the final plane of a lone open row: with
     several rows open their half-spaces may not be stacked (a point can
-    violate one row while clearing another).  Activation mode pins the
-    best-scoring unstable neuron and bisects when none is left.
+    violate one row while clearing another).  Activation mode pins
+    ``pick``, the best-scoring unstable neuron, and bisects when there is
+    none (``pick`` None).
     """
     if cfg.mode == "activation":
-        pick = _pick_branch_neuron(sub)
         if pick is not None:
             return pick, branch_activation(sub, pick)
         lo_child, hi_child, cut = branch_input(sub)
@@ -650,57 +617,81 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     t0 = time.perf_counter()
     deadline = t0 + cfg.timeout
     rng = np.random.default_rng(cfg.seed)
+    model = problem.model
     stats = BabStats()
     heap = []
     tiebreak = itertools.count()
     verified_floor = np.inf  # lowest bound of a closed subdomain
+    # the parents' branching scores are needed to pick a neuron to pin and
+    # to pick the children's critical neurons for complete clipping
+    scored = cfg.mode == "activation" or cfg.clip in ("complete", "both")
 
-    def settle(subs):
+    def settle(subs, lowers, uppers, stacks=None, scores=None):
         """Bound subdomains in one pass; queue those still open."""
         nonlocal verified_floor
-        for sub, outcome in zip(subs, _bound_nodes(problem, cfg, subs)):
+        forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(subs[0].forced))]
+        overrides = [
+            (np.array([sub.overrides[i][0] for sub in subs]),
+             np.array([sub.overrides[i][1] for sub in subs]))
+            for i in range(model.num_layers)
+        ]
+        refine = _clip_refine(cfg, model, subs, lowers, uppers, stacks, scores, forced, overrides)
+        results = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
+        for b, (sub, res) in enumerate(zip(subs, results)):
             stats.domains_visited += 1
             stats.max_depth = max(stats.max_depth, sub.depth)
-            if outcome is None:
+            if res is None:
                 continue  # region proved empty: verified by infeasibility
-            res, refinements = outcome
             if probe is not None:
                 probe.record_bounds(sub.path, res)
             bound = max(sub.bound, float(res.final_lower.min()))
             if bound >= 0.0:
                 verified_floor = min(verified_floor, bound)
                 continue
-            overrides = _merge_overrides(sub.overrides, refinements, problem.model.num_layers)
-            sub = replace(sub, bound=bound, planes=res, overrides=overrides)
+            sub.lower, sub.upper, sub.bound, sub.planes = lowers[b], uppers[b], bound, res
+            sub.overrides = [(lo[b], hi[b]) for lo, hi in overrides]
             heappush(heap, (bound, next(tiebreak), sub))
 
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)
-    settle([Subdomain(problem.box, {}, ConstraintSet.empty(problem.box.dim), -np.inf)])
+    root = Subdomain.root(problem)
+    settle([root], root.lower[None], root.upper[None])
     while heap:
         if time.perf_counter() >= deadline:
             return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        pairs, point_hit = [], None
+        parents, point_hit = [], None
         for sub in batch:
-            if float(sub.box.radius.max()) < POINT_RADIUS_TOL:
-                val = problem.value(sub.box.center)
+            if float((0.5 * (sub.upper - sub.lower)).max()) < POINT_RADIUS_TOL:
+                center = 0.5 * (sub.lower + sub.upper)
+                val = problem.value(center)
                 if val < 0.0:
                     # children branched before this point come first
-                    point_hit = (float(val), sub.box.center.copy())
+                    point_hit = (float(val), center)
                     break
                 verified_floor = min(verified_floor, val)
                 continue
-            decision, pair = _branch(cfg, sub, probe)
+            parents.append(sub)
+        scores = _branch_scores(parents) if scored and parents else None
+        picks = [None] * len(parents)
+        if cfg.mode == "activation" and scores:
+            picks = _pick_branch_neurons(scores)
+        children = []
+        for sub, pick in zip(parents, picks):
+            decision, pair = _branch(cfg, sub, pick, probe)
             if probe is not None:
                 probe.decisions[sub.path] = decision
-            pairs.extend((sub, child) for child in pair)
-        children, floor, hit = _screen_children(problem, cfg, pairs, rng)
+            children.extend(pair)
+        survivors, floor, hit = _screen_children(problem, cfg, parents, children, rng)
         verified_floor = min(verified_floor, floor)
         hit = hit or point_hit
         if hit is not None:
             return _outcome("falsified", stats, t0, hit[1], hit[0])
-        settle(children)
+        if survivors is not None:
+            keep, lowers, uppers, stacks = survivors
+            if scores is not None:
+                scores = [layer_scores[keep // 2] for layer_scores in scores]
+            settle([children[j] for j in keep], lowers, uppers, stacks, scores)
         if heap:
             stats.bound_history.append(float(heap[0][0]))
     bound = None if np.isinf(verified_floor) else float(verified_floor)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from clipverify import (
     exact_verify,
     final_plane_to_constraint,
     run_bab,
-    select_topk,
     split_constraint_to_input,
 )
 
@@ -46,14 +47,6 @@ def test_intercept_score_values():
     assert score[1] == 0.0
     # stable neuron scores zero regardless of coefficient
     assert score[2] == 0.0
-
-
-def test_select_topk_ordering_and_ties():
-    scores = np.array([0.5, 0.9, 0.9, 0.1])
-    idx = select_topk(scores, 2)
-    np.testing.assert_array_equal(idx, [1, 2])  # tie resolved to lower index
-    idx = select_topk(scores, 10, eligible=np.array([True, False, True, True]))
-    np.testing.assert_array_equal(idx, [2, 0, 3])
 
 
 def test_split_assignment_validation():
@@ -87,18 +80,21 @@ def test_final_plane_constraint_covers_violations(problem):
 
 
 def test_branch_input_widest_dim(problem):
-    sub = Subdomain(problem.box, {}, ConstraintSet.empty(2), -np.inf)
+    sub = Subdomain.root(problem)
     lo, hi, cut = branch_input(sub)
     assert cut == (0, 0.5)  # widths 3 and 3: tie goes to dimension 0
-    assert lo.box.upper[0] == 0.5 and hi.box.lower[0] == 0.5
+    assert lo.upper[0] == 0.5 and hi.lower[0] == 0.5
     assert lo.depth == 1 and lo.path == (0,) and hi.path == (1,)
+    # the parent's box is left as it was
+    np.testing.assert_array_equal(sub.lower, problem.box.lower)
+    np.testing.assert_array_equal(sub.upper, problem.box.upper)
 
 
 def test_branch_input_forced_cut(problem):
-    sub = Subdomain(problem.box, {}, ConstraintSet.empty(2), -np.inf)
+    sub = Subdomain.root(problem)
     lo, hi, cut = branch_input(sub, 1, at=0.25)
     assert cut == (1, 0.25)
-    assert lo.box.upper[1] == 0.25
+    assert lo.upper[1] == 0.25
     # out-of-box cut clamps
     _, _, cut = branch_input(sub, 1, at=99.0)
     assert cut == (1, 1.0)
@@ -106,17 +102,18 @@ def test_branch_input_forced_cut(problem):
 
 def test_branch_input_zero_volume_raises():
     box = BoxDomain(np.zeros(2), np.zeros(2))
-    sub = Subdomain(box, {}, ConstraintSet.empty(2), -np.inf)
+    sub = Subdomain.root(CanonicalProblem(toy_problem().model, box, 1))
     with pytest.raises(ValueError):
         branch_input(sub)
 
 
 def test_branch_activation_children(problem):
     res = compute_bounds(problem.model, problem.box)
-    sub = Subdomain(problem.box, {}, ConstraintSet.empty(2), -1.0, planes=res)
+    sub = replace(Subdomain.root(problem), bound=-1.0, planes=res)
     active, inactive = branch_activation(sub, (0, 0))
-    assert active.splits == {(0, 0): 1}
-    assert inactive.splits == {(0, 0): -1}
+    assert active.forced[0].tolist() == [1, 0]
+    assert inactive.forced[0].tolist() == [-1, 0]
+    assert sub.forced[0].tolist() == [0, 0]  # the parent keeps its pins
     assert active.constraints.size == 1
     assert inactive.constraints.size == 1
     with pytest.raises(ValueError):
@@ -127,7 +124,7 @@ def test_branch_activation_requires_unstable(problem):
     res = compute_bounds(problem.model, problem.box)
     # fake stability by overriding the cached bounds
     res.layer_bounds[0].lower[:] = 1.0
-    sub = Subdomain(problem.box, {}, ConstraintSet.empty(2), -1.0, planes=res)
+    sub = replace(Subdomain.root(problem), bound=-1.0, planes=res)
     with pytest.raises(ValueError):
         branch_activation(sub, (0, 0))
 
@@ -233,29 +230,50 @@ def test_deterministic_outcomes():
             np.testing.assert_array_equal(a.counterexample, b.counterexample)
 
 
+def _spy_screens(monkeypatch, rounds):
+    """Append ``(parents, children, survivors)`` of every round's screen to
+    ``rounds``."""
+    screen = bab._screen_children
+
+    def spy(problem, cfg, parents, children, rng):
+        out = screen(problem, cfg, parents, children, rng)
+        rounds.append((parents, children, out[0]))
+        return out
+
+    monkeypatch.setattr(bab, "_screen_children", spy)
+
+
 def test_bounded_children_passed_every_screen(monkeypatch):
     # A child reaches a bounding pass only if relaxed clipping left its box
     # nonempty and its parent's final planes cannot close it.  On this net
     # the plane screen closes some activation-mode children, so the check
     # has something to catch in both modes.
     prob = random_network_problem(np.random.default_rng(21))
-    seen = []
-    original = bab._bound_nodes
+    rounds, passes = [], []
+    _spy_screens(monkeypatch, rounds)
+    original = bab.bound_batch
 
-    def spy(problem, cfg, subs):
-        seen.extend(subs)
-        return original(problem, cfg, subs)
+    def spy(model, lowers, uppers, *args):
+        passes.append((lowers, uppers))
+        return original(model, lowers, uppers, *args)
 
-    monkeypatch.setattr(bab, "_bound_nodes", spy)
+    monkeypatch.setattr(bab, "bound_batch", spy)
     for mode in ("input", "activation"):
-        seen.clear()
+        rounds.clear()
+        passes.clear()
         out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
         assert out.status == "verified"
-        children = [sub for sub in seen if sub.planes is not None]
-        assert children
-        for sub in children:
-            assert not sub.box.is_empty
-            assert bab._quick_child_bound(sub.planes.planes[-1], sub.box) < 0.0
+        screened = [(parents, kept) for parents, _, kept in rounds if kept is not None]
+        assert screened
+        # after the root's, each pass bounds one round's survivors as the
+        # screen left them
+        assert len(passes) == 1 + len(screened)
+        for (parents, (keep, lowers, uppers, _)), bounded in zip(screened, passes[1:]):
+            assert bounded[0] is lowers and bounded[1] is uppers
+            for j, lo, up in zip(keep, lowers, uppers):
+                box = BoxDomain(lo, up)
+                assert not box.is_empty
+                assert bab._quick_child_bound(parents[j // 2].planes.planes[-1], box) < 0.0
 
 
 def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
@@ -266,17 +284,18 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     w2 = np.array([[1.0, 1.0, -0.5, -0.5]])
     model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
     prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
-    sizes = []
-    original = bab._bound_nodes
-
-    def spy(problem, cfg, subs):
-        sizes.extend(sub.constraints.size for sub in subs)
-        return original(problem, cfg, subs)
-
-    monkeypatch.setattr(bab, "_bound_nodes", spy)
+    rounds = []
+    _spy_screens(monkeypatch, rounds)
     out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
+    # the constraint counts of the children that were bounded
+    sizes = [
+        children[j].constraints.size
+        for _, children, kept in rounds
+        if kept is not None
+        for j in kept[0]
+    ]
     assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
@@ -289,6 +308,12 @@ def test_config_validation():
         BabConfig(batch=0)
     with pytest.raises(ValueError):
         BabConfig(timeout=-1.0)
+
+
+def test_nan_timeout_rejected():
+    # every deadline comparison with NaN is False, so the run would never stop
+    with pytest.raises(ValueError):
+        BabConfig(timeout=float("nan"))
 
 
 def test_multi_row_problem_verifies():
@@ -336,16 +361,87 @@ def test_branch_pick_ties_go_to_lowest_layer_and_index():
         final_lower=np.array([-1.0]),
         objective_coeffs=[np.array([-1.0, -1.0, -1.0]), np.array([-1.0, -0.5])],
     )
-    box = BoxDomain(np.zeros(1), np.ones(1))
+    nan = np.full(3, np.nan)
 
-    def pick(splits):
-        sub = Subdomain(box, splits, ConstraintSet.empty(1), -1.0, planes=info)
-        return bab._pick_branch_neuron(sub)
+    def sub(first, second):
+        """A subdomain bounded by ``info`` with the given pins per layer."""
+        forced = [np.array(first), np.array(second)]
+        overrides = [(nan, nan), (nan[:2], nan[:2]), (nan[:1], nan[:1])]
+        return Subdomain(
+            np.zeros(1), np.ones(1), forced, overrides, ConstraintSet.empty(1), -1.0,
+            planes=info,
+        )
 
-    assert pick({}) == (0, 0)
-    assert pick({(0, 0): 1}) == (0, 1)
-    assert pick({(0, 0): 1, (0, 1): -1}) == (1, 0)
-    assert pick({(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1}) is None
-    assert bab._pick_branch_neuron(Subdomain(box, {}, ConstraintSet.empty(1), -1.0)) is None
-    crit = bab._critical_neurons(BabConfig(topk=1), info, {(0, 0): 1})
-    assert {i: idx.tolist() for i, idx in crit.items()} == {0: [1], 1: [0]}
+    subs = [
+        sub([0, 0, 0], [0, 0]),
+        sub([1, 0, 0], [0, 0]),
+        sub([1, -1, 0], [0, 0]),
+        sub([1, -1, 0], [1, -1]),
+    ]
+    scores = bab._branch_scores(subs)
+    assert bab._pick_branch_neurons(scores) == [(0, 0), (0, 1), (1, 0), None]
+    # top-1 per layer, pinned neurons left out, ties to the lower index
+    masks = bab._critical_masks(BabConfig(topk=1), [layer[1:2] for layer in scores])
+    assert [np.flatnonzero(m[0]).tolist() for m in masks] == [[1], [0]]
+
+
+def test_parents_are_scored_once_per_round(monkeypatch):
+    # Branching and complete clipping both read the parents' scores: one
+    # scoring of exactly the round's parents must serve them, never one
+    # per child.  Input mode without complete clipping scores nothing.
+    prob = random_network_problem(np.random.default_rng(21))
+    events = []
+    score, screen = bab._branch_scores, bab._screen_children
+
+    def score_spy(subs):
+        events.append(("score", [id(sub) for sub in subs]))
+        return score(subs)
+
+    def screen_spy(problem, cfg, parents, children, rng):
+        events.append(("screen", [id(sub) for sub in parents]))
+        return screen(problem, cfg, parents, children, rng)
+
+    monkeypatch.setattr(bab, "_branch_scores", score_spy)
+    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    for mode in ("input", "activation"):
+        events.clear()
+        out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=4, timeout=60.0))
+        assert out.status == "verified"
+        rounds = len(events) // 2
+        assert rounds > 2
+        assert [kind for kind, _ in events] == ["score", "screen"] * rounds
+        for k in range(rounds):
+            assert events[2 * k][1] == events[2 * k + 1][1]
+    events.clear()
+    run_bab(prob, BabConfig(mode="input", clip="none", timeout=60.0))
+    assert events and all(kind == "screen" for kind, _ in events)
+
+
+def test_child_overrides_only_tighten_the_parents(monkeypatch):
+    # Every open subdomain is pushed on the heap with its overrides; a
+    # child's must be at least as tight as its parent's wherever the
+    # parent's are set, so complete clipping's tightenings accumulate.
+    prob = random_network_problem(np.random.default_rng(15))
+    pushed = {}
+    push = bab.heappush
+
+    def spy(heap, item):
+        pushed[item[2].path] = item[2].overrides
+        push(heap, item)
+
+    monkeypatch.setattr(bab, "heappush", spy)
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
+    assert out.status == "verified"
+    assert len(pushed) > 10
+    kept_set = tightened = 0
+    for path, overrides in pushed.items():
+        if not path:
+            continue
+        for (lo, hi), (par_lo, par_hi) in zip(overrides, pushed[path[:-1]]):
+            for child, parent, sign in ((lo, par_lo, 1.0), (hi, par_hi, -1.0)):
+                set_ = ~np.isnan(parent)
+                assert not np.isnan(child[set_]).any()
+                assert np.all(sign * child[set_] >= sign * parent[set_])
+                kept_set += int(set_.sum())
+                tightened += int(np.sum(sign * child[set_] > sign * parent[set_]))
+    assert kept_set > 0 and tightened > 0

@@ -337,3 +337,23 @@ def test_batch_with_an_empty_domain_keeps_the_others():
     want = compute_bounds(model, box)
     _assert_same_result(got[0], want)
     _assert_same_result(got[2], want)
+
+
+def test_all_nan_overrides_change_nothing():
+    # branch and bound passes every layer's override stacks, NaN where a
+    # domain has none; with none at all the pass must equal one without
+    rng = np.random.default_rng(12)
+    problem = random_network_problem(rng, hidden=3)
+    model = problem.model
+    box = problem.box
+    lowers = rng.uniform(box.lower, box.center, size=(4, box.dim))
+    uppers = rng.uniform(box.center, box.upper, size=(4, box.dim))
+    nan = [(np.full((4, layer.out_dim), np.nan),) * 2 for layer in model.layers]
+    for policy in (AlphaPolicy.fixed(), AlphaPolicy.adaptive()):
+        want = bound_batch(model, lowers, uppers, policy)
+        got = bound_batch(model, lowers, uppers, policy, overrides=nan)
+        for res, ref in zip(got, want):
+            for lb, ref_lb in zip(res.layer_bounds, ref.layer_bounds):
+                np.testing.assert_array_equal(lb.lower, ref_lb.lower)
+                np.testing.assert_array_equal(lb.upper, ref_lb.upper)
+            np.testing.assert_array_equal(res.final_lower, ref.final_lower)

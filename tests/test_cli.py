@@ -85,6 +85,12 @@ def test_usage_error_exit_code(toy_files, capsys):
     capsys.readouterr()
 
 
+def test_nan_timeout_exits_three(toy_files, capsys):
+    # a NaN deadline never expires, so it must be refused up front
+    assert run(base_args(toy_files, "--timeout", "nan")) == 3
+    assert "timeout" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert run(["--model", "/nonexistent/m.json", "--property", "/nonexistent/p.json"]) == 3
     capsys.readouterr()

@@ -4,9 +4,12 @@
 children of a round together.  With the same seed it must give what the
 per-child functions give one child at a time, in search order:
 ``relaxed_clip_parallel``, ``_quick_child_bound`` and ``_try_falsify``
-(stopping at the first hit).  Networks, boxes and constraints sit on a
-quarter-step grid, so ties are exact.
+(stopping at the first hit).  The survivors' constraint stacks must be
+what stacking their own sets gives.  Networks, boxes and constraints sit on
+a quarter-step grid, so ties are exact.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +27,7 @@ from clipverify import (
     branch_input,
     compute_bounds,
     relaxed_clip_parallel,
+    stack_constraints,
 )
 
 TOL = 1e-12
@@ -80,32 +84,36 @@ def _constraints(rng, box):
 
 
 def _round(rng, problem):
-    """``(parent, child)`` pairs of one round: each parent bisected, each
-    child given its own constraints; some children are point boxes."""
-    pairs = []
+    """Parents and children of one round: each parent bisected, each child
+    given its own constraints; some children are point boxes."""
+    parents, children = [], []
     for _ in range(int(rng.integers(1, 5))):
         box = _sub_box(rng, problem.box)
         if float(box.radius.max()) == 0.0:
             continue
         planes = compute_bounds(problem.model, box)
         bound = float(planes.final_lower.min()) - float(rng.choice([0.0, 0.5]))
-        parent = Subdomain(box, {}, ConstraintSet.empty(box.dim), bound, planes=planes)
+        parent = replace(
+            Subdomain.root(problem), lower=box.lower, upper=box.upper, bound=bound, planes=planes
+        )
         lo_child, hi_child, _ = branch_input(parent)
         for child in (lo_child, hi_child):
             if rng.uniform() < 0.15:
-                point = child.box.lower.copy()
-                child.box = BoxDomain(point, point)
-            child.constraints = _constraints(rng, child.box)
-            pairs.append((parent, child))
-    return pairs
+                child.upper = child.lower.copy()
+            child.constraints = _constraints(rng, BoxDomain(child.lower, child.upper))
+            children.append(child)
+        parents.append(parent)
+    return parents, children
 
 
-def _one_at_a_time(problem, pairs, seed):
-    """The per-child screens in search order, stopping at the first hit."""
+def _one_at_a_time(problem, parents, children, seed):
+    """The per-child screens in search order, stopping at the first hit:
+    the surviving ``(index, box, bound)``, the floor and the hit."""
     rng = np.random.default_rng(seed)
     survivors, floor = [], np.inf
-    for parent, child in pairs:
-        box = relaxed_clip_parallel(child.box, child.constraints)
+    for j, child in enumerate(children):
+        parent = parents[j // 2]
+        box = relaxed_clip_parallel(BoxDomain(child.lower, child.upper), child.constraints)
         if box.is_empty:
             continue
         bound = max(parent.bound, bab._quick_child_bound(parent.planes.planes[-1], box))
@@ -115,7 +123,7 @@ def _one_at_a_time(problem, pairs, seed):
         hit = bab._try_falsify(problem, box, rng)
         if hit is not None:
             return survivors, floor, hit
-        survivors.append((box, bound))
+        survivors.append((j, box, bound))
     return survivors, floor, None
 
 
@@ -124,11 +132,11 @@ def _one_at_a_time(problem, pairs, seed):
 def test_round_screen_matches_per_child_screens(seed):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
-    pairs = _round(rng, problem)
+    parents, children = _round(rng, problem)
     cfg = BabConfig(clip="both")
     rng = np.random.default_rng(seed)
-    survivors, floor, hit = bab._screen_children(problem, cfg, pairs, rng)
-    want_survivors, want_floor, want_hit = _one_at_a_time(problem, pairs, seed)
+    survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)
+    want_survivors, want_floor, want_hit = _one_at_a_time(problem, parents, children, seed)
     if want_hit is not None:
         assert hit is not None
         assert abs(hit[0] - want_hit[0]) <= TOL
@@ -136,11 +144,21 @@ def test_round_screen_matches_per_child_screens(seed):
         return
     assert hit is None
     assert floor == want_floor
-    assert len(survivors) == len(want_survivors)
-    for got, (box, bound) in zip(survivors, want_survivors):
-        np.testing.assert_allclose(got.box.lower, box.lower, rtol=0, atol=TOL)
-        np.testing.assert_allclose(got.box.upper, box.upper, rtol=0, atol=TOL)
-        assert abs(got.bound - bound) <= TOL
+    if not want_survivors:
+        assert survivors is None
+        return
+    keep, lowers, uppers, stacks = survivors
+    assert keep.tolist() == [j for j, _, _ in want_survivors]
+    for lo, up, (j, box, bound) in zip(lowers, uppers, want_survivors):
+        np.testing.assert_allclose(lo, box.lower, rtol=0, atol=TOL)
+        np.testing.assert_allclose(up, box.upper, rtol=0, atol=TOL)
+        assert abs(children[j].bound - bound) <= TOL
+    csets = [children[j].constraints for j in keep]
+    if not any(cset.size for cset in csets):
+        assert stacks is None
+        return
+    for got, want in zip(stacks, stack_constraints(csets)):
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,78 @@
+"""Search fingerprint: pins what the branch-and-bound search does, not only
+its verdicts.
+
+For the seeded random nets ``random_network_problem(default_rng(s))``,
+s = 0..15, each of the eight ``(mode, clip)`` settings must give the
+recorded ``(status, domains_visited, max_depth)``.  A change of
+representation or a speedup leaves every entry as it is, so any difference
+means the search itself changed: which subdomain is branched, how, and what
+closes it.  A change meant to alter the search updates this table in the
+same commit and says so in CHANGES.md.
+"""
+
+import numpy as np
+import pytest
+
+from clipverify import BabConfig, run_bab
+from conftest import random_network_problem
+
+EXPECTED = {
+    ("input", "none"): [
+        ("falsified", 5, 2), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 21, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 60, 9),
+    ],
+    ("input", "relaxed"): [
+        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 13, 3), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 31, 7),
+    ],
+    ("input", "complete"): [
+        ("falsified", 5, 2), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 24, 6),
+    ],
+    ("input", "both"): [
+        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 14, 5),
+    ],
+    ("activation", "none"): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 88, 11), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 2267, 18),
+    ],
+    ("activation", "relaxed"): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 14, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 197, 12),
+    ],
+    ("activation", "complete"): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 13, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 121, 13),
+    ],
+    ("activation", "both"): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 12, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 67, 11),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode,clip", sorted(EXPECTED))
+def test_search_fingerprint(mode, clip):
+    got = []
+    for s in range(16):
+        problem = random_network_problem(np.random.default_rng(s))
+        out = run_bab(problem, BabConfig(mode=mode, clip=clip))
+        got.append((out.status, out.stats.domains_visited, out.stats.max_depth))
+    assert got == EXPECTED[(mode, clip)]
