@@ -82,23 +82,6 @@ FALSIFY_SAMPLES = 8
 POINT_RADIUS_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    """One ReLU pin: neuron (layer, index) forced to a side of zero.
-
-    Polarity +1 keeps the active side (pre-activation >= 0), -1 the
-    inactive side.
-    """
-
-    layer: int
-    neuron: int
-    polarity: int
-
-    def __post_init__(self):
-        if self.polarity not in (-1, 1):
-            raise ValueError("polarity must be +1 or -1")
-
-
 @dataclass
 class BabConfig:
     mode: str = "input"  # "input" | "activation"
@@ -117,8 +100,14 @@ class BabConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.clip not in ("none", "relaxed", "complete", "both"):
             raise ValueError(f"unknown clip setting {self.clip!r}")
+        for name in ("topk", "batch", "passes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.topk < 1 or self.batch < 1 or self.passes < 1:
             raise ValueError("topk, batch and passes must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.timeout >= 0:  # also rejects NaN, which would never expire
             raise ValueError("timeout must be nonnegative")
 
@@ -219,8 +208,6 @@ def babsr_intercept_score(lower, upper, mean_coeff) -> np.ndarray:
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if mean_coeff is None:
-        mean_coeff = np.zeros_like(lower)
     mean_coeff = np.asarray(mean_coeff, dtype=float)
     width = upper - lower
     safe = np.where(width > 0.0, width, 1.0)
@@ -239,18 +226,19 @@ def final_plane_to_constraint(planes: BoundingPlanes, row: int) -> LinearConstra
     return LinearConstraint(planes.a_low[row].copy(), float(planes.c_low[row]))
 
 
-def split_constraint_to_input(planes: BoundingPlanes, assignment: SplitAssignment) -> LinearConstraint:
-    """Sound input-space condition implied by a ReLU pin.
+def split_constraint_to_input(planes: BoundingPlanes, neuron: int, polarity: int) -> LinearConstraint:
+    """Sound input-space condition implied by pinning ``neuron`` of the
+    layer ``planes`` describe to one side of zero.
 
-    Pinning active means the pre-activation is >= 0, which its cached upper
-    plane must allow; pinning inactive likewise needs the lower plane <= 0.
-    Both are necessary conditions, so clipping with them never removes a
-    point of the pinned region.
+    Polarity +1 pins the active side: the pre-activation is >= 0, which its
+    cached upper plane must allow.  Polarity -1 pins the inactive side,
+    which likewise needs the lower plane <= 0.  Both are necessary
+    conditions, so clipping with them never removes a point of the pinned
+    region.
     """
-    j = assignment.neuron
-    if assignment.polarity > 0:
-        return LinearConstraint(-planes.a_up[j].copy(), -float(planes.c_up[j]))
-    return LinearConstraint(planes.a_low[j].copy(), float(planes.c_low[j]))
+    if polarity > 0:
+        return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
+    return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
 
 
 def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None):
@@ -295,8 +283,7 @@ def branch_activation(sub: Subdomain, pick: tuple):
         raise ValueError(f"neuron ({layer}, {neuron}) is not unstable here")
     children = []
     for side, polarity in enumerate((1, -1)):
-        assignment = SplitAssignment(layer, neuron, polarity)
-        cons = split_constraint_to_input(sub.planes.planes[layer], assignment)
+        cons = split_constraint_to_input(sub.planes.planes[layer], neuron, polarity)
         forced = list(sub.forced)
         forced[layer] = forced[layer].copy()
         forced[layer][neuron] = polarity
@@ -496,27 +483,12 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return j, float(vals[j, k]), pts[j, k].copy()
 
 
-def _try_falsify(problem: CanonicalProblem, box: BoxDomain, rng) -> tuple | None:
-    """Evaluate the center plus a few random points; certify any hit.  The
-    one-box case of :func:`_falsify_boxes`."""
-    hit = _falsify_boxes(problem, box.lower[None], box.upper[None], rng)
-    return None if hit is None else hit[1:]
-
-
 def _plane_bounds(a_low, c_low, centers, radii) -> np.ndarray:
     """Lowest of each box's lower planes over the box, for S boxes: planes
     ``(S, r, n)`` and ``(S, r)``, boxes ``(S, n)``."""
     mid = (a_low @ centers[..., None])[..., 0] + c_low
     span = (np.abs(a_low) @ radii[..., None])[..., 0]
     return (mid - span).min(axis=1)
-
-
-def _quick_child_bound(planes: BoundingPlanes, box: BoxDomain) -> float:
-    """Cheapest sound bound for a child: parent planes over the child box.
-    The one-box case of :func:`_plane_bounds`."""
-    return float(
-        _plane_bounds(planes.a_low[None], planes.c_low[None], box.center[None], box.radius[None])[0]
-    )
 
 
 def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
@@ -583,11 +555,11 @@ def _branch(cfg: BabConfig, sub: Subdomain, pick, probe: BranchProbe | None):
     that depends on the mode.  Returns the decision and the two children.
 
     Input mode bisects, or takes the cut ``probe.replay`` recorded for this
-    path.  Before that it harvests the final plane of a lone open row: with
-    several rows open their half-spaces may not be stacked (a point can
-    violate one row while clearing another).  Activation mode pins
-    ``pick``, the best-scoring unstable neuron, and bisects when there is
-    none (``pick`` None).
+    path.  Before that, when clipping is on, it harvests the final plane of
+    a lone open row: with several rows open their half-spaces may not be
+    stacked (a point can violate one row while clearing another).
+    Activation mode pins ``pick``, the best-scoring unstable neuron, and
+    bisects when there is none (``pick`` None).
     """
     if cfg.mode == "activation":
         if pick is not None:
@@ -595,7 +567,7 @@ def _branch(cfg: BabConfig, sub: Subdomain, pick, probe: BranchProbe | None):
         lo_child, hi_child, cut = branch_input(sub)
         return ("input",) + cut, (lo_child, hi_child)
     unverified = np.flatnonzero(sub.planes.final_lower < 0.0)
-    if unverified.size == 1:
+    if unverified.size == 1 and cfg.clip != "none":
         harvested = final_plane_to_constraint(sub.planes.planes[-1], int(unverified[0]))
         sub = replace(
             sub, constraints=sub.constraints.appended(harvested, budget=CONSTRAINT_BUDGET)

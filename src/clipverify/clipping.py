@@ -13,10 +13,9 @@ known to hold on the region of interest:
   constraint row covers every objective of every domain where the row is
   active, as screened once per domain by :func:`screen_rows`.  So one
   solve serves a layer's critical neurons in every domain of a bounding
-  pass.  :func:`dual_ascent` is its one-box case and
-  :func:`coordinate_ascent` its one-objective case.  The single-constraint
-  solve is equivalent to a continuous knapsack problem, exposed through
-  :func:`to_knapsack` / :func:`greedy_knapsack`.
+  pass.  :func:`coordinate_ascent` is its one-objective, one-box case.
+  The single-constraint solve is equivalent to a continuous knapsack
+  problem, exposed through :func:`to_knapsack` / :func:`greedy_knapsack`.
 
 * Relaxed clipping: shrink the box itself.  For one constraint the tightest
   axis-aligned enclosure of box-intersect-half-space has a closed form, one
@@ -116,9 +115,6 @@ class ConstraintSet:
     def row(self, k: int) -> LinearConstraint:
         return LinearConstraint(self.normals[k], self.offsets[k])
 
-    def __iter__(self):
-        return (self.row(k) for k in range(self.size))
-
     def appended(self, cons: LinearConstraint, budget: int | None = None) -> "ConstraintSet":
         """New set with ``cons`` added, keeping only the most recent ``budget``."""
         normals = np.vstack([self.normals, cons.normal[None, :]]) if self.size else cons.normal[None, :].copy()
@@ -217,25 +213,6 @@ def screen_rows(centers, radii, normals, offsets) -> tuple:
     return ~np.any(mid - span > 0.0, axis=1), mid + span > 0.0
 
 
-def active_rows(box: BoxDomain, cset: ConstraintSet) -> np.ndarray | None:
-    """Screen every row of ``cset`` against the box at once.
-
-    Returns the indices (in stored order) of the rows that cut through the
-    box, or None when some row excludes the whole box.  This is the one-box
-    case of :func:`screen_rows`: the classification depends only on the
-    box and the set, so one screen serves every objective solved against
-    them.
-    """
-    if box.is_empty:
-        raise EmptyBoxError("operation requires a nonempty box")
-    if cset.dim != box.dim:
-        raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
-    feasible, active = screen_rows(
-        box.center[None], box.radius[None], cset.normals[None], cset.offsets[None]
-    )
-    return np.flatnonzero(active[0]) if feasible[0] else None
-
-
 def _line_search(rest: np.ndarray, centers, radii, g: np.ndarray, h) -> np.ndarray:
     """Maximizer of the concave 1-D dual along one constraint's multiplier,
     for each objective row ``rest[b, r]`` of each domain b (shape (B, K, n);
@@ -307,29 +284,6 @@ def dual_ascent_batch(objs, consts, centers, radii, normals, offsets, active, pa
     return value(), beta
 
 
-def dual_ascent(objs, consts, box: BoxDomain, cset: ConstraintSet, active, passes: int = 1,
-                trace: list | None = None):
-    """Coordinate ascent on the duals of K objectives over one box: the
-    B = 1 case of :func:`dual_ascent_batch`.
-
-    ``active`` lists the rows of ``cset`` that cut through the box, as
-    returned by :func:`active_rows`; the others keep multiplier zero.
-    ``trace`` receives K-vectors.  Returns ``(bounds, beta)`` with shapes
-    (K,) and (K, m).
-    """
-    objs = np.asarray(objs, dtype=float)
-    mask = np.zeros((1, cset.size), dtype=bool)
-    mask[0, active] = True
-    steps = [] if trace is not None else None
-    bounds, beta = dual_ascent_batch(
-        objs[None], np.asarray(consts, dtype=float)[None], box.center[None], box.radius[None],
-        cset.normals[None], cset.offsets[None], mask, passes, steps,
-    )
-    if trace is not None:
-        trace.extend(step[0] for step in steps)
-    return bounds[0], beta[0]
-
-
 def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSolution:
     """Exact lower bound of ``a . x + c`` over box intersect one half-space.
 
@@ -371,9 +325,9 @@ def coordinate_ascent(a, c, box: BoxDomain, cset: ConstraintSet, passes: int = 1
     is removed from the effective objective before its line search).  Every
     update can only raise the concave dual objective, so the result is a
     monotone sequence of valid lower bounds; with one constraint and one
-    pass it reproduces :func:`tighten_lower_single`.  This is the one-row
-    case of :func:`dual_ascent`, with the dual value after every update
-    kept in ``trace``.
+    pass it reproduces :func:`tighten_lower_single`.  This is the
+    one-objective, one-box case of :func:`dual_ascent_batch`, with the dual
+    value after every update kept in ``trace``.
 
     Constraints redundant for the box keep multiplier zero.  Any constraint
     infeasible for the box on its own makes the subproblem vacuous and
@@ -382,14 +336,25 @@ def coordinate_ascent(a, c, box: BoxDomain, cset: ConstraintSet, passes: int = 1
     a = np.asarray(a, dtype=float)
     if passes < 1:
         raise ValueError("passes must be at least 1")
-    active = active_rows(box, cset)
-    if active is None:
+    if box.is_empty:
+        raise EmptyBoxError("operation requires a nonempty box")
+    if cset.dim != box.dim:
+        raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
+    centers, radii = box.center[None], box.radius[None]
+    normals, offsets = cset.normals[None], cset.offsets[None]
+    feasible, active = screen_rows(centers, radii, normals, offsets)
+    if not feasible[0]:
         return DualSolution(
             np.inf, np.full(cset.size, np.inf), DualStatus.INFEASIBLE_PRIMAL, [np.inf]
         )
     trace = []
-    bounds, beta = dual_ascent(a[None, :], [float(c)], box, cset, active, passes, trace)
-    return DualSolution(float(bounds[0]), beta[0], DualStatus.OPTIMAL, [float(t[0]) for t in trace])
+    bounds, beta = dual_ascent_batch(
+        a[None, None], np.array([[float(c)]]), centers, radii, normals, offsets, active, passes,
+        trace,
+    )
+    return DualSolution(
+        float(bounds[0, 0]), beta[0, 0], DualStatus.OPTIMAL, [float(t[0, 0]) for t in trace]
+    )
 
 
 def to_knapsack(a, c, box: BoxDomain, cons: LinearConstraint) -> KnapsackInstance:
@@ -558,7 +523,6 @@ def relaxed_clip_sequential(box: BoxDomain, cset: ConstraintSet, order: str = "g
         dists = [
             np.inf
             if np.abs(g).max(initial=0.0) <= ZERO_COEFF_TOL
-            # centroid_distance, without its per-row checks
             else abs(float(g @ center) + h) / float(np.linalg.norm(g))
             for g, h in zip(cset.normals, cset.offsets.tolist())
         ]

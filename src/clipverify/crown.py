@@ -18,7 +18,7 @@ callable may tighten the layer's bounds for the whole batch: it gets the
 layer index, the batch's planes and bounds and a mask of the domains still
 alive, and returns the tightened bounds and a mask of the domains it proved
 empty (see :func:`bound_batch`).  :func:`compute_bounds` is the one-box
-case, with a per-domain ``refine_hook``.
+case, without refinement.
 
 Unstable ReLUs use the triangle envelope: upper side is the chord through
 ``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
@@ -27,8 +27,8 @@ origin with a selectable slope ``alpha`` in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -48,12 +48,6 @@ STABLE_WIDTH_TOL = 1e-12
 
 class InfeasibleSplitError(Exception):
     """A forced activation assignment (or bound override) is unsatisfiable."""
-
-
-class NeuronStatus(Enum):
-    STABLE_ACTIVE = "stable_active"
-    STABLE_INACTIVE = "stable_inactive"
-    UNSTABLE = "unstable"
 
 
 @dataclass(frozen=True)
@@ -132,16 +126,6 @@ class BoundsResult:
     planes: list
     final_lower: np.ndarray
     objective_coeffs: list = field(default_factory=list)
-
-
-def neuron_status(lower: float, upper: float) -> NeuronStatus:
-    if upper - lower < STABLE_WIDTH_TOL:
-        return NeuronStatus.STABLE_ACTIVE if upper >= 0.0 else NeuronStatus.STABLE_INACTIVE
-    if lower >= 0.0:
-        return NeuronStatus.STABLE_ACTIVE
-    if upper <= 0.0:
-        return NeuronStatus.STABLE_INACTIVE
-    return NeuronStatus.UNSTABLE
 
 
 def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
@@ -229,7 +213,7 @@ def _workspace(layers, batch: int) -> np.ndarray:
 
 
 def _view(buf: np.ndarray, shape) -> np.ndarray:
-    return buf[: int(np.prod(shape))].reshape(shape)
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bool = False):
@@ -438,47 +422,23 @@ def bound_batch(
     return [None if isinstance(res, InfeasibleSplitError) else res for res in out]
 
 
-def _one_box_refine(hook):
-    """A per-domain ``refine_hook`` as the batched refine of a B = 1 pass;
-    the hook's InfeasibleSplitError propagates."""
-    if hook is None:
-        return None
-
-    def refine(i, planes, lower, upper, alive):
-        one = BoundingPlanes(planes.a_low[0], planes.c_low[0], planes.a_up[0], planes.c_up[0])
-        lo, hi = hook(i, one, lower[0], upper[0])
-        return (
-            np.asarray(lo, dtype=float)[None],
-            np.asarray(hi, dtype=float)[None],
-            np.zeros(1, dtype=bool),
-        )
-
-    return refine
-
-
 def compute_bounds(
     model: NetworkModel,
     box: BoxDomain,
     policy: AlphaPolicy | None = None,
     splits=None,
     overrides=None,
-    refine_hook=None,
 ) -> BoundsResult:
     """Bound every layer of ``model`` over ``box``: the one-box case of
     :func:`bound_batch`.
 
     Layers are processed front to back; each one gets fresh planes from a
     backward pass through the relaxations built so far, then concrete
-    interval bounds.  Tightenings are folded in before the layer's ReLU
-    relaxation is built, so they propagate to everything downstream:
-
-    * ``overrides[i]``, an optional ``(lower, upper)`` pair of arrays (NaN
-      entries mean "no override"), is intersected into layer i's bounds;
-    * ``refine_hook(i, planes, lower, upper) -> (lower, upper)``, when
-      given, may tighten further, and may raise
-      :class:`InfeasibleSplitError` to declare the box empty.  It sees one
-      domain's planes and bounds; it is the batched ``refine`` of
-      :func:`bound_batch` for a batch of one.
+    interval bounds.  ``overrides[i]``, an optional ``(lower, upper)`` pair
+    of arrays (NaN entries mean "no override"), is intersected into layer
+    i's bounds before the layer's ReLU relaxation is built, so it
+    propagates to everything downstream.  To tighten bounds during the
+    pass, call :func:`bound_batch` with a ``refine``.
 
     ``splits`` maps ``(layer, neuron)`` to +-1 and pins ReLUs to one side.
     Raises :class:`InfeasibleSplitError` when overrides cross (lower >
@@ -494,7 +454,7 @@ def compute_bounds(
         policy or AlphaPolicy.fixed(1.0),
         stack_splits(model, [splits]),
         stack_overrides(model, [overrides]),
-        _one_box_refine(refine_hook),
+        None,
     )
     if isinstance(res, InfeasibleSplitError):
         raise res

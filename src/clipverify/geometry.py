@@ -114,9 +114,6 @@ class LinearConstraint:
     def dim(self) -> int:
         return self.normal.size
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.normal @ np.asarray(x, dtype=float) + self.offset)
-
 
 def _check_box(box: BoxDomain, dim: int | None = None) -> None:
     if box.is_empty:
@@ -178,15 +175,3 @@ def classify_constraint(box: BoxDomain, cons: LinearConstraint) -> FeasibilitySt
         return FeasibilityStatus.REDUNDANT
     return FeasibilityStatus.ACTIVE
 
-
-def centroid_distance(box: BoxDomain, cons: LinearConstraint) -> float:
-    """Euclidean distance from the box center to the constraint hyperplane.
-
-    Used to order constraints so that planes cutting closest to the bulk of
-    the box are applied first.  Undefined for a zero normal.
-    """
-    _check_box(box, cons.dim)
-    norm = float(np.linalg.norm(cons.normal))
-    if norm <= ZERO_COEFF_TOL:
-        raise GeometryError("centroid distance undefined for zero normal")
-    return abs(float(cons.normal @ box.center) + cons.offset) / norm

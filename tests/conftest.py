@@ -9,6 +9,7 @@ from clipverify import (
     CanonicalProblem,
     LinearConstraint,
     NetworkModel,
+    bab,
 )
 
 
@@ -56,14 +57,6 @@ def random_box(rng, n, rad_lo=0.05, rad_hi=2.0):
     return BoxDomain(center - radius, center + radius)
 
 
-def random_objective(rng, n):
-    return rng.normal(size=n), float(rng.normal())
-
-
-def random_halfspace(rng, n):
-    return LinearConstraint(rng.normal(size=n), float(rng.normal()))
-
-
 def random_network_problem(rng, dim_max=3, width_max=6, hidden=2, rows=1):
     """Small random ReLU net whose worst output hovers near zero.
 
@@ -86,3 +79,11 @@ def random_network_problem(rng, dim_max=3, width_max=6, hidden=2, rows=1):
         last.weights, last.bias - at_center + rng.normal(size=rows) * 0.4
     )
     return CanonicalProblem(NetworkModel(layers), box, rows)
+
+
+def quick_child_bound(planes, box: BoxDomain) -> float:
+    """One-box reference of the round screen's plane bound: the lowest of a
+    parent's final lower planes over a child's box."""
+    return float(
+        bab._plane_bounds(planes.a_low[None], planes.c_low[None], box.center[None], box.radius[None])[0]
+    )

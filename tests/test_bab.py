@@ -12,7 +12,6 @@ from clipverify import (
     CanonicalProblem,
     ConstraintSet,
     NetworkModel,
-    SplitAssignment,
     Subdomain,
     babsr_intercept_score,
     branch_activation,
@@ -24,7 +23,7 @@ from clipverify import (
     split_constraint_to_input,
 )
 
-from conftest import random_network_problem, toy_problem
+from conftest import quick_child_bound, random_network_problem, toy_problem
 
 
 def shifted_toy(delta: float) -> CanonicalProblem:
@@ -49,11 +48,6 @@ def test_intercept_score_values():
     assert score[2] == 0.0
 
 
-def test_split_assignment_validation():
-    with pytest.raises(ValueError):
-        SplitAssignment(0, 0, 2)
-
-
 def test_split_constraints_are_necessary_conditions(problem):
     res = compute_bounds(problem.model, problem.box)
     planes = res.planes[0]
@@ -62,7 +56,7 @@ def test_split_constraints_are_necessary_conditions(problem):
     pre = pts @ problem.model.layers[0].weights.T + problem.model.layers[0].bias
     for j in range(2):
         for pol in (1, -1):
-            cons = split_constraint_to_input(planes, SplitAssignment(0, j, pol))
+            cons = split_constraint_to_input(planes, j, pol)
             on_side = pre[:, j] >= 0.0 if pol > 0 else pre[:, j] <= 0.0
             # every point on the pinned side satisfies the derived half-space
             vals = pts[on_side] @ cons.normal + cons.offset
@@ -273,17 +267,21 @@ def test_bounded_children_passed_every_screen(monkeypatch):
             for j, lo, up in zip(keep, lowers, uppers):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
-                assert bab._quick_child_bound(parents[j // 2].planes.planes[-1], box) < 0.0
+                assert quick_child_bound(parents[j // 2].planes.planes[-1], box) < 0.0
 
 
-def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
-    # f(x) = delta + |x| - 0.5 |x| on a box straddling 0: true minimum delta,
-    # but the cancelling ReLU pairs make the relaxation loose, so input
-    # bisection has to go about 20 levels deep before the bound clears 0.
+def _cancelling_problem() -> CanonicalProblem:
+    """f(x) = delta + |x| - 0.5 |x| on a box straddling 0: true minimum
+    delta, but the cancelling ReLU pairs make the relaxation loose, so input
+    bisection has to go about 20 levels deep before the bound clears 0."""
     w1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     w2 = np.array([[1.0, 1.0, -0.5, -0.5]])
     model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
-    prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
+    return CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
+
+
+def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
+    prob = _cancelling_problem()
     rounds = []
     _spy_screens(monkeypatch, rounds)
     out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
@@ -299,6 +297,18 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
+def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
+    # with clip="none" nothing reads constraints, so input mode must not
+    # build any; the same net harvests planes with clipping on (above)
+    rounds = []
+    _spy_screens(monkeypatch, rounds)
+    out = run_bab(_cancelling_problem(), BabConfig(mode="input", clip="none", timeout=30.0))
+    assert out.status == "verified"
+    bounded = [children[j] for _, children, kept in rounds if kept is not None for j in kept[0]]
+    assert bounded
+    assert all(child.constraints.size == 0 for child in bounded)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BabConfig(mode="sideways")
@@ -308,6 +318,15 @@ def test_config_validation():
         BabConfig(batch=0)
     with pytest.raises(ValueError):
         BabConfig(timeout=-1.0)
+
+
+def test_config_rejects_non_integer_counts_and_negative_seed():
+    # each of these used to be accepted and then fail mid-search
+    for field in ({"topk": 2.5}, {"batch": 2.0}, {"passes": 1.5}, {"seed": -1}, {"seed": 0.5}):
+        with pytest.raises(ValueError):
+            BabConfig(**field)
+    # numpy integers are integers
+    BabConfig(topk=np.int64(3), batch=np.int32(2), passes=np.int64(1), seed=np.uint8(5))
 
 
 def test_nan_timeout_rejected():

@@ -3,10 +3,12 @@
 * The row-wise ReLU relaxation against the per-neuron loop it replaced
   (kept below as the reference): equal bit for bit, and the same
   InfeasibleSplitError message for the first bad neuron.
-* ``bound_batch`` over B boxes against ``compute_bounds`` on each box:
-  equal within 1e-12, None exactly where the single-box call raises.  The
-  batched refine runs the per-domain refine hooks (``refine_from_hooks``).
+* ``bound_batch`` over B boxes against ``bound_batch`` on each box alone:
+  equal within 1e-12, None in the same places.  The batched refine runs
+  the per-domain refine hooks (``refine_from_hooks``).
 """
+
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -18,20 +20,34 @@ from clipverify import (
     BoundingPlanes,
     BoxDomain,
     InfeasibleSplitError,
-    NeuronStatus,
     ReluRelaxation,
     bound_batch,
     compute_bounds,
-    neuron_status,
     relax_relu,
-    stack_overrides,
-    stack_splits,
 )
-from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows
+from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows, stack_overrides, stack_splits
 
 from conftest import random_network_problem
 
 BATCH_TOL = 1e-12
+
+
+class NeuronStatus(Enum):
+    STABLE_ACTIVE = "stable_active"
+    STABLE_INACTIVE = "stable_inactive"
+    UNSTABLE = "unstable"
+
+
+def neuron_status(lower: float, upper: float) -> NeuronStatus:
+    """The reference's status rule: an interval narrower than
+    STABLE_WIDTH_TOL collapses to the sign of its upper end."""
+    if upper - lower < STABLE_WIDTH_TOL:
+        return NeuronStatus.STABLE_ACTIVE if upper >= 0.0 else NeuronStatus.STABLE_INACTIVE
+    if lower >= 0.0:
+        return NeuronStatus.STABLE_ACTIVE
+    if upper <= 0.0:
+        return NeuronStatus.STABLE_INACTIVE
+    return NeuronStatus.UNSTABLE
 
 
 def relax_relu_loop(lower, upper, policy, forced=None) -> ReluRelaxation:
@@ -303,9 +319,16 @@ def test_batched_pass_matches_one_box_at_a_time(seed, batch, policy):
     assert [i for i, _, _ in calls] == list(range(len(calls)))
     _assert_dead_stay_dead(calls, got)
     for res, (box, splits, overrides, make_hook) in zip(got, domains):
-        try:
-            want = compute_bounds(model, box, policy, splits, overrides, make_hook())
-        except InfeasibleSplitError:
+        (want,) = bound_batch(
+            model,
+            box.lower[None],
+            box.upper[None],
+            policy,
+            stack_splits(model, [splits]),
+            stack_overrides(model, [overrides]),
+            refine_from_hooks([make_hook()], []),
+        )
+        if want is None:
             assert res is None
             continue
         assert res is not None

@@ -9,10 +9,7 @@ from clipverify import (
     BoxDomain,
     ConstraintSet,
     DualStatus,
-    active_rows,
-    centroid_distance,
     coordinate_ascent,
-    dual_ascent,
     dual_ascent_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
@@ -36,6 +33,11 @@ def boxes(draw, n):
     radius = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
                                     min_size=n, max_size=n)))
     return BoxDomain(center - radius, center + radius)
+
+
+def _screen_one(box, cset):
+    """:func:`screen_rows` for one box and its own, unpadded set."""
+    return screen_rows(box.center[None], box.radius[None], cset.normals[None], cset.offsets[None])
 
 
 def _box_extremes(box, g):
@@ -92,23 +94,25 @@ def dual_cases(draw):
 @given(dual_cases())
 def test_batched_ascent_matches_per_row_ascent(case):
     objs, consts, box, cset, passes = case
-    active = active_rows(box, cset)
+    feasible, active = _screen_one(box, cset)
     sols = [coordinate_ascent(a, c, box, cset, passes) for a, c in zip(objs, consts)]
-    if active is None:
+    if not feasible[0]:
         assert all(sol.status is DualStatus.INFEASIBLE_PRIMAL for sol in sols)
         return
     trace = []
-    bounds, beta = dual_ascent(objs, consts, box, cset, active, passes, trace)
-    assert bounds.shape == (objs.shape[0],) and beta.shape == (objs.shape[0], cset.size)
+    bounds, beta = dual_ascent_batch(
+        objs[None], consts[None], box.center[None], box.radius[None], cset.normals[None],
+        cset.offsets[None], active, passes, trace,
+    )
+    assert bounds.shape == (1, objs.shape[0]) and beta.shape == (1, objs.shape[0], cset.size)
     np.testing.assert_array_equal(trace[-1], bounds)
     for r, sol in enumerate(sols):
         assert sol.status is DualStatus.OPTIMAL
-        assert abs(bounds[r] - sol.bound) <= 1e-12
-        np.testing.assert_allclose(beta[r], sol.beta, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose([t[r] for t in trace], sol.trace, rtol=0.0, atol=1e-12)
+        assert abs(bounds[0, r] - sol.bound) <= 1e-12
+        np.testing.assert_allclose(beta[0, r], sol.beta, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([t[0, r] for t in trace], sol.trace, rtol=0.0, atol=1e-12)
         # redundant rows keep multiplier zero
-        idle = np.setdiff1d(np.arange(cset.size), active)
-        assert np.all(beta[r, idle] == 0.0)
+        assert np.all(beta[0, r, ~active[0]] == 0.0)
 
 
 @st.composite
@@ -138,11 +142,11 @@ def test_batched_ascent_matches_per_domain_ascent(case):
     radii = np.array([box.radius for box, _, _, _ in domains])
     feasible, active = screen_rows(centers, radii, normals, offsets)
     for b, (box, cset, _, _) in enumerate(domains):
-        rows = active_rows(box, cset)
-        assert feasible[b] == (rows is not None)
+        one_feasible, one_active = _screen_one(box, cset)
+        assert feasible[b] == one_feasible[0]
         assert not active[b, cset.size :].any()  # padding
-        if rows is not None:
-            np.testing.assert_array_equal(np.flatnonzero(active[b]), rows)
+        if one_feasible[0]:
+            np.testing.assert_array_equal(active[b, : cset.size], one_active[0])
     ok = np.flatnonzero(feasible)
     if ok.size == 0:
         return
@@ -152,9 +156,12 @@ def test_batched_ascent_matches_per_domain_ascent(case):
                                      offsets[ok], active[ok], passes)
     for j, b in enumerate(ok):
         box, cset, a, c = domains[b]
-        want, want_beta = dual_ascent(a, c, box, cset, active_rows(box, cset), passes)
-        np.testing.assert_allclose(bounds[j], want, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(beta[j, :, : cset.size], want_beta, rtol=0.0, atol=1e-12)
+        want, want_beta = dual_ascent_batch(
+            a[None], c[None], box.center[None], box.radius[None], cset.normals[None],
+            cset.offsets[None], _screen_one(box, cset)[1], passes,
+        )
+        np.testing.assert_allclose(bounds[j], want[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(beta[j, :, : cset.size], want_beta[0], rtol=0.0, atol=1e-12)
         assert np.all(beta[j, :, cset.size :] == 0.0)
 
 
@@ -197,9 +204,14 @@ def test_active_rows_flags_infeasible_and_skips_redundant():
     cset = ConstraintSet(
         np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]), np.array([-10.0, 0.0, -1.0])
     )
-    np.testing.assert_array_equal(active_rows(box, cset), [1])
     infeasible = ConstraintSet(np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert active_rows(box, infeasible) is None
+    normals, offsets = stack_constraints([cset, infeasible])
+    feasible, active = screen_rows(
+        np.stack([box.center] * 2), np.stack([box.radius] * 2), normals, offsets
+    )
+    np.testing.assert_array_equal(feasible, [True, False])
+    # only the row cutting through the box is active
+    np.testing.assert_array_equal(active[0], [False, True, False])
 
 
 def _sequential_reference(box, cset, order):
@@ -207,9 +219,13 @@ def _sequential_reference(box, cset, order):
     replaces, with rows ordered as it orders them."""
     indices = range(cset.size)
     if order == "centroid":
+        rows = [cset.row(k) for k in range(cset.size)]
+        # distance from the box center to each row's plane
         dists = [
-            np.inf if np.abs(row.normal).max() <= ZERO_COEFF_TOL else centroid_distance(box, row)
-            for row in cset
+            np.inf
+            if np.abs(row.normal).max() <= ZERO_COEFF_TOL
+            else abs(float(row.normal @ box.center) + row.offset) / float(np.linalg.norm(row.normal))
+            for row in rows
         ]
         indices = np.argsort(dists, kind="stable")
     current = box.copy()

@@ -91,6 +91,12 @@ def test_nan_timeout_exits_three(toy_files, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_three(toy_files, capsys):
+    # the sampler refuses negative seeds; exit 1 would read as "falsified"
+    assert run(base_args(toy_files, "--seed", "-1")) == 3
+    assert "seed" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert run(["--model", "/nonexistent/m.json", "--property", "/nonexistent/p.json"]) == 3
     capsys.readouterr()

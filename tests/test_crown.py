@@ -7,14 +7,14 @@ from clipverify import (
     BoxDomain,
     InfeasibleSplitError,
     NetworkModel,
-    NeuronStatus,
+    bound_batch,
     compute_bounds,
     concretize,
-    neuron_status,
     relax_relu,
 )
 
 from conftest import random_box
+from test_batched_bounds import NeuronStatus, neuron_status
 
 
 def test_neuron_status_three_ways():
@@ -195,22 +195,22 @@ def test_override_crossing_raises(model, box):
 def test_refine_hook_sees_every_layer(model, box):
     seen = []
 
-    def hook(i, planes, lower, upper):
+    def refine(i, planes, lower, upper, alive):
         seen.append(i)
-        return lower, upper
+        return lower, upper, np.zeros(alive.shape, dtype=bool)
 
-    compute_bounds(model, box, refine_hook=hook)
+    bound_batch(model, box.lower[None], box.upper[None], refine=refine)
     assert seen == [0, 1]
 
 
 def test_refine_hook_tightening_feeds_forward(model, box):
     # clamping layer 0 exactly like the golden overrides must verify
-    def hook(i, planes, lower, upper):
+    def refine(i, planes, lower, upper, alive):
         if i == 0:
-            return lower, np.minimum(upper, np.array([0.0, -3.0]))
-        return lower, upper
+            upper = np.minimum(upper, np.array([0.0, -3.0]))
+        return lower, upper, np.zeros(alive.shape, dtype=bool)
 
-    res = compute_bounds(model, box, refine_hook=hook)
+    (res,) = bound_batch(model, box.lower[None], box.upper[None], refine=refine)
     assert res.final_lower[0] >= -1e-12
 
 

@@ -6,12 +6,11 @@ from clipverify import (
     EmptyBoxError,
     FeasibilityStatus,
     LinearConstraint,
-    centroid_distance,
     classify_constraint,
     concretize,
 )
 
-from conftest import random_box, random_halfspace
+from conftest import random_box
 
 
 def test_box_basic_properties():
@@ -102,22 +101,3 @@ def test_classify_boundary_is_redundant():
     cons = LinearConstraint(np.array([1.0]), -1.0)
     assert classify_constraint(box, cons) is FeasibilityStatus.REDUNDANT
 
-
-def test_centroid_distance_plain():
-    box = BoxDomain(np.zeros(2), np.ones(2) * 2.0)  # center (1, 1)
-    cons = LinearConstraint(np.array([3.0, 4.0]), 0.0)
-    assert abs(centroid_distance(box, cons) - 7.0 / 5.0) < 1e-12
-
-
-def test_centroid_distance_zero_normal_raises():
-    box = BoxDomain(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        centroid_distance(box, LinearConstraint(np.zeros(2), 1.0))
-
-
-def test_constraint_value():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        cons = random_halfspace(rng, 4)
-        x = rng.normal(size=4)
-        assert abs(cons.value(x) - (cons.normal @ x + cons.offset)) < 1e-12

@@ -2,8 +2,8 @@
 
 ``bab._screen_children`` relaxed-clips, plane-screens and falsifies all
 children of a round together.  With the same seed it must give what the
-per-child functions give one child at a time, in search order:
-``relaxed_clip_parallel``, ``_quick_child_bound`` and ``_try_falsify``
+per-child references give one child at a time, in search order:
+``relaxed_clip_parallel``, ``quick_child_bound`` and ``try_falsify``
 (stopping at the first hit).  The survivors' constraint stacks must be
 what stacking their own sets gives.  Networks, boxes and constraints sit on
 a quarter-step grid, so ties are exact.
@@ -30,7 +30,16 @@ from clipverify import (
     stack_constraints,
 )
 
+from conftest import quick_child_bound
+
 TOL = 1e-12
+
+
+def try_falsify(problem, box, rng):
+    """One-box reference of the round screen's falsification: the box's
+    center plus a few random points; ``(value, point)`` of a hit, or None."""
+    hit = bab._falsify_boxes(problem, box.lower[None], box.upper[None], rng)
+    return None if hit is None else hit[1:]
 
 
 def _grid(rng, size, lo=-8, hi=8):
@@ -116,11 +125,11 @@ def _one_at_a_time(problem, parents, children, seed):
         box = relaxed_clip_parallel(BoxDomain(child.lower, child.upper), child.constraints)
         if box.is_empty:
             continue
-        bound = max(parent.bound, bab._quick_child_bound(parent.planes.planes[-1], box))
+        bound = max(parent.bound, quick_child_bound(parent.planes.planes[-1], box))
         if bound >= 0.0:
             floor = min(floor, bound)
             continue
-        hit = bab._try_falsify(problem, box, rng)
+        hit = try_falsify(problem, box, rng)
         if hit is not None:
             return survivors, floor, hit
         survivors.append((j, box, bound))
@@ -184,4 +193,4 @@ def test_box_with_a_negative_zero_corner_is_sampled():
     box = BoxDomain(np.array([0.0, -0.25]), np.array([-0.0, 0.4]))
     model = NetworkModel([AffineLayer(np.array([[1.0, 1.0]]), np.array([1.0]))])
     problem = CanonicalProblem(model, box, 1)
-    assert bab._try_falsify(problem, box, np.random.default_rng(0)) is None
+    assert try_falsify(problem, box, np.random.default_rng(0)) is None
