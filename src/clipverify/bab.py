@@ -52,14 +52,16 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .clipping import (  # noqa: F401  (coordinate_ascent, relaxed_clip_parallel: tracer patches)
+# coordinate_ascent, relaxed_clip_parallel and relaxed_clip_sequential are
+# tracer patch points
+from .clipping import (  # noqa: F401
     ConstraintSet,
     coordinate_ascent,
     dual_ascent_batch,
     relaxed_clip_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
-    screen_rows,
+    relaxed_clip_sequential_batch,
     stack_constraints,
 )
 from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
@@ -69,7 +71,7 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     bound_batch,
     compute_bounds,
 )
-from .geometry import BoxDomain, LinearConstraint
+from .geometry import LinearConstraint, box_range, screen_rows
 from .network import CanonicalProblem
 
 # Input-space constraints kept per subdomain, split constraints in activation
@@ -269,9 +271,9 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
 def branch_activation(sub: Subdomain, pick: tuple):
     """Split a subdomain on one unstable neuron; returns (active, inactive).
 
-    Each child pins the neuron to one side in ``forced`` and appends the
-    implied input half-space (from the subdomain's cached planes) to its
-    constraint set under the recency budget.
+    Each child pins the neuron to one side in ``forced``.  The input
+    half-space a pin implies (:func:`split_constraint_to_input`) is added
+    by the search, and only when clipping reads it.
     """
     layer, neuron = pick
     if sub.forced[layer][neuron] != 0:
@@ -283,18 +285,11 @@ def branch_activation(sub: Subdomain, pick: tuple):
         raise ValueError(f"neuron ({layer}, {neuron}) is not unstable here")
     children = []
     for side, polarity in enumerate((1, -1)):
-        cons = split_constraint_to_input(sub.planes.planes[layer], neuron, polarity)
         forced = list(sub.forced)
         forced[layer] = forced[layer].copy()
         forced[layer][neuron] = polarity
         children.append(
-            replace(
-                sub,
-                forced=forced,
-                constraints=sub.constraints.appended(cons, budget=CONSTRAINT_BUDGET),
-                depth=sub.depth + 1,
-                path=sub.path + (side,),
-            )
+            replace(sub, forced=forced, depth=sub.depth + 1, path=sub.path + (side,))
         )
     return children[0], children[1]
 
@@ -423,27 +418,6 @@ def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, fo
     return refine
 
 
-def _clip_boxes(cfg: BabConfig, children, lowers, uppers, normals, offsets):
-    """Relaxed clipping of each child's box, given as the rows of the
-    ``(S, n)`` corners, against its constraints (stacked as ``normals`` /
-    ``offsets``).
-
-    Returns the clipped corners and a mask of the children whose box is
-    nonempty.  The parallel clip runs for all children at once.
-    """
-    if not cfg.sequential_clip:
-        lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, normals, offsets)
-        return lowers, uppers, ~empty
-    order = "centroid" if cfg.reorder else "given"
-    nonempty = np.ones(len(children), dtype=bool)
-    for j, child in enumerate(children):
-        box = relaxed_clip_sequential(BoxDomain(lowers[j], uppers[j]), child.constraints, order)
-        nonempty[j] = not box.is_empty
-        if nonempty[j]:
-            lowers[j], uppers[j] = box.lower, box.upper
-    return lowers, uppers, nonempty
-
-
 def _sample_points(lowers, uppers, rng):
     """Each box's center followed by ``FALSIFY_SAMPLES`` uniform points,
     ``(S, 1 + FALSIFY_SAMPLES, n)``, and a mask of the boxes that drew them.
@@ -483,14 +457,6 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return j, float(vals[j, k]), pts[j, k].copy()
 
 
-def _plane_bounds(a_low, c_low, centers, radii) -> np.ndarray:
-    """Lowest of each box's lower planes over the box, for S boxes: planes
-    ``(S, r, n)`` and ``(S, r)``, boxes ``(S, n)``."""
-    mid = (a_low @ centers[..., None])[..., 0] + c_low
-    span = (np.abs(a_low) @ radii[..., None])[..., 0]
-    return (mid - span).min(axis=1)
-
-
 def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
     """Screen a round's children all at once.  ``children[2 p]`` and
     ``children[2 p + 1]`` are the children of ``parents[p]``, and
@@ -520,14 +486,21 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
     if cfg.clip != "none" and sizes.any():
         normals, offsets = stack_constraints([child.constraints for child in children])
         if cfg.clip in ("relaxed", "both"):
-            lowers, uppers, nonempty = _clip_boxes(cfg, children, lowers, uppers, normals, offsets)
+            if not cfg.sequential_clip:
+                lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, normals, offsets)
+            else:
+                lowers, uppers, empty = relaxed_clip_sequential_batch(
+                    lowers, uppers, normals, offsets, "centroid" if cfg.reorder else "given"
+                )
+            nonempty = ~empty
     final = [parent.planes.planes[-1] for parent in parents]
-    quick = _plane_bounds(
+    mid, span = box_range(
         np.array([planes.a_low for planes in final]).repeat(2, axis=0),
         np.array([planes.c_low for planes in final]).repeat(2, axis=0),
         0.5 * (lowers + uppers),
         0.5 * (uppers - lowers),
     )
+    quick = (mid - span).min(axis=1)
     bounds = np.maximum(np.repeat([parent.bound for parent in parents], 2), quick)
     floor = float(bounds[nonempty & (bounds >= 0.0)].min(initial=np.inf))
     keep = np.flatnonzero(nonempty & (bounds < 0.0))
@@ -559,13 +532,21 @@ def _branch(cfg: BabConfig, sub: Subdomain, pick, probe: BranchProbe | None):
     a lone open row: with several rows open their half-spaces may not be
     stacked (a point can violate one row while clearing another).
     Activation mode pins ``pick``, the best-scoring unstable neuron, and
-    bisects when there is none (``pick`` None).
+    bisects when there is none (``pick`` None).  When clipping is on, each
+    pinned child also gets the input half-space its pin implies.  Only
+    clipping reads constraints, so with it off none are built.
     """
     if cfg.mode == "activation":
-        if pick is not None:
-            return pick, branch_activation(sub, pick)
-        lo_child, hi_child, cut = branch_input(sub)
-        return ("input",) + cut, (lo_child, hi_child)
+        if pick is None:
+            lo_child, hi_child, cut = branch_input(sub)
+            return ("input",) + cut, (lo_child, hi_child)
+        children = branch_activation(sub, pick)
+        if cfg.clip != "none":
+            layer, neuron = pick
+            for child, polarity in zip(children, (1, -1)):
+                cons = split_constraint_to_input(sub.planes.planes[layer], neuron, polarity)
+                child.constraints = child.constraints.appended(cons, budget=CONSTRAINT_BUDGET)
+        return pick, children
     unverified = np.flatnonzero(sub.planes.final_lower < 0.0)
     if unverified.size == 1 and cfg.clip != "none":
         harvested = final_plane_to_constraint(sub.planes.planes[-1], int(unverified[0]))

@@ -3,8 +3,8 @@
 Loads a model and a property from JSON, runs branch and bound with the
 requested clipping configuration, prints a machine-readable report to
 stdout and exits 0 (verified), 1 (falsified), 2 (unknown), 3 (usage or
-input errors) or 4 (disagreement with the exhaustive oracle when
---oracle-check is given).
+input errors, or an --output file that cannot be written) or 4
+(disagreement with the exhaustive oracle when --oracle-check is given).
 """
 
 from __future__ import annotations
@@ -167,7 +167,11 @@ def run(argv=None) -> int:
 
     outcome = run_bab(problem, cfg)
     report = build_report(outcome, args, outcome.stats.wall_time)
-    emit_report(report, args.output)
+    try:
+        emit_report(report, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     code = {"verified": 0, "falsified": 1, "unknown": 2}[outcome.status]
     if args.oracle_check:

@@ -19,11 +19,18 @@ known to hold on the region of interest:
 
 * Relaxed clipping: shrink the box itself.  For one constraint the tightest
   axis-aligned enclosure of box-intersect-half-space has a closed form, one
-  independent clip per coordinate.  Multiple constraints are applied either
-  in parallel against the original box (:func:`relaxed_clip_batch`: one
-  array expression over the constraints and coordinates of D domains;
-  :func:`relaxed_clip_parallel` is its one-box case) or sequentially with
-  recomputed centers (order-dependent, usually tighter).
+  independent clip per coordinate.  :func:`relaxed_clip_batch` is the one
+  clip step: every constraint of D domains against its domain's box, in
+  one array expression over constraints and coordinates.  Applied once to
+  all rows it clips in parallel against the original box
+  (:func:`relaxed_clip_parallel` is its one-box case); applied once per
+  row, each step against the box the previous ones left, it clips
+  sequentially with recomputed centers (:func:`relaxed_clip_sequential_batch`,
+  order-dependent and usually tighter; :func:`relaxed_clip_sequential` is
+  its one-box case).
+
+Every bound of an affine function over a box here (dual values, the
+feasibility screen of the constraints) is :func:`geometry.box_range`.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from .geometry import (
     FeasibilityStatus,
     GeometryError,
     LinearConstraint,
+    box_range,
     classify_constraint,
+    screen_rows,
 )
 
 
@@ -153,13 +162,10 @@ def _dual_rows(objs, consts, centers, radii, normals, offsets, beta) -> np.ndarr
     ``normals`` (B, M, n), ``offsets`` (B, M) and ``beta`` (B, K, M);
     returns (B, K).
     """
-    shifted = objs + beta @ normals
-    return (
-        (shifted @ centers[..., None])[..., 0]
-        - (np.abs(shifted) @ radii[..., None])[..., 0]
-        + consts
-        + (beta @ offsets[..., None])[..., 0]
+    mid, span = box_range(
+        objs + beta @ normals, consts + (beta @ offsets[..., None])[..., 0], centers, radii
     )
+    return mid - span
 
 
 def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
@@ -196,21 +202,6 @@ def stack_constraints(csets) -> tuple:
         normals[b, : cset.size] = cset.normals
         offsets[b, : cset.size] = cset.offsets
     return normals, offsets
-
-
-def screen_rows(centers, radii, normals, offsets) -> tuple:
-    """Screen every constraint row of B domains against its domain's box.
-
-    With boxes given by ``centers`` / ``radii`` (B, n) and constraints by
-    ``normals`` (B, M, n) / ``offsets`` (B, M), returns ``(feasible,
-    active)``: a (B,) mask of the domains no row excludes entirely, and a
-    (B, M) mask of the rows not redundant for their box.  In a feasible
-    domain, those are the rows that cut through the box (ACTIVE for
-    :func:`classify_constraint`).
-    """
-    mid = (normals @ centers[..., None])[..., 0] + offsets
-    span = (np.abs(normals) @ radii[..., None])[..., 0]
-    return ~np.any(mid - span > 0.0, axis=1), mid + span > 0.0
 
 
 def _line_search(rest: np.ndarray, centers, radii, g: np.ndarray, h) -> np.ndarray:
@@ -475,76 +466,75 @@ def relaxed_clip_batch(lowers, uppers, normals, offsets) -> tuple:
     clip = (-rest - offsets[..., None]) / np.where(usable, g, 1.0)
     caps = np.where(usable & (g > 0.0), clip, np.inf)
     floors = np.where(usable & (g < 0.0), clip, -np.inf)
-    upper = np.minimum(uppers, caps.min(axis=1, initial=np.inf))
-    lower = np.maximum(lowers, floors.max(axis=1, initial=-np.inf))
+    # a corner moves only where a clip is strictly tighter, so on a tie it
+    # keeps its own bits (the sign of a zero included)
+    cap = caps.min(axis=1, initial=np.inf)
+    floor = floors.max(axis=1, initial=-np.inf)
+    upper = np.where(cap < uppers, cap, uppers)
+    lower = np.where(floor > lowers, floor, lowers)
     return lower, upper, ~feasible | np.any(lower > upper, axis=1)
 
 
-def relaxed_clip_parallel(box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
-    """Apply every constraint's closed-form clip against the original box:
-    the one-box case of :func:`relaxed_clip_batch`.
+def relaxed_clip_sequential_batch(lowers, uppers, normals, offsets, order: str) -> tuple:
+    """Each domain's constraints applied one at a time, re-centering after
+    each clip, for D domains at once; arguments and results as for
+    :func:`relaxed_clip_batch`.
 
-    An empty result is returned as the canonical empty box.
+    Step k is one :func:`relaxed_clip_batch` call on each domain's k-th row
+    in ``order``, against the box the earlier steps left.  ``order="given"``
+    keeps the stored order; ``order="centroid"`` sorts each domain's rows by
+    ascending distance between its initial box center and the row's plane,
+    rows with an all-zero normal (padding among them) last.  Padding rows
+    never clip.  For each domain the result equals the chain of
+    :func:`relaxed_clip_single` calls in that order.  ``order`` is not
+    checked here (see :func:`relaxed_clip_sequential`).
     """
+    if order == "centroid":
+        mid, _ = box_range(normals, offsets, 0.5 * (lowers + uppers), 0.5 * (uppers - lowers))
+        flat = np.abs(normals).max(axis=2, initial=0.0) <= ZERO_COEFF_TOL
+        norms = np.where(flat, 1.0, np.linalg.norm(normals, axis=2))
+        rank = np.argsort(np.where(flat, np.inf, np.abs(mid) / norms), axis=1, kind="stable")
+        normals = np.take_along_axis(normals, rank[..., None], axis=1)
+        offsets = np.take_along_axis(offsets, rank, axis=1)
+    empty = np.zeros(lowers.shape[0], dtype=bool)
+    for k in range(normals.shape[1]):
+        lowers, uppers, hit = relaxed_clip_batch(
+            lowers, uppers, normals[:, k : k + 1], offsets[:, k : k + 1]
+        )
+        empty |= hit
+    return lowers, uppers, empty
+
+
+def _clip_one(batch_clip, box: BoxDomain, cset: ConstraintSet, *args) -> BoxDomain:
+    """One box through a batched relaxed clip; an empty result is returned
+    as the canonical empty box."""
     if box.is_empty or cset.size == 0:
         return box.copy()
     if cset.dim != box.dim:
         raise GeometryError(f"dimension mismatch: box has {box.dim}, constraints {cset.dim}")
-    lower, upper, empty = relaxed_clip_batch(
-        box.lower[None], box.upper[None], cset.normals[None], cset.offsets[None]
+    lower, upper, empty = batch_clip(
+        box.lower[None], box.upper[None], cset.normals[None], cset.offsets[None], *args
     )
     if empty[0]:
         return BoxDomain.empty(box.dim)
     return BoxDomain(lower[0], upper[0])
 
 
+def relaxed_clip_parallel(box: BoxDomain, cset: ConstraintSet) -> BoxDomain:
+    """Apply every constraint's closed-form clip against the original box:
+    the one-box case of :func:`relaxed_clip_batch`.  An empty result is
+    returned as the canonical empty box."""
+    return _clip_one(relaxed_clip_batch, box, cset)
+
+
 def relaxed_clip_sequential(box: BoxDomain, cset: ConstraintSet, order: str = "given") -> BoxDomain:
-    """Apply the constraints one at a time, re-centering after each clip.
+    """Apply the constraints one at a time, re-centering after each clip:
+    the one-box case of :func:`relaxed_clip_sequential_batch`.
 
     Later constraints see the already-shrunk box, so the result depends on
     the processing order and is never looser than the parallel variant on
-    the same set.  ``order="given"`` keeps the stored order;
-    ``order="centroid"`` sorts by ascending distance between the initial box
-    center and each constraint plane (zero-normal rows go last).
-
-    The result equals the chain of :func:`relaxed_clip_single` calls in
-    that order, bit for bit, computed on the corner arrays without building
-    a box or a constraint per row.
+    the same set.  An empty result is returned as the canonical empty box.
     """
     if order not in ("given", "centroid"):
         raise GeometryError(f"unknown order {order!r}")
-    if box.is_empty or cset.size == 0:
-        return box.copy()
-    if cset.dim != box.dim:
-        raise GeometryError("constraint dimension does not match box")
-    indices = range(cset.size)
-    if order == "centroid":
-        center = box.center
-        dists = [
-            np.inf
-            if np.abs(g).max(initial=0.0) <= ZERO_COEFF_TOL
-            else abs(float(g @ center) + h) / float(np.linalg.norm(g))
-            for g, h in zip(cset.normals, cset.offsets.tolist())
-        ]
-        indices = np.argsort(np.asarray(dists), kind="stable")
-    lower, upper = box.lower.copy(), box.upper.copy()
-    for k in indices:
-        g, h = cset.normals[k], float(cset.offsets[k])
-        center, radius = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        # classify_constraint: an infeasible row empties the box, a
-        # redundant one leaves it as it is
-        mid = float(g @ center) + h
-        span = float(np.abs(g) @ radius)
-        if mid - span > 0.0:
-            return BoxDomain.empty(box.dim)
-        if mid + span <= 0.0:
-            continue
-        # relaxed_clip_single, every coordinate at once
-        terms = g * center - np.abs(g) * radius
-        usable = np.abs(g) >= ZERO_COEFF_TOL
-        clip = (-(float(terms.sum()) - terms) - h) / np.where(usable, g, 1.0)
-        upper = np.where(usable & (g > 0.0) & (clip < upper), clip, upper)
-        lower = np.where(usable & (g < 0.0) & (clip > lower), clip, lower)
-        if np.any(lower > upper):
-            return BoxDomain.empty(box.dim)
-    return BoxDomain(lower, upper)
+    return _clip_one(relaxed_clip_sequential_batch, box, cset, order)

@@ -12,7 +12,8 @@ array carries a leading batch axis, so each layer costs a few array
 operations for all domains together.  One backward walk gives both planes:
 it walks the stacked rows ``[W; -W]`` for the lower side only, because the
 upper plane of z is minus the lower plane of -z and negation is exact.
-Each layer is then concretized once, and its ReLU relaxation is built
+Each layer is then concretized once (one :func:`geometry.box_range` call
+for all rows of all boxes), and its ReLU relaxation is built
 row-wise with masks.  Between the two, one optional batched ``refine``
 callable may tighten the layer's bounds for the whole batch: it gets the
 layer index, the batch's planes and bounds and a mask of the domains still
@@ -35,6 +36,7 @@ import numpy as np
 from .geometry import (  # noqa: F401  (concretize: patch point for tracers)
     BoxDomain,
     EmptyBoxError,
+    box_range,
     concretize,
 )
 from .network import NetworkModel
@@ -318,11 +320,13 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> lis
     uppers = np.asarray(uppers, dtype=float)
     if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim:
         raise ValueError("box corners must be (B, n) arrays matching the model input")
+    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
+        raise ValueError("box corners must be finite")
     if np.any(lowers > uppers):
         raise EmptyBoxError("operation requires a nonempty box")
     batch = lowers.shape[0]
-    center = (0.5 * (lowers + uppers))[:, :, None]
-    radius = (0.5 * (uppers - lowers))[:, :, None]
+    centers = 0.5 * (lowers + uppers)
+    radii = 0.5 * (uppers - lowers)
     failed = [None] * batch
     last = model.num_layers - 1
     work = _workspace(model.layers, batch)
@@ -333,7 +337,8 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> lis
     for i in range(model.num_layers):
         a, c, coeffs = _walk(model.layers, relaxations, i, batch, work, collect_coeffs=i == last)
         r = a.shape[1] // 2
-        ext = (a @ center)[..., 0] - (np.abs(a) @ radius)[..., 0] + c
+        mid, span = box_range(a, c, centers, radii)
+        ext = mid - span
         lower, upper = ext[:, :r], -ext[:, r:]
         if overrides is not None and overrides[i] is not None:
             ovr_lo, ovr_hi = overrides[i]

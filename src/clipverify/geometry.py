@@ -3,7 +3,10 @@
 Boxes are stored as (lower, upper) coordinate vectors.  A constraint is the
 half-space ``g . x + h <= 0``.  Everything downstream (bound concretization,
 clipping, branch and bound) reduces to a handful of primitives on these two
-shapes, collected here.
+shapes, collected here.  Every bound of an affine function over a box, in
+any module and for any batch of boxes, is one call of :func:`box_range`;
+:func:`screen_rows` uses it to tell, per half-space, whether it excludes a
+box, cuts through it or holds on all of it.
 """
 
 from __future__ import annotations
@@ -122,11 +125,30 @@ def _check_box(box: BoxDomain, dim: int | None = None) -> None:
         raise GeometryError(f"dimension mismatch: box has {box.dim}, expected {dim}")
 
 
+def box_range(a, c, centers, radii) -> tuple:
+    """Range of affine rows over boxes, as ``(mid, span)``.
+
+    ``mid = a . center + c`` and ``span = |a| . radius``, so over the box
+    the row ``a . x + c`` takes exactly the values in ``[mid - span, mid +
+    span]``.  ``a`` is ``(..., r, n)`` (or ``(n,)`` for one row), ``c``
+    broadcasts against ``(..., r)`` and ``centers`` / ``radii`` are
+    ``(..., n)``, with the same leading batch axes as ``a``; so one call
+    bounds every row of every box of a batch.  This is the one place any
+    affine function is bounded over a box: concretized bounds, dual
+    values, plane screens and the feasibility screen of half-spaces all
+    come from it.
+    """
+    mid = (a @ centers[..., None])[..., 0] + c
+    span = (np.abs(a) @ radii[..., None])[..., 0]
+    return mid, span
+
+
 def concretize(a: np.ndarray, c, box: BoxDomain, direction: str):
     """Extreme value of the affine function ``a . x + c`` over a box.
 
-    Closed form via the center / half-width split of the box:
-    min = a . center - |a| . radius + c, max = a . center + |a| . radius + c.
+    Closed form via the center / half-width split of the box (see
+    :func:`box_range`): min = a . center + c - |a| . radius, max = a .
+    center + c + |a| . radius.
 
     Parameters
     ----------
@@ -148,30 +170,38 @@ def concretize(a: np.ndarray, c, box: BoxDomain, direction: str):
     _check_box(box, a.shape[-1])
     if direction not in ("min", "max"):
         raise GeometryError(f"direction must be 'min' or 'max', got {direction!r}")
-    mid = a @ box.center
-    span = np.abs(a) @ box.radius
-    if direction == "min":
-        out = mid - span + np.asarray(c, dtype=float)
-    else:
-        out = mid + span + np.asarray(c, dtype=float)
+    mid, span = box_range(a, np.asarray(c, dtype=float), box.center, box.radius)
+    out = mid - span if direction == "min" else mid + span
     if a.ndim == 1:
         return float(out)
     return out
 
 
-def classify_constraint(box: BoxDomain, cons: LinearConstraint) -> FeasibilityStatus:
-    """Classify a half-space against a box.
+def screen_rows(centers, radii, normals, offsets) -> tuple:
+    """Screen every constraint row of B domains against its domain's box.
 
-    The extreme values of ``g . x + h`` over the box decide the status:
-    a positive minimum means no box point satisfies the constraint, a
-    nonpositive maximum means all of them do.
+    With boxes given by ``centers`` / ``radii`` (B, n) and constraints by
+    ``normals`` (B, M, n) / ``offsets`` (B, M), returns ``(feasible,
+    active)``: a (B,) mask of the domains no row excludes entirely, and a
+    (B, M) mask of the rows not redundant for their box.  In a feasible
+    domain, those are the rows that cut through the box.  A row's minimum
+    over the box above zero excludes the box (INFEASIBLE); its maximum at
+    or below zero means every box point satisfies it (REDUNDANT).  The
+    leading batch axis may also be left out.
     """
+    mid, span = box_range(normals, offsets, centers, radii)
+    return ~np.any(mid - span > 0.0, axis=-1), mid + span > 0.0
+
+
+def classify_constraint(box: BoxDomain, cons: LinearConstraint) -> FeasibilityStatus:
+    """Classify a half-space against a box: the one-row case of
+    :func:`screen_rows`."""
     _check_box(box, cons.dim)
-    mid = float(cons.normal @ box.center) + cons.offset
-    span = float(np.abs(cons.normal) @ box.radius)
-    if mid - span > 0.0:
+    feasible, active = screen_rows(
+        box.center, box.radius, cons.normal[None], np.array([cons.offset])
+    )
+    if not feasible:
         return FeasibilityStatus.INFEASIBLE
-    if mid + span <= 0.0:
+    if not active[0]:
         return FeasibilityStatus.REDUNDANT
     return FeasibilityStatus.ACTIVE
-

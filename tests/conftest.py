@@ -9,7 +9,6 @@ from clipverify import (
     CanonicalProblem,
     LinearConstraint,
     NetworkModel,
-    bab,
 )
 
 
@@ -84,6 +83,5 @@ def random_network_problem(rng, dim_max=3, width_max=6, hidden=2, rows=1):
 def quick_child_bound(planes, box: BoxDomain) -> float:
     """One-box reference of the round screen's plane bound: the lowest of a
     parent's final lower planes over a child's box."""
-    return float(
-        bab._plane_bounds(planes.a_low[None], planes.c_low[None], box.center[None], box.radius[None])[0]
-    )
+    lows = planes.a_low @ box.center + planes.c_low - np.abs(planes.a_low) @ box.radius
+    return float(lows.min())

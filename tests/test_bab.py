@@ -108,10 +108,25 @@ def test_branch_activation_children(problem):
     assert active.forced[0].tolist() == [1, 0]
     assert inactive.forced[0].tolist() == [-1, 0]
     assert sub.forced[0].tolist() == [0, 0]  # the parent keeps its pins
-    assert active.constraints.size == 1
-    assert inactive.constraints.size == 1
+    # branching only pins; the search adds the split half-spaces
+    assert active.constraints.size == 0
+    assert inactive.constraints.size == 0
     with pytest.raises(ValueError):
         branch_activation(active, (0, 0))  # already assigned
+    for clip in ("none", "relaxed", "complete", "both"):
+        cfg = BabConfig(mode="activation", clip=clip)
+        decision, children = bab._branch(cfg, sub, (0, 0), None)
+        assert decision == (0, 0)
+        assert [child.forced[0].tolist() for child in children] == [[1, 0], [-1, 0]]
+        for child, polarity in zip(children, (1, -1)):
+            if clip == "none":
+                assert child.constraints.size == 0
+                continue
+            want = split_constraint_to_input(res.planes[0], 0, polarity)
+            assert child.constraints.size == 1
+            np.testing.assert_array_equal(child.constraints.normals[0], want.normal)
+            assert child.constraints.offsets[0] == want.offset
+    assert sub.constraints.size == 0  # the parent keeps its constraints
 
 
 def test_branch_activation_requires_unstable(problem):
@@ -298,15 +313,18 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
 
 
 def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
-    # with clip="none" nothing reads constraints, so input mode must not
-    # build any; the same net harvests planes with clipping on (above)
+    # with clip="none" nothing reads constraints, so neither mode may build
+    # any: no harvested planes in input mode (the same net harvests them
+    # with clipping on, above), no split half-spaces in activation mode
     rounds = []
     _spy_screens(monkeypatch, rounds)
-    out = run_bab(_cancelling_problem(), BabConfig(mode="input", clip="none", timeout=30.0))
-    assert out.status == "verified"
-    bounded = [children[j] for _, children, kept in rounds if kept is not None for j in kept[0]]
-    assert bounded
-    assert all(child.constraints.size == 0 for child in bounded)
+    for mode in ("input", "activation"):
+        rounds.clear()
+        out = run_bab(_cancelling_problem(), BabConfig(mode=mode, clip="none", timeout=30.0))
+        assert out.status == "verified"
+        bounded = [children[j] for _, children, kept in rounds if kept is not None for j in kept[0]]
+        assert bounded, mode
+        assert all(child.constraints.size == 0 for child in bounded), mode
 
 
 def test_config_validation():

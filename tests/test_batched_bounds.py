@@ -380,3 +380,16 @@ def test_all_nan_overrides_change_nothing():
                 np.testing.assert_array_equal(lb.lower, ref_lb.lower)
                 np.testing.assert_array_equal(lb.upper, ref_lb.upper)
             np.testing.assert_array_equal(res.final_lower, ref.final_lower)
+
+
+def test_nonfinite_corners_are_rejected():
+    # a NaN or infinite corner passes the lower <= upper check; it used to
+    # come back as a NaN bound instead of an error
+    problem = random_network_problem(np.random.default_rng(5))
+    model, box = problem.model, problem.box
+    for corner, value in (("lower", np.nan), ("upper", np.nan), ("lower", -np.inf),
+                          ("upper", np.inf)):
+        lowers, uppers = np.stack([box.lower] * 2), np.stack([box.upper] * 2)
+        (lowers if corner == "lower" else uppers)[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            bound_batch(model, lowers, uppers)

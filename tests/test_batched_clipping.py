@@ -17,6 +17,7 @@ from clipverify import (
     screen_rows,
     stack_constraints,
 )
+from clipverify.clipping import relaxed_clip_sequential_batch
 from clipverify.geometry import ZERO_COEFF_TOL
 
 # Quarter-step grid values: exact ties between kinks and between rows are
@@ -236,12 +237,34 @@ def _sequential_reference(box, cset, order):
     return current
 
 
-@settings(max_examples=200, deadline=None)
-@given(clip_cases(), st.sampled_from(["given", "centroid"]))
-def test_sequential_clip_equals_chain_of_singles_bitwise(case, order):
-    box, cset = case
-    got = relaxed_clip_sequential(box, cset, order)
-    want = _sequential_reference(box, cset, order)
-    assert got.is_empty == want.is_empty
-    assert got.lower.tobytes() == want.lower.tobytes()
-    assert got.upper.tobytes() == want.upper.tobytes()
+@st.composite
+def clip_batches(draw):
+    """D domains over one dimension, each with its own box and 0-16
+    constraint rows, so stacking pads."""
+    n = draw(st.integers(1, 5))
+    domains = []
+    for _ in range(draw(st.sampled_from([1, 3, 8]))):
+        box = draw(boxes(n))
+        domains.append((box, draw(constraint_sets(box, draw(st.sampled_from([0, 1, 4, 16])),
+                                                  COEFF))))
+    return domains
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(clip_batches(), st.sampled_from(["given", "centroid"]))
+def test_sequential_clip_equals_chain_of_singles_bitwise(domains, order):
+    normals, offsets = stack_constraints([cset for _, cset in domains])
+    lowers, uppers, empty = relaxed_clip_sequential_batch(
+        np.array([box.lower for box, _ in domains]), np.array([box.upper for box, _ in domains]),
+        normals, offsets, order,
+    )
+    for b, (box, cset) in enumerate(domains):
+        want = _sequential_reference(box, cset, order)
+        one = relaxed_clip_sequential(box, cset, order)
+        assert empty[b] == want.is_empty == one.is_empty
+        assert one.lower.tobytes() == want.lower.tobytes()
+        assert one.upper.tobytes() == want.upper.tobytes()
+        if not want.is_empty:
+            assert lowers[b].tobytes() == want.lower.tobytes()
+            assert uppers[b].tobytes() == want.upper.tobytes()

@@ -135,6 +135,16 @@ def test_output_file_written(toy_files, capsys, tmp_path):
     assert on_disk == printed
 
 
+def test_unwritable_output_exits_three(toy_files, capsys, tmp_path):
+    # exit code 1 means "falsified"; a report that cannot be written is an
+    # input error
+    out = tmp_path / "missing" / "report.json"
+    assert run(base_args(toy_files, "--output", str(out))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_field_order_stable(toy_files, capsys):
     run(base_args(toy_files))
     report = read_report(capsys)

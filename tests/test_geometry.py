@@ -9,6 +9,7 @@ from clipverify import (
     classify_constraint,
     concretize,
 )
+from clipverify.geometry import box_range
 
 from conftest import random_box
 
@@ -62,6 +63,21 @@ def test_concretize_matches_corner_enumeration():
         vals = corners @ a + c
         assert abs(concretize(a, c, box, "min") - vals.min()) < 1e-10
         assert abs(concretize(a, c, box, "max") - vals.max()) < 1e-10
+    # box_range on stacked (B, r, n) rows: each row's range over its own box
+    for _ in range(20):
+        n, b, r = (int(v) for v in rng.integers(1, 5, size=3))
+        boxes = [random_box(rng, n) for _ in range(b)]
+        a = rng.normal(size=(b, r, n))
+        c = rng.normal(size=(b, r))
+        mid, span = box_range(
+            a, c, np.array([bx.center for bx in boxes]), np.array([bx.radius for bx in boxes])
+        )
+        assert mid.shape == span.shape == (b, r)
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        for k, bx in enumerate(boxes):
+            vals = (bx.lower + bits * (bx.upper - bx.lower)) @ a[k].T + c[k]
+            np.testing.assert_allclose(mid[k] - span[k], vals.min(axis=0), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(mid[k] + span[k], vals.max(axis=0), rtol=0, atol=1e-10)
 
 
 def test_concretize_stacked_rows():

@@ -3,10 +3,11 @@
 ``bab._screen_children`` relaxed-clips, plane-screens and falsifies all
 children of a round together.  With the same seed it must give what the
 per-child references give one child at a time, in search order:
-``relaxed_clip_parallel``, ``quick_child_bound`` and ``try_falsify``
-(stopping at the first hit).  The survivors' constraint stacks must be
-what stacking their own sets gives.  Networks, boxes and constraints sit on
-a quarter-step grid, so ties are exact.
+``relaxed_clip_parallel`` (``relaxed_clip_sequential`` under sequential
+clipping), ``quick_child_bound`` and ``try_falsify`` (stopping at the first
+hit).  The survivors' constraint stacks must be what stacking their own
+sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
+ties are exact.
 """
 
 from dataclasses import replace
@@ -27,6 +28,7 @@ from clipverify import (
     branch_input,
     compute_bounds,
     relaxed_clip_parallel,
+    relaxed_clip_sequential,
     stack_constraints,
 )
 
@@ -115,14 +117,19 @@ def _round(rng, problem):
     return parents, children
 
 
-def _one_at_a_time(problem, parents, children, seed):
+def _one_at_a_time(problem, cfg, parents, children, seed):
     """The per-child screens in search order, stopping at the first hit:
     the surviving ``(index, box, bound)``, the floor and the hit."""
     rng = np.random.default_rng(seed)
     survivors, floor = [], np.inf
     for j, child in enumerate(children):
         parent = parents[j // 2]
-        box = relaxed_clip_parallel(BoxDomain(child.lower, child.upper), child.constraints)
+        box = BoxDomain(child.lower, child.upper)
+        if not cfg.sequential_clip:
+            box = relaxed_clip_parallel(box, child.constraints)
+        else:
+            order = "centroid" if cfg.reorder else "given"
+            box = relaxed_clip_sequential(box, child.constraints, order)
         if box.is_empty:
             continue
         bound = max(parent.bound, quick_child_bound(parent.planes.planes[-1], box))
@@ -137,15 +144,15 @@ def _one_at_a_time(problem, parents, children, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1))
-def test_round_screen_matches_per_child_screens(seed):
+@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(), reorder=st.booleans())
+def test_round_screen_matches_per_child_screens(seed, sequential, reorder):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
     parents, children = _round(rng, problem)
-    cfg = BabConfig(clip="both")
+    cfg = BabConfig(clip="both", sequential_clip=sequential, reorder=reorder)
     rng = np.random.default_rng(seed)
     survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)
-    want_survivors, want_floor, want_hit = _one_at_a_time(problem, parents, children, seed)
+    want_survivors, want_floor, want_hit = _one_at_a_time(problem, cfg, parents, children, seed)
     if want_hit is not None:
         assert hit is not None
         assert abs(hit[0] - want_hit[0]) <= TOL

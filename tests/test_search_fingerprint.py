@@ -2,8 +2,9 @@
 its verdicts.
 
 For the seeded random nets ``random_network_problem(default_rng(s))``,
-s = 0..15, each of the eight ``(mode, clip)`` settings must give the
-recorded ``(status, domains_visited, max_depth)``.  A change of
+s = 0..15, each of the eight ``(mode, clip)`` settings, and sequential
+clipping under ``clip="both"`` in both modes and both constraint orders,
+must give the recorded ``(status, domains_visited, max_depth)``.  A change of
 representation or a speedup leaves every entry as it is, so any difference
 means the search itself changed: which subdomain is branched, how, and what
 closes it.  A change meant to alter the search updates this table in the
@@ -67,12 +68,50 @@ EXPECTED = {
     ],
 }
 
+# Sequential relaxed clipping, keyed by (mode, reorder), with clip="both".
+SEQUENTIAL = {
+    ("input", False): [
+        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 14, 5),
+    ],
+    ("input", True): [
+        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 14, 5),
+    ],
+    ("activation", False): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 12, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 64, 11),
+    ],
+    ("activation", True): [
+        ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 12, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 65, 11),
+    ],
+}
 
-@pytest.mark.parametrize("mode,clip", sorted(EXPECTED))
-def test_search_fingerprint(mode, clip):
+
+def _fingerprint(cfg):
     got = []
     for s in range(16):
         problem = random_network_problem(np.random.default_rng(s))
-        out = run_bab(problem, BabConfig(mode=mode, clip=clip))
+        out = run_bab(problem, cfg)
         got.append((out.status, out.stats.domains_visited, out.stats.max_depth))
-    assert got == EXPECTED[(mode, clip)]
+    return got
+
+
+@pytest.mark.parametrize("mode,clip", sorted(EXPECTED))
+def test_search_fingerprint(mode, clip):
+    assert _fingerprint(BabConfig(mode=mode, clip=clip)) == EXPECTED[(mode, clip)]
+
+
+@pytest.mark.parametrize("mode,reorder", sorted(SEQUENTIAL))
+def test_sequential_search_fingerprint(mode, reorder):
+    cfg = BabConfig(mode=mode, clip="both", sequential_clip=True, reorder=reorder)
+    assert _fingerprint(cfg) == SEQUENTIAL[(mode, reorder)]
