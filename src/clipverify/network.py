@@ -17,6 +17,23 @@ import numpy as np
 
 from .geometry import BoxDomain
 
+# Values per row block of ``NetworkModel.evaluate``: a block holds
+# ``EVAL_BLOCK // widest hidden layer`` rows, rounded down to a multiple of
+# ``EVAL_ROW_TILE``, and the last block also takes the remainder.  32768
+# float64 values are 256 KiB (under 512 KiB for the last block), which stays
+# in L2, so a dense sample reuses one small scratch allocation instead of
+# paging in fresh multi-MB temporaries at every layer, and its extra memory
+# is bounded whatever the batch size.
+EVAL_BLOCK = 32768
+# Block rows are a multiple of this.  The result of a BLAS product can
+# depend on how many rows share it: a row's bits change with its place in
+# the kernel's row tiles, and a lone short product may take another kernel.
+# With OpenBLAS 0.3.31 (Haswell kernels), blocks of a multiple of 24 rows and
+# no short trailing block gave every row the bits of one single-threaded
+# product over the whole batch, for layer widths 1-300; multiples of 8 did
+# not for layers wider than about 200.
+EVAL_ROW_TILE = 24
+
 
 class ModelFormatError(ValueError):
     """Malformed or inconsistent model / property data."""
@@ -99,20 +116,50 @@ class NetworkModel:
         return len(self.layers)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass for a single point ``(n,)`` or a batch ``(m, n)``."""
+        """Forward pass for a single point ``(n,)`` or a batch ``(m, n)``.
+
+        The batch goes through the layers in blocks of rows (see
+        ``EVAL_BLOCK``), each hidden layer writing into one of two scratch
+        buffers and the last layer straight into the result.  Every row sees
+        the same operations in the same order as in an unblocked pass: the
+        product, the bias, the ReLU.  The caller's array is only read.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         z = np.atleast_2d(x)
-        if z.shape[1] != self.input_dim:
+        if z.ndim != 2 or z.shape[1] != self.input_dim:
             raise ModelFormatError(
-                f"input dimension {z.shape[1]} does not match model "
-                f"input {self.input_dim}"
+                f"input of shape {x.shape} is neither a point nor a batch of "
+                f"points of the model's input dimension {self.input_dim}"
             )
-        for i, layer in enumerate(self.layers):
-            if i > 0:
-                z = np.maximum(z, 0.0)
-            z = z @ layer.weights.T + layer.bias
-        return z[0] if single else z
+        m = z.shape[0]
+        *hidden, last = self.layers
+        widest = max((layer.out_dim for layer in hidden), default=1)
+        rows = max(EVAL_ROW_TILE, EVAL_BLOCK // widest // EVAL_ROW_TILE * EVAL_ROW_TILE)
+        blocks = max(1, m // rows)
+        cap = m - (blocks - 1) * rows
+        # One allocation for both buffers: glibc maps a large block afresh
+        # until one of its size has been freed, and two separate ones kept
+        # being returned to the system and faulted in again on each call.
+        scratch = np.empty((2, cap * widest))
+        views = [
+            scratch[i % 2][: cap * layer.out_dim].reshape(cap, layer.out_dim)
+            for i, layer in enumerate(hidden)
+        ]
+        out = np.empty((m, self.output_dim))
+        for k in range(blocks):
+            start = k * rows
+            h = z[start : m if k == blocks - 1 else start + rows]
+            for layer, view in zip(hidden, views):
+                buf = view[: h.shape[0]]
+                np.matmul(h, layer.weights.T, out=buf)
+                buf += layer.bias
+                np.maximum(buf, 0.0, out=buf)
+                h = buf
+            dst = out[start : start + h.shape[0]]
+            np.matmul(h, last.weights.T, out=dst)
+            dst += last.bias
+        return out[0] if single else out
 
 
 @dataclass

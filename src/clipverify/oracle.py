@@ -403,9 +403,16 @@ def sample_attack(problem: CanonicalProblem, box=None, count: int = 1000, seed: 
     """
     box = box or problem.box
     rng = np.random.default_rng(seed)
-    pts = box.center[None, :]
-    if count > 0:
-        pts = np.vstack([pts, rng.uniform(box.lower, box.upper, size=(count, box.dim))])
+    # The samples are drawn in place, as rng.uniform draws them
+    # (lower + width * u, same numbers): one array of the batch's size and
+    # no temporaries.  Unlike rng.uniform, this also accepts the coordinate
+    # interval [0.0, -0.0] (negative zero width).
+    pts = np.empty((1 + max(count, 0), box.dim))
+    pts[0] = box.center
+    samples = pts[1:]
+    rng.random(out=samples)
+    samples *= box.upper - box.lower
+    samples += box.lower
     vals = problem.model.evaluate(pts).min(axis=1)
     j = int(np.argmin(vals))
     return float(vals[j]), pts[j].copy()

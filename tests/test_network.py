@@ -1,8 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from clipverify import network
 from clipverify import (
     AffineLayer,
     CanonicalProblem,
@@ -68,6 +72,72 @@ def test_evaluate_matches_manual_forward():
             if i < 2:
                 z = np.maximum(z, 0.0)
         np.testing.assert_allclose(net.evaluate(x), z, atol=1e-12)
+
+
+def _unblocked_forward(layers, x):
+    """The plain per-layer pass over the whole batch at once."""
+    z = x
+    for i, layer in enumerate(layers):
+        if i > 0:
+            z = np.maximum(z, 0.0)
+        z = z @ layer.weights.T + layer.bias
+    return z
+
+
+@st.composite
+def _blocked_cases(draw):
+    """A net of widths 1-300, a block size, and a row count at or around
+    the block boundaries.  Weights, biases and inputs are small integers, so
+    every sum is exact: the BLAS rounds a row according to how many rows
+    share its product, and exact sums keep that out of a test of the
+    blocking itself."""
+    widths = draw(st.lists(st.integers(1, 300), min_size=2, max_size=5))
+    block = draw(st.sampled_from([1, 97, 2000, network.EVAL_BLOCK]))
+    widest = max(widths[1:-1], default=1)
+    tile = network.EVAL_ROW_TILE
+    rows = max(tile, block // widest // tile * tile)
+    m = draw(st.sampled_from([
+        0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1,
+        draw(st.integers(3, 5)) * rows + draw(st.integers(0, rows - 1)),
+    ]))
+    assume(m * max(widths) <= 10**6)
+    seed = draw(st.integers(0, 2**32 - 1))
+    layout = draw(st.sampled_from(["C", "F", "row-strided", "column-strided"]))
+    return widths, block, m, seed, layout
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_blocked_cases())
+def test_blocked_evaluate_equals_the_unblocked_pass(case):
+    widths, block, m, seed, layout = case
+    rng = np.random.default_rng(seed)
+    layers = [
+        AffineLayer(
+            rng.integers(-3, 4, size=(w_out, w_in)).astype(float),
+            rng.integers(-5, 6, size=w_out).astype(float),
+        )
+        for w_in, w_out in zip(widths, widths[1:])
+    ]
+    net = NetworkModel(layers)
+    n = widths[0]
+    if layout == "row-strided":
+        x = rng.integers(-4, 5, size=(2 * m, n)).astype(float)[::2]
+    elif layout == "column-strided":
+        x = rng.integers(-4, 5, size=(m, 2 * n)).astype(float)[:, ::2]
+    else:
+        x = np.asarray(rng.integers(-4, 5, size=(m, n)).astype(float), order=layout)
+    before = x.copy()
+    x.flags.writeable = False
+    with mock.patch.object(network, "EVAL_BLOCK", block):
+        got = net.evaluate(x)
+        point = net.evaluate(x[0]) if m else None
+    want = _unblocked_forward(layers, before)
+    assert got.shape == (m, widths[-1])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(x, before)
+    if m:
+        assert point.shape == (widths[-1],)
+        np.testing.assert_array_equal(point, want[0])
 
 
 def test_property_rejects_inverted_box():

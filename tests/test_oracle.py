@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from clipverify import (
+    AffineLayer,
     BoxDomain,
     BudgetError,
+    CanonicalProblem,
     ConstraintSet,
+    NetworkModel,
+    PropertySpec,
+    canonicalize,
     count_unstable,
     enumerate_pattern_regions,
     exact_verify,
@@ -148,8 +153,6 @@ def test_exact_verify_matches_dense_sampling():
 
 
 def test_exact_verify_budgets():
-    from clipverify import AffineLayer, CanonicalProblem, NetworkModel
-
     rng = np.random.default_rng(1)
     net = NetworkModel(
         [
@@ -173,3 +176,33 @@ def test_sample_attack_finds_toy_counterexample(problem):
     assert val < 0.0
     # batched vs single-point evaluation may differ by a few ulps
     assert abs(problem.value(pt) - val) < 1e-12
+
+
+def test_sample_attack_draws_what_uniform_draws():
+    # reference: the center stacked on rng.uniform's draw, evaluated at once
+    rng = np.random.default_rng(11)
+    for seed in range(40):
+        n = int(rng.integers(1, 5))
+        box = random_box(rng, n)
+        layers = [AffineLayer(rng.normal(size=(5, n)), rng.normal(size=5)),
+                  AffineLayer(rng.normal(size=(2, 5)), rng.normal(size=2))]
+        problem = CanonicalProblem(NetworkModel(layers), box, 2)
+        count = int(rng.integers(0, 300))
+        pts = np.vstack([
+            box.center[None, :],
+            np.random.default_rng(seed).uniform(box.lower, box.upper, size=(count, n)),
+        ])
+        vals = problem.model.evaluate(pts).min(axis=1)
+        j = int(np.argmin(vals))
+        val, pt = sample_attack(problem, count=count, seed=seed)
+        assert val == vals[j]
+        np.testing.assert_array_equal(pt, pts[j])
+
+
+def test_sample_attack_on_a_negative_zero_corner():
+    # a property box can carry the coordinate interval [0.0, -0.0]
+    model = NetworkModel([AffineLayer(np.array([[1.0, 1.0]]), np.array([0.0]))])
+    prop = PropertySpec([0.0, 0.0], [1.0, -0.0], [[1.0]], [0.0])
+    val, pt = sample_attack(canonicalize(model, prop), count=50, seed=0)
+    assert val >= 0.0
+    assert pt[1] == 0.0
