@@ -28,7 +28,7 @@ first.  Then each round:
    bound >= 0 closes it), and a few sampled points, any of which may
    falsify the problem (the first hit in search order wins).  Each screen
    is one array expression, draw or forward evaluation for all children;
-5. bounds the survivors in one pass of :func:`bound_batch`.  The clipped
+5. bounds the survivors in one pass (:func:`crown.bound_pass`).  The clipped
    corners and constraint stacks the screen built go in as they are; so do
    the children's pins and overrides, stacked (see :class:`Subdomain`).
    Complete clipping runs inside the pass (:func:`_clip_refine`): each
@@ -36,7 +36,8 @@ first.  Then each round:
    ascent.  A child's critical neurons are its parent's best-scoring ones,
    its own pin left out.  The refine writes its tightenings into the
    pass's override stacks, whose rows become the children's overrides;
-6. closes each child whose bound reaches 0 and queues the others.
+6. closes each child whose bound reaches 0 and queues the others, each
+   with its own copy of what later rounds read of the pass.
 
 The deadline is checked between rounds.  Candidate counterexamples are
 checked by exact forward evaluation, so a "falsified" verdict is always
@@ -46,6 +47,7 @@ certified.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -68,7 +70,8 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
-    bound_batch,
+    LayerBounds,
+    bound_pass,
     compute_bounds,
 )
 from .geometry import LinearConstraint, box_range, screen_rows
@@ -104,7 +107,8 @@ class BabConfig:
             raise ValueError(f"unknown clip setting {self.clip!r}")
         for name in ("topk", "batch", "passes", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            # bool is an int subclass, but True is no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.topk < 1 or self.batch < 1 or self.passes < 1:
             raise ValueError("topk, batch and passes must be positive")
@@ -129,10 +133,13 @@ class Subdomain:
     * ``constraints``: input-space half-spaces valid for any
       counterexample inside the box;
     * ``planes``: the most recent bounding pass touching this region (the
-      parent's until the node is bounded itself).
+      parent's until the node is bounded itself).  The search keeps only
+      what later rounds read of it (see :func:`_queued_state`).
 
     Children share these arrays with their parent; none is ever modified
-    in place.
+    in place.  A queued subdomain's corners, overrides and ``planes`` view
+    one buffer of its own, filled from its bounding pass, so the pass's
+    arrays are freed when the pass ends.
     """
 
     lower: np.ndarray
@@ -193,9 +200,11 @@ class BranchProbe:
     decisions: dict = field(default_factory=dict)
     intervals: dict = field(default_factory=dict)
 
-    def record_bounds(self, path, res: BoundsResult):
+    def record_bounds(self, path, res: BoundsResult, b: int):
+        """Record row ``b`` of the batch-form pass ``res`` (see
+        :func:`crown.bound_pass`)."""
         self.intervals[path] = [
-            (lb.lower.copy(), lb.upper.copy()) for lb in res.layer_bounds
+            (lb.lower[b].copy(), lb.upper[b].copy()) for lb in res.layer_bounds
         ]
 
 
@@ -518,6 +527,64 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
     return (keep, lowers[keep], uppers[keep], stacks), floor, None
 
 
+def _queued_state(res: BoundsResult, rows, lowers, uppers, overrides, scored, split_planes):
+    """What a subdomain queued from the pass ``res`` (in the batch form of
+    :func:`crown.bound_pass`) keeps: per entry of ``rows``, its corners,
+    its override pairs and a :class:`BoundsResult` holding only what later
+    rounds read of the pass:
+
+    * always ``final_lower`` and the final layer's lower planes (its upper
+      planes are None);
+    * with ``scored``, the hidden layers' bounds and the objective
+      coefficients, which score the domain as a parent;
+    * with ``split_planes``, the hidden layers' planes, which give an
+      activation split its half-space; otherwise those entries of
+      ``planes`` are None.
+
+    ``lowers`` / ``uppers`` are the pass's corners and ``overrides`` its
+    override stacks.  Each array is gathered once for all rows, and each
+    row is copied into one buffer of its own, which all its arrays view:
+    a queued subdomain shares no memory with the pass or with another one,
+    and keeps nothing of its siblings alive.
+    """
+    hidden = len(res.planes) - 1
+    final = res.planes[-1]
+    pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair)]
+    pieces += [res.final_lower, final.a_low, final.c_low]
+    if scored:
+        pieces += [arr for lb in res.layer_bounds[:hidden] for arr in (lb.lower, lb.upper)]
+        pieces += res.objective_coeffs
+    if split_planes:
+        pieces += [arr for p in res.planes[:hidden] for arr in (p.a_low, p.c_low, p.a_up, p.c_up)]
+    # a row's slice of each piece, taken in one call; only the matrices
+    # (planes) are reshaped, which costs more than the slice itself
+    ends = list(itertools.accumulate(piece.size // len(piece) for piece in pieces))
+    take = operator.itemgetter(*map(slice, [0, *ends[:-1]], ends))
+    matrices = [(i, piece.shape[1:]) for i, piece in enumerate(pieces) if piece.ndim > 2]
+    flat = [piece.reshape(len(piece), -1) if piece.ndim > 2 else piece for piece in pieces]
+    state = []
+    for row in np.concatenate(flat, axis=1)[rows]:
+        views = list(take(row.copy()))
+        for i, shape in matrices:
+            views[i] = views[i].reshape(shape)
+        views = iter(views)
+        lower, upper = next(views), next(views)
+        kept_overrides = [(next(views), next(views)) for _ in overrides]
+        final_lower, a_low, c_low = next(views), next(views), next(views)
+        bounds = [LayerBounds(next(views), next(views)) for _ in range(hidden if scored else 0)]
+        coeffs = [next(views) for _ in range(hidden if scored else 0)]
+        planes = [None] * hidden
+        if split_planes:
+            planes = [
+                BoundingPlanes(next(views), next(views), next(views), next(views))
+                for _ in range(hidden)
+            ]
+        planes.append(BoundingPlanes(a_low, c_low, None, None))
+        kept = BoundsResult(bounds, planes, final_lower, coeffs)
+        state.append((lower, upper, kept_overrides, kept))
+    return state
+
+
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     stats.wall_time = time.perf_counter() - t0
     return VerificationOutcome(status, counterexample, value, bound, stats)
@@ -578,9 +645,12 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     # the parents' branching scores are needed to pick a neuron to pin and
     # to pick the children's critical neurons for complete clipping
     scored = cfg.mode == "activation" or cfg.clip in ("complete", "both")
+    # activation splits read the per-layer planes to build their half-spaces
+    split_planes = cfg.mode == "activation" and cfg.clip != "none"
 
     def settle(subs, lowers, uppers, stacks=None, scores=None):
-        """Bound subdomains in one pass; queue those still open."""
+        """Bound subdomains in one pass; queue those still open, each with
+        its own copy of the corners, overrides and pass rows it needs."""
         nonlocal verified_floor
         forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(subs[0].forced))]
         overrides = [
@@ -589,21 +659,25 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             for i in range(model.num_layers)
         ]
         refine = _clip_refine(cfg, model, subs, lowers, uppers, stacks, scores, forced, overrides)
-        results = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
-        for b, (sub, res) in enumerate(zip(subs, results)):
-            stats.domains_visited += 1
-            stats.max_depth = max(stats.max_depth, sub.depth)
-            if res is None:
-                continue  # region proved empty: verified by infeasibility
-            if probe is not None:
-                probe.record_bounds(sub.path, res)
-            bound = max(sub.bound, float(res.final_lower.min()))
-            if bound >= 0.0:
-                verified_floor = min(verified_floor, bound)
-                continue
-            sub.lower, sub.upper, sub.bound, sub.planes = lowers[b], uppers[b], bound, res
-            sub.overrides = [(lo[b], hi[b]) for lo, hi in overrides]
-            heappush(heap, (bound, next(tiebreak), sub))
+        res, failed = bound_pass(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
+        stats.domains_visited += len(subs)
+        stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
+        alive = np.array([err is None for err in failed])
+        bounds = np.maximum([sub.bound for sub in subs], res.final_lower.min(axis=1))
+        if probe is not None:
+            for b in np.flatnonzero(alive):
+                probe.record_bounds(subs[b].path, res, b)
+        closed = alive & (bounds >= 0.0)
+        verified_floor = min(verified_floor, float(bounds[closed].min(initial=np.inf)))
+        rows = np.flatnonzero(alive & ~closed)
+        if rows.size == 0:
+            return
+        state = _queued_state(res, rows, lowers, uppers, overrides, scored, split_planes)
+        for b, (lower, upper, kept_overrides, kept) in zip(rows.tolist(), state):
+            sub = subs[b]
+            sub.lower, sub.upper, sub.overrides, sub.planes = lower, upper, kept_overrides, kept
+            sub.bound = float(bounds[b])
+            heappush(heap, (sub.bound, next(tiebreak), sub))
 
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)

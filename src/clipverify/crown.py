@@ -11,7 +11,9 @@ A whole batch of boxes is bounded in one pass (:func:`bound_batch`): every
 array carries a leading batch axis, so each layer costs a few array
 operations for all domains together.  One backward walk gives both planes:
 it walks the stacked rows ``[W; -W]`` for the lower side only, because the
-upper plane of z is minus the lower plane of -z and negation is exact.
+upper plane of z is minus the lower plane of -z and negation is exact.  It
+walks the domains in blocks through one scratch of fixed size
+(``WALK_BLOCK``), so a pass's extra memory does not grow with the batch.
 Each layer is then concretized once (one :func:`geometry.box_range` call
 for all rows of all boxes), and its ReLU relaxation is built
 row-wise with masks.  Between the two, one optional batched ``refine``
@@ -46,6 +48,18 @@ from .network import NetworkModel
 # collapsed neuron with l < 0 <= u keeps the identity slopes, but its upper
 # side is lifted by -l (see relax_relu) so that the envelope stays sound.
 STABLE_WIDTH_TOL = 1e-12
+# Values per buffer of a backward-walk block: a block holds as many domains
+# as fit their ``(2r, w)`` coefficient arrays (w the widest hidden layer the
+# walk passes) in WALK_BLOCK values, and at least one.  32768 float64 values
+# are 256 KiB, so the three scratch buffers stay in L2 and a pass's scratch
+# is bounded by the hidden widths, not by batch size times width squared.
+# Blocks are whole domains: a numpy product over a ``(d, 2r, w)`` stack
+# makes one BLAS call per domain, so each domain gets the bits of the
+# whole-batch walk.  Splitting a domain's rows or folding domains into one
+# 2-D product changes the product's shape, and with it the kernel and the
+# last bits (OpenBLAS 0.3.31 on AVX-512 takes its small-matrix kernel up to
+# about 10**6 multiply-adds).
+WALK_BLOCK = 32768
 
 
 class InfeasibleSplitError(Exception):
@@ -207,18 +221,25 @@ def relax_relu(
     return rel
 
 
-def _workspace(layers, batch: int) -> np.ndarray:
-    """Three flat buffers, each large enough for any ``(batch, 2r, w)``
-    coefficient array of a backward walk through ``layers``."""
-    widest = max(max(layer.weights.shape) for layer in layers)
-    return np.empty((3, batch * 2 * widest * widest))
+def _walk_blocks(layers, batch: int):
+    """Per layer, the domains per block of the backward walk to it (as many
+    as fit their ``(2r, w)`` coefficient arrays in ``WALK_BLOCK`` values, w
+    the widest hidden layer the walk passes, and at least one), and three
+    flat scratch buffers that every block of every walk fits in."""
+    steps, size, widest = [batch], 0, 0
+    for layer, prev in zip(layers[1:], layers):
+        widest = max(widest, prev.out_dim)
+        values = 2 * layer.out_dim * widest
+        steps.append(min(batch, max(1, WALK_BLOCK // values)))
+        size = max(size, steps[-1] * values)
+    return steps, np.empty((3, size))
 
 
 def _view(buf: np.ndarray, shape) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bool = False):
+def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect_coeffs=False):
     """Lower planes, in the network input, of the rows ``[W; -W]`` of layer
     ``target`` for ``batch`` domains at once.
 
@@ -231,10 +252,13 @@ def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bo
     the target; the second half are its upper planes negated, since the
     upper plane of z is minus the lower plane of -z.
 
-    The intermediate coefficient arrays rotate through the three buffers of
-    ``work`` (see :func:`_workspace`): at these sizes, fresh large
-    temporaries cost more than the arithmetic done in them.  Only the
-    returned arrays are newly allocated.
+    The domains are walked in blocks of ``step`` (see :func:`_walk_blocks`),
+    and each block's intermediate coefficient arrays rotate through the
+    three buffers of ``work``: at these sizes, fresh large temporaries cost
+    more than the arithmetic done in them.  Only the returned arrays are
+    newly allocated.  A block makes, for each of its domains, the BLAS
+    calls one whole-batch walk makes, so every value is the same whatever
+    the block.
 
     Returns coefficients ``(batch, 2r, n)``, constants ``(batch, 2r)`` and,
     with ``collect_coeffs``, ``{k: (batch, w_k)}`` means over the lower rows
@@ -246,24 +270,33 @@ def _walk(layers, relaxations, target: int, batch: int, work, collect_coeffs: bo
     c = np.repeat(np.concatenate([bias, -bias])[None], batch, axis=0)
     if target == 0:
         return np.repeat(stack[None], batch, axis=0), c, {}
-    a = _view(work[0], (batch,) + stack.shape)
-    a[...] = stack
+    out = np.empty((batch, 2 * rows, layers[0].weights.shape[1]))
     coeffs = {}
-    for k in range(target - 1, -1, -1):
-        rel = relaxations[k]
-        if collect_coeffs:
-            coeffs[k] = a[:, :rows].mean(axis=1)
-        neg = np.minimum(a, 0.0, out=_view(work[1], a.shape))
-        pos = np.maximum(a, 0.0, out=a)
-        c = c + (neg @ rel.upper_offset[:, :, None])[..., 0]
-        pos *= rel.lower_slope[:, None, :]
-        neg *= rel.upper_slope[:, None, :]
-        pos += neg
-        c = c + pos @ layers[k].bias
-        out = _view(work[2], (batch, a.shape[1], layers[k].weights.shape[1])) if k else None
-        a = np.matmul(pos, layers[k].weights, out=out)
-        work = (work[2], work[1], work[0])
-    return a, c, coeffs
+    if collect_coeffs:
+        coeffs = {k: np.empty((batch, layers[k].out_dim)) for k in range(target)}
+    for start in range(0, batch, step):
+        block = slice(start, min(batch, start + step))
+        cb = c[block]
+        bufs = work
+        a = _view(bufs[0], (cb.shape[0],) + stack.shape)
+        a[...] = stack
+        for k in range(target - 1, -1, -1):
+            rel = relaxations[k]
+            if collect_coeffs:
+                coeffs[k][block] = a[:, :rows].mean(axis=1)
+            neg = np.minimum(a, 0.0, out=_view(bufs[1], a.shape))
+            pos = np.maximum(a, 0.0, out=a)
+            cb += (neg @ rel.upper_offset[block, :, None])[..., 0]
+            pos *= rel.lower_slope[block, None, :]
+            neg *= rel.upper_slope[block, None, :]
+            pos += neg
+            cb += pos @ layers[k].bias
+            dest = out[block]
+            if k:
+                dest = _view(bufs[2], (a.shape[0], a.shape[1], layers[k].weights.shape[1]))
+            a = np.matmul(pos, layers[k].weights, out=dest)
+            bufs = (bufs[2], bufs[1], bufs[0])
+    return out, c, coeffs
 
 
 def stack_splits(model: NetworkModel, splits_per_domain) -> list:
@@ -313,9 +346,17 @@ def stack_overrides(model: NetworkModel, overrides_per_domain) -> list:
     return out
 
 
-def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> list:
-    """The batched pass behind :func:`bound_batch`; a proven-empty domain
-    gets the :class:`InfeasibleSplitError` that proved it instead of None."""
+def bound_pass(model, lowers, uppers, policy, forced, overrides, refine):
+    """The batched pass behind :func:`bound_batch`, in batch form.
+
+    Takes what :func:`bound_batch` takes (``policy`` not None) and returns
+    one :class:`BoundsResult` whose arrays carry the batch axis (layer
+    bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
+    ``final_lower`` ``(B, r)``, objective coefficients ``(B, w_i)``), plus
+    one entry per domain: None, or the :class:`InfeasibleSplitError` that
+    proved it empty (its rows are then meaningless).  Branch and bound
+    reads this form and keeps copies of the rows it queues.
+    """
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
     if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim:
@@ -329,13 +370,13 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> lis
     radii = 0.5 * (uppers - lowers)
     failed = [None] * batch
     last = model.num_layers - 1
-    work = _workspace(model.layers, batch)
+    steps, work = _walk_blocks(model.layers, batch)
 
     relaxations = []
     all_bounds = []
     all_planes = []
     for i in range(model.num_layers):
-        a, c, coeffs = _walk(model.layers, relaxations, i, batch, work, collect_coeffs=i == last)
+        a, c, coeffs = _walk(model.layers, relaxations, i, batch, steps[i], work, i == last)
         r = a.shape[1] // 2
         mid, span = box_range(a, c, centers, radii)
         ext = mid - span
@@ -367,19 +408,24 @@ def _bound_rows(model, lowers, uppers, policy, forced, overrides, refine) -> lis
                     failed[b] = _forced_side_error(j, side[b, j], lower[b, j], upper[b, j])
             relaxations.append(rel)
 
-    return [
-        failed[b]
-        if failed[b] is not None
-        else BoundsResult(
-            layer_bounds=[LayerBounds(lo[b], hi[b]) for lo, hi in all_bounds],
-            planes=[
-                BoundingPlanes(p.a_low[b], p.c_low[b], p.a_up[b], p.c_up[b]) for p in all_planes
-            ],
-            final_lower=all_bounds[-1][0][b].copy(),
-            objective_coeffs=[coeffs[k][b] for k in range(last)],
-        )
-        for b in range(batch)
-    ]
+    result = BoundsResult(
+        layer_bounds=[LayerBounds(lo, hi) for lo, hi in all_bounds],
+        planes=all_planes,
+        final_lower=all_bounds[-1][0],
+        objective_coeffs=[coeffs[k] for k in range(last)],
+    )
+    return result, failed
+
+
+def _domain(res: BoundsResult, b: int) -> BoundsResult:
+    """Domain ``b``'s result out of a pass's batch-form result: views of
+    its rows, and its own copy of ``final_lower``."""
+    return BoundsResult(
+        layer_bounds=[LayerBounds(lb.lower[b], lb.upper[b]) for lb in res.layer_bounds],
+        planes=[BoundingPlanes(p.a_low[b], p.c_low[b], p.a_up[b], p.c_up[b]) for p in res.planes],
+        final_lower=res.final_lower[b].copy(),
+        objective_coeffs=[coeffs[b] for coeffs in res.objective_coeffs],
+    )
 
 
 def bound_batch(
@@ -421,10 +467,10 @@ def bound_batch(
     side the bounds rule out, or by ``refine``.  A domain proven empty is
     never alive again, and its row never reaches the others.
     """
-    out = _bound_rows(
+    res, failed = bound_pass(
         model, lowers, uppers, policy or AlphaPolicy.fixed(1.0), forced, overrides, refine
     )
-    return [None if isinstance(res, InfeasibleSplitError) else res for res in out]
+    return [None if err is not None else _domain(res, b) for b, err in enumerate(failed)]
 
 
 def compute_bounds(
@@ -452,7 +498,7 @@ def compute_bounds(
     """
     if box.dim != model.input_dim:
         raise ValueError("box dimension does not match model input")
-    (res,) = _bound_rows(
+    res, (err,) = bound_pass(
         model,
         box.lower[None],
         box.upper[None],
@@ -461,6 +507,6 @@ def compute_bounds(
         stack_overrides(model, [overrides]),
         None,
     )
-    if isinstance(res, InfeasibleSplitError):
-        raise res
-    return res
+    if err is not None:
+        raise err
+    return _domain(res, 0)

@@ -260,13 +260,13 @@ def test_bounded_children_passed_every_screen(monkeypatch):
     prob = random_network_problem(np.random.default_rng(21))
     rounds, passes = [], []
     _spy_screens(monkeypatch, rounds)
-    original = bab.bound_batch
+    original = bab.bound_pass
 
     def spy(model, lowers, uppers, *args):
         passes.append((lowers, uppers))
         return original(model, lowers, uppers, *args)
 
-    monkeypatch.setattr(bab, "bound_batch", spy)
+    monkeypatch.setattr(bab, "bound_pass", spy)
     for mode in ("input", "activation"):
         rounds.clear()
         passes.clear()
@@ -283,6 +283,73 @@ def test_bounded_children_passed_every_screen(monkeypatch):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
                 assert quick_child_bound(parents[j // 2].planes.planes[-1], box) < 0.0
+
+
+def _pass_arrays(args, out):
+    """Every array a bounding pass takes in (corners, pin and override
+    stacks) or hands out (its batch-form result)."""
+    _, lowers, uppers, _, forced, overrides, _ = args
+    res, _ = out
+    arrays = [lowers, uppers, *forced, *(arr for pair in overrides for arr in pair)]
+    arrays += [arr for lb in res.layer_bounds for arr in (lb.lower, lb.upper)]
+    arrays += [arr for p in res.planes for arr in (p.a_low, p.c_low, p.a_up, p.c_up)]
+    return arrays + [res.final_lower, *res.objective_coeffs]
+
+
+def _queued_arrays(sub):
+    """The arrays a queued subdomain got from the pass that bounded it.  Its
+    pins and constraints are left out: children share those with their
+    parent by design, and no pass writes them."""
+    kept = sub.planes
+    arrays = [sub.lower, sub.upper, kept.final_lower]
+    arrays += [arr for pair in sub.overrides for arr in pair]
+    arrays += [arr for lb in kept.layer_bounds for arr in (lb.lower, lb.upper)]
+    for p in kept.planes:
+        if p is not None:
+            arrays += [arr for arr in (p.a_low, p.c_low, p.a_up, p.c_up) if arr is not None]
+    return arrays + list(kept.objective_coeffs)
+
+
+@pytest.mark.parametrize("mode, clip", [("input", "none"), ("input", "both"),
+                                        ("activation", "both")])
+def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip):
+    # A queued subdomain used to keep views of its whole bounding pass: the
+    # planes, bounds and stacks of every domain and layer stayed alive as
+    # long as any one of them was queued.
+    prob = random_network_problem(np.random.default_rng(15))
+    passes, pushed = [], []
+    original_pass, original_push = bab.bound_pass, bab.heappush
+
+    def spy_pass(*args):
+        out = original_pass(*args)
+        passes.append(_pass_arrays(args, out))
+        pushed.append([])
+        return out
+
+    def spy_push(heap, item):
+        pushed[-1].append(item[2])
+        original_push(heap, item)
+
+    monkeypatch.setattr(bab, "bound_pass", spy_pass)
+    monkeypatch.setattr(bab, "heappush", spy_push)
+    out = run_bab(prob, BabConfig(mode=mode, clip=clip, timeout=60.0))
+    assert out.status == "verified"
+    assert sum(len(subs) > 1 for subs in pushed) >= 2
+    hidden = prob.model.num_layers - 1
+    for batch_arrays, subs in zip(passes, pushed):
+        kept = [_queued_arrays(sub) for sub in subs]
+        for i, arrays in enumerate(kept):
+            # only what later rounds read: the final lower planes always,
+            # bounds and coefficients to score it, hidden planes to pin
+            res = subs[i].planes
+            assert res.planes[-1].a_up is None and res.planes[-1].c_up is None
+            assert len(res.layer_bounds) == len(res.objective_coeffs) == (
+                hidden if clip == "both" else 0)
+            assert all((p is None) == (mode == "input") for p in res.planes[:-1])
+            for arr in arrays:
+                assert not any(np.shares_memory(arr, other) for other in batch_arrays)
+                for others in kept[i + 1:]:
+                    assert not any(np.shares_memory(arr, other) for other in others)
 
 
 def _cancelling_problem() -> CanonicalProblem:
@@ -345,6 +412,14 @@ def test_config_rejects_non_integer_counts_and_negative_seed():
             BabConfig(**field)
     # numpy integers are integers
     BabConfig(topk=np.int64(3), batch=np.int32(2), passes=np.int64(1), seed=np.uint8(5))
+
+
+def test_config_rejects_bool_counts():
+    # bool is an int subclass, so these used to be accepted and kept as bools
+    for name in ("topk", "batch", "passes", "seed"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BabConfig(**{name: value})
 
 
 def test_nan_timeout_rejected():

@@ -6,9 +6,13 @@
 * ``bound_batch`` over B boxes against ``bound_batch`` on each box alone:
   equal within 1e-12, None in the same places.  The batched refine runs
   the per-domain refine hooks (``refine_from_hooks``).
+* The backward walk in blocks of domains against one whole-batch block:
+  equal bit for bit; and the pass's memory on a wide net stays bounded.
 """
 
+import tracemalloc
 from enum import Enum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,15 +20,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clipverify import (
+    AffineLayer,
     AlphaPolicy,
     BoundingPlanes,
     BoxDomain,
     InfeasibleSplitError,
     ReluRelaxation,
     bound_batch,
+    NetworkModel,
     compute_bounds,
     relax_relu,
 )
+from clipverify import crown
 from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows, stack_overrides, stack_splits
 
 from conftest import random_network_problem
@@ -393,3 +400,110 @@ def test_nonfinite_corners_are_rejected():
         (lowers if corner == "lower" else uppers)[1, 0] = value
         with pytest.raises(ValueError, match="finite"):
             bound_batch(model, lowers, uppers)
+
+
+# -- the backward walk in blocks ---------------------------------------------
+
+
+@st.composite
+def _walk_cases(draw):
+    """A net of widths 1-300 (the input too), a batch of 1-16 sub-boxes
+    with pins and overrides, a slope policy and a block size.  The batch
+    shrinks with the widest layer to keep the products small."""
+    widths = draw(st.lists(st.integers(1, 300), min_size=2, max_size=5))
+    widest = max(widths)
+    batch = draw(st.integers(1, max(1, min(16, 300_000 // widest**2))))
+    block = draw(st.sampled_from([1, 100, 5000, crown.WALK_BLOCK]))
+    return widths, batch, block, draw(policies), draw(st.integers(0, 2**32 - 1))
+
+
+def _walk_inputs(widths, batch, seed):
+    rng = np.random.default_rng(seed)
+    model = NetworkModel([
+        AffineLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in), 0.3 * rng.normal(size=w_out))
+        for w_in, w_out in zip(widths, widths[1:])
+    ])
+    n = widths[0]
+    lowers = rng.uniform(-1.0, 0.5, size=(batch, n))
+    uppers = lowers + rng.uniform(0.0, 0.5, size=(batch, n)) * (rng.uniform(size=n) > 0.2)
+    splits = []
+    for _ in range(batch):
+        pins = {}
+        for _ in range(int(rng.integers(0, 3))):
+            if model.num_layers > 1:
+                li = int(rng.integers(0, model.num_layers - 1))
+                pins[(li, int(rng.integers(0, widths[li + 1])))] = int(rng.choice([-1, 1]))
+        splits.append(pins)
+    overrides = []
+    for _ in range(batch):
+        per_layer = []
+        for w in widths[1:]:
+            lo = np.where(rng.uniform(size=w) < 0.2, rng.normal(size=w) - 1.0, np.nan)
+            hi = np.where(rng.uniform(size=w) < 0.2, rng.normal(size=w) + 1.0, np.nan)
+            per_layer.append((lo, hi) if rng.uniform() < 0.5 else None)
+        overrides.append(per_layer if rng.uniform() < 0.7 else None)
+    return (
+        model, lowers, uppers, stack_splits(model, splits), stack_overrides(model, overrides)
+    )
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_walk_cases())
+def test_blocked_walk_equals_the_whole_batch_walk(case):
+    widths, batch, block, policy, seed = case
+    model, lowers, uppers, forced, overrides = _walk_inputs(widths, batch, seed)
+    with mock.patch.object(crown, "WALK_BLOCK", block):
+        got = bound_batch(model, lowers, uppers, policy, forced, overrides)
+        if block == 1:
+            # one domain per block: the scratch no longer grows with the batch
+            _, work = crown._walk_blocks(model.layers, batch)
+            assert work.size == crown._walk_blocks(model.layers, 1)[1].size
+    with mock.patch.object(crown, "WALK_BLOCK", 10**12):
+        assert crown._walk_blocks(model.layers, batch)[0] == [batch] * model.num_layers
+        want = bound_batch(model, lowers, uppers, policy, forced, overrides)
+    assert [res is None for res in got] == [res is None for res in want]
+    for g, w in zip(got, want):
+        if w is None:
+            continue
+        for gb, wb in zip(g.layer_bounds, w.layer_bounds):
+            _same_bits(gb.lower, wb.lower)
+            _same_bits(gb.upper, wb.upper)
+        for gp, wp in zip(g.planes, w.planes):
+            for name in ("a_low", "c_low", "a_up", "c_up"):
+                _same_bits(getattr(gp, name), getattr(wp, name))
+        _same_bits(g.final_lower, w.final_lower)
+        for gc, wc in zip(g.objective_coeffs, w.objective_coeffs):
+            _same_bits(gc, wc)
+
+
+# A 16-256-256-256-1 pass over 32 boxes keeps each hidden layer's walk
+# output, (32, 512, 16) values, and its negated upper half: 9.4 MB for the
+# three.  Its bounds and relaxations take under 1 MB, and the walk's scratch
+# is three buffers of one domain's (512, 256) coefficients (3.1 MB).  The
+# pass peaks at about 15 MiB.  A scratch sized for the whole batch
+# (3 x 32 x 2 x 256^2 values) alone takes 100 MB.
+WIDE_PASS_PEAK_BYTES = 32 * 2**20
+
+
+def test_wide_pass_memory_is_bounded():
+    rng = np.random.default_rng(0)
+    widths = (16, 256, 256, 256, 1)
+    model = NetworkModel([
+        AffineLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in), 0.3 * rng.normal(size=w_out))
+        for w_in, w_out in zip(widths, widths[1:])
+    ])
+    lowers = rng.uniform(-0.5, 0.0, size=(32, 16))
+    bound_batch(model, lowers[:1], lowers[:1] + 0.5)  # first-call allocations
+    tracemalloc.start()
+    try:
+        results = bound_batch(model, lowers, lowers + 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 32 and all(res is not None for res in results)
+    assert peak < WIDE_PASS_PEAK_BYTES, f"{peak / 2**20:.1f} MiB"

@@ -1,15 +1,23 @@
-"""Per-call cost of the sampling primitives: forward evaluation and the attack.
+"""Per-call cost and memory of the engine's primitives.
 
-Usage: ``python3 tools/microbench.py [--calls N]``
+Usage: ``python3 tools/microbench.py [--calls N] [--long-seconds S]``
 
-Imports clipverify from this checkout's ``src`` and times, per call,
-``NetworkModel.evaluate`` at the calibration shape of each benchmark
-workload (and at the search's largest falsification batch) and
-``sample_attack(count=20000)`` on the same nets.  For each it prints the CPU
-milliseconds (user and system) and the minor page faults per call, from
-``resource.getrusage``, after a few warm-up calls.  One BLAS thread, as in
-the verdict benchmark.  The nets are random with fixed seeds, so two
-checkouts time the same work.
+Imports clipverify from this checkout's ``src`` and prints three tables:
+
+* ``NetworkModel.evaluate`` at the calibration shape of each benchmark
+  workload (and at the search's largest falsification batch) and
+  ``sample_attack(count=20000)`` on the same nets: CPU milliseconds (user
+  and system) and minor page faults per call, from ``resource.getrusage``,
+  after a few warm-up calls;
+* ``bound_batch`` on each workload's net at B = 1 (a root pass) and B = 16
+  (a round of children), and on three wide nets: CPU milliseconds per call
+  and the ``tracemalloc`` peak of one call;
+* a long activation-mode run with ``clip=both`` on a hard 4-24-24-1
+  instance at ``--batch`` 8 and 64: the domains it visits within
+  ``--long-seconds`` and its ``tracemalloc`` peak, in total and per domain.
+
+One BLAS thread, as in the verdict benchmark.  The nets are random with
+fixed seeds, so two checkouts time the same work.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402  (BLAS reads its thread count at import)
@@ -42,17 +52,33 @@ SHAPES = (
 )
 ATTACK_SAMPLES = 20000
 WARMUP = 3
+# (name, layer widths, batches): bound_batch on each workload's net, and on
+# wide nets, where a scratch sized by batch x width^2 used to dominate.
+BOUND_SHAPES = (
+    ("input-mid", (4, 24, 24, 1), (1, 16)),
+    ("activation-mid", (3, 12, 12, 1), (1, 16)),
+    ("input-deep", (3, 64, 64, 64, 64, 1), (1, 16)),
+    ("small-exact", (3, 6, 6, 1), (1, 16)),
+    ("wide", (64, 512, 512, 512, 1), (16,)),
+    ("wide", (784, 1024, 1024, 10), (8,)),
+    ("wide", (784, 256, 256, 256, 10), (16,)),
+)
+# Timed calls per wide-net row: each takes about a second.
+WIDE_CALLS = 3
+LONG_BATCHES = (8, 64)
 
 
 def random_problem(widths, seed):
-    """A seeded random net of ``widths`` over [-0.5, 0.5]^n, canonicalized."""
+    """A seeded random net of ``widths`` over [-0.5, 0.5]^n, canonicalized
+    with one property row per output, each ``f_i(x) >= 0``."""
     rng = np.random.default_rng(seed)
     layers = [
         cv.AffineLayer(rng.normal(size=(o, i)) / np.sqrt(i), 0.3 * rng.normal(size=o))
         for i, o in zip(widths, widths[1:])
     ]
     n = widths[0]
-    prop = cv.PropertySpec(-0.5 * np.ones(n), 0.5 * np.ones(n), [[1.0]], [0.0])
+    rows = widths[-1]
+    prop = cv.PropertySpec(-0.5 * np.ones(n), 0.5 * np.ones(n), np.eye(rows), np.zeros(rows))
     return cv.canonicalize(cv.NetworkModel(layers), prop)
 
 
@@ -71,9 +97,68 @@ def per_call(fn, calls):
     )
 
 
+def traced_peak(fn):
+    """(result, tracemalloc peak in MB) of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak / 1e6
+
+
+def hard_problem(seed=5):
+    """A 4-24-24-1 instance whose sampled minimum sits 1% of the sampled
+    spread above its threshold: an activation-mode search with
+    ``clip=both`` neither verifies nor falsifies it within 6 s."""
+    problem = random_problem((4, 24, 24, 1), seed)
+    box = problem.box
+    pts = np.random.default_rng(seed).uniform(box.lower, box.upper, size=(16384, box.dim))
+    values = problem.model.evaluate(pts)
+    shift = float(values.min()) - 0.01 * float(values.max() - values.min())
+    layers = list(problem.model.layers)
+    layers[-1] = cv.AffineLayer(layers[-1].weights, layers[-1].bias - shift)
+    return cv.CanonicalProblem(cv.NetworkModel(layers), box, 1)
+
+
+def bench_bound_batch(calls):
+    print(f"{'bound_batch':<34}{'net, batch':<26}{'cpu ms':>8}{'peak MB':>9}")
+    for seed, (name, widths, batches) in enumerate(BOUND_SHAPES):
+        problem = random_problem(widths, 100 + seed)
+        box = problem.box
+        rng = np.random.default_rng(seed)
+        for batch in batches:
+            t = rng.uniform(size=(2, batch, widths[0]))
+            lowers = box.lower + t.min(axis=0) * (box.upper - box.lower)
+            uppers = box.lower + t.max(axis=0) * (box.upper - box.lower)
+            n = WIDE_CALLS if name == "wide" else calls
+            user, system, _ = per_call(lambda: cv.bound_batch(problem.model, lowers, uppers), n)
+            _, peak = traced_peak(lambda: cv.bound_batch(problem.model, lowers, uppers))
+            shape = f"{'-'.join(map(str, widths))}, B={batch}"
+            print(f"{name:<34}{shape:<26}{user + system:8.1f}{peak:9.2f}")
+
+
+def bench_long_runs(seconds):
+    print(f"{'run_bab activation/both':<34}{'batch, budget':<26}{'domains':>8}"
+          f"{'peak MB':>9}{'KB/domain':>11}")
+    problem = hard_problem()
+    for batch in LONG_BATCHES:
+        cfg = cv.BabConfig(mode="activation", clip="both", batch=batch, timeout=seconds)
+        t0 = time.process_time()
+        out, peak = traced_peak(lambda: cv.run_bab(problem, cfg))
+        cpu = time.process_time() - t0
+        domains = out.stats.domains_visited
+        shape = f"{batch}, {seconds:g} s ({out.status}, {cpu:.1f} s cpu)"
+        print(f"{'hard 4-24-24-1':<34}{shape:<26}{domains:8d}{peak:9.2f}"
+              f"{1e3 * peak / max(domains, 1):11.2f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=200, help="timed calls per row")
+    parser.add_argument("--long-seconds", type=float, default=6.0,
+                        help="budget of each long run (0 skips them)")
     args = parser.parse_args()
     print(f"numpy {np.__version__}, {os.cpu_count()} CPUs, {args.calls} calls per row")
     print(f"{'primitive':<34}{'shape':<26}{'cpu ms':>8}{'user':>8}{'sys':>8}{'faults':>9}")
@@ -90,6 +175,9 @@ def main():
         for label, shape, fn in cases:
             user, system, faults = per_call(fn, args.calls)
             print(f"{label:<34}{shape:<26}{user + system:8.3f}{user:8.3f}{system:8.3f}{faults:9.1f}")
+    bench_bound_batch(args.calls)
+    if args.long_seconds > 0:
+        bench_long_runs(args.long_seconds)
 
 
 if __name__ == "__main__":
