@@ -85,6 +85,15 @@ CONSTRAINT_BUDGET = 16
 FALSIFY_SAMPLES = 8
 # Boxes narrower than this in every coordinate are treated as points.
 POINT_RADIUS_TOL = 1e-14
+# Values per block in which a pass's rows are gathered for the subdomains it
+# queues (see _queued_state).  A pass whose rows all fit in one block is
+# joined whole and then indexed: two numpy calls, where indexing each array
+# first takes one per array (about 2% of a small-net search's CPU).  A
+# larger pass is gathered in blocks of queued rows, so gathering holds at
+# most two blocks (or rows) beyond the copies it keeps, and never copies a
+# closed domain's rows.  32768 float64 values are 256 KiB, as for
+# crown.WALK_BLOCK.
+GATHER_BLOCK = 32768
 
 
 @dataclass
@@ -542,10 +551,10 @@ def _queued_state(res: BoundsResult, rows, lowers, uppers, overrides, scored, sp
       ``planes`` are None.
 
     ``lowers`` / ``uppers`` are the pass's corners and ``overrides`` its
-    override stacks.  Each array is gathered once for all rows, and each
-    row is copied into one buffer of its own, which all its arrays view:
-    a queued subdomain shares no memory with the pass or with another one,
-    and keeps nothing of its siblings alive.
+    override stacks.  The rows are gathered in blocks of ``GATHER_BLOCK``
+    values, and each row is copied into one buffer of its own, which all
+    its arrays view: a queued subdomain shares no memory with the pass or
+    with another one, and keeps nothing of its siblings alive.
     """
     hidden = len(res.planes) - 1
     final = res.planes[-1]
@@ -562,9 +571,18 @@ def _queued_state(res: BoundsResult, rows, lowers, uppers, overrides, scored, sp
     take = operator.itemgetter(*map(slice, [0, *ends[:-1]], ends))
     matrices = [(i, piece.shape[1:]) for i, piece in enumerate(pieces) if piece.ndim > 2]
     flat = [piece.reshape(len(piece), -1) if piece.ndim > 2 else piece for piece in pieces]
+    step = max(1, GATHER_BLOCK // ends[-1])
+    if step >= len(lowers):
+        copies = [row.copy() for row in np.concatenate(flat, axis=1)[rows]]
+    else:
+        copies = [
+            row.copy()
+            for at in range(0, len(rows), step)
+            for row in np.concatenate([piece[rows[at:at + step]] for piece in flat], axis=1)
+        ]
     state = []
-    for row in np.concatenate(flat, axis=1)[rows]:
-        views = list(take(row.copy()))
+    for buf in copies:
+        views = list(take(buf))
         for i, shape in matrices:
             views[i] = views[i].reshape(shape)
         views = iter(views)

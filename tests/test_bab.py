@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -350,6 +351,55 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip):
                 assert not any(np.shares_memory(arr, other) for other in batch_arrays)
                 for others in kept[i + 1:]:
                     assert not any(np.shares_memory(arr, other) for other in others)
+
+
+@pytest.mark.parametrize("rows", [[1, 6, 11], list(range(16))])
+def test_queued_state_gathers_in_bounded_blocks(rows):
+    # Gathering used to join every row of every kept array, the closed
+    # domains' included, and then copy each queued row: a settle of 16
+    # wide domains held three times what it keeps when 3 were queued, and
+    # twice when all 16 were.  Gathered in blocks, it holds at most two
+    # blocks (or rows) beyond what it keeps.
+    rng = np.random.default_rng(4)
+    widths = (8, 128, 128, 128, 1)
+    model = NetworkModel([
+        AffineLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in), 0.3 * rng.normal(size=w_out))
+        for w_in, w_out in zip(widths, widths[1:])
+    ])
+    root = Subdomain.root(CanonicalProblem(model, BoxDomain(np.full(8, -0.5), np.full(8, 0.5)), 1))
+    batch = 16
+    forced = [np.array([pins] * batch) for pins in root.forced]
+    overrides = [(np.array([lo] * batch), np.array([hi] * batch)) for lo, hi in root.overrides]
+    lowers = rng.uniform(-0.5, 0.0, size=(batch, 8))
+    uppers = lowers + 0.5
+    res, _ = bab.bound_pass(model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
+    tracemalloc.start()
+    try:
+        # activation mode with clipping keeps the most: bounds,
+        # coefficients and every layer's planes
+        state = bab._queued_state(res, np.array(rows), lowers, uppers, overrides, True, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state) == len(rows)
+    for (lower, upper, kept_overrides, kept), b in zip(state, rows):
+        got = [lower, upper, *(arr for pair in kept_overrides for arr in pair), kept.final_lower]
+        want = [lowers[b], uppers[b], *(arr[b] for pair in overrides for arr in pair),
+                res.final_lower[b]]
+        for lb, ref in zip(kept.layer_bounds, res.layer_bounds):
+            got += [lb.lower, lb.upper]
+            want += [ref.lower[b], ref.upper[b]]
+        for p, ref in zip(kept.planes[:-1], res.planes):
+            got += [p.a_low, p.c_low, p.a_up, p.c_up]
+            want += [ref.a_low[b], ref.c_low[b], ref.a_up[b], ref.c_up[b]]
+        got += [kept.planes[-1].a_low, kept.planes[-1].c_low, *kept.objective_coeffs]
+        want += [res.planes[-1].a_low[b], res.planes[-1].c_low[b],
+                 *(coeffs[b] for coeffs in res.objective_coeffs)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+    kept = sum(lower.base.nbytes for lower, *_ in state)
+    block = max(8 * bab.GATHER_BLOCK, kept // len(rows))
+    assert peak <= kept + 2 * block + 64 * 2**10, (peak, kept)
 
 
 def _cancelling_problem() -> CanonicalProblem:

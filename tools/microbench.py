@@ -1,6 +1,6 @@
 """Per-call cost and memory of the engine's primitives.
 
-Usage: ``python3 tools/microbench.py [--calls N] [--long-seconds S]``
+Usage: ``python3 tools/microbench.py [--calls N]``
 
 Imports clipverify from this checkout's ``src`` and prints three tables:
 
@@ -14,7 +14,7 @@ Imports clipverify from this checkout's ``src`` and prints three tables:
   and the ``tracemalloc`` peak of one call;
 * a long activation-mode run with ``clip=both`` on a hard 4-24-24-1
   instance at ``--batch`` 8 and 64: the domains it visits within
-  ``--long-seconds`` and its ``tracemalloc`` peak, in total and per domain.
+  ``LONG_SECONDS`` and its ``tracemalloc`` peak, in total and per domain.
 
 One BLAS thread, as in the verdict benchmark.  The nets are random with
 fixed seeds, so two checkouts time the same work.
@@ -66,6 +66,8 @@ BOUND_SHAPES = (
 # Timed calls per wide-net row: each takes about a second.
 WIDE_CALLS = 3
 LONG_BATCHES = (8, 64)
+# Budget of each long run: enough for thousands of domains on hard_problem.
+LONG_SECONDS = 6.0
 
 
 def random_problem(widths, seed):
@@ -139,17 +141,17 @@ def bench_bound_batch(calls):
             print(f"{name:<34}{shape:<26}{user + system:8.1f}{peak:9.2f}")
 
 
-def bench_long_runs(seconds):
+def bench_long_runs():
     print(f"{'run_bab activation/both':<34}{'batch, budget':<26}{'domains':>8}"
           f"{'peak MB':>9}{'KB/domain':>11}")
     problem = hard_problem()
     for batch in LONG_BATCHES:
-        cfg = cv.BabConfig(mode="activation", clip="both", batch=batch, timeout=seconds)
+        cfg = cv.BabConfig(mode="activation", clip="both", batch=batch, timeout=LONG_SECONDS)
         t0 = time.process_time()
         out, peak = traced_peak(lambda: cv.run_bab(problem, cfg))
         cpu = time.process_time() - t0
         domains = out.stats.domains_visited
-        shape = f"{batch}, {seconds:g} s ({out.status}, {cpu:.1f} s cpu)"
+        shape = f"{batch}, {LONG_SECONDS:g} s ({out.status}, {cpu:.1f} s cpu)"
         print(f"{'hard 4-24-24-1':<34}{shape:<26}{domains:8d}{peak:9.2f}"
               f"{1e3 * peak / max(domains, 1):11.2f}")
 
@@ -157,8 +159,6 @@ def bench_long_runs(seconds):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=200, help="timed calls per row")
-    parser.add_argument("--long-seconds", type=float, default=6.0,
-                        help="budget of each long run (0 skips them)")
     args = parser.parse_args()
     print(f"numpy {np.__version__}, {os.cpu_count()} CPUs, {args.calls} calls per row")
     print(f"{'primitive':<34}{'shape':<26}{'cpu ms':>8}{'user':>8}{'sys':>8}{'faults':>9}")
@@ -176,8 +176,7 @@ def main():
             user, system, faults = per_call(fn, args.calls)
             print(f"{label:<34}{shape:<26}{user + system:8.3f}{user:8.3f}{system:8.3f}{faults:9.1f}")
     bench_bound_batch(args.calls)
-    if args.long_seconds > 0:
-        bench_long_runs(args.long_seconds)
+    bench_long_runs()
 
 
 if __name__ == "__main__":
