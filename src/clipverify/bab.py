@@ -8,7 +8,9 @@ differ only in how a subdomain branches (:func:`_branch`):
   leaves behind the final-layer lower planes of the rows it could not
   verify; where such a plane is negative is the only part of the
   subdomain that can still hide a counterexample, so the plane of a lone
-  open row is added to the children's constraints.
+  open row is added to the children's constraints.  What it cuts away is
+  only known to be nonnegative, so closing a subdomain that carries
+  constraints lowers the verified bound to 0.
 
 * activation splitting: pin the unstable ReLU with the highest branching
   score to each of its two sides (bisect when none is left).  Every pin
@@ -19,29 +21,32 @@ first.  Then each round:
 
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
-2. scores the parents once, together (:func:`_branch_scores`), when
-   branching or complete clipping needs the scores;
-3. branches each parent in two;
-4. screens the children together (:func:`_screen_children`), each by, in
+2. branches each parent in two, on the neuron picked when it was bounded
+   (activation mode) or by bisection;
+3. screens the children together (:func:`_screen_children`), each by, in
    this order: relaxed clipping of its box against its constraints (an
    empty box closes it), its parent's final planes over the clipped box (a
    bound >= 0 closes it), and a few sampled points, any of which may
    falsify the problem (the first hit in search order wins).  Each screen
    is one array expression, draw or forward evaluation for all children;
-5. bounds the survivors in one pass (:func:`crown.bound_pass`).  The clipped
-   corners and constraint stacks the screen built go in as they are; so do
-   the children's pins and overrides, stacked (see :class:`Subdomain`).
-   Complete clipping runs inside the pass (:func:`_clip_refine`): each
-   layer's critical neurons of all the children go to one batched dual
-   ascent.  A child's critical neurons are its parent's best-scoring ones,
-   its own pin left out.  The refine writes its tightenings into the
-   pass's override stacks, whose rows become the children's overrides;
-6. closes each child whose bound reaches 0 and queues the others, each
-   with its own copy of what later rounds read of the pass.
+4. checks the deadline again, then bounds the survivors in one pass
+   (:func:`crown.bound_pass`).  The clipped corners and constraint stacks
+   the screen built go in as they are; so do the children's pins and
+   overrides, stacked (see :class:`Subdomain`).  Complete clipping runs
+   inside the pass (:func:`_clip_refine`): each layer's critical neurons of
+   all the children go to one batched dual ascent.  A child's critical
+   neurons are its parent's best-scoring ones, its own pin left out.  The
+   refine writes its tightenings into the pass's override stacks, whose
+   rows become the children's overrides;
+5. closes each child whose bound reaches 0 and queues the others, each
+   with its own copy of what later rounds read of the pass.  The queued
+   rows are scored together (:func:`_branch_scores`), and each one's
+   neuron to pin and the half-space each of its children adds are taken
+   there too; a round stacks its children's constraints from these and
+   their parents' in array steps (:func:`_child_stacks`).
 
-The deadline is checked between rounds.  Candidate counterexamples are
-checked by exact forward evaluation, so a "falsified" verdict is always
-certified.
+Candidate counterexamples are checked by exact forward evaluation, so a
+"falsified" verdict is always certified.
 """
 
 from __future__ import annotations
@@ -57,24 +62,21 @@ import numpy as np
 # coordinate_ascent, relaxed_clip_parallel and relaxed_clip_sequential are
 # tracer patch points
 from .clipping import (  # noqa: F401
-    ConstraintSet,
     coordinate_ascent,
     dual_ascent_batch,
     relaxed_clip_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
     relaxed_clip_sequential_batch,
-    stack_constraints,
 )
 from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
-    LayerBounds,
     bound_pass,
     compute_bounds,
 )
-from .geometry import LinearConstraint, box_range, screen_rows
+from .geometry import box_range, screen_rows
 from .network import CanonicalProblem
 
 # Input-space constraints kept per subdomain, split constraints in activation
@@ -86,13 +88,9 @@ FALSIFY_SAMPLES = 8
 # Boxes narrower than this in every coordinate are treated as points.
 POINT_RADIUS_TOL = 1e-14
 # Values per block in which a pass's rows are gathered for the subdomains it
-# queues (see _queued_state).  A pass whose rows all fit in one block is
-# joined whole and then indexed: two numpy calls, where indexing each array
-# first takes one per array (about 2% of a small-net search's CPU).  A
-# larger pass is gathered in blocks of queued rows, so gathering holds at
-# most two blocks (or rows) beyond the copies it keeps, and never copies a
-# closed domain's rows.  32768 float64 values are 256 KiB, as for
-# crown.WALK_BLOCK.
+# queues (see _queued_state), so gathering holds at most two blocks (or
+# rows) beyond the copies it keeps.  32768 float64 values are 256 KiB, as
+# for crown.WALK_BLOCK.
 GATHER_BLOCK = 32768
 
 
@@ -131,34 +129,37 @@ class BabConfig:
 class Subdomain:
     """One open region of the search: a box plus everything known about it.
 
-    Pins and overrides are kept in the per-domain form of the arguments
-    :func:`bound_batch` takes, so a round only stacks them:
-
-    * ``lower`` / ``upper``: the ``(n,)`` box corners;
-    * ``forced``: per hidden layer, a ``(w_i,)`` int array of ReLU pins,
-      +1 active, -1 inactive, 0 free;
-    * ``overrides``: per layer, a ``(lower, upper)`` pair of ``(w_i,)``
-      arrays of accumulated bound tightenings, NaN where there is none;
-    * ``constraints``: input-space half-spaces valid for any
-      counterexample inside the box;
-    * ``planes``: the most recent bounding pass touching this region (the
-      parent's until the node is bounded itself).  The search keeps only
-      what later rounds read of it (see :func:`_queued_state`).
+    ``lower`` / ``upper`` are its ``(n,)`` corners.  ``forced`` holds per
+    hidden layer a ``(w_i,)`` int array of ReLU pins (+1 active, -1
+    inactive, 0 free), ``overrides`` per layer a ``(lower, upper)`` pair of
+    ``(w_i,)`` bound tightenings (NaN: none), the per-domain rows of what
+    :func:`bound_batch` takes.  ``normals @ x + offsets <= 0``, ``(m, n)``
+    and ``(m,)``, holds for any counterexample in the box.  The rest is what
+    later rounds read of its bounding pass (its parent's until it is bounded
+    itself): ``planes``, the final layer's lower planes; ``scores``, the
+    flat ``(W,)`` branching scores of all hidden neurons, -inf where stable
+    or pinned; ``pick``, the ``(layer, neuron)`` activation mode pins next
+    (None: bisect); ``child_constraints``, ``(2, n)`` normals and ``(2,)``
+    offsets whose row k child k adds (None: none).
 
     Children share these arrays with their parent; none is ever modified
-    in place.  A queued subdomain's corners, overrides and ``planes`` view
-    one buffer of its own, filled from its bounding pass, so the pass's
-    arrays are freed when the pass ends.
+    in place.  A queued subdomain's arrays view one buffer of its own; only
+    one bounded without constraints has the run's shared empty ``normals``
+    / ``offsets`` instead.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     forced: list
     overrides: list
-    constraints: ConstraintSet
+    normals: np.ndarray
+    offsets: np.ndarray
     bound: float
     depth: int = 0
-    planes: BoundsResult | None = None
+    planes: BoundingPlanes | None = None
+    scores: np.ndarray | None = None
+    pick: tuple | None = None
+    child_constraints: tuple | None = None
     path: tuple = ()
 
     @classmethod
@@ -170,7 +171,8 @@ class Subdomain:
             problem.box.upper.copy(),
             [np.zeros(layer.out_dim, dtype=int) for layer in layers[:-1]],
             [(np.full(layer.out_dim, np.nan),) * 2 for layer in layers],
-            ConstraintSet.empty(problem.box.dim),
+            np.zeros((0, problem.box.dim)),
+            np.zeros(0),
             -np.inf,
         )
 
@@ -236,31 +238,6 @@ def babsr_intercept_score(lower, upper, mean_coeff) -> np.ndarray:
     return np.where(width > 0.0, score, 0.0)
 
 
-def final_plane_to_constraint(planes: BoundingPlanes, row: int) -> LinearConstraint:
-    """Half-space containing every point where an output row can be negative.
-
-    The row's lower plane satisfies ``plane(x) <= row(x)``, so ``row(x) < 0``
-    forces ``plane(x) < 0``; the returned constraint ``plane(x) <= 0`` keeps
-    all potential counterexamples of that row.
-    """
-    return LinearConstraint(planes.a_low[row].copy(), float(planes.c_low[row]))
-
-
-def split_constraint_to_input(planes: BoundingPlanes, neuron: int, polarity: int) -> LinearConstraint:
-    """Sound input-space condition implied by pinning ``neuron`` of the
-    layer ``planes`` describe to one side of zero.
-
-    Polarity +1 pins the active side: the pre-activation is >= 0, which its
-    cached upper plane must allow.  Polarity -1 pins the inactive side,
-    which likewise needs the lower plane <= 0.  Both are necessary
-    conditions, so clipping with them never removes a point of the pinned
-    region.
-    """
-    if polarity > 0:
-        return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
-    return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
-
-
 def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None):
     """Bisect the box along ``dim`` (default: widest, ties to lowest index)
     at ``at`` (default: the midpoint, clamped into the box when given).
@@ -289,17 +266,17 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
 def branch_activation(sub: Subdomain, pick: tuple):
     """Split a subdomain on one unstable neuron; returns (active, inactive).
 
-    Each child pins the neuron to one side in ``forced``.  The input
-    half-space a pin implies (:func:`split_constraint_to_input`) is added
-    by the search, and only when clipping reads it.
+    Each child pins the neuron to one side in ``forced``.  The neuron must
+    be free and score above -inf in ``sub.scores`` (be unstable).  The
+    search adds the input half-space a pin implies (see
+    :func:`_child_constraints`), and only when clipping reads it.
     """
     layer, neuron = pick
     if sub.forced[layer][neuron] != 0:
         raise ValueError(f"neuron ({layer}, {neuron}) is already assigned")
-    if sub.planes is None:
-        raise ValueError("subdomain has no cached bounding planes to split with")
-    lb = sub.planes.layer_bounds[layer]
-    if not (lb.lower[neuron] < 0.0 < lb.upper[neuron]):
+    if sub.scores is None:
+        raise ValueError("subdomain has no branching scores to split with")
+    if not sub.scores[sum(len(pins) for pins in sub.forced[:layer]) + neuron] > -np.inf:
         raise ValueError(f"neuron ({layer}, {neuron}) is not unstable here")
     children = []
     for side, polarity in enumerate((1, -1)):
@@ -312,19 +289,15 @@ def branch_activation(sub: Subdomain, pick: tuple):
     return children[0], children[1]
 
 
-def _branch_scores(subs) -> list:
-    """BaBSR score of every hidden neuron of the bounded subdomains
-    ``subs``, one ``(B, w)`` array per hidden layer, with -inf wherever the
-    neuron is stable or pinned."""
-    scores = []
-    for i in range(len(subs[0].forced)):
-        lower = np.array([sub.planes.layer_bounds[i].lower for sub in subs])
-        upper = np.array([sub.planes.layer_bounds[i].upper for sub in subs])
-        coeff = np.array([sub.planes.objective_coeffs[i] for sub in subs])
-        free = np.array([sub.forced[i] for sub in subs]) == 0
-        unstable = (lower < 0.0) & (upper > 0.0) & free
-        scores.append(np.where(unstable, babsr_intercept_score(lower, upper, coeff), -np.inf))
-    return scores
+def _branch_scores(res: BoundsResult, forced) -> np.ndarray:
+    """BaBSR score of every hidden neuron of each domain of the batch-form
+    pass ``res`` (see :func:`crown.bound_pass`) under its pins ``forced``:
+    ``(B, W)``, layers side by side, -inf where stable or pinned."""
+    scores = [np.zeros((len(res.final_lower), 0))]  # a net without hidden layers
+    for lb, coeff, pins in zip(res.layer_bounds, res.objective_coeffs, forced):
+        unstable = (lb.lower < 0.0) & (lb.upper > 0.0) & (pins == 0)
+        scores.append(np.where(unstable, babsr_intercept_score(lb.lower, lb.upper, coeff), -np.inf))
+    return np.concatenate(scores, axis=1)
 
 
 def _critical_masks(cfg: BabConfig, scores) -> list:
@@ -344,33 +317,60 @@ def _critical_masks(cfg: BabConfig, scores) -> list:
     return masks
 
 
-def _pick_branch_neurons(scores) -> list:
-    """Each domain's highest-scoring unstable, unpinned neuron as
-    ``(layer, index)``, ties to the lowest; None for a domain with none."""
-    flat = np.concatenate(scores, axis=1)
-    best = np.argmax(flat, axis=1)
-    ends = np.cumsum([layer_scores.shape[1] for layer_scores in scores])
-    picks = []
-    for b, k in enumerate(best.tolist()):
-        if flat[b, k] == -np.inf:
-            picks.append(None)
-            continue
-        layer = int(np.searchsorted(ends, k, side="right"))
-        picks.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
-    return picks
+def _pick_branch_neurons(scores, widths) -> tuple:
+    """Each domain's highest-scoring neuron (ties to the lowest) from flat
+    ``(B, W)`` scores of hidden layers ``widths``, as ``(layer, neuron,
+    found)`` arrays; ``found`` is False where every neuron scores -inf."""
+    if scores.shape[1] == 0:
+        none = np.zeros(len(scores), dtype=int)
+        return none, none, none > 0
+    best = scores.argmax(axis=1)
+    ends = np.cumsum(widths)
+    layer = np.searchsorted(ends, best, side="right")
+    return layer, best - (ends - widths)[layer], scores.max(axis=1) > -np.inf
 
 
-def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, forced, overrides):
-    """The refine of one bounding pass over ``subs`` (see
-    :func:`bound_batch`), running complete clipping for all of them, or
-    None when complete clipping is off or no subdomain has constraints
-    (``stacks`` is None).
+def _child_constraints(cfg: BabConfig, res: BoundsResult, pick) -> tuple:
+    """The half-space each child of every domain of the batch-form pass
+    ``res`` adds, ``(B, 2, n)`` normals and ``(B, 2)`` offsets (row k for
+    child k), and a ``(B,)`` mask of the domains whose children add one.
+
+    In input mode that is the final lower plane of a lone open row, for
+    both children: ``plane(x) <= row(x)``, so ``plane(x) <= 0`` keeps every
+    point where the row can be negative (with several rows open a point can
+    violate one while clearing another).  In activation mode it is what the
+    pin ``pick`` implies: the active side needs the neuron's upper plane
+    >= 0, the inactive side its lower plane <= 0.  Both are necessary
+    conditions, so clipping with them removes no point of the child."""
+    final = res.planes[-1]
+    if cfg.mode == "input":
+        open_rows = res.final_lower < 0.0
+        at = np.arange(len(open_rows)), open_rows.argmax(axis=1)
+        normals = final.a_low[at][:, None].repeat(2, axis=1)
+        return normals, final.c_low[at][:, None].repeat(2, axis=1), open_rows.sum(axis=1) == 1
+    layer, neuron, found = pick
+    normals, offsets = np.zeros((len(found), 2, final.a_low.shape[2])), np.zeros((len(found), 2))
+    for i in set(layer[found].tolist()):
+        b = np.flatnonzero(found & (layer == i))
+        at, planes = (b, neuron[b]), res.planes[i]
+        normals[b, 0], offsets[b, 0] = planes.a_up[at], planes.c_up[at]
+        normals[b, 1], offsets[b, 1] = planes.a_low[at], planes.c_low[at]
+    # the active side needs the upper plane >= 0
+    normals[:, 0], offsets[:, 0] = -normals[:, 0], -offsets[:, 0]
+    return normals, offsets, found
+
+
+def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, overrides):
+    """The refine of one bounding pass (see :func:`bound_batch`), running
+    complete clipping for all its domains, or None when complete clipping
+    is off or no domain has constraints (``stacks`` is None).
 
     ``lowers`` / ``uppers`` are the domains' ``(B, n)`` corners and
-    ``stacks`` their constraint stacks (see :func:`stack_constraints`).
-    ``scores`` are the branching scores of each domain's parent, one row
-    per domain; with the domain's own pins (``forced``) left out they pick
-    its critical neurons.  ``overrides`` are the pass's override stacks.
+    ``stacks`` their constraint stacks and set sizes (see
+    :func:`_child_stacks`).  ``scores`` are the flat scores of each
+    domain's parent; with the domain's own pins (``forced``) left out they
+    pick its critical neurons.  ``overrides`` are the pass's override
+    stacks.
 
     Each layer's freshly computed bounds are tightened for every domain's
     critical neurons before the layer's relaxation is built; the final
@@ -384,14 +384,13 @@ def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, fo
     """
     if cfg.clip not in ("complete", "both") or stacks is None:
         return None
-    normals, offsets = stacks
-    sizes = np.array([sub.constraints.size for sub in subs])
+    normals, offsets, sizes = stacks
     last = model.num_layers - 1
     centers, radii = 0.5 * (lowers + uppers), 0.5 * (uppers - lowers)
     feasible, active = screen_rows(centers, radii, normals, offsets)
-    critical = _critical_masks(
-        cfg, [np.where(pins != 0, -np.inf, s) for pins, s in zip(forced, scores)]
-    )
+    ends = itertools.accumulate(pins.shape[1] for pins in forced)
+    critical = _critical_masks(cfg, [np.where(pins != 0, -np.inf, scores[:, end - pins.shape[1]:end])
+                                     for pins, end in zip(forced, ends)])
 
     def refine(i, planes, lower, upper, alive):
         crit = lower < 0.0 if i == last else critical[i]
@@ -400,7 +399,7 @@ def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, fo
         doms = np.flatnonzero(need & feasible)
         if doms.size == 0:
             return lower, upper, need & ~feasible
-        if doms.size == len(subs):
+        if doms.size == len(lowers):
             doms = slice(None)
         counts = counts[doms]
         k = int(counts.max())
@@ -408,7 +407,7 @@ def _clip_refine(cfg: BabConfig, model, subs, lowers, uppers, stacks, scores, fo
         # a row is padding, solved but left as it was
         idx = np.argsort(~crit[doms], axis=1, kind="stable")[:, :k]
         valid = np.arange(k) < counts[:, None]
-        rows = np.arange(len(subs))[doms, None]
+        rows = np.arange(len(lowers))[doms, None]
         objs, consts = planes.a_low[rows, idx], planes.c_low[rows, idx]
         if i != last:
             objs = np.concatenate([objs, -planes.a_up[rows, idx]], axis=1)
@@ -475,53 +474,79 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return j, float(vals[j, k]), pts[j, k].copy()
 
 
+def _child_stacks(parents) -> tuple | None:
+    """The constraints of a round's children (``2 p`` and ``2 p + 1`` are
+    those of ``parents[p]``) as ``(2P, M, n)`` normals, ``(2P, M)`` offsets
+    and ``(2P,)`` set sizes, M the largest, or None when no child has any.
+    Child k has its parent's rows, then row k of the parent's
+    ``child_constraints``, the most recent ``CONSTRAINT_BUDGET`` of them,
+    padded with the row ``0 . x + 0 <= 0``, which holds everywhere.  One
+    gather makes the stack."""
+    sizes = [len(parent.offsets) for parent in parents]
+    added = [parent.child_constraints for parent in parents if parent.child_constraints is not None]
+    if not (any(sizes) or added):
+        return None
+    # one table of every row, row 0 the padding, and each child's row indices
+    normals = np.concatenate([np.zeros((1, parents[0].lower.size)),
+                              *(parent.normals for parent in parents), *(pair[0] for pair in added)])
+    offsets = np.concatenate([np.zeros(1), *(parent.offsets for parent in parents),
+                              *(pair[1] for pair in added)])
+    idx, start, own = [], 1, 1 + sum(sizes)
+    for parent, size in zip(parents, sizes):
+        grows = parent.child_constraints is not None
+        rows = list(range(start + size - min(size, CONSTRAINT_BUDGET - grows), start + size))
+        idx += [rows + [own], rows + [own + 1]] if grows else [rows, rows]
+        start, own = start + size, own + 2 * grows
+    counts = [len(rows) for rows in idx]
+    idx = np.array([rows + [0] * (max(counts) - len(rows)) for rows in idx])
+    return normals[idx], offsets[idx], np.array(counts)
+
+
 def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
     """Screen a round's children all at once.  ``children[2 p]`` and
     ``children[2 p + 1]`` are the children of ``parents[p]``, and
     ``children`` is in search order.
 
-    Each child's box is relaxed-clipped (an empty box closes it), its
-    parent's final planes bound it over the clipped box (a bound >= 0
-    closes it), and the survivors' sampled points are evaluated together.
+    Each child's box is relaxed-clipped against its constraints (an empty
+    box closes it), its parent's final planes bound it over the clipped box
+    (a bound >= 0 closes it), and the survivors' sampled points are
+    evaluated together.
 
-    Returns the survivors, the lowest bound of the children the planes
-    closed (inf if none), and ``(value, point)`` of the first survivor in
-    search order with a negative point, or None.  The survivors are
-    ``(keep, lowers, uppers, stacks)``: their indices in ``children``,
-    their clipped ``(S, n)`` corners, and their constraints stacked as
-    ``(S, M, n)`` normals and ``(S, M)`` offsets, M their largest set
-    (None when that is empty or clipping is off).  Each survivor's
-    ``bound`` is set.  When there is none, or on a hit, the survivors are
-    None: a hit ends the search.
+    Returns the survivors, the lowest bound of the closed children (inf if
+    none; at most 0 in input mode if one carries constraints), and
+    ``(value, point)`` of the first survivor in search order with a
+    negative point, or None.  The survivors are ``(keep, lowers, uppers,
+    stacks)``: their indices in ``children``, clipped ``(S, n)`` corners
+    and :func:`_child_stacks` rows trimmed to their largest set (None when
+    that is empty).  Each survivor's ``bound`` is set.  When there is none,
+    or on a hit, the survivors are None: a hit ends the search.
     """
     if not children:
         return None, np.inf, None
     lowers = np.array([child.lower for child in children])
     uppers = np.array([child.upper for child in children])
-    sizes = np.array([child.constraints.size for child in children])
+    stacks = _child_stacks(parents) if cfg.clip != "none" else None
     nonempty = np.ones(len(children), dtype=bool)
-    normals = None
-    if cfg.clip != "none" and sizes.any():
-        normals, offsets = stack_constraints([child.constraints for child in children])
-        if cfg.clip in ("relaxed", "both"):
-            if not cfg.sequential_clip:
-                lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, normals, offsets)
-            else:
-                lowers, uppers, empty = relaxed_clip_sequential_batch(
-                    lowers, uppers, normals, offsets, "centroid" if cfg.reorder else "given"
-                )
-            nonempty = ~empty
-    final = [parent.planes.planes[-1] for parent in parents]
+    if stacks is not None and cfg.clip in ("relaxed", "both"):
+        if not cfg.sequential_clip:
+            lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stacks[:2])
+        else:
+            order = "centroid" if cfg.reorder else "given"
+            lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], order)
+        nonempty = ~empty
     mid, span = box_range(
-        np.array([planes.a_low for planes in final]).repeat(2, axis=0),
-        np.array([planes.c_low for planes in final]).repeat(2, axis=0),
+        np.array([parent.planes.a_low for parent in parents]).repeat(2, axis=0),
+        np.array([parent.planes.c_low for parent in parents]).repeat(2, axis=0),
         0.5 * (lowers + uppers),
         0.5 * (uppers - lowers),
     )
     quick = (mid - span).min(axis=1)
     bounds = np.maximum(np.repeat([parent.bound for parent in parents], 2), quick)
     floor = float(bounds[nonempty & (bounds >= 0.0)].min(initial=np.inf))
-    keep = np.flatnonzero(nonempty & (bounds < 0.0))
+    survive = nonempty & (bounds < 0.0)
+    if cfg.mode == "input" and stacks is not None and (stacks[2][~survive] > 0).any():
+        floor = min(floor, 0.0)
+    keep = np.flatnonzero(survive)
     if keep.size == 0:
         return None, floor, None
     hit = _falsify_boxes(problem, lowers[keep], uppers[keep], rng)
@@ -529,77 +554,37 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         return None, floor, hit[1:]
     for j in keep:
         children[j].bound = float(bounds[j])
-    # trimmed to the survivors' largest set, the stacks are what stacking
-    # the survivors' own sets gives
-    m = int(sizes[keep].max())
-    stacks = None if normals is None or m == 0 else (normals[keep, :m], offsets[keep, :m])
+    if stacks is not None:
+        m = int(stacks[2][keep].max())
+        stacks = (stacks[0][keep, :m], stacks[1][keep, :m], stacks[2][keep]) if m else None
     return (keep, lowers[keep], uppers[keep], stacks), floor, None
 
 
-def _queued_state(res: BoundsResult, rows, lowers, uppers, overrides, scored, split_planes):
-    """What a subdomain queued from the pass ``res`` (in the batch form of
-    :func:`crown.bound_pass`) keeps: per entry of ``rows``, its corners,
-    its override pairs and a :class:`BoundsResult` holding only what later
-    rounds read of the pass:
-
-    * always ``final_lower`` and the final layer's lower planes (its upper
-      planes are None);
-    * with ``scored``, the hidden layers' bounds and the objective
-      coefficients, which score the domain as a parent;
-    * with ``split_planes``, the hidden layers' planes, which give an
-      activation split its half-space; otherwise those entries of
-      ``planes`` are None.
-
-    ``lowers`` / ``uppers`` are the pass's corners and ``overrides`` its
-    override stacks.  The rows are gathered in blocks of ``GATHER_BLOCK``
-    values, and each row is copied into one buffer of its own, which all
-    its arrays view: a queued subdomain shares no memory with the pass or
-    with another one, and keeps nothing of its siblings alive.
-    """
-    hidden = len(res.planes) - 1
-    final = res.planes[-1]
-    pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair)]
-    pieces += [res.final_lower, final.a_low, final.c_low]
-    if scored:
-        pieces += [arr for lb in res.layer_bounds[:hidden] for arr in (lb.lower, lb.upper)]
-        pieces += res.objective_coeffs
-    if split_planes:
-        pieces += [arr for p in res.planes[:hidden] for arr in (p.a_low, p.c_low, p.a_up, p.c_up)]
-    # a row's slice of each piece, taken in one call; only the matrices
-    # (planes) are reshaped, which costs more than the slice itself
+def _queued_state(pieces, rows) -> list:
+    """Per entry of ``rows``, its row of each batch-form array (at least
+    2-D) of ``pieces``, all views of one buffer of its own: a queued
+    subdomain shares no memory with the pass or with another one.  A pass
+    whose rows fit in one block of ``GATHER_BLOCK`` values is joined whole,
+    then indexed (two numpy calls, not one per piece); a larger one is
+    gathered in blocks of queued rows, never copying a closed domain's."""
+    # a row's slice of each piece, taken in one call; only the matrices are
+    # reshaped, which costs more than the slice itself
     ends = list(itertools.accumulate(piece.size // len(piece) for piece in pieces))
     take = operator.itemgetter(*map(slice, [0, *ends[:-1]], ends))
     matrices = [(i, piece.shape[1:]) for i, piece in enumerate(pieces) if piece.ndim > 2]
     flat = [piece.reshape(len(piece), -1) if piece.ndim > 2 else piece for piece in pieces]
     step = max(1, GATHER_BLOCK // ends[-1])
-    if step >= len(lowers):
-        copies = [row.copy() for row in np.concatenate(flat, axis=1)[rows]]
+    if step >= len(pieces[0]):
+        blocks = [np.concatenate(flat, axis=1)[rows]]
     else:
-        copies = [
-            row.copy()
-            for at in range(0, len(rows), step)
-            for row in np.concatenate([piece[rows[at:at + step]] for piece in flat], axis=1)
-        ]
+        blocks = (np.concatenate([piece[rows[at:at + step]] for piece in flat], axis=1)
+                  for at in range(0, len(rows), step))
     state = []
-    for buf in copies:
+    for buf in (row.copy() for block in blocks for row in block):
         views = list(take(buf))
         for i, shape in matrices:
             views[i] = views[i].reshape(shape)
-        views = iter(views)
-        lower, upper = next(views), next(views)
-        kept_overrides = [(next(views), next(views)) for _ in overrides]
-        final_lower, a_low, c_low = next(views), next(views), next(views)
-        bounds = [LayerBounds(next(views), next(views)) for _ in range(hidden if scored else 0)]
-        coeffs = [next(views) for _ in range(hidden if scored else 0)]
-        planes = [None] * hidden
-        if split_planes:
-            planes = [
-                BoundingPlanes(next(views), next(views), next(views), next(views))
-                for _ in range(hidden)
-            ]
-        planes.append(BoundingPlanes(a_low, c_low, None, None))
-        kept = BoundsResult(bounds, planes, final_lower, coeffs)
-        state.append((lower, upper, kept_overrides, kept))
+        state.append(views)
     return state
 
 
@@ -608,36 +593,19 @@ def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     return VerificationOutcome(status, counterexample, value, bound, stats)
 
 
-def _branch(cfg: BabConfig, sub: Subdomain, pick, probe: BranchProbe | None):
+def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
     """Split a bounded, open subdomain in two: the only step of the search
     that depends on the mode.  Returns the decision and the two children.
 
+    Activation mode pins ``sub.pick`` and bisects when there is none.
     Input mode bisects, or takes the cut ``probe.replay`` recorded for this
-    path.  Before that, when clipping is on, it harvests the final plane of
-    a lone open row: with several rows open their half-spaces may not be
-    stacked (a point can violate one row while clearing another).
-    Activation mode pins ``pick``, the best-scoring unstable neuron, and
-    bisects when there is none (``pick`` None).  When clipping is on, each
-    pinned child also gets the input half-space its pin implies.  Only
-    clipping reads constraints, so with it off none are built.
+    path.
     """
     if cfg.mode == "activation":
-        if pick is None:
+        if sub.pick is None:
             lo_child, hi_child, cut = branch_input(sub)
             return ("input",) + cut, (lo_child, hi_child)
-        children = branch_activation(sub, pick)
-        if cfg.clip != "none":
-            layer, neuron = pick
-            for child, polarity in zip(children, (1, -1)):
-                cons = split_constraint_to_input(sub.planes.planes[layer], neuron, polarity)
-                child.constraints = child.constraints.appended(cons, budget=CONSTRAINT_BUDGET)
-        return pick, children
-    unverified = np.flatnonzero(sub.planes.final_lower < 0.0)
-    if unverified.size == 1 and cfg.clip != "none":
-        harvested = final_plane_to_constraint(sub.planes.planes[-1], int(unverified[0]))
-        sub = replace(
-            sub, constraints=sub.constraints.appended(harvested, budget=CONSTRAINT_BUDGET)
-        )
+        return sub.pick, branch_activation(sub, sub.pick)
     dim = at = None
     if probe is not None and probe.replay is not None:
         dim, at = probe.replay.get(sub.path, (None, None))
@@ -660,23 +628,24 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     heap = []
     tiebreak = itertools.count()
     verified_floor = np.inf  # lowest bound of a closed subdomain
-    # the parents' branching scores are needed to pick a neuron to pin and
-    # to pick the children's critical neurons for complete clipping
-    scored = cfg.mode == "activation" or cfg.clip in ("complete", "both")
-    # activation splits read the per-layer planes to build their half-spaces
-    split_planes = cfg.mode == "activation" and cfg.clip != "none"
+    # complete clipping reads the parents' branching scores to pick the
+    # children's critical neurons; activation splits pick by them
+    refined = cfg.clip in ("complete", "both")
+    scored = cfg.mode == "activation" or refined
+    widths = [layer.out_dim for layer in model.layers[:-1]]
+    unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
 
     def settle(subs, lowers, uppers, stacks=None, scores=None):
         """Bound subdomains in one pass; queue those still open, each with
-        its own copy of the corners, overrides and pass rows it needs."""
+        its own copy of what later rounds read."""
         nonlocal verified_floor
-        forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(subs[0].forced))]
+        forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(widths))]
         overrides = [
             (np.array([sub.overrides[i][0] for sub in subs]),
              np.array([sub.overrides[i][1] for sub in subs]))
             for i in range(model.num_layers)
         ]
-        refine = _clip_refine(cfg, model, subs, lowers, uppers, stacks, scores, forced, overrides)
+        refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
         res, failed = bound_pass(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
@@ -687,13 +656,44 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                 probe.record_bounds(subs[b].path, res, b)
         closed = alive & (bounds >= 0.0)
         verified_floor = min(verified_floor, float(bounds[closed].min(initial=np.inf)))
-        rows = np.flatnonzero(alive & ~closed)
+        queued = alive & ~closed
+        if cfg.mode == "input" and stacks is not None and (stacks[2][~queued] > 0).any():
+            # bounded under harvested planes: the part they cut away is only
+            # known to be nonnegative
+            verified_floor = min(verified_floor, 0.0)
+        rows = np.flatnonzero(queued)
         if rows.size == 0:
             return
-        state = _queued_state(res, rows, lowers, uppers, overrides, scored, split_planes)
-        for b, (lower, upper, kept_overrides, kept) in zip(rows.tolist(), state):
-            sub = subs[b]
-            sub.lower, sub.upper, sub.overrides, sub.planes = lower, upper, kept_overrides, kept
+        # what a queued domain keeps, in batch form
+        final, pick = res.planes[-1], None
+        pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair), final.a_low, final.c_low]
+        if scored:
+            pieces.append(_branch_scores(res, forced))
+        if cfg.mode == "activation":
+            pick = _pick_branch_neurons(pieces[-1], widths)
+            layer, neuron, found = (arr.tolist() for arr in pick)
+        if cfg.clip != "none":
+            *cuts, adds = _child_constraints(cfg, res, pick)
+            pieces += cuts
+        if stacks is not None:
+            pieces += stacks[:2]
+        for b, views in zip(rows.tolist(), _queued_state(pieces, rows)):
+            sub, views = subs[b], iter(views)
+            sub.lower, sub.upper = next(views), next(views)
+            sub.overrides = [(next(views), next(views)) for _ in overrides]
+            sub.planes = BoundingPlanes(next(views), next(views), None, None)
+            if scored:
+                sub.scores = next(views)
+            if pick is not None:
+                sub.pick = (layer[b], neuron[b]) if found[b] else None
+            if cfg.clip != "none":
+                cut = next(views), next(views)
+                sub.child_constraints = cut if adds[b] else None
+            if stacks is not None:
+                sub.normals, sub.offsets = next(views)[:stacks[2][b]], next(views)[:stacks[2][b]]
+            else:
+                # not the parent's zero-row views, which keep its buffer alive
+                sub.normals, sub.offsets = unconstrained
             sub.bound = float(bounds[b])
             heappush(heap, (sub.bound, next(tiebreak), sub))
 
@@ -705,7 +705,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         if time.perf_counter() >= deadline:
             return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        parents, point_hit = [], None
+        parents, children, point_hit = [], [], None
         for sub in batch:
             if float((0.5 * (sub.upper - sub.lower)).max()) < POINT_RADIUS_TOL:
                 center = 0.5 * (sub.lower + sub.upper)
@@ -716,16 +716,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                     break
                 verified_floor = min(verified_floor, val)
                 continue
-            parents.append(sub)
-        scores = _branch_scores(parents) if scored and parents else None
-        picks = [None] * len(parents)
-        if cfg.mode == "activation" and scores:
-            picks = _pick_branch_neurons(scores)
-        children = []
-        for sub, pick in zip(parents, picks):
-            decision, pair = _branch(cfg, sub, pick, probe)
+            decision, pair = _branch(cfg, sub, probe)
             if probe is not None:
                 probe.decisions[sub.path] = decision
+            parents.append(sub)
             children.extend(pair)
         survivors, floor, hit = _screen_children(problem, cfg, parents, children, rng)
         verified_floor = min(verified_floor, floor)
@@ -734,8 +728,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             return _outcome("falsified", stats, t0, hit[1], hit[0])
         if survivors is not None:
             keep, lowers, uppers, stacks = survivors
-            if scores is not None:
-                scores = [layer_scores[keep // 2] for layer_scores in scores]
+            if time.perf_counter() >= deadline:
+                opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
+                return _outcome("unknown", stats, t0, bound=float(min(opened)))
+            scores = np.array([sub.scores for sub in parents])[keep // 2] if refined else None
             settle([children[j] for j in keep], lowers, uppers, stacks, scores)
         if heap:
             stats.bound_history.append(float(heap[0][0]))

@@ -8,14 +8,15 @@ known to hold on the region of interest:
   dual is an exactly solvable concave piecewise-linear line search; several
   constraints are handled by coordinate ascent over their multipliers.
   :func:`dual_ascent_batch` runs that ascent for B domains at once, each
-  with its own box, constraint stack (padded to the largest by
-  :func:`stack_constraints`) and K objectives: one sorted kink walk per
-  constraint row covers every objective of every domain where the row is
-  active, as screened once per domain by :func:`screen_rows`.  So one
-  solve serves a layer's critical neurons in every domain of a bounding
-  pass.  :func:`coordinate_ascent` is its one-objective, one-box case.
-  The single-constraint solve is equivalent to a continuous knapsack
-  problem, exposed through :func:`to_knapsack` / :func:`greedy_knapsack`.
+  with its own box, constraint stack (padded to the largest with the row
+  ``0 . x + 0 <= 0``, which holds everywhere) and K objectives: one sorted
+  kink walk per constraint row covers every objective of every domain
+  where the row is active, as screened once per domain by
+  :func:`screen_rows`.  So one solve serves a layer's critical neurons in
+  every domain of a bounding pass.  :func:`coordinate_ascent` is its
+  one-objective, one-box case.  The single-constraint solve is equivalent
+  to a continuous knapsack problem, exposed through :func:`to_knapsack` /
+  :func:`greedy_knapsack`.
 
 * Relaxed clipping: shrink the box itself.  For one constraint the tightest
   axis-aligned enclosure of box-intersect-half-space has a closed form, one
@@ -182,26 +183,6 @@ def dual_value(a, c, box: BoxDomain, cset: ConstraintSet, beta) -> float:
         cset.normals[None], cset.offsets[None], beta[None, None],
     )
     return float(value[0, 0])
-
-
-def stack_constraints(csets) -> tuple:
-    """Constraint sets of B domains as ``(B, M, n)`` normals and ``(B, M)``
-    offsets, M the largest set.  Shorter sets are padded with the row
-    ``0 . x + 0 <= 0``, which holds everywhere: :func:`screen_rows` finds it
-    neither infeasible nor active, so it never takes part in a solve or a
-    clip.  No padding is done when every set has M rows."""
-    m = max(cset.size for cset in csets)
-    if all(cset.size == m for cset in csets):
-        return (
-            np.array([cset.normals for cset in csets]),
-            np.array([cset.offsets for cset in csets]),
-        )
-    normals = np.zeros((len(csets), m, csets[0].dim))
-    offsets = np.zeros((len(csets), m))
-    for b, cset in enumerate(csets):
-        normals[b, : cset.size] = cset.normals
-        offsets[b, : cset.size] = cset.offsets
-    return normals, offsets
 
 
 def _line_search(rest: np.ndarray, centers, radii, g: np.ndarray, h) -> np.ndarray:
@@ -448,7 +429,7 @@ def relaxed_clip_batch(lowers, uppers, normals, offsets) -> tuple:
     domains at once.
 
     Boxes are ``lowers`` / ``uppers`` (D, n), constraints ``normals`` (D, M,
-    n) / ``offsets`` (D, M) (see :func:`stack_constraints`).  For each
+    n) / ``offsets`` (D, M), shorter sets padded with zero rows.  For each
     domain this is the per-coordinate intersection of all its
     single-constraint results (:func:`relaxed_clip_single`), so the outcome
     does not depend on constraint order; all clips are one (D, M, n) array

@@ -80,6 +80,21 @@ def random_network_problem(rng, dim_max=3, width_max=6, hidden=2, rows=1):
     return CanonicalProblem(NetworkModel(layers), box, rows)
 
 
+def stack_constraints(csets) -> tuple:
+    """Constraint sets of B domains as ``(B, M, n)`` normals and ``(B, M)``
+    offsets, M the largest set, shorter sets padded with the row
+    ``0 . x + 0 <= 0``, which holds everywhere: ``screen_rows`` finds it
+    neither infeasible nor active, so it never takes part in a solve or a
+    clip.  The stacks the batched solvers and clips take."""
+    m = max(cset.size for cset in csets)
+    normals = np.zeros((len(csets), m, csets[0].dim))
+    offsets = np.zeros((len(csets), m))
+    for b, cset in enumerate(csets):
+        normals[b, : cset.size] = cset.normals
+        offsets[b, : cset.size] = cset.offsets
+    return normals, offsets
+
+
 def quick_child_bound(planes, box: BoxDomain) -> float:
     """One-box reference of the round screen's plane bound: the lowest of a
     parent's final lower planes over a child's box."""

@@ -6,12 +6,10 @@ concludes.  On oracle-sized nets, every combination of mode, clipping
 (off and on) and policy (``fixed(1)``, ``fixed(0)``, ``adaptive``) must
 agree with ``exact_verify`` whenever it decides, report counterexamples
 that evaluate negative, and report bounds no higher than the exact
-minimum.  One exception is pinned below: a verified input-mode run with
-clipping may report a bound above the minimum.
+minimum.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -73,24 +71,17 @@ def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows):
                     assert low < 0.0, where
                     assert problem.value(out.counterexample) < 0.0, where
                     assert problem.box.contains(out.counterexample), where
-                if out.bound is not None and not _harvest_clipped(mode, clip, out):
+                if out.bound is not None:
                     assert out.bound <= low + ROUNDING * spread, where
 
 
-def _harvest_clipped(mode, clip, out) -> bool:
-    """A verified input-mode run with clipping: its bound may come from a
-    box clipped to where a harvested final plane is negative, and then
-    bounds only that part (see the xfail test below)."""
-    return mode == "input" and clip != "none" and out.status == "verified"
-
-
-@pytest.mark.xfail(strict=True, reason="a verified input-mode bound covers only the clipped box")
 def test_verified_input_mode_bound_is_at_most_the_minimum():
     # Input mode harvests the plane of a lone open row and clips the
     # children to where it is negative.  That proves the rest of the box
     # nonnegative, but the bound computed over the clipped box says nothing
-    # about the minimum over the part cut away: here the run reports 0.0229
-    # for a minimum of 0.0101.
+    # about the minimum over the part cut away: here the run reported
+    # 0.0229 for a minimum of 0.0101.  A closed subdomain that carries
+    # constraints now lowers the verified bound to 0.
     rng = np.random.default_rng(652)
     problem, low, spread = _away_from_zero(random_network_problem(rng, rows=2), rng)
     out = run_bab(problem, BabConfig(mode="input", clip="relaxed", alpha=AlphaPolicy.adaptive()))

@@ -3,15 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from clipverify import bab
+from clipverify import bab, crown
 from clipverify import (
     AffineLayer,
     BabConfig,
+    BoundingPlanes,
+    BoundsResult,
     BoxDomain,
     BranchProbe,
     CanonicalProblem,
     ConstraintSet,
+    LayerBounds,
+    LinearConstraint,
     NetworkModel,
     Subdomain,
     babsr_intercept_score,
@@ -19,12 +25,82 @@ from clipverify import (
     branch_input,
     compute_bounds,
     exact_verify,
-    final_plane_to_constraint,
     run_bab,
-    split_constraint_to_input,
 )
-
 from conftest import quick_child_bound, random_network_problem, toy_problem
+
+
+def reference_scores(results, forced) -> list:
+    """BaBSR score of every hidden neuron of the one-domain passes
+    ``results`` under the per-domain pins ``forced``, one ``(B, w)`` array
+    per hidden layer, with -inf wherever the neuron is stable or pinned:
+    the list-based scorer the search used before it scored at settle."""
+    scores = []
+    for i in range(len(forced[0])):
+        lower = np.array([res.layer_bounds[i].lower for res in results])
+        upper = np.array([res.layer_bounds[i].upper for res in results])
+        coeff = np.array([res.objective_coeffs[i] for res in results])
+        free = np.array([pins[i] for pins in forced]) == 0
+        unstable = (lower < 0.0) & (upper > 0.0) & free
+        scores.append(np.where(unstable, babsr_intercept_score(lower, upper, coeff), -np.inf))
+    return scores
+
+
+def reference_picks(scores) -> list:
+    """Each domain's highest-scoring unstable, unpinned neuron as
+    ``(layer, index)``, ties to the lowest; None for a domain with none."""
+    flat = np.concatenate(scores, axis=1)
+    best = np.argmax(flat, axis=1)
+    ends = np.cumsum([layer_scores.shape[1] for layer_scores in scores])
+    picks = []
+    for b, k in enumerate(best.tolist()):
+        if flat[b, k] == -np.inf:
+            picks.append(None)
+            continue
+        layer = int(np.searchsorted(ends, k, side="right"))
+        picks.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
+    return picks
+
+
+def final_plane_to_constraint(planes: BoundingPlanes, row: int) -> LinearConstraint:
+    """Half-space containing every point where an output row can be
+    negative: the row's lower plane is at most the row, so ``plane(x) <= 0``
+    wherever the row is negative.  The constraint input mode adds when one
+    row is left open."""
+    return LinearConstraint(planes.a_low[row].copy(), float(planes.c_low[row]))
+
+
+def split_constraint_to_input(planes: BoundingPlanes, neuron: int, polarity: int) -> LinearConstraint:
+    """Input-space condition implied by pinning ``neuron`` of the layer
+    ``planes`` describe to one side of zero: the active side (+1) needs the
+    upper plane >= 0, the inactive side (-1) the lower plane <= 0.  The
+    constraints activation mode adds."""
+    if polarity > 0:
+        return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
+    return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
+
+
+def _root_pass(problem):
+    """The root subdomain and its bounding pass in batch form, with the
+    pin stacks it was bounded under."""
+    root = Subdomain.root(problem)
+    forced = [pins[None] for pins in root.forced]
+    overrides = [(lo[None], hi[None]) for lo, hi in root.overrides]
+    res, _ = bab.bound_pass(
+        problem.model, root.lower[None], root.upper[None], BabConfig().alpha, forced, overrides, None
+    )
+    return root, res, forced
+
+
+def _scored_root(problem) -> Subdomain:
+    """The root as the search queues it: bounded, its final planes and
+    branching scores kept."""
+    root, res, forced = _root_pass(problem)
+    final = res.planes[-1]
+    return replace(
+        root, bound=-1.0, planes=BoundingPlanes(final.a_low[0], final.c_low[0], None, None),
+        scores=bab._branch_scores(res, forced)[0],
+    )
 
 
 def shifted_toy(delta: float) -> CanonicalProblem:
@@ -103,40 +179,45 @@ def test_branch_input_zero_volume_raises():
 
 
 def test_branch_activation_children(problem):
-    res = compute_bounds(problem.model, problem.box)
-    sub = replace(Subdomain.root(problem), bound=-1.0, planes=res)
+    sub = _scored_root(problem)
     active, inactive = branch_activation(sub, (0, 0))
     assert active.forced[0].tolist() == [1, 0]
     assert inactive.forced[0].tolist() == [-1, 0]
     assert sub.forced[0].tolist() == [0, 0]  # the parent keeps its pins
-    # branching only pins; the search adds the split half-spaces
-    assert active.constraints.size == 0
-    assert inactive.constraints.size == 0
+    # branching only pins; the round stacks the split half-spaces
+    assert active.normals.shape == inactive.normals.shape == (0, 2)
     with pytest.raises(ValueError):
         branch_activation(active, (0, 0))  # already assigned
     for clip in ("none", "relaxed", "complete", "both"):
         cfg = BabConfig(mode="activation", clip=clip)
-        decision, children = bab._branch(cfg, sub, (0, 0), None)
+        decision, children = bab._branch(cfg, replace(sub, pick=(0, 0)), None)
         assert decision == (0, 0)
         assert [child.forced[0].tolist() for child in children] == [[1, 0], [-1, 0]]
-        for child, polarity in zip(children, (1, -1)):
-            if clip == "none":
-                assert child.constraints.size == 0
-                continue
-            want = split_constraint_to_input(res.planes[0], 0, polarity)
-            assert child.constraints.size == 1
-            np.testing.assert_array_equal(child.constraints.normals[0], want.normal)
-            assert child.constraints.offsets[0] == want.offset
-    assert sub.constraints.size == 0  # the parent keeps its constraints
+    # the half-spaces settle keeps for the children are the pin's split
+    # constraints, and the round gives child k row k
+    _, res, _ = _root_pass(problem)
+    pick = (np.array([0]), np.array([0]), np.array([True]))
+    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, pick)
+    assert adds.tolist() == [True]
+    planes = compute_bounds(problem.model, problem.box).planes[0]
+    sub = replace(sub, child_constraints=(normals[0], offsets[0]))
+    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub])
+    assert sizes.tolist() == [1, 1]
+    for k, polarity in enumerate((1, -1)):
+        want = split_constraint_to_input(planes, 0, polarity)
+        np.testing.assert_array_equal(stacked_normals[k, 0], want.normal)
+        assert stacked_offsets[k, 0] == want.offset
 
 
 def test_branch_activation_requires_unstable(problem):
-    res = compute_bounds(problem.model, problem.box)
-    # fake stability by overriding the cached bounds
-    res.layer_bounds[0].lower[:] = 1.0
-    sub = replace(Subdomain.root(problem), bound=-1.0, planes=res)
-    with pytest.raises(ValueError):
-        branch_activation(sub, (0, 0))
+    sub = _scored_root(problem)
+    # fake stability by scoring the neuron -inf
+    scores = sub.scores.copy()
+    scores[0] = -np.inf
+    with pytest.raises(ValueError, match="not unstable"):
+        branch_activation(replace(sub, scores=scores), (0, 0))
+    with pytest.raises(ValueError, match="no branching scores"):
+        branch_activation(replace(sub, scores=None), (0, 0))
 
 
 def test_falsifiable_toy_both_modes(problem):
@@ -283,7 +364,7 @@ def test_bounded_children_passed_every_screen(monkeypatch):
             for j, lo, up in zip(keep, lowers, uppers):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
-                assert quick_child_bound(parents[j // 2].planes.planes[-1], box) < 0.0
+                assert quick_child_bound(parents[j // 2].planes, box) < 0.0
 
 
 def _pass_arrays(args, out):
@@ -299,27 +380,41 @@ def _pass_arrays(args, out):
 
 def _queued_arrays(sub):
     """The arrays a queued subdomain got from the pass that bounded it.  Its
-    pins and constraints are left out: children share those with their
-    parent by design, and no pass writes them."""
-    kept = sub.planes
-    arrays = [sub.lower, sub.upper, kept.final_lower]
+    pins are left out: children share those with their parent by design,
+    and no pass writes them."""
+    arrays = [sub.lower, sub.upper, sub.normals, sub.offsets, sub.planes.a_low, sub.planes.c_low]
     arrays += [arr for pair in sub.overrides for arr in pair]
-    arrays += [arr for lb in kept.layer_bounds for arr in (lb.lower, lb.upper)]
-    for p in kept.planes:
-        if p is not None:
-            arrays += [arr for arr in (p.a_low, p.c_low, p.a_up, p.c_up) if arr is not None]
-    return arrays + list(kept.objective_coeffs)
+    if sub.scores is not None:
+        arrays.append(sub.scores)
+    if sub.child_constraints is not None:
+        arrays += list(sub.child_constraints)
+    return arrays
 
 
-@pytest.mark.parametrize("mode, clip", [("input", "none"), ("input", "both"),
-                                        ("activation", "both")])
-def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip):
+def _verifiable_two_row_problem() -> CanonicalProblem:
+    """Two output rows, shifted to a minimum of 0.02.  Its passes mix
+    domains that harvest a final plane with domains that leave two rows
+    open and harvest none, and a later pass bounds only children without
+    constraints."""
+    prob = random_network_problem(np.random.default_rng(22), rows=2)
+    last = prob.model.layers[-1]
+    shift = 0.02 - exact_verify(prob).min_value
+    layers = [*prob.model.layers[:-1], AffineLayer(last.weights, last.bias + shift)]
+    return CanonicalProblem(NetworkModel(layers), prob.box, 2)
+
+
+@pytest.mark.parametrize("mode, clip, rows", [("input", "none", 1), ("input", "both", 1),
+                                              ("input", "both", 2), ("activation", "both", 1)],
+                         ids=["input-none", "input-both", "input-both-two-rows", "activation-both"])
+def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
     # A queued subdomain used to keep views of its whole bounding pass: the
     # planes, bounds and stacks of every domain and layer stayed alive as
-    # long as any one of them was queued.
-    prob = random_network_problem(np.random.default_rng(15))
+    # long as any one of them was queued.  A child bounded without
+    # constraints used to keep its parent's zero-row constraint views, and
+    # through them the parent's whole buffer.
+    prob = random_network_problem(np.random.default_rng(15)) if rows == 1 else _verifiable_two_row_problem()
     passes, pushed = [], []
-    original_pass, original_push = bab.bound_pass, bab.heappush
+    original_pass, original_push, original_gather = bab.bound_pass, bab.heappush, bab._queued_state
 
     def spy_pass(*args):
         out = original_pass(*args)
@@ -327,34 +422,53 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip):
         pushed.append([])
         return out
 
+    def spy_gather(pieces, rows):
+        # what settle gathers from: the pass's arrays, the scores and
+        # half-spaces computed from them, and the constraint stacks
+        passes[-1] += list(pieces)
+        return original_gather(pieces, rows)
+
     def spy_push(heap, item):
         pushed[-1].append(item[2])
         original_push(heap, item)
 
     monkeypatch.setattr(bab, "bound_pass", spy_pass)
+    monkeypatch.setattr(bab, "_queued_state", spy_gather)
     monkeypatch.setattr(bab, "heappush", spy_push)
     out = run_bab(prob, BabConfig(mode=mode, clip=clip, timeout=60.0))
     assert out.status == "verified"
     assert sum(len(subs) > 1 for subs in pushed) >= 2
-    hidden = prob.model.num_layers - 1
+    width = sum(layer.out_dim for layer in prob.model.layers[:-1])
+    stacked, buffers = 0, set()
     for batch_arrays, subs in zip(passes, pushed):
         kept = [_queued_arrays(sub) for sub in subs]
         for i, arrays in enumerate(kept):
             # only what later rounds read: the final lower planes always,
-            # bounds and coefficients to score it, hidden planes to pin
-            res = subs[i].planes
-            assert res.planes[-1].a_up is None and res.planes[-1].c_up is None
-            assert len(res.layer_bounds) == len(res.objective_coeffs) == (
-                hidden if clip == "both" else 0)
-            assert all((p is None) == (mode == "input") for p in res.planes[:-1])
+            # the flat scores when parents are scored, the half-spaces the
+            # children add when clipping reads them
+            sub = subs[i]
+            assert sub.planes.a_up is None and sub.planes.c_up is None
+            assert (sub.scores is None) == (mode == "input" and clip == "none")
+            assert sub.scores is None or sub.scores.shape == (width,)
+            assert sub.pick is None or mode == "activation"
+            assert sub.child_constraints is None or clip != "none"
+            stacked += sub.offsets.base is not None  # bounded under a constraint stack
+            # one buffer of its own, even for zero-size views, which
+            # np.shares_memory never reports; only the empty pair of a
+            # subdomain without constraints owns no buffer
+            own = {id(arr.base) for arr in arrays if arr.base is not None}
+            assert len(own) == 1 and not own & buffers
+            buffers |= own
+            assert all(arr.base is not None or arr.size == 0 for arr in arrays)
             for arr in arrays:
                 assert not any(np.shares_memory(arr, other) for other in batch_arrays)
                 for others in kept[i + 1:]:
                     assert not any(np.shares_memory(arr, other) for other in others)
+    assert (stacked > 0) == (clip != "none")
 
 
 @pytest.mark.parametrize("rows", [[1, 6, 11], list(range(16))])
-def test_queued_state_gathers_in_bounded_blocks(rows):
+def test_queued_state_gathers_in_bounded_blocks(monkeypatch, rows):
     # Gathering used to join every row of every kept array, the closed
     # domains' included, and then copy each queued row: a settle of 16
     # wide domains held three times what it keeps when 3 were queued, and
@@ -373,33 +487,37 @@ def test_queued_state_gathers_in_bounded_blocks(rows):
     lowers = rng.uniform(-0.5, 0.0, size=(batch, 8))
     uppers = lowers + 0.5
     res, _ = bab.bound_pass(model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
-    tracemalloc.start()
-    try:
-        # activation mode with clipping keeps the most: bounds,
-        # coefficients and every layer's planes
-        state = bab._queued_state(res, np.array(rows), lowers, uppers, overrides, True, True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(state) == len(rows)
-    for (lower, upper, kept_overrides, kept), b in zip(state, rows):
-        got = [lower, upper, *(arr for pair in kept_overrides for arr in pair), kept.final_lower]
-        want = [lowers[b], uppers[b], *(arr[b] for pair in overrides for arr in pair),
-                res.final_lower[b]]
-        for lb, ref in zip(kept.layer_bounds, res.layer_bounds):
-            got += [lb.lower, lb.upper]
-            want += [ref.lower[b], ref.upper[b]]
-        for p, ref in zip(kept.planes[:-1], res.planes):
-            got += [p.a_low, p.c_low, p.a_up, p.c_up]
-            want += [ref.a_low[b], ref.c_low[b], ref.a_up[b], ref.c_up[b]]
-        got += [kept.planes[-1].a_low, kept.planes[-1].c_low, *kept.objective_coeffs]
-        want += [res.planes[-1].a_low[b], res.planes[-1].c_low[b],
-                 *(coeffs[b] for coeffs in res.objective_coeffs)]
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
-    kept = sum(lower.base.nbytes for lower, *_ in state)
-    block = max(8 * bab.GATHER_BLOCK, kept // len(rows))
-    assert peak <= kept + 2 * block + 64 * 2**10, (peak, kept)
+    # what settle gathers in activation mode with clipping, the most it
+    # keeps: corners, overrides, final planes, scores, the children's
+    # half-spaces and a full constraint stack
+    cfg = BabConfig(mode="activation", clip="both")
+    scores = bab._branch_scores(res, forced)
+    pick = bab._pick_branch_neurons(scores, widths[1:-1])
+    final = res.planes[-1]
+    pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair), final.a_low, final.c_low,
+              scores, *bab._child_constraints(cfg, res, pick)[:2],
+              rng.normal(size=(batch, bab.CONSTRAINT_BUDGET, 8)),
+              rng.normal(size=(batch, bab.CONSTRAINT_BUDGET))]
+    row_size = sum(piece.size // batch for piece in pieces)
+    # the default block holds the whole pass; the smaller ones make the
+    # gather go block by block
+    for block in (bab.GATHER_BLOCK, 4 * row_size, row_size // 2):
+        monkeypatch.setattr(bab, "GATHER_BLOCK", block)
+        tracemalloc.start()
+        try:
+            state = bab._queued_state(pieces, np.array(rows))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state) == len(rows)
+        for views, b in zip(state, rows):
+            assert len(views) == len(pieces)
+            for view, piece in zip(views, pieces):
+                assert view.shape == piece.shape[1:]
+                assert np.array_equal(view, piece[b], equal_nan=True)
+        kept = sum(views[0].base.nbytes for views in state)
+        held = max(8 * block, kept // len(rows))
+        assert peak <= kept + 2 * held + 64 * 2**10, (block, peak, kept)
 
 
 def _cancelling_problem() -> CanonicalProblem:
@@ -420,12 +538,7 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
     # the constraint counts of the children that were bounded
-    sizes = [
-        children[j].constraints.size
-        for _, children, kept in rounds
-        if kept is not None
-        for j in kept[0]
-    ]
+    sizes = [size for _, _, kept in rounds if kept is not None for size in kept[3][2]]
     assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
@@ -441,7 +554,85 @@ def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
         assert out.status == "verified"
         bounded = [children[j] for _, children, kept in rounds if kept is not None for j in kept[0]]
         assert bounded, mode
-        assert all(child.constraints.size == 0 for child in bounded), mode
+        assert all(kept[3] is None for _, _, kept in rounds if kept is not None), mode
+        assert all(child.normals.shape[0] == 0 for child in bounded), mode
+        assert all(child.child_constraints is None for child in bounded), mode
+
+
+@pytest.mark.parametrize("sequential, reorder", [(False, False), (True, False), (True, True)])
+def test_search_constructs_no_constraint_objects(monkeypatch, sequential, reorder):
+    # A subdomain's constraints are (m, n) / (m,) arrays and a round stacks
+    # its children's in array steps: no LinearConstraint or ConstraintSet
+    # is built on the search path, in any mode or clip setting.
+    built = []
+    for cls in (LinearConstraint, ConstraintSet):
+        original = cls.__post_init__
+
+        def spy(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    ConstraintSet.empty(2)
+    assert built == ["ConstraintSet"]  # the spies see a construction
+    built.clear()
+    rounds = []
+    _spy_screens(monkeypatch, rounds)
+    for mode in ("input", "activation"):
+        for clip in ("none", "relaxed", "complete", "both"):
+            for seed in (15, 21):
+                rounds.clear()
+                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential, reorder=reorder)
+                out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
+                assert out.status == "verified"
+                stacked = [kept[3] for _, _, kept in rounds if kept is not None and kept[3]]
+                assert bool(stacked) == (clip != "none"), (mode, clip, seed)
+                assert built == [], (mode, clip, seed)
+
+
+def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
+    # A round used to bound its survivors whatever the time: the deadline
+    # was checked only at the top of the loop.  Here it passes between
+    # that check and the round's pass.
+    prob = random_network_problem(np.random.default_rng(15))
+    clock = [0.0]
+    monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
+    rounds, passes = [], []
+    screen, original_pass = bab._screen_children, bab.bound_pass
+
+    def screen_spy(problem, cfg, parents, children, rng):
+        out = screen(problem, cfg, parents, children, rng)
+        rounds.append(([parent.bound for parent in parents], children, out[0]))
+        if len(rounds) == 2:
+            clock[0] = 100.0  # past the deadline from here on
+        return out
+
+    def pass_spy(*args):
+        passes.append(clock[0])
+        return original_pass(*args)
+
+    heaps = []
+    original_pop = bab.heappop
+
+    def pop_spy(heap):
+        item = original_pop(heap)
+        heaps.append([entry[0] for entry in heap])
+        return item
+
+    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    monkeypatch.setattr(bab, "bound_pass", pass_spy)
+    monkeypatch.setattr(bab, "heappop", pop_spy)
+    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=2, timeout=10.0))
+    assert out.status == "unknown"
+    assert len(rounds) == 2 and len(passes) == 2  # the root's and the first round's
+    assert all(t < 10.0 for t in passes)
+    popped, children, survivors = rounds[-1]
+    assert survivors is not None
+    # the lowest open bound: the survivors' screened bounds and what is
+    # left on the heap; never below what was known before the round
+    opened = [children[j].bound for j in survivors[0]] + heaps[-1]
+    assert out.bound == min(opened)
+    assert out.bound >= min(popped)
 
 
 def test_config_validation():
@@ -510,73 +701,182 @@ def test_multi_row_problem_falsifies():
 
 
 def test_branch_pick_ties_go_to_lowest_layer_and_index():
-    from clipverify import BoundsResult, LayerBounds
-
     # every unstable neuron scores 0.5; neuron (0, 2) is stable
-    info = BoundsResult(
+    rows = 4
+    res = BoundsResult(
         layer_bounds=[
-            LayerBounds(np.array([-1.0, -1.0, 1.0]), np.array([1.0, 1.0, 2.0])),
-            LayerBounds(np.array([-1.0, -2.0]), np.array([1.0, 2.0])),
-            LayerBounds(np.array([-1.0]), np.array([1.0])),
+            LayerBounds(np.array([[-1.0, -1.0, 1.0]] * rows), np.array([[1.0, 1.0, 2.0]] * rows)),
+            LayerBounds(np.array([[-1.0, -2.0]] * rows), np.array([[1.0, 2.0]] * rows)),
+            LayerBounds(np.array([[-1.0]] * rows), np.array([[1.0]] * rows)),
         ],
         planes=[],
-        final_lower=np.array([-1.0]),
-        objective_coeffs=[np.array([-1.0, -1.0, -1.0]), np.array([-1.0, -0.5])],
+        final_lower=np.full((rows, 1), -1.0),
+        objective_coeffs=[np.array([[-1.0, -1.0, -1.0]] * rows), np.array([[-1.0, -0.5]] * rows)],
     )
-    nan = np.full(3, np.nan)
-
-    def sub(first, second):
-        """A subdomain bounded by ``info`` with the given pins per layer."""
-        forced = [np.array(first), np.array(second)]
-        overrides = [(nan, nan), (nan[:2], nan[:2]), (nan[:1], nan[:1])]
-        return Subdomain(
-            np.zeros(1), np.ones(1), forced, overrides, ConstraintSet.empty(1), -1.0,
-            planes=info,
-        )
-
-    subs = [
-        sub([0, 0, 0], [0, 0]),
-        sub([1, 0, 0], [0, 0]),
-        sub([1, -1, 0], [0, 0]),
-        sub([1, -1, 0], [1, -1]),
+    # one domain per row, with the given pins per layer
+    forced = [
+        np.array([[0, 0, 0], [1, 0, 0], [1, -1, 0], [1, -1, 0]]),
+        np.array([[0, 0], [0, 0], [0, 0], [1, -1]]),
     ]
-    scores = bab._branch_scores(subs)
-    assert bab._pick_branch_neurons(scores) == [(0, 0), (0, 1), (1, 0), None]
+    scores = bab._branch_scores(res, forced)
+    layer, neuron, found = bab._pick_branch_neurons(scores, [3, 2])
+    picks = [(i, j) if ok else None for i, j, ok in zip(layer.tolist(), neuron.tolist(), found)]
+    assert picks == [(0, 0), (0, 1), (1, 0), None]
     # top-1 per layer, pinned neurons left out, ties to the lower index
-    masks = bab._critical_masks(BabConfig(topk=1), [layer[1:2] for layer in scores])
+    masks = bab._critical_masks(BabConfig(topk=1), [scores[1:2, :3], scores[1:2, 3:]])
     assert [np.flatnonzero(m[0]).tolist() for m in masks] == [[1], [0]]
+
+
+def _random_pass(rng, hidden):
+    """A bounding pass of a random net over random sub-boxes of its box,
+    under random pins (some of which the bounds rule out) and overrides:
+    the problem, the batch-form result and the pin stacks."""
+    problem = random_network_problem(rng, hidden=hidden, rows=int(rng.integers(1, 3)))
+    box = problem.box
+    batch = int(rng.integers(1, 7))
+    a = rng.uniform(box.lower, box.upper, size=(batch, box.dim))
+    b = rng.uniform(box.lower, box.upper, size=(batch, box.dim))
+    lowers, uppers = np.minimum(a, b), np.maximum(a, b)
+    layers = problem.model.layers
+    forced = [
+        rng.choice([-1, 0, 0, 1], size=(batch, layer.out_dim)) * (rng.uniform() < 0.7)
+        for layer in layers[:-1]
+    ]
+    overrides = [
+        (np.where(rng.uniform(size=(batch, layer.out_dim)) < 0.2, -0.1, np.nan),
+         np.full((batch, layer.out_dim), np.nan))
+        for layer in layers
+    ]
+    res, _ = bab.bound_pass(problem.model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
+    return problem, res, forced
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(0, 3))
+def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
+    # Settle scores a pass's rows together from its batch-form bounds,
+    # coefficients and pins, picks each activation-mode row's neuron and
+    # takes the half-spaces its children add.  Each must be what the
+    # list-based scorer and the one-domain half-space helpers give.
+    rng = np.random.default_rng(seed)
+    problem, res, forced = _random_pass(rng, hidden)
+    batch = len(res.final_lower)
+    domains = [crown._domain(res, b) for b in range(batch)]
+    pins = [[layer_pins[b] for layer_pins in forced] for b in range(batch)]
+    widths = [layer.out_dim for layer in problem.model.layers[:-1]]
+    scores = bab._branch_scores(res, forced)
+    assert scores.shape == (batch, sum(widths))
+    if hidden:
+        want = np.concatenate(reference_scores(domains, pins), axis=1)
+        assert np.array_equal(scores, want)
+        want_picks = reference_picks(reference_scores(domains, pins))
+    else:
+        want_picks = [None] * batch
+    pick = bab._pick_branch_neurons(scores, widths)
+    layer, neuron, found = (arr.tolist() for arr in pick)
+    assert [(i, j) if ok else None for i, j, ok in zip(layer, neuron, found)] == want_picks
+    # the half-spaces of the picked neuron (activation mode) and of a lone
+    # open row's final plane (input mode), row k for child k
+    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, pick)
+    assert adds.tolist() == [p is not None for p in want_picks]
+    for b, p in enumerate(want_picks):
+        if p is not None:
+            for k, polarity in enumerate((1, -1)):
+                cons = split_constraint_to_input(domains[b].planes[p[0]], p[1], polarity)
+                assert np.array_equal(normals[b, k], cons.normal) and offsets[b, k] == cons.offset
+    normals, offsets, adds = bab._child_constraints(BabConfig(mode="input"), res, None)
+    for b, domain in enumerate(domains):
+        unverified = np.flatnonzero(domain.final_lower < 0.0)
+        assert adds[b] == (unverified.size == 1)
+        if adds[b]:
+            cons = final_plane_to_constraint(domain.planes[-1], int(unverified[0]))
+            for k in range(2):
+                assert np.array_equal(normals[b, k], cons.normal) and offsets[b, k] == cons.offset
+
+
+@pytest.mark.parametrize("mode", ["input", "activation"])
+def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
+    # In a search, each queued subdomain keeps its pass row's reference
+    # scores and pick, and the half-spaces its children add.
+    prob = random_network_problem(np.random.default_rng(15))
+    passes, pushed = [], []
+    original_pass, original_push = bab.bound_pass, bab.heappush
+
+    def spy_pass(model, lowers, uppers, policy, forced, overrides, refine):
+        res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine)
+        passes.append((res, forced))
+        return res, failed
+
+    def spy_push(heap, item):
+        pushed.append((len(passes) - 1, item[2]))
+        original_push(heap, item)
+
+    monkeypatch.setattr(bab, "bound_pass", spy_pass)
+    monkeypatch.setattr(bab, "heappush", spy_push)
+    out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
+    assert out.status == "verified"
+    assert len(pushed) > 5
+    for k, sub in pushed:
+        res, forced = passes[k]
+        # the row of the pass that bounded ``sub``
+        rows = [b for b in range(len(res.final_lower))
+                if all(np.array_equal(pins[b], own) for pins, own in zip(forced, sub.forced))
+                and np.array_equal(res.planes[-1].a_low[b], sub.planes.a_low)]
+        assert rows
+        domain = crown._domain(res, rows[0])
+        pins = [layer_pins[rows[0]] for layer_pins in forced]
+        layer_scores = reference_scores([domain], [pins])
+        assert np.array_equal(sub.scores, np.concatenate(layer_scores, axis=1)[0])
+        if mode == "activation":
+            assert sub.pick == reference_picks(layer_scores)[0]
+            want = None if sub.pick is None else [
+                split_constraint_to_input(domain.planes[sub.pick[0]], sub.pick[1], polarity)
+                for polarity in (1, -1)]
+        else:
+            unverified = np.flatnonzero(domain.final_lower < 0.0)
+            want = None if unverified.size != 1 else [
+                final_plane_to_constraint(domain.planes[-1], int(unverified[0]))] * 2
+        if want is None:
+            assert sub.child_constraints is None
+            continue
+        normals, offsets = sub.child_constraints
+        for k, cons in enumerate(want):
+            assert np.array_equal(normals[k], cons.normal) and offsets[k] == cons.offset
 
 
 def test_parents_are_scored_once_per_round(monkeypatch):
     # Branching and complete clipping both read the parents' scores: one
-    # scoring of exactly the round's parents must serve them, never one
-    # per child.  Input mode without complete clipping scores nothing.
+    # scoring of each pass, at settle, must serve them, never one per
+    # child.  Input mode without complete clipping scores nothing.
     prob = random_network_problem(np.random.default_rng(21))
     events = []
-    score, screen = bab._branch_scores, bab._screen_children
+    score, original_pass = bab._branch_scores, bab.bound_pass
 
-    def score_spy(subs):
-        events.append(("score", [id(sub) for sub in subs]))
-        return score(subs)
+    def score_spy(res, forced):
+        events.append(("score", id(res), len(res.final_lower)))
+        return score(res, forced)
 
-    def screen_spy(problem, cfg, parents, children, rng):
-        events.append(("screen", [id(sub) for sub in parents]))
-        return screen(problem, cfg, parents, children, rng)
+    def pass_spy(model, lowers, uppers, *args):
+        out = original_pass(model, lowers, uppers, *args)
+        events.append(("pass", id(out[0]), len(lowers)))
+        return out
 
     monkeypatch.setattr(bab, "_branch_scores", score_spy)
-    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    monkeypatch.setattr(bab, "bound_pass", pass_spy)
     for mode in ("input", "activation"):
         events.clear()
         out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=4, timeout=60.0))
         assert out.status == "verified"
-        rounds = len(events) // 2
-        assert rounds > 2
-        assert [kind for kind, _ in events] == ["score", "screen"] * rounds
-        for k in range(rounds):
-            assert events[2 * k][1] == events[2 * k + 1][1]
+        scored = [k for k, event in enumerate(events) if event[0] == "score"]
+        assert len(scored) > 2
+        # each scoring covers the whole pass just made, and no pass is
+        # scored twice
+        for k in scored:
+            assert events[k - 1][0] == "pass" and events[k - 1][1:] == events[k][1:]
+        assert len({events[k][1] for k in scored}) == len(scored)
     events.clear()
     run_bab(prob, BabConfig(mode="input", clip="none", timeout=60.0))
-    assert events and all(kind == "screen" for kind, _ in events)
+    assert events and all(kind == "pass" for kind, *_ in events)
 
 
 def test_child_overrides_only_tighten_the_parents(monkeypatch):

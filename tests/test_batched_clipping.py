@@ -15,10 +15,10 @@ from clipverify import (
     relaxed_clip_sequential,
     relaxed_clip_single,
     screen_rows,
-    stack_constraints,
 )
 from clipverify.clipping import relaxed_clip_sequential_batch
 from clipverify.geometry import ZERO_COEFF_TOL
+from conftest import stack_constraints
 
 # Quarter-step grid values: exact ties between kinks and between rows are
 # common, which is where a row-wise sort could go wrong.

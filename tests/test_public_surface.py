@@ -52,7 +52,6 @@ EXPORTS = [
     "dual_value",
     "enumerate_pattern_regions",
     "exact_verify",
-    "final_plane_to_constraint",
     "greedy_knapsack",
     "load_model",
     "load_property",
@@ -67,8 +66,6 @@ EXPORTS = [
     "run_bab",
     "sample_attack",
     "screen_rows",
-    "split_constraint_to_input",
-    "stack_constraints",
     "tighten_lower_single",
     "tighten_upper_single",
     "to_knapsack",
@@ -83,6 +80,9 @@ REMOVED = [
     "stack_splits",
     "stack_overrides",
     "centroid_distance",
+    "final_plane_to_constraint",
+    "split_constraint_to_input",
+    "stack_constraints",
 ]
 
 

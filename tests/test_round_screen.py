@@ -5,12 +5,15 @@ children of a round together.  With the same seed it must give what the
 per-child references give one child at a time, in search order:
 ``relaxed_clip_parallel`` (``relaxed_clip_sequential`` under sequential
 clipping), ``quick_child_bound`` and ``try_falsify`` (stopping at the first
-hit).  The survivors' constraint stacks must be what stacking their own
+hit), each child with the set ``ConstraintSet.appended`` gives it: its
+parent's constraints plus the half-space its parent keeps for it, within
+the budget.  The survivors' constraint stacks must be what stacking those
 sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
 ties are exact.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +25,7 @@ from clipverify import (
     BoxDomain,
     CanonicalProblem,
     ConstraintSet,
+    LinearConstraint,
     NetworkModel,
     Subdomain,
     bab,
@@ -29,10 +33,9 @@ from clipverify import (
     compute_bounds,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
-    stack_constraints,
 )
 
-from conftest import quick_child_bound
+from conftest import quick_child_bound, stack_constraints
 
 TOL = 1e-12
 
@@ -76,9 +79,8 @@ def _sub_box(rng, box):
     return BoxDomain(box.lower + np.minimum(a, b) / 4.0, box.lower + np.maximum(a, b) / 4.0)
 
 
-def _constraints(rng, box):
-    """0-4 grid rows: random, all-zero, redundant or infeasible."""
-    m = int(rng.integers(0, 5))
+def _constraints(rng, box, m):
+    """``m`` grid rows: random, all-zero, redundant or infeasible."""
     normals = _grid(rng, (m, box.dim))
     offsets = _grid(rng, m)
     for k in range(m):
@@ -94,47 +96,66 @@ def _constraints(rng, box):
     return ConstraintSet(normals, offsets)
 
 
-def _round(rng, problem):
-    """Parents and children of one round: each parent bisected, each child
-    given its own constraints; some children are point boxes."""
-    parents, children = [], []
+def _round(rng, problem, budget):
+    """Parents and children of one round: each parent bisected, given up
+    to ``budget`` constraints of its own and, sometimes, a half-space for
+    each child (the same one for both, as input mode harvests); some
+    children are point boxes.  Returns the parents, the children and each
+    child's constraint set."""
+    parents, children, csets = [], [], []
     for _ in range(int(rng.integers(1, 5))):
         box = _sub_box(rng, problem.box)
         if float(box.radius.max()) == 0.0:
             continue
-        planes = compute_bounds(problem.model, box)
-        bound = float(planes.final_lower.min()) - float(rng.choice([0.0, 0.5]))
+        res = compute_bounds(problem.model, box)
+        bound = float(res.final_lower.min()) - float(rng.choice([0.0, 0.5]))
+        own = _constraints(rng, box, int(rng.integers(0, budget + 1)))
+        adds = None
+        if rng.uniform() < 0.6:
+            added = _constraints(rng, box, 2)
+            if rng.uniform() < 0.5:
+                added = ConstraintSet(added.normals[[0, 0]], added.offsets[[0, 0]])
+            adds = (added.normals, added.offsets)
         parent = replace(
-            Subdomain.root(problem), lower=box.lower, upper=box.upper, bound=bound, planes=planes
+            Subdomain.root(problem), lower=box.lower, upper=box.upper, bound=bound,
+            planes=res.planes[-1], normals=own.normals, offsets=own.offsets,
+            child_constraints=adds,
         )
         lo_child, hi_child, _ = branch_input(parent)
-        for child in (lo_child, hi_child):
+        for k, child in enumerate((lo_child, hi_child)):
             if rng.uniform() < 0.15:
                 child.upper = child.lower.copy()
-            child.constraints = _constraints(rng, BoxDomain(child.lower, child.upper))
+            cset = own
+            if adds is not None:
+                cset = own.appended(LinearConstraint(adds[0][k], adds[1][k]), budget=budget)
             children.append(child)
+            csets.append(cset)
         parents.append(parent)
-    return parents, children
+    return parents, children, csets
 
 
-def _one_at_a_time(problem, cfg, parents, children, seed):
+def _one_at_a_time(problem, cfg, parents, children, csets, seed):
     """The per-child screens in search order, stopping at the first hit:
-    the surviving ``(index, box, bound)``, the floor and the hit."""
+    the surviving ``(index, box, bound)``, the floor and the hit.  In input
+    mode a closed child with constraints lowers the floor to 0."""
     rng = np.random.default_rng(seed)
     survivors, floor = [], np.inf
-    for j, child in enumerate(children):
+    for j, (child, cset) in enumerate(zip(children, csets)):
         parent = parents[j // 2]
         box = BoxDomain(child.lower, child.upper)
         if not cfg.sequential_clip:
-            box = relaxed_clip_parallel(box, child.constraints)
+            box = relaxed_clip_parallel(box, cset)
         else:
             order = "centroid" if cfg.reorder else "given"
-            box = relaxed_clip_sequential(box, child.constraints, order)
+            box = relaxed_clip_sequential(box, cset, order)
+        constrained = cfg.mode == "input" and cset.size > 0
         if box.is_empty:
+            if constrained:
+                floor = min(floor, 0.0)
             continue
-        bound = max(parent.bound, quick_child_bound(parent.planes.planes[-1], box))
+        bound = max(parent.bound, quick_child_bound(parent.planes, box))
         if bound >= 0.0:
-            floor = min(floor, bound)
+            floor = min(floor, 0.0 if constrained else bound)
             continue
         hit = try_falsify(problem, box, rng)
         if hit is not None:
@@ -144,15 +165,19 @@ def _one_at_a_time(problem, cfg, parents, children, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(), reorder=st.booleans())
-def test_round_screen_matches_per_child_screens(seed, sequential, reorder):
+@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(), reorder=st.booleans(),
+       mode=st.sampled_from(["input", "activation"]), budget=st.sampled_from([1, 2, 4, 16]))
+def test_round_screen_matches_per_child_screens(seed, sequential, reorder, mode, budget):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
-    parents, children = _round(rng, problem)
-    cfg = BabConfig(clip="both", sequential_clip=sequential, reorder=reorder)
+    parents, children, csets = _round(rng, problem, budget)
+    cfg = BabConfig(mode=mode, clip="both", sequential_clip=sequential, reorder=reorder)
     rng = np.random.default_rng(seed)
-    survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)
-    want_survivors, want_floor, want_hit = _one_at_a_time(problem, cfg, parents, children, seed)
+    with mock.patch.object(bab, "CONSTRAINT_BUDGET", budget):
+        survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)
+    want_survivors, want_floor, want_hit = _one_at_a_time(
+        problem, cfg, parents, children, csets, seed
+    )
     if want_hit is not None:
         assert hit is not None
         assert abs(hit[0] - want_hit[0]) <= TOL
@@ -169,10 +194,11 @@ def test_round_screen_matches_per_child_screens(seed, sequential, reorder):
         np.testing.assert_allclose(lo, box.lower, rtol=0, atol=TOL)
         np.testing.assert_allclose(up, box.upper, rtol=0, atol=TOL)
         assert abs(children[j].bound - bound) <= TOL
-    csets = [children[j].constraints for j in keep]
+    csets = [csets[j] for j in keep]
     if not any(cset.size for cset in csets):
         assert stacks is None
         return
+    assert stacks[2].tolist() == [cset.size for cset in csets]
     for got, want in zip(stacks, stack_constraints(csets)):
         np.testing.assert_array_equal(got, want)
 

@@ -1,0 +1,116 @@
+"""Outcome of every benchmark job, for checking that a change leaves the
+search as it was.
+
+Usage:
+
+    python3 tools/jobs_fingerprint.py SEED [SEED ...] > out.jsonl
+    python3 tools/jobs_fingerprint.py --diff OLD.jsonl NEW.jsonl
+
+The first form builds each workload's corpus of ``verdictbench/corpus.py``
+for every seed, runs each job once with this checkout's ``src`` (one BLAS
+thread, as in the verdict benchmark) and prints one JSON line per job:
+its workload, seed, job and instance numbers, mode, and the outcome's
+``status``, ``domains_visited``, ``max_depth``, ``bound`` and ``value``.
+Floats are printed exactly (shortest repr), so equal lines mean equal bits.
+
+The second form compares two such files job by job and prints each job
+and field that differs, then a summary line; it exits 1 when anything
+differs.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ("status", "domains_visited", "max_depth", "bound", "value")
+KEY = ("workload", "seed", "job")
+
+
+def _load_corpus():
+    """``verdictbench/corpus.py`` as a module, without importing the
+    benchmark's runner."""
+    spec = importlib.util.spec_from_file_location("verdictbench_corpus", ROOT / "verdictbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def fingerprint(seeds):
+    """One record per job of every workload at every seed, in corpus order."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import clipverify as cv
+
+    corpus = _load_corpus()
+    for seed in seeds:
+        for workload in corpus.WORKLOADS:
+            for job in corpus.build_jobs(cv, workload, seed):
+                out = cv.run_bab(job.problem, job.config)
+                yield {
+                    "workload": workload.name,
+                    "seed": seed,
+                    "job": job.ident,
+                    "instance": job.instance,
+                    "mode": job.config.mode,
+                    "status": out.status,
+                    "domains_visited": out.stats.domains_visited,
+                    "max_depth": out.stats.max_depth,
+                    "bound": out.bound,
+                    "value": out.value,
+                }
+
+
+def _read(path):
+    with open(path) as fh:
+        return {tuple(rec[k] for k in KEY): rec for rec in map(json.loads, fh)}
+
+
+def diff(old_path, new_path) -> int:
+    """Print every job and field in which the two files differ; the number
+    of differing jobs."""
+    old, new = _read(old_path), _read(new_path)
+    differing = 0
+    for key in sorted(old.keys() | new.keys(), key=str):
+        if key not in old or key not in new:
+            print(f"{key}: only in {'new' if key not in old else 'old'}")
+            differing += 1
+            continue
+        changed = [f for f in FIELDS if old[key][f] != new[key][f]]
+        if changed:
+            differing += 1
+            print(f"{key} ({old[key]['mode']}): " + ", ".join(
+                f"{f} {old[key][f]!r} -> {new[key][f]!r}" for f in changed))
+    total = sum(rec["domains_visited"] for rec in old.values()), sum(
+        rec["domains_visited"] for rec in new.values())
+    print(f"{len(old)} old jobs, {len(new)} new jobs, {differing} differ "
+          f"in {', '.join(FIELDS)}; domains {total[0]} -> {total[1]}")
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="*", type=int, help="corpus seeds to run")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two fingerprint files instead of running")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return 1 if diff(*args.diff) else 0
+    if not args.seeds:
+        parser.error("give at least one seed, or --diff OLD NEW")
+    for record in fingerprint(args.seeds):
+        print(json.dumps(record), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
