@@ -30,7 +30,7 @@ first.  Then each round:
    falsify the problem (the first hit in search order wins).  Each screen
    is one array expression, draw or forward evaluation for all children;
 4. checks the deadline again, then bounds the survivors in one pass
-   (:func:`crown.bound_pass`).  The clipped corners and constraint stacks
+   (:func:`crown.bound_batch`).  The clipped corners and constraint stacks
    the screen built go in as they are; so do the children's pins and
    overrides, stacked (see :class:`Subdomain`).  Complete clipping runs
    inside the pass (:func:`_clip_refine`): each layer's critical neurons of
@@ -73,7 +73,7 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
-    bound_pass,
+    bound_batch,
     compute_bounds,
 )
 from .geometry import box_range, screen_rows
@@ -213,7 +213,7 @@ class BranchProbe:
 
     def record_bounds(self, path, res: BoundsResult, b: int):
         """Record row ``b`` of the batch-form pass ``res`` (see
-        :func:`crown.bound_pass`)."""
+        :func:`crown.bound_batch`)."""
         self.intervals[path] = [
             (lb.lower[b].copy(), lb.upper[b].copy()) for lb in res.layer_bounds
         ]
@@ -291,7 +291,7 @@ def branch_activation(sub: Subdomain, pick: tuple):
 
 def _branch_scores(res: BoundsResult, forced) -> np.ndarray:
     """BaBSR score of every hidden neuron of each domain of the batch-form
-    pass ``res`` (see :func:`crown.bound_pass`) under its pins ``forced``:
+    pass ``res`` (see :func:`crown.bound_batch`) under its pins ``forced``:
     ``(B, W)``, layers side by side, -inf where stable or pinned."""
     scores = [np.zeros((len(res.final_lower), 0))]  # a net without hidden layers
     for lb, coeff, pins in zip(res.layer_bounds, res.objective_coeffs, forced):
@@ -646,7 +646,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             for i in range(model.num_layers)
         ]
         refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
-        res, failed = bound_pass(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
+        res, failed = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
         alive = np.array([err is None for err in failed])

@@ -14,7 +14,8 @@ known to hold on the region of interest:
   where the row is active, as screened once per domain by
   :func:`screen_rows`.  So one solve serves a layer's critical neurons in
   every domain of a bounding pass.  :func:`coordinate_ascent` is its
-  one-objective, one-box case.  The single-constraint solve is equivalent
+  one-objective, one-box case, and :func:`tighten_lower_single` is that
+  with one constraint.  The single-constraint solve is equivalent
   to a continuous knapsack problem, exposed through :func:`to_knapsack` /
   :func:`greedy_knapsack`.
 
@@ -257,30 +258,18 @@ def dual_ascent_batch(objs, consts, centers, radii, normals, offsets, active, pa
 
 
 def tighten_lower_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSolution:
-    """Exact lower bound of ``a . x + c`` over box intersect one half-space.
+    """Exact lower bound of ``a . x + c`` over box intersect one half-space:
+    :func:`coordinate_ascent` with that one constraint.
 
     Solves the single-multiplier dual to optimality, which by strong duality
     (linear program over a compact box) equals the true constrained minimum.
     A constraint infeasible for the box yields ``INFEASIBLE_PRIMAL`` with a
     +inf bound (minimum over an empty set); a redundant one collapses to the
-    plain box minimum at multiplier zero.
+    plain box minimum at multiplier zero.  ``beta`` is a float and ``trace``
+    holds only the bound.
     """
-    a = np.asarray(a, dtype=float)
-    cset = ConstraintSet(cons.normal[None, :], np.array([cons.offset]))
-    status = classify_constraint(box, cons)
-    if status is FeasibilityStatus.INFEASIBLE:
-        return DualSolution(np.inf, np.inf, DualStatus.INFEASIBLE_PRIMAL, [np.inf])
-    if status is FeasibilityStatus.REDUNDANT:
-        bound = dual_value(a, c, box, cset, 0.0)
-        return DualSolution(bound, 0.0, DualStatus.OPTIMAL, [bound])
-    beta = float(
-        _line_search(
-            a[None, None], box.center[None], box.radius[None], cons.normal[None],
-            np.array([cons.offset]),
-        )[0, 0]
-    )
-    bound = dual_value(a, c, box, cset, beta)
-    return DualSolution(bound, beta, DualStatus.OPTIMAL, [bound])
+    sol = coordinate_ascent(a, c, box, ConstraintSet(cons.normal[None, :], np.array([cons.offset])))
+    return DualSolution(sol.bound, float(sol.beta[0]), sol.status, [sol.bound])
 
 
 def tighten_upper_single(a, c, box: BoxDomain, cons: LinearConstraint) -> DualSolution:
@@ -296,8 +285,8 @@ def coordinate_ascent(a, c, box: BoxDomain, cset: ConstraintSet, passes: int = 1
     while the others stay fixed (the current multiplier's own contribution
     is removed from the effective objective before its line search).  Every
     update can only raise the concave dual objective, so the result is a
-    monotone sequence of valid lower bounds; with one constraint and one
-    pass it reproduces :func:`tighten_lower_single`.  This is the
+    monotone sequence of valid lower bounds; with one constraint one pass
+    is exact (:func:`tighten_lower_single`).  This is the
     one-objective, one-box case of :func:`dual_ascent_batch`, with the dual
     value after every update kept in ``trace``.
 

@@ -20,8 +20,10 @@ row-wise with masks.  Between the two, one optional batched ``refine``
 callable may tighten the layer's bounds for the whole batch: it gets the
 layer index, the batch's planes and bounds and a mask of the domains still
 alive, and returns the tightened bounds and a mask of the domains it proved
-empty (see :func:`bound_batch`).  :func:`compute_bounds` is the one-box
-case, without refinement.
+empty (see :func:`bound_batch`).  The pass returns its arrays in this
+batch form.  :func:`compute_bounds` is the one-box case, without
+refinement: it stacks its splits and overrides as one-row arrays and
+returns the pass's only row.
 
 Unstable ReLUs use the triangle envelope: upper side is the chord through
 ``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
@@ -299,64 +301,50 @@ def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect
     return out, c, coeffs
 
 
-def stack_splits(model: NetworkModel, splits_per_domain) -> list:
-    """Split dicts {(layer, neuron): +-1}, one per domain, to per-layer
-    ``(B, w)`` forced-side arrays."""
-    forced = [
-        np.zeros((len(splits_per_domain), layer.out_dim), dtype=int)
-        for layer in model.layers[:-1]
-    ]
-    for b, splits in enumerate(splits_per_domain):
-        for (li, j), pol in (splits or {}).items():
-            if not 0 <= li < model.num_layers - 1:
-                raise ValueError(f"split layer {li} out of range")
-            if not 0 <= j < model.layers[li].out_dim:
-                raise ValueError(f"split neuron {j} out of range for layer {li}")
-            if pol not in (-1, 1):
-                raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
-            forced[li][b, j] = pol
-    return forced
+def bound_batch(
+    model: NetworkModel,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    policy: AlphaPolicy | None = None,
+    forced=None,
+    overrides=None,
+    refine=None,
+) -> tuple:
+    """Bound every layer of ``model`` over B boxes in one pass.
 
+    ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
+    is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0
+    free), and ``overrides[i]`` None or a ``(lower, upper)`` pair of ``(B,
+    w_i)`` arrays intersected into layer i's bounds (NaN = none).
 
-def stack_overrides(model: NetworkModel, overrides_per_domain) -> list:
-    """Override lists, one per domain, to per-layer ``(lower, upper)`` pairs
-    of ``(B, w)`` arrays (NaN = none); None for a layer no domain touches.
+    ``refine``, when given, may tighten every layer's bounds before its
+    ReLU relaxation is built (branch and bound runs complete clipping
+    there).  It is called once per layer, as ``refine(i, planes, lower,
+    upper, alive) -> (lower, upper, empty)``:
 
-    A domain's list may be None or shorter than the network; its entries
-    are None or ``(lower, upper)`` pairs whose sides may be None.
+    * ``planes`` is a :class:`BoundingPlanes` whose arrays carry the batch
+      axis: ``a_low`` / ``a_up`` are ``(B, w_i, n)`` and ``c_low`` /
+      ``c_up`` are ``(B, w_i)``;
+    * ``lower`` / ``upper`` are layer i's ``(B, w_i)`` bounds after the
+      overrides;
+    * ``alive`` is a ``(B,)`` mask of the domains not yet proven empty.
+      The rows of the other domains are meaningless and must not be used;
+      the call is skipped when no domain is alive;
+    * it returns the tightened ``(B, w_i)`` bounds (rows of domains not
+      alive are ignored) and a ``(B,)`` mask of the domains it proved
+      empty.
+
+    Returns one :class:`BoundsResult` whose arrays carry the batch axis
+    (layer bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
+    ``final_lower`` ``(B, r)``, objective coefficients ``(B, w_i)``), and
+    per domain None or the :class:`InfeasibleSplitError` that proved it
+    empty: by bounds that cross after overrides and refinement, by a
+    forced side the bounds rule out, or by ``refine``.  The rows of such a
+    domain are meaningless; it is never alive again, and its rows never
+    reach the others.  Branch and bound reads this form and keeps copies
+    of the rows it queues.
     """
-    out = []
-    for i, layer in enumerate(model.layers):
-        entries = [
-            ovr[i] if ovr is not None and i < len(ovr) else None
-            for ovr in overrides_per_domain
-        ]
-        if all(e is None for e in entries):
-            out.append(None)
-            continue
-        lo = np.full((len(entries), layer.out_dim), np.nan)
-        hi = lo.copy()
-        for b, entry in enumerate(entries):
-            if entry is not None:
-                if entry[0] is not None:
-                    lo[b] = entry[0]
-                if entry[1] is not None:
-                    hi[b] = entry[1]
-        out.append((lo, hi))
-    return out
-
-
-def bound_pass(model, lowers, uppers, policy, forced, overrides, refine):
-    """The batched pass behind :func:`bound_batch`, in batch form.
-
-    Takes what :func:`bound_batch` takes (``policy`` not None) and returns
-    one :class:`BoundsResult` whose arrays carry the batch axis (layer
-    bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
-    ``final_lower`` ``(B, r)``, objective coefficients ``(B, w_i)``), plus
-    one entry per domain: None, or the :class:`InfeasibleSplitError` that
-    proved it empty (its rows are then meaningless).  Branch and bound
-    reads this form and keeps copies of the rows it queues.
-    """
+    policy = policy or AlphaPolicy.fixed(1.0)
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
     if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim:
@@ -428,51 +416,6 @@ def _domain(res: BoundsResult, b: int) -> BoundsResult:
     )
 
 
-def bound_batch(
-    model: NetworkModel,
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    policy: AlphaPolicy | None = None,
-    forced=None,
-    overrides=None,
-    refine=None,
-) -> list:
-    """Bound every layer of ``model`` over B boxes in one pass.
-
-    ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
-    is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0 free;
-    see :func:`stack_splits`), and ``overrides[i]`` None or a ``(lower,
-    upper)`` pair of ``(B, w_i)`` arrays intersected into layer i's bounds
-    (NaN = none; see :func:`stack_overrides`).
-
-    ``refine``, when given, may tighten every layer's bounds before its
-    ReLU relaxation is built (branch and bound runs complete clipping
-    there).  It is called once per layer, as ``refine(i, planes, lower,
-    upper, alive) -> (lower, upper, empty)``:
-
-    * ``planes`` is a :class:`BoundingPlanes` whose arrays carry the batch
-      axis: ``a_low`` / ``a_up`` are ``(B, w_i, n)`` and ``c_low`` /
-      ``c_up`` are ``(B, w_i)``;
-    * ``lower`` / ``upper`` are layer i's ``(B, w_i)`` bounds after the
-      overrides;
-    * ``alive`` is a ``(B,)`` mask of the domains not yet proven empty.
-      The rows of the other domains are meaningless and must not be used;
-      the call is skipped when no domain is alive;
-    * it returns the tightened ``(B, w_i)`` bounds (rows of domains not
-      alive are ignored) and a ``(B,)`` mask of the domains it proved
-      empty.
-
-    Returns one :class:`BoundsResult` per box, or None for a box proven
-    empty: by bounds that cross after overrides and refinement, by a forced
-    side the bounds rule out, or by ``refine``.  A domain proven empty is
-    never alive again, and its row never reaches the others.
-    """
-    res, failed = bound_pass(
-        model, lowers, uppers, policy or AlphaPolicy.fixed(1.0), forced, overrides, refine
-    )
-    return [None if err is not None else _domain(res, b) for b, err in enumerate(failed)]
-
-
 def compute_bounds(
     model: NetworkModel,
     box: BoxDomain,
@@ -498,15 +441,25 @@ def compute_bounds(
     """
     if box.dim != model.input_dim:
         raise ValueError("box dimension does not match model input")
-    res, (err,) = bound_pass(
-        model,
-        box.lower[None],
-        box.upper[None],
-        policy or AlphaPolicy.fixed(1.0),
-        stack_splits(model, [splits]),
-        stack_overrides(model, [overrides]),
-        None,
-    )
+    forced = [np.zeros((1, layer.out_dim), dtype=int) for layer in model.layers[:-1]]
+    for (li, j), pol in (splits or {}).items():
+        if not 0 <= li < len(forced):
+            raise ValueError(f"split layer {li} out of range")
+        if not 0 <= j < forced[li].shape[1]:
+            raise ValueError(f"split neuron {j} out of range for layer {li}")
+        if pol not in (-1, 1):
+            raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
+        forced[li][0, j] = pol
+    stacked = [None] * model.num_layers
+    for i, entry in enumerate((overrides or [])[: model.num_layers]):
+        if entry is not None:
+            lo, hi = np.full((2, 1, model.layers[i].out_dim), np.nan)
+            if entry[0] is not None:
+                lo[0] = entry[0]
+            if entry[1] is not None:
+                hi[0] = entry[1]
+            stacked[i] = (lo, hi)
+    res, (err,) = bound_batch(model, box.lower[None], box.upper[None], policy, forced, stacked)
     if err is not None:
         raise err
     return _domain(res, 0)

@@ -39,25 +39,14 @@ class ModelFormatError(ValueError):
     """Malformed or inconsistent model / property data."""
 
 
-def _as_matrix(obj, what: str) -> np.ndarray:
+def _as_array(obj, what: str, ndim: int) -> np.ndarray:
+    """``obj`` as a nonempty, finite float array of ``ndim`` dimensions."""
     try:
         arr = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{what} is not a rectangular numeric array") from exc
-    if arr.ndim != 2 or arr.size == 0:
-        raise ModelFormatError(f"{what} must be a nonempty 2-D array")
-    if not np.isfinite(arr).all():
-        raise ModelFormatError(f"{what} contains NaN or infinite entries")
-    return arr
-
-
-def _as_vector(obj, what: str) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{what} is not a numeric vector") from exc
-    if arr.ndim != 1 or arr.size == 0:
-        raise ModelFormatError(f"{what} must be a nonempty 1-D array")
+    if arr.ndim != ndim or arr.size == 0:
+        raise ModelFormatError(f"{what} must be a nonempty {ndim}-D array")
     if not np.isfinite(arr).all():
         raise ModelFormatError(f"{what} contains NaN or infinite entries")
     return arr
@@ -71,8 +60,8 @@ class AffineLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = _as_matrix(self.weights, "layer weights")
-        self.bias = _as_vector(self.bias, "layer bias")
+        self.weights = _as_array(self.weights, "layer weights", 2)
+        self.bias = _as_array(self.bias, "layer bias", 1)
         if self.bias.size != self.weights.shape[0]:
             raise ModelFormatError(
                 f"bias length {self.bias.size} does not match "
@@ -172,10 +161,10 @@ class PropertySpec:
     threshold: np.ndarray
 
     def __post_init__(self):
-        self.input_lower = _as_vector(self.input_lower, "input_lower")
-        self.input_upper = _as_vector(self.input_upper, "input_upper")
-        self.spec_matrix = _as_matrix(self.spec_matrix, "spec_matrix")
-        self.threshold = _as_vector(self.threshold, "threshold")
+        self.input_lower = _as_array(self.input_lower, "input_lower", 1)
+        self.input_upper = _as_array(self.input_upper, "input_upper", 1)
+        self.spec_matrix = _as_array(self.spec_matrix, "spec_matrix", 2)
+        self.threshold = _as_array(self.threshold, "threshold", 1)
         if self.input_lower.size != self.input_upper.size:
             raise ModelFormatError("input_lower and input_upper lengths differ")
         if np.any(self.input_lower > self.input_upper):
@@ -212,9 +201,6 @@ class CanonicalProblem:
                 f"box dimension {self.box.dim} does not match model input "
                 f"{self.model.input_dim}"
             )
-
-    def row_values(self, x: np.ndarray) -> np.ndarray:
-        return self.model.evaluate(x)
 
     def value(self, x: np.ndarray) -> float:
         """Worst row value at a point; negative means the property fails."""

@@ -216,6 +216,16 @@ def lp_box_oracle(a, c, box: BoxDomain, cset=None, direction: str = "min") -> Or
     return _vertex_optimize(a, c, box, G, h, direction)
 
 
+def _forced_by_layer(model, forced) -> dict:
+    """``forced`` ((layer, neuron) -> +-1, or None) as one sign array per
+    layer that has a forced neuron."""
+    by_layer = {}
+    for (li, j), pol in dict(forced or {}).items():
+        by_layer.setdefault(li, np.zeros(model.layers[li].out_dim, dtype=int))
+        by_layer[li][j] = pol
+    return by_layer
+
+
 def _interval_forward(model, box: BoxDomain, forced_by_layer):
     """Interval-arithmetic pre-activation bounds, respecting forced signs."""
     lo, hi = box.lower, box.upper
@@ -250,11 +260,7 @@ def enumerate_pattern_regions(problem: CanonicalProblem, box=None, forced=None):
     """
     model = problem.model
     box = box or problem.box
-    forced = dict(forced or {})
-    forced_by_layer = {}
-    for (li, j), pol in forced.items():
-        forced_by_layer.setdefault(li, np.zeros(model.layers[li].out_dim, dtype=int))
-        forced_by_layer[li][j] = pol
+    forced_by_layer = _forced_by_layer(model, forced)
     pre_bounds = _interval_forward(model, box, forced_by_layer)
 
     center, radius = box.center, box.radius
@@ -341,11 +347,7 @@ def count_unstable(problem: CanonicalProblem, box=None, forced=None) -> int:
     """Number of neurons whose sign neither the box nor ``forced`` decides."""
     model = problem.model
     box = box or problem.box
-    forced = dict(forced or {})
-    forced_by_layer = {}
-    for (li, j), pol in forced.items():
-        forced_by_layer.setdefault(li, np.zeros(model.layers[li].out_dim, dtype=int))
-        forced_by_layer[li][j] = pol
+    forced_by_layer = _forced_by_layer(model, forced)
     pre = _interval_forward(model, box, forced_by_layer)
     total = 0
     for i in range(model.num_layers - 1):

@@ -86,7 +86,7 @@ def _root_pass(problem):
     root = Subdomain.root(problem)
     forced = [pins[None] for pins in root.forced]
     overrides = [(lo[None], hi[None]) for lo, hi in root.overrides]
-    res, _ = bab.bound_pass(
+    res, _ = bab.bound_batch(
         problem.model, root.lower[None], root.upper[None], BabConfig().alpha, forced, overrides, None
     )
     return root, res, forced
@@ -342,13 +342,13 @@ def test_bounded_children_passed_every_screen(monkeypatch):
     prob = random_network_problem(np.random.default_rng(21))
     rounds, passes = [], []
     _spy_screens(monkeypatch, rounds)
-    original = bab.bound_pass
+    original = bab.bound_batch
 
     def spy(model, lowers, uppers, *args):
         passes.append((lowers, uppers))
         return original(model, lowers, uppers, *args)
 
-    monkeypatch.setattr(bab, "bound_pass", spy)
+    monkeypatch.setattr(bab, "bound_batch", spy)
     for mode in ("input", "activation"):
         rounds.clear()
         passes.clear()
@@ -414,7 +414,7 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
     # through them the parent's whole buffer.
     prob = random_network_problem(np.random.default_rng(15)) if rows == 1 else _verifiable_two_row_problem()
     passes, pushed = [], []
-    original_pass, original_push, original_gather = bab.bound_pass, bab.heappush, bab._queued_state
+    original_pass, original_push, original_gather = bab.bound_batch, bab.heappush, bab._queued_state
 
     def spy_pass(*args):
         out = original_pass(*args)
@@ -432,7 +432,7 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
         pushed[-1].append(item[2])
         original_push(heap, item)
 
-    monkeypatch.setattr(bab, "bound_pass", spy_pass)
+    monkeypatch.setattr(bab, "bound_batch", spy_pass)
     monkeypatch.setattr(bab, "_queued_state", spy_gather)
     monkeypatch.setattr(bab, "heappush", spy_push)
     out = run_bab(prob, BabConfig(mode=mode, clip=clip, timeout=60.0))
@@ -486,7 +486,7 @@ def test_queued_state_gathers_in_bounded_blocks(monkeypatch, rows):
     overrides = [(np.array([lo] * batch), np.array([hi] * batch)) for lo, hi in root.overrides]
     lowers = rng.uniform(-0.5, 0.0, size=(batch, 8))
     uppers = lowers + 0.5
-    res, _ = bab.bound_pass(model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
+    res, _ = bab.bound_batch(model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
     # what settle gathers in activation mode with clipping, the most it
     # keeps: corners, overrides, final planes, scores, the children's
     # half-spaces and a full constraint stack
@@ -598,7 +598,7 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     clock = [0.0]
     monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
     rounds, passes = [], []
-    screen, original_pass = bab._screen_children, bab.bound_pass
+    screen, original_pass = bab._screen_children, bab.bound_batch
 
     def screen_spy(problem, cfg, parents, children, rng):
         out = screen(problem, cfg, parents, children, rng)
@@ -620,7 +620,7 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
         return item
 
     monkeypatch.setattr(bab, "_screen_children", screen_spy)
-    monkeypatch.setattr(bab, "bound_pass", pass_spy)
+    monkeypatch.setattr(bab, "bound_batch", pass_spy)
     monkeypatch.setattr(bab, "heappop", pop_spy)
     out = run_bab(prob, BabConfig(mode="input", clip="both", batch=2, timeout=10.0))
     assert out.status == "unknown"
@@ -747,7 +747,7 @@ def _random_pass(rng, hidden):
          np.full((batch, layer.out_dim), np.nan))
         for layer in layers
     ]
-    res, _ = bab.bound_pass(problem.model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
+    res, _ = bab.bound_batch(problem.model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
     return problem, res, forced
 
 
@@ -800,7 +800,7 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     # scores and pick, and the half-spaces its children add.
     prob = random_network_problem(np.random.default_rng(15))
     passes, pushed = [], []
-    original_pass, original_push = bab.bound_pass, bab.heappush
+    original_pass, original_push = bab.bound_batch, bab.heappush
 
     def spy_pass(model, lowers, uppers, policy, forced, overrides, refine):
         res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine)
@@ -811,7 +811,7 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
         pushed.append((len(passes) - 1, item[2]))
         original_push(heap, item)
 
-    monkeypatch.setattr(bab, "bound_pass", spy_pass)
+    monkeypatch.setattr(bab, "bound_batch", spy_pass)
     monkeypatch.setattr(bab, "heappush", spy_push)
     out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
     assert out.status == "verified"
@@ -850,7 +850,7 @@ def test_parents_are_scored_once_per_round(monkeypatch):
     # child.  Input mode without complete clipping scores nothing.
     prob = random_network_problem(np.random.default_rng(21))
     events = []
-    score, original_pass = bab._branch_scores, bab.bound_pass
+    score, original_pass = bab._branch_scores, bab.bound_batch
 
     def score_spy(res, forced):
         events.append(("score", id(res), len(res.final_lower)))
@@ -862,7 +862,7 @@ def test_parents_are_scored_once_per_round(monkeypatch):
         return out
 
     monkeypatch.setattr(bab, "_branch_scores", score_spy)
-    monkeypatch.setattr(bab, "bound_pass", pass_spy)
+    monkeypatch.setattr(bab, "bound_batch", pass_spy)
     for mode in ("input", "activation"):
         events.clear()
         out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=4, timeout=60.0))

@@ -4,8 +4,8 @@
   (kept below as the reference): equal bit for bit, and the same
   InfeasibleSplitError message for the first bad neuron.
 * ``bound_batch`` over B boxes against ``bound_batch`` on each box alone:
-  equal within 1e-12, None in the same places.  The batched refine runs
-  the per-domain refine hooks (``refine_from_hooks``).
+  each domain's rows equal within 1e-12, the same domains failed.  The
+  batched refine runs the per-domain refine hooks (``refine_from_hooks``).
 * The backward walk in blocks of domains against one whole-batch block:
   equal bit for bit; and the pass's memory on a wide net stays bounded.
 """
@@ -32,7 +32,7 @@ from clipverify import (
     relax_relu,
 )
 from clipverify import crown
-from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows, stack_overrides, stack_splits
+from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows
 
 from conftest import random_network_problem
 
@@ -198,11 +198,14 @@ def test_first_bad_neuron_names_the_error():
 
 
 def _domain(rng, problem, layer_bounds, kind):
-    """A sub-box of the problem box plus splits, overrides and a hook.
+    """A sub-box of the problem box plus its pins, overrides and a hook.
 
-    ``layer_bounds`` are the root bounds, used to aim splits and overrides
-    at neurons where they matter.  ``kind`` "raise" makes the hook reject
-    the domain at one layer; the other kinds tighten or leave it be.
+    The pins are one ``(w_i,)`` int array per hidden layer and the
+    overrides one ``(lower, upper)`` pair of ``(w_i,)`` arrays per layer
+    (NaN = none): one domain's rows of what ``bound_batch`` takes.
+    ``layer_bounds`` are the root bounds, used to aim pins and overrides at
+    neurons where they matter.  ``kind`` "raise" makes the hook reject the
+    domain at one layer; the other kinds tighten or leave it be.
     """
     model = problem.model
     n = problem.box.dim
@@ -213,16 +216,14 @@ def _domain(rng, problem, layer_bounds, kind):
     hi[flat] = lo[flat]  # zero-width dims
     box = BoxDomain(lo, hi)
 
-    splits = {}
+    forced = [np.zeros(layer.out_dim, dtype=int) for layer in model.layers[:-1]]
     for _ in range(int(rng.choice([0, 0, 1, 2]))):
         li = int(rng.integers(0, model.num_layers - 1))
-        j = int(rng.integers(0, model.layers[li].out_dim))
-        splits[(li, j)] = int(rng.choice([-1, 1]))
+        forced[li][int(rng.integers(0, model.layers[li].out_dim))] = int(rng.choice([-1, 1]))
 
-    overrides = None
+    overrides = [(np.full(lb.lower.size, np.nan),) * 2 for lb in layer_bounds]
     if rng.uniform() < 0.6:
-        overrides = []
-        for lb in layer_bounds:
+        for i, lb in enumerate(layer_bounds):
             w = lb.lower.size
             step = rng.uniform(0.0, 0.2, size=(2, w)) * (lb.upper - lb.lower)
             ovr_lo = np.where(rng.uniform(size=w) < 0.3, lb.lower + step[0], np.nan)
@@ -230,7 +231,8 @@ def _domain(rng, problem, layer_bounds, kind):
             if rng.uniform() < 0.15:  # crossing override
                 j = int(rng.integers(0, w))
                 ovr_lo[j] = lb.upper[j] + 1.0
-            overrides.append((ovr_lo, ovr_hi) if rng.uniform() < 0.8 else None)
+            if rng.uniform() < 0.8:
+                overrides[i] = (ovr_lo, ovr_hi)
 
     hook_layer = int(rng.integers(0, model.num_layers))
     shrink = float(rng.uniform(0.0, 0.2))
@@ -248,7 +250,15 @@ def _domain(rng, problem, layer_bounds, kind):
 
         return hook
 
-    return box, splits, overrides, make_hook
+    return box, forced, overrides, make_hook
+
+
+def _stack_rows(forced_rows, override_rows):
+    """Per-domain pins and overrides (as :func:`_domain` makes them) stacked
+    per layer into the ``(B, w_i)`` arrays ``bound_batch`` takes."""
+    forced = [np.stack(layer) for layer in zip(*forced_rows)]
+    overrides = [tuple(np.stack(side) for side in zip(*layer)) for layer in zip(*override_rows)]
+    return forced, overrides
 
 
 def _assert_same_result(got, want):
@@ -288,14 +298,14 @@ def refine_from_hooks(hooks, calls):
     return refine
 
 
-def _assert_dead_stay_dead(calls, results):
-    """A domain the refine proved empty is never alive again, and its
-    result is None."""
-    dead = np.zeros(len(results), dtype=bool)
+def _assert_dead_stay_dead(calls, failed):
+    """A domain the refine proved empty is never alive again, and the pass
+    reports it as failed."""
+    dead = np.zeros(len(failed), dtype=bool)
     for _, alive, empty in calls:
         assert not np.any(alive & dead)
         dead |= empty & alive
-    assert all(results[b] is None for b in np.flatnonzero(dead))
+    assert all(isinstance(failed[b], InfeasibleSplitError) for b in np.flatnonzero(dead))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -313,33 +323,31 @@ def test_batched_pass_matches_one_box_at_a_time(seed, batch, policy):
     domains = [_domain(rng, problem, root.layer_bounds, k) for k in kinds]
 
     calls = []
-    got = bound_batch(
+    res, failed = bound_batch(
         model,
         np.stack([d[0].lower for d in domains]),
         np.stack([d[0].upper for d in domains]),
         policy,
-        stack_splits(model, [d[1] for d in domains]),
-        stack_overrides(model, [d[2] for d in domains]),
+        *_stack_rows([d[1] for d in domains], [d[2] for d in domains]),
         refine_from_hooks([d[3]() for d in domains], calls),
     )
-    assert len(got) == batch
+    assert len(failed) == batch and res.final_lower.shape[0] == batch
     assert [i for i, _, _ in calls] == list(range(len(calls)))
-    _assert_dead_stay_dead(calls, got)
-    for res, (box, splits, overrides, make_hook) in zip(got, domains):
-        (want,) = bound_batch(
+    _assert_dead_stay_dead(calls, failed)
+    for b, (box, forced, overrides, make_hook) in enumerate(domains):
+        want, (err,) = bound_batch(
             model,
             box.lower[None],
             box.upper[None],
             policy,
-            stack_splits(model, [splits]),
-            stack_overrides(model, [overrides]),
+            *_stack_rows([forced], [overrides]),
             refine_from_hooks([make_hook()], []),
         )
-        if want is None:
-            assert res is None
+        if err is not None:
+            assert failed[b] is not None
             continue
-        assert res is not None
-        _assert_same_result(res, want)
+        assert failed[b] is None
+        _assert_same_result(crown._domain(res, b), crown._domain(want, 0))
 
 
 def test_batch_with_an_empty_domain_keeps_the_others():
@@ -355,18 +363,19 @@ def test_batch_with_an_empty_domain_keeps_the_others():
         calls.append((i, alive.copy(), np.array([False, True, False])))
         return lower, upper, calls[-1][2]
 
-    got = bound_batch(
+    res, failed = bound_batch(
         model,
         np.stack([box.lower] * 3),
         np.stack([box.upper] * 3),
         refine=reject_middle,
     )
-    assert got[1] is None
+    assert failed[0] is None and failed[2] is None
+    assert isinstance(failed[1], InfeasibleSplitError)
     assert len(calls) == model.num_layers
-    _assert_dead_stay_dead(calls, got)
+    _assert_dead_stay_dead(calls, failed)
     want = compute_bounds(model, box)
-    _assert_same_result(got[0], want)
-    _assert_same_result(got[2], want)
+    _assert_same_result(crown._domain(res, 0), want)
+    _assert_same_result(crown._domain(res, 2), want)
 
 
 def test_all_nan_overrides_change_nothing():
@@ -380,13 +389,13 @@ def test_all_nan_overrides_change_nothing():
     uppers = rng.uniform(box.center, box.upper, size=(4, box.dim))
     nan = [(np.full((4, layer.out_dim), np.nan),) * 2 for layer in model.layers]
     for policy in (AlphaPolicy.fixed(), AlphaPolicy.adaptive()):
-        want = bound_batch(model, lowers, uppers, policy)
-        got = bound_batch(model, lowers, uppers, policy, overrides=nan)
-        for res, ref in zip(got, want):
-            for lb, ref_lb in zip(res.layer_bounds, ref.layer_bounds):
-                np.testing.assert_array_equal(lb.lower, ref_lb.lower)
-                np.testing.assert_array_equal(lb.upper, ref_lb.upper)
-            np.testing.assert_array_equal(res.final_lower, ref.final_lower)
+        want, want_failed = bound_batch(model, lowers, uppers, policy)
+        got, got_failed = bound_batch(model, lowers, uppers, policy, overrides=nan)
+        assert got_failed == want_failed == [None] * 4
+        for lb, ref_lb in zip(got.layer_bounds, want.layer_bounds):
+            np.testing.assert_array_equal(lb.lower, ref_lb.lower)
+            np.testing.assert_array_equal(lb.upper, ref_lb.upper)
+        np.testing.assert_array_equal(got.final_lower, want.final_lower)
 
 
 def test_nonfinite_corners_are_rejected():
@@ -426,25 +435,23 @@ def _walk_inputs(widths, batch, seed):
     n = widths[0]
     lowers = rng.uniform(-1.0, 0.5, size=(batch, n))
     uppers = lowers + rng.uniform(0.0, 0.5, size=(batch, n)) * (rng.uniform(size=n) > 0.2)
-    splits = []
-    for _ in range(batch):
-        pins = {}
+    forced = [np.zeros((batch, w), dtype=int) for w in widths[1:-1]]
+    for b in range(batch):
         for _ in range(int(rng.integers(0, 3))):
-            if model.num_layers > 1:
-                li = int(rng.integers(0, model.num_layers - 1))
-                pins[(li, int(rng.integers(0, widths[li + 1])))] = int(rng.choice([-1, 1]))
-        splits.append(pins)
+            if forced:
+                li = int(rng.integers(0, len(forced)))
+                forced[li][b, int(rng.integers(0, widths[li + 1]))] = int(rng.choice([-1, 1]))
     overrides = []
-    for _ in range(batch):
-        per_layer = []
-        for w in widths[1:]:
-            lo = np.where(rng.uniform(size=w) < 0.2, rng.normal(size=w) - 1.0, np.nan)
-            hi = np.where(rng.uniform(size=w) < 0.2, rng.normal(size=w) + 1.0, np.nan)
-            per_layer.append((lo, hi) if rng.uniform() < 0.5 else None)
-        overrides.append(per_layer if rng.uniform() < 0.7 else None)
-    return (
-        model, lowers, uppers, stack_splits(model, splits), stack_overrides(model, overrides)
-    )
+    for w in widths[1:]:
+        # about half the domains override this layer, each a fifth of its
+        # neurons per side
+        touched = rng.uniform(size=(batch, 1)) < 0.5
+        lo = np.where(touched & (rng.uniform(size=(batch, w)) < 0.2),
+                      rng.normal(size=(batch, w)) - 1.0, np.nan)
+        hi = np.where(touched & (rng.uniform(size=(batch, w)) < 0.2),
+                      rng.normal(size=(batch, w)) + 1.0, np.nan)
+        overrides.append((lo, hi) if rng.uniform() < 0.7 else None)
+    return model, lowers, uppers, forced, overrides
 
 
 def _same_bits(got, want):
@@ -458,27 +465,25 @@ def test_blocked_walk_equals_the_whole_batch_walk(case):
     widths, batch, block, policy, seed = case
     model, lowers, uppers, forced, overrides = _walk_inputs(widths, batch, seed)
     with mock.patch.object(crown, "WALK_BLOCK", block):
-        got = bound_batch(model, lowers, uppers, policy, forced, overrides)
+        got, got_failed = bound_batch(model, lowers, uppers, policy, forced, overrides)
         if block == 1:
             # one domain per block: the scratch no longer grows with the batch
             _, work = crown._walk_blocks(model.layers, batch)
             assert work.size == crown._walk_blocks(model.layers, 1)[1].size
     with mock.patch.object(crown, "WALK_BLOCK", 10**12):
         assert crown._walk_blocks(model.layers, batch)[0] == [batch] * model.num_layers
-        want = bound_batch(model, lowers, uppers, policy, forced, overrides)
-    assert [res is None for res in got] == [res is None for res in want]
-    for g, w in zip(got, want):
-        if w is None:
-            continue
-        for gb, wb in zip(g.layer_bounds, w.layer_bounds):
-            _same_bits(gb.lower, wb.lower)
-            _same_bits(gb.upper, wb.upper)
-        for gp, wp in zip(g.planes, w.planes):
-            for name in ("a_low", "c_low", "a_up", "c_up"):
-                _same_bits(getattr(gp, name), getattr(wp, name))
-        _same_bits(g.final_lower, w.final_lower)
-        for gc, wc in zip(g.objective_coeffs, w.objective_coeffs):
-            _same_bits(gc, wc)
+        want, want_failed = bound_batch(model, lowers, uppers, policy, forced, overrides)
+    assert [err is None for err in got_failed] == [err is None for err in want_failed]
+    alive = np.array([err is None for err in want_failed])
+    for gb, wb in zip(got.layer_bounds, want.layer_bounds):
+        _same_bits(gb.lower[alive], wb.lower[alive])
+        _same_bits(gb.upper[alive], wb.upper[alive])
+    for gp, wp in zip(got.planes, want.planes):
+        for name in ("a_low", "c_low", "a_up", "c_up"):
+            _same_bits(getattr(gp, name)[alive], getattr(wp, name)[alive])
+    _same_bits(got.final_lower[alive], want.final_lower[alive])
+    for gc, wc in zip(got.objective_coeffs, want.objective_coeffs):
+        _same_bits(gc[alive], wc[alive])
 
 
 # A 16-256-256-256-1 pass over 32 boxes keeps each hidden layer's walk
@@ -501,9 +506,9 @@ def test_wide_pass_memory_is_bounded():
     bound_batch(model, lowers[:1], lowers[:1] + 0.5)  # first-call allocations
     tracemalloc.start()
     try:
-        results = bound_batch(model, lowers, lowers + 0.5)
+        res, failed = bound_batch(model, lowers, lowers + 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(results) == 32 and all(res is not None for res in results)
+    assert res.final_lower.shape == (32, 1) and failed == [None] * 32
     assert peak < WIDE_PASS_PEAK_BYTES, f"{peak / 2**20:.1f} MiB"

@@ -158,22 +158,6 @@ def test_coordinate_ascent_trace_monotone():
         assert abs(trace[-1] - sol.bound) < 1e-12
 
 
-def test_coordinate_ascent_single_equals_exact():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        box = random_box(rng, n)
-        a, c = rng.normal(size=n), float(rng.normal())
-        cons = LinearConstraint(rng.normal(size=n), float(rng.normal()))
-        cs = ConstraintSet(cons.normal[None, :], np.array([cons.offset]))
-        asc = coordinate_ascent(a, c, box, cs)
-        single = tighten_lower_single(a, c, box, cons)
-        if np.isinf(single.bound):
-            assert np.isinf(asc.bound)
-            continue
-        assert abs(asc.bound - single.bound) < 1e-10
-
-
 def test_coordinate_ascent_redundant_rows_left_alone():
     box = BoxDomain(np.zeros(2), np.ones(2))
     cs = ConstraintSet(

@@ -179,6 +179,20 @@ def test_contradictory_split_raises():
         compute_bounds(net, box, splits={(0, 0): 1})
 
 
+def test_malformed_splits_raise_value_error(model, box):
+    # the toy net has one hidden layer of two neurons
+    for splits, message in (
+        ({(1, 0): 1}, "split layer 1 out of range"),
+        ({(-1, 0): 1}, "split layer -1 out of range"),
+        ({(0, 2): 1}, "split neuron 2 out of range for layer 0"),
+        ({(0, -1): 1}, "split neuron -1 out of range for layer 0"),
+        ({(0, 0): 0}, "split polarity"),
+        ({(0, 1): 2}, "split polarity"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compute_bounds(model, box, splits=splits)
+
+
 def test_overrides_intersect_bounds(model, box):
     ovr = [(np.array([np.nan, np.nan]), np.array([0.0, -3.0])), None]
     res = compute_bounds(model, box, overrides=ovr)
@@ -210,8 +224,9 @@ def test_refine_hook_tightening_feeds_forward(model, box):
             upper = np.minimum(upper, np.array([0.0, -3.0]))
         return lower, upper, np.zeros(alive.shape, dtype=bool)
 
-    (res,) = bound_batch(model, box.lower[None], box.upper[None], refine=refine)
-    assert res.final_lower[0] >= -1e-12
+    res, failed = bound_batch(model, box.lower[None], box.upper[None], refine=refine)
+    assert failed == [None]
+    assert res.final_lower[0, 0] >= -1e-12
 
 
 def test_objective_coeffs_shape(model, box):

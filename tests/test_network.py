@@ -159,7 +159,7 @@ def test_canonicalize_fuses_spec_rows():
     for _ in range(20):
         x = rng.uniform(prob.box.lower, prob.box.upper)
         want = 2.0 * model.evaluate(x)[0] - 1.0
-        np.testing.assert_allclose(prob.row_values(x), [want], atol=1e-10)
+        np.testing.assert_allclose(prob.model.evaluate(x), [want], atol=1e-10)
         assert abs(prob.value(x) - want) < 1e-10
 
 
@@ -172,7 +172,7 @@ def test_canonicalize_multiple_rows():
     assert prob.num_rows == 2
     x = np.array([0.0, 0.0])
     out = model.evaluate(x)[0]
-    np.testing.assert_allclose(prob.row_values(x), [out + 5.0, -out + 30.0])
+    np.testing.assert_allclose(prob.model.evaluate(x), [out + 5.0, -out + 30.0])
 
 
 def test_json_round_trip(tmp_path):
