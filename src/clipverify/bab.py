@@ -35,15 +35,16 @@ first.  Then each round:
    overrides, stacked (see :class:`Subdomain`).  Complete clipping runs
    inside the pass (:func:`_clip_refine`): each layer's critical neurons of
    all the children go to one batched dual ascent.  A child's critical
-   neurons are its parent's best-scoring ones, its own pin left out.  The
-   refine writes its tightenings into the pass's override stacks, whose
-   rows become the children's overrides;
+   neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
+   its own pin left out.  The refine writes its tightenings into the pass's
+   override stacks, whose rows become the children's overrides;
 5. closes each child whose bound reaches 0 and queues the others, each
-   with its own copy of what later rounds read of the pass.  The queued
-   rows are scored together (:func:`_branch_scores`), and each one's
-   neuron to pin and the half-space each of its children adds are taken
-   there too; a round stacks its children's constraints from these and
-   their parents' in array steps (:func:`_child_stacks`).
+   with its own copy of what later rounds read of the pass.  The screen in
+   step 3 and this step close domains by one rule (:func:`_close`).  The
+   queued rows are scored together (:func:`_branch_scores`), and each
+   one's neuron to pin and the half-space each of its children adds are
+   taken there too; a round stacks its children's constraints from these
+   and their parents' in array steps (:func:`_child_stacks`).
 
 Candidate counterexamples are checked by exact forward evaluation, so a
 "falsified" verdict is always certified.
@@ -79,6 +80,10 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
 from .geometry import box_range, screen_rows
 from .network import CanonicalProblem
 
+# Neurons per hidden layer that complete clipping tightens in each domain
+# (its best-scoring ones).  No caller needs another value; it stays a named
+# constant because ROADMAP item 3 may make it depend on the mode.
+CRITICAL_TOPK = 20
 # Input-space constraints kept per subdomain, split constraints in activation
 # mode and harvested final planes in input mode (most recent win).  Dropping
 # old constraints only loosens bounds, and it caps the dual cost per node.
@@ -99,10 +104,7 @@ class BabConfig:
     mode: str = "input"  # "input" | "activation"
     clip: str = "both"  # "none" | "relaxed" | "complete" | "both"
     sequential_clip: bool = False
-    reorder: bool = False
-    topk: int = 20
     batch: int = 8
-    passes: int = 1
     timeout: float = 60.0
     alpha: AlphaPolicy = field(default_factory=AlphaPolicy.fixed)
     seed: int = 0
@@ -112,13 +114,13 @@ class BabConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.clip not in ("none", "relaxed", "complete", "both"):
             raise ValueError(f"unknown clip setting {self.clip!r}")
-        for name in ("topk", "batch", "passes", "seed"):
+        for name in ("batch", "seed"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no count
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.topk < 1 or self.batch < 1 or self.passes < 1:
-            raise ValueError("topk, batch and passes must be positive")
+        if self.batch < 1:
+            raise ValueError("batch must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.timeout >= 0:  # also rejects NaN, which would never expire
@@ -300,16 +302,16 @@ def _branch_scores(res: BoundsResult, forced) -> np.ndarray:
     return np.concatenate(scores, axis=1)
 
 
-def _critical_masks(cfg: BabConfig, scores) -> list:
-    """Per hidden layer, a ``(B, w)`` mask of each domain's top-k neurons by
-    branching score (ties to the lower index), leaving out those that score
-    -inf (stable or pinned)."""
+def _critical_masks(scores) -> list:
+    """Per hidden layer, a ``(B, w)`` mask of each domain's ``CRITICAL_TOPK``
+    neurons by branching score (ties to the lower index), leaving out those
+    that score -inf (stable or pinned)."""
     masks = []
     for layer_scores in scores:
-        if layer_scores.shape[1] <= cfg.topk:
+        if layer_scores.shape[1] <= CRITICAL_TOPK:
             masks.append(layer_scores > -np.inf)
             continue
-        top = np.argsort(-layer_scores, axis=1, kind="stable")[:, : cfg.topk]
+        top = np.argsort(-layer_scores, axis=1, kind="stable")[:, :CRITICAL_TOPK]
         mask = np.zeros(layer_scores.shape, dtype=bool)
         finite = np.take_along_axis(layer_scores, top, axis=1) > -np.inf
         np.put_along_axis(mask, top, finite, axis=1)
@@ -389,8 +391,8 @@ def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, 
     centers, radii = 0.5 * (lowers + uppers), 0.5 * (uppers - lowers)
     feasible, active = screen_rows(centers, radii, normals, offsets)
     ends = itertools.accumulate(pins.shape[1] for pins in forced)
-    critical = _critical_masks(cfg, [np.where(pins != 0, -np.inf, scores[:, end - pins.shape[1]:end])
-                                     for pins, end in zip(forced, ends)])
+    critical = _critical_masks([np.where(pins != 0, -np.inf, scores[:, end - pins.shape[1]:end])
+                                for pins, end in zip(forced, ends)])
 
     def refine(i, planes, lower, upper, alive):
         crit = lower < 0.0 if i == last else critical[i]
@@ -413,8 +415,7 @@ def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, 
             objs = np.concatenate([objs, -planes.a_up[rows, idx]], axis=1)
             consts = np.concatenate([consts, -planes.c_up[rows, idx]], axis=1)
         bounds, _ = dual_ascent_batch(
-            objs, consts, centers[doms], radii[doms], normals[doms], offsets[doms],
-            active[doms], cfg.passes,
+            objs, consts, centers[doms], radii[doms], normals[doms], offsets[doms], active[doms]
         )
         # A raised bound exceeds the override it was computed under, so it
         # replaces that override; likewise for a lowered upper bound.
@@ -502,6 +503,26 @@ def _child_stacks(parents) -> tuple | None:
     return normals[idx], offsets[idx], np.array(counts)
 
 
+def _close(cfg: BabConfig, bounds, alive, stacks) -> tuple:
+    """The rule by which the search closes domains, given their ``(B,)``
+    bounds, which of them are alive (not proven empty) and their
+    constraint stacks and set sizes (see :func:`_child_stacks`; None: no
+    domain has constraints).
+
+    A live domain whose bound is >= 0 closes.  Returns the mask of the
+    domains left open and the lowest bound of the closed ones (inf if
+    none).  In input mode the constraints are harvested planes, and what
+    they cut away is only known to be nonnegative, so a domain that is not
+    left open and carries constraints lowers that to 0.
+    """
+    closed = alive & (bounds >= 0.0)
+    floor = float(bounds[closed].min(initial=np.inf))
+    left_open = alive & ~closed
+    if cfg.mode == "input" and stacks is not None and (stacks[2][~left_open] > 0).any():
+        floor = min(floor, 0.0)
+    return left_open, floor
+
+
 def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
     """Screen a round's children all at once.  ``children[2 p]`` and
     ``children[2 p + 1]`` are the children of ``parents[p]``, and
@@ -531,8 +552,7 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         if not cfg.sequential_clip:
             lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stacks[:2])
         else:
-            order = "centroid" if cfg.reorder else "given"
-            lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], order)
+            lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], "given")
         nonempty = ~empty
     mid, span = box_range(
         np.array([parent.planes.a_low for parent in parents]).repeat(2, axis=0),
@@ -542,10 +562,7 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
     )
     quick = (mid - span).min(axis=1)
     bounds = np.maximum(np.repeat([parent.bound for parent in parents], 2), quick)
-    floor = float(bounds[nonempty & (bounds >= 0.0)].min(initial=np.inf))
-    survive = nonempty & (bounds < 0.0)
-    if cfg.mode == "input" and stacks is not None and (stacks[2][~survive] > 0).any():
-        floor = min(floor, 0.0)
+    survive, floor = _close(cfg, bounds, nonempty, stacks)
     keep = np.flatnonzero(survive)
     if keep.size == 0:
         return None, floor, None
@@ -654,13 +671,8 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         if probe is not None:
             for b in np.flatnonzero(alive):
                 probe.record_bounds(subs[b].path, res, b)
-        closed = alive & (bounds >= 0.0)
-        verified_floor = min(verified_floor, float(bounds[closed].min(initial=np.inf)))
-        queued = alive & ~closed
-        if cfg.mode == "input" and stacks is not None and (stacks[2][~queued] > 0).any():
-            # bounded under harvested planes: the part they cut away is only
-            # known to be nonnegative
-            verified_floor = min(verified_floor, 0.0)
+        queued, floor = _close(cfg, bounds, alive, stacks)
+        verified_floor = min(verified_floor, floor)
         rows = np.flatnonzero(queued)
         if rows.size == 0:
             return

@@ -50,15 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both", help="constraint handling (default: both)")
     parser.add_argument("--seq-clip", action="store_true",
                         help="clip boxes constraint-by-constraint instead of jointly")
-    parser.add_argument("--reorder-constraints", action="store_true",
-                        help="sequential clipping visits constraints nearest-first")
-    parser.add_argument("--topk", type=int, default=20,
-                        help="neurons tightened per layer by complete clipping (default: 20)")
     parser.add_argument("--batch", type=int, default=8,
                         help="subdomains popped per round; their children are bounded "
                              "together in one pass (default: 8)")
-    parser.add_argument("--passes", type=int, default=1,
-                        help="coordinate ascent sweeps per tightening (default: 1)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="wall-clock budget in seconds (default: 60)")
     parser.add_argument("--alpha", type=parse_alpha, default=AlphaPolicy.fixed(),
@@ -111,10 +105,7 @@ def build_report(outcome, args, time_s: float) -> dict:
                 "mode": args.mode,
                 "clip": args.clip,
                 "seq_clip": bool(args.seq_clip),
-                "reorder_constraints": bool(args.reorder_constraints),
-                "topk": args.topk,
                 "batch": args.batch,
-                "passes": args.passes,
                 "timeout": args.timeout,
                 "alpha": alpha_text,
                 "seed": args.seed,
@@ -153,10 +144,7 @@ def run(argv=None) -> int:
             mode=args.mode,
             clip=args.clip,
             sequential_clip=bool(args.seq_clip),
-            reorder=bool(args.reorder_constraints),
-            topk=args.topk,
             batch=args.batch,
-            passes=args.passes,
             timeout=args.timeout,
             alpha=args.alpha,
             seed=args.seed,

@@ -2,11 +2,12 @@
 
 Every slope in [0, 1] gives a sound lower envelope of an unstable ReLU, so
 the policy may change how much the search has to do but never what it
-concludes.  On oracle-sized nets, every combination of mode, clipping
-(off and on) and policy (``fixed(1)``, ``fixed(0)``, ``adaptive``) must
-agree with ``exact_verify`` whenever it decides, report counterexamples
-that evaluate negative, and report bounds no higher than the exact
-minimum.
+concludes.  Nor may any other search setting.  On oracle-sized nets, every
+combination of mode, clipping (each of the four settings, and sequential
+relaxed clipping) and policy (``fixed(1)``, ``fixed(0)``, ``adaptive``),
+under a drawn batch size and sampler seed, must agree with
+``exact_verify`` whenever it decides, report counterexamples that
+evaluate negative, and report bounds no higher than the exact minimum.
 """
 
 import numpy as np
@@ -26,6 +27,11 @@ from clipverify import (
 from conftest import random_network_problem
 
 POLICIES = (AlphaPolicy.fixed(1.0), AlphaPolicy.fixed(0.0), AlphaPolicy.adaptive())
+# (clip, sequential_clip): sequential clipping only changes relaxed clipping
+CLIPS = (
+    ("none", False), ("relaxed", False), ("complete", False), ("both", False),
+    ("relaxed", True), ("both", True),
+)
 # Thresholds closer than this (times the output spread) to the exact minimum
 # are moved away: there the verdict turns on rounding, which this test does
 # not judge.
@@ -54,16 +60,19 @@ def _away_from_zero(problem: CanonicalProblem, rng):
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 2]))
-def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows):
+@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 2]),
+       batch=st.sampled_from([1, 3, 8]), search_seed=st.integers(0, 2**16))
+def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows, batch, search_seed):
     rng = np.random.default_rng(seed)
     problem, low, spread = _away_from_zero(random_network_problem(rng, rows=rows), rng)
     assert abs(low) >= MARGIN * spread
     for mode in ("input", "activation"):
-        for clip in ("none", "both"):
+        for clip, sequential in CLIPS:
             for alpha in POLICIES:
-                out = run_bab(problem, BabConfig(mode=mode, clip=clip, alpha=alpha, timeout=20.0))
-                where = (mode, clip, alpha)
+                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential, batch=batch,
+                                alpha=alpha, timeout=20.0, seed=search_seed)
+                out = run_bab(problem, cfg)
+                where = (mode, clip, sequential, alpha)
                 if out.status == "verified":
                     assert low >= 0.0, where
                     assert out.bound is None or out.bound >= 0.0, where

@@ -270,12 +270,9 @@ def test_all_clip_settings_agree_with_oracle():
 
 def test_sequential_clip_options_run():
     prob = shifted_toy(1.1)
-    for reorder in (False, True):
-        cfg = BabConfig(
-            mode="input", clip="both", sequential_clip=True, reorder=reorder, timeout=30.0
-        )
-        out = run_bab(prob, cfg)
-        assert out.status == "verified"
+    cfg = BabConfig(mode="input", clip="both", sequential_clip=True, timeout=30.0)
+    out = run_bab(prob, cfg)
+    assert out.status == "verified"
 
 
 def test_probe_records_decisions_and_intervals():
@@ -559,8 +556,8 @@ def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
         assert all(child.child_constraints is None for child in bounded), mode
 
 
-@pytest.mark.parametrize("sequential, reorder", [(False, False), (True, False), (True, True)])
-def test_search_constructs_no_constraint_objects(monkeypatch, sequential, reorder):
+@pytest.mark.parametrize("sequential", [False, True])
+def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
     # A subdomain's constraints are (m, n) / (m,) arrays and a round stacks
     # its children's in array steps: no LinearConstraint or ConstraintSet
     # is built on the search path, in any mode or clip setting.
@@ -582,7 +579,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch, sequential, reorde
         for clip in ("none", "relaxed", "complete", "both"):
             for seed in (15, 21):
                 rounds.clear()
-                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential, reorder=reorder)
+                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential)
                 out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
                 assert out.status == "verified"
                 stacked = [kept[3] for _, _, kept in rounds if kept is not None and kept[3]]
@@ -648,16 +645,16 @@ def test_config_validation():
 
 def test_config_rejects_non_integer_counts_and_negative_seed():
     # each of these used to be accepted and then fail mid-search
-    for field in ({"topk": 2.5}, {"batch": 2.0}, {"passes": 1.5}, {"seed": -1}, {"seed": 0.5}):
+    for field in ({"batch": 2.0}, {"seed": -1}, {"seed": 0.5}):
         with pytest.raises(ValueError):
             BabConfig(**field)
     # numpy integers are integers
-    BabConfig(topk=np.int64(3), batch=np.int32(2), passes=np.int64(1), seed=np.uint8(5))
+    BabConfig(batch=np.int32(2), seed=np.uint8(5))
 
 
 def test_config_rejects_bool_counts():
     # bool is an int subclass, so these used to be accepted and kept as bools
-    for name in ("topk", "batch", "passes", "seed"):
+    for name in ("batch", "seed"):
         for value in (True, False):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BabConfig(**{name: value})
@@ -700,7 +697,7 @@ def test_multi_row_problem_falsifies():
         assert prob.value(out.counterexample) < 0.0
 
 
-def test_branch_pick_ties_go_to_lowest_layer_and_index():
+def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):
     # every unstable neuron scores 0.5; neuron (0, 2) is stable
     rows = 4
     res = BoundsResult(
@@ -723,7 +720,8 @@ def test_branch_pick_ties_go_to_lowest_layer_and_index():
     picks = [(i, j) if ok else None for i, j, ok in zip(layer.tolist(), neuron.tolist(), found)]
     assert picks == [(0, 0), (0, 1), (1, 0), None]
     # top-1 per layer, pinned neurons left out, ties to the lower index
-    masks = bab._critical_masks(BabConfig(topk=1), [scores[1:2, :3], scores[1:2, 3:]])
+    monkeypatch.setattr(bab, "CRITICAL_TOPK", 1)
+    masks = bab._critical_masks([scores[1:2, :3], scores[1:2, 3:]])
     assert [np.flatnonzero(m[0]).tolist() for m in masks] == [[1], [0]]
 
 

@@ -85,6 +85,14 @@ def test_usage_error_exit_code(toy_files, capsys):
     capsys.readouterr()
 
 
+def test_removed_search_settings_exit_three(toy_files, capsys):
+    # the critical-neuron count, the dual sweeps and the sequential clip's
+    # order are fixed by the search; a flag that set them is a usage error
+    for extra in (["--topk", "5"], ["--passes", "2"], ["--reorder-constraints"]):
+        assert run(base_args(toy_files, *extra)) == 3, extra
+        assert capsys.readouterr().out == "", extra
+
+
 def test_nan_timeout_exits_three(toy_files, capsys):
     # a NaN deadline never expires, so it must be refused up front
     assert run(base_args(toy_files, "--timeout", "nan")) == 3
@@ -169,9 +177,6 @@ def test_config_echoed(toy_files, capsys):
             "--clip",
             "relaxed",
             "--seq-clip",
-            "--reorder-constraints",
-            "--topk",
-            "5",
             "--seed",
             "7",
             "--alpha",
@@ -182,10 +187,9 @@ def test_config_echoed(toy_files, capsys):
     assert cfgecho["mode"] == "activation"
     assert cfgecho["clip"] == "relaxed"
     assert cfgecho["seq_clip"] is True
-    assert cfgecho["reorder_constraints"] is True
-    assert cfgecho["topk"] == 5
     assert cfgecho["seed"] == 7
     assert cfgecho["alpha"] == "adaptive"
+    assert not {"reorder_constraints", "topk", "passes"} & set(cfgecho)
 
 
 def test_oracle_check_passes(toy_files, capsys):

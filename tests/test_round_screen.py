@@ -146,8 +146,7 @@ def _one_at_a_time(problem, cfg, parents, children, csets, seed):
         if not cfg.sequential_clip:
             box = relaxed_clip_parallel(box, cset)
         else:
-            order = "centroid" if cfg.reorder else "given"
-            box = relaxed_clip_sequential(box, cset, order)
+            box = relaxed_clip_sequential(box, cset, "given")
         constrained = cfg.mode == "input" and cset.size > 0
         if box.is_empty:
             if constrained:
@@ -165,13 +164,13 @@ def _one_at_a_time(problem, cfg, parents, children, csets, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(), reorder=st.booleans(),
+@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(),
        mode=st.sampled_from(["input", "activation"]), budget=st.sampled_from([1, 2, 4, 16]))
-def test_round_screen_matches_per_child_screens(seed, sequential, reorder, mode, budget):
+def test_round_screen_matches_per_child_screens(seed, sequential, mode, budget):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
     parents, children, csets = _round(rng, problem, budget)
-    cfg = BabConfig(mode=mode, clip="both", sequential_clip=sequential, reorder=reorder)
+    cfg = BabConfig(mode=mode, clip="both", sequential_clip=sequential)
     rng = np.random.default_rng(seed)
     with mock.patch.object(bab, "CONSTRAINT_BUDGET", budget):
         survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)

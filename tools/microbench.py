@@ -11,7 +11,8 @@ Imports clipverify from this checkout's ``src`` and prints three tables:
   after a few warm-up calls;
 * ``bound_batch`` on each workload's net at B = 1 (a root pass) and B = 16
   (a round of children), and on three wide nets: CPU milliseconds per call
-  and the ``tracemalloc`` peak of one call;
+  (on a wide net, of the fastest of ``WIDE_CALLS`` calls, by
+  ``time.process_time``) and the ``tracemalloc`` peak of one call;
 * a long activation-mode run with ``clip=both`` on a hard 4-24-24-1
   instance at ``--batch`` 8 and 64: the domains it visits within
   ``LONG_SECONDS`` and its ``tracemalloc`` peak, in total and per domain.
@@ -63,8 +64,10 @@ BOUND_SHAPES = (
     ("wide", (784, 1024, 1024, 10), (8,)),
     ("wide", (784, 256, 256, 256, 10), (16,)),
 )
-# Timed calls per wide-net row: each takes about a second.
-WIDE_CALLS = 3
+# Timed calls per wide-net row.  Each takes about a second, too long to
+# average away the host's spread (one slow call in three moved a mean by
+# 30%), so the row reports the fastest.
+WIDE_CALLS = 5
 LONG_BATCHES = (8, 64)
 # Budget of each long run: enough for thousands of domains on hard_problem.
 LONG_SECONDS = 6.0
@@ -97,6 +100,16 @@ def per_call(fn, calls):
         1e3 * (after.ru_stime - before.ru_stime) / calls,
         (after.ru_minflt - before.ru_minflt) / calls,
     )
+
+
+def fastest_call(fn, calls):
+    """CPU milliseconds (process time) of the fastest of ``calls`` calls."""
+    times = []
+    for _ in range(calls):
+        t0 = time.process_time()
+        fn()
+        times.append(time.process_time() - t0)
+    return 1e3 * min(times)
 
 
 def traced_peak(fn):
@@ -134,11 +147,18 @@ def bench_bound_batch(calls):
             t = rng.uniform(size=(2, batch, widths[0]))
             lowers = box.lower + t.min(axis=0) * (box.upper - box.lower)
             uppers = box.lower + t.max(axis=0) * (box.upper - box.lower)
-            n = WIDE_CALLS if name == "wide" else calls
-            user, system, _ = per_call(lambda: cv.bound_batch(problem.model, lowers, uppers), n)
-            _, peak = traced_peak(lambda: cv.bound_batch(problem.model, lowers, uppers))
+
+            def call():
+                return cv.bound_batch(problem.model, lowers, uppers)
+
+            if name == "wide":
+                cpu = fastest_call(call, WIDE_CALLS)
+            else:
+                user, system, _ = per_call(call, calls)
+                cpu = user + system
+            _, peak = traced_peak(call)
             shape = f"{'-'.join(map(str, widths))}, B={batch}"
-            print(f"{name:<34}{shape:<26}{user + system:8.1f}{peak:9.2f}")
+            print(f"{name:<34}{shape:<26}{cpu:8.1f}{peak:9.2f}")
 
 
 def bench_long_runs():
