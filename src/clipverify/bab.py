@@ -31,15 +31,17 @@ first.  Then each round:
    is one array expression, draw or forward evaluation for all children;
 4. checks the deadline again, then bounds the survivors in one pass
    (:func:`crown.bound_batch`).  The clipped corners and constraint stacks
-   the screen built go in as they are; so do the children's pins and
-   overrides, stacked (see :class:`Subdomain`).  Complete clipping runs
+   the screen built go in as they are; so do the children's pins, stacked
+   per layer, and their overrides, stacked in one array and handed over as
+   per-layer column views (see :class:`Subdomain`).  Complete clipping runs
    inside the pass (:func:`_clip_refine`): each layer's critical neurons of
    all the children go to one batched dual ascent.  A child's critical
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
    its own pin left out.  The refine writes its tightenings into the pass's
-   override stacks, whose rows become the children's overrides;
+   override stack, whose rows become the children's overrides;
 5. closes each child whose bound reaches 0 and queues the others, each
-   with its own copy of what later rounds read of the pass.  The screen in
+   with its own copy of its row of each array that later rounds read of
+   the pass, and of only its own constraint rows.  The screen in
    step 3 and this step close domains by one rule (:func:`_close`).  The
    queued rows are scored together (:func:`_branch_scores`), and each
    one's neuron to pin and the half-space each of its children adds are
@@ -53,7 +55,6 @@ Candidate counterexamples are checked by exact forward evaluation, so a
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -92,11 +93,6 @@ CONSTRAINT_BUDGET = 16
 FALSIFY_SAMPLES = 8
 # Boxes narrower than this in every coordinate are treated as points.
 POINT_RADIUS_TOL = 1e-14
-# Values per block in which a pass's rows are gathered for the subdomains it
-# queues (see _queued_state), so gathering holds at most two blocks (or
-# rows) beyond the copies it keeps.  32768 float64 values are 256 KiB, as
-# for crown.WALK_BLOCK.
-GATHER_BLOCK = 32768
 
 
 @dataclass
@@ -133,27 +129,30 @@ class Subdomain:
 
     ``lower`` / ``upper`` are its ``(n,)`` corners.  ``forced`` holds per
     hidden layer a ``(w_i,)`` int array of ReLU pins (+1 active, -1
-    inactive, 0 free), ``overrides`` per layer a ``(lower, upper)`` pair of
-    ``(w_i,)`` bound tightenings (NaN: none), the per-domain rows of what
-    :func:`bound_batch` takes.  ``normals @ x + offsets <= 0``, ``(m, n)``
-    and ``(m,)``, holds for any counterexample in the box.  The rest is what
-    later rounds read of its bounding pass (its parent's until it is bounded
-    itself): ``planes``, the final layer's lower planes; ``scores``, the
-    flat ``(W,)`` branching scores of all hidden neurons, -inf where stable
-    or pinned; ``pick``, the ``(layer, neuron)`` activation mode pins next
-    (None: bisect); ``child_constraints``, ``(2, n)`` normals and ``(2,)``
-    offsets whose row k child k adds (None: none).
+    inactive, 0 free), the per-domain rows of what :func:`bound_batch`
+    takes.  ``overrides`` is a ``(2, V)`` array of bound tightenings (NaN:
+    none), lower in row 0 and upper in row 1, every layer's ``w_i``
+    columns side by side, the output layer last.  ``normals @ x + offsets
+    <= 0``, ``(m, n)`` and ``(m,)``, holds for any counterexample in the
+    box.  The rest is what later rounds read of its bounding pass (its
+    parent's until it is bounded itself): ``planes``, the final layer's
+    lower planes; ``scores``, the flat ``(W,)`` branching scores of all
+    hidden neurons, -inf where stable or pinned; ``pick``, the ``(layer,
+    neuron)`` activation mode pins next (None: bisect);
+    ``child_constraints``, ``(2, n)`` normals and ``(2,)`` offsets whose
+    row k child k adds (None: none).
 
     Children share these arrays with their parent; none is ever modified
-    in place.  A queued subdomain's arrays view one buffer of its own; only
-    one bounded without constraints has the run's shared empty ``normals``
-    / ``offsets`` instead.
+    in place.  A queued subdomain holds its own copy of each array it got
+    from its bounding pass, its ``m`` constraint rows only; one bounded
+    without constraints has the run's shared empty ``normals`` /
+    ``offsets`` instead.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     forced: list
-    overrides: list
+    overrides: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
     bound: float
@@ -172,7 +171,7 @@ class Subdomain:
             problem.box.lower.copy(),
             problem.box.upper.copy(),
             [np.zeros(layer.out_dim, dtype=int) for layer in layers[:-1]],
-            [(np.full(layer.out_dim, np.nan),) * 2 for layer in layers],
+            np.full((2, sum(layer.out_dim for layer in layers)), np.nan),
             np.zeros((0, problem.box.dim)),
             np.zeros(0),
             -np.inf,
@@ -371,8 +370,8 @@ def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, 
     ``stacks`` their constraint stacks and set sizes (see
     :func:`_child_stacks`).  ``scores`` are the flat scores of each
     domain's parent; with the domain's own pins (``forced``) left out they
-    pick its critical neurons.  ``overrides`` are the pass's override
-    stacks.
+    pick its critical neurons.  ``overrides`` are the pass's per-layer
+    ``(lower, upper)`` override stacks.
 
     Each layer's freshly computed bounds are tightened for every domain's
     critical neurons before the layer's relaxation is built; the final
@@ -449,13 +448,10 @@ def _sample_points(lowers, uppers, rng):
     drew = (0.5 * (uppers - lowers)).max(axis=1) > 0.0
     if drew.any():
         wide = slice(None) if drew.all() else drew
-        # Clipping can leave a coordinate at [0.0, -0.0], and rng.uniform
-        # rejects the negative zero width; adding 0.0 turns -0.0 into 0.0
-        # and leaves every other value as it is.
-        pts[wide, 1:] = rng.uniform(
-            lowers[wide, None] + 0.0, uppers[wide, None] + 0.0,
-            size=(int(drew.sum()), FALSIFY_SAMPLES, lowers.shape[1]),
-        )
+        draw = rng.random((int(drew.sum()), FALSIFY_SAMPLES, lowers.shape[1]))
+        draw *= (uppers - lowers)[wide, None]
+        draw += lowers[wide, None]
+        pts[wide, 1:] = draw
     return pts, drew
 
 
@@ -577,34 +573,6 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
     return (keep, lowers[keep], uppers[keep], stacks), floor, None
 
 
-def _queued_state(pieces, rows) -> list:
-    """Per entry of ``rows``, its row of each batch-form array (at least
-    2-D) of ``pieces``, all views of one buffer of its own: a queued
-    subdomain shares no memory with the pass or with another one.  A pass
-    whose rows fit in one block of ``GATHER_BLOCK`` values is joined whole,
-    then indexed (two numpy calls, not one per piece); a larger one is
-    gathered in blocks of queued rows, never copying a closed domain's."""
-    # a row's slice of each piece, taken in one call; only the matrices are
-    # reshaped, which costs more than the slice itself
-    ends = list(itertools.accumulate(piece.size // len(piece) for piece in pieces))
-    take = operator.itemgetter(*map(slice, [0, *ends[:-1]], ends))
-    matrices = [(i, piece.shape[1:]) for i, piece in enumerate(pieces) if piece.ndim > 2]
-    flat = [piece.reshape(len(piece), -1) if piece.ndim > 2 else piece for piece in pieces]
-    step = max(1, GATHER_BLOCK // ends[-1])
-    if step >= len(pieces[0]):
-        blocks = [np.concatenate(flat, axis=1)[rows]]
-    else:
-        blocks = (np.concatenate([piece[rows[at:at + step]] for piece in flat], axis=1)
-                  for at in range(0, len(rows), step))
-    state = []
-    for buf in (row.copy() for block in blocks for row in block):
-        views = list(take(buf))
-        for i, shape in matrices:
-            views[i] = views[i].reshape(shape)
-        state.append(views)
-    return state
-
-
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     stats.wall_time = time.perf_counter() - t0
     return VerificationOutcome(status, counterexample, value, bound, stats)
@@ -650,6 +618,8 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     refined = cfg.clip in ("complete", "both")
     scored = cfg.mode == "activation" or refined
     widths = [layer.out_dim for layer in model.layers[:-1]]
+    ends = itertools.accumulate(layer.out_dim for layer in model.layers)
+    columns = [slice(end - layer.out_dim, end) for layer, end in zip(model.layers, ends)]
     unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
 
     def settle(subs, lowers, uppers, stacks=None, scores=None):
@@ -657,11 +627,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         its own copy of what later rounds read."""
         nonlocal verified_floor
         forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(widths))]
-        overrides = [
-            (np.array([sub.overrides[i][0] for sub in subs]),
-             np.array([sub.overrides[i][1] for sub in subs]))
-            for i in range(model.num_layers)
-        ]
+        # one override stack, which the pass reads and the refine writes
+        # through per-layer column views
+        stacked = np.array([sub.overrides for sub in subs])
+        overrides = [(stacked[:, 0, cols], stacked[:, 1, cols]) for cols in columns]
         refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
         res, failed = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
         stats.domains_visited += len(subs)
@@ -676,35 +645,31 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         rows = np.flatnonzero(queued)
         if rows.size == 0:
             return
-        # what a queued domain keeps, in batch form
+        # each queued domain copies its own row of what later rounds read
         final, pick = res.planes[-1], None
-        pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair), final.a_low, final.c_low]
         if scored:
-            pieces.append(_branch_scores(res, forced))
+            flat_scores = _branch_scores(res, forced)
         if cfg.mode == "activation":
-            pick = _pick_branch_neurons(pieces[-1], widths)
+            pick = _pick_branch_neurons(flat_scores, widths)
             layer, neuron, found = (arr.tolist() for arr in pick)
         if cfg.clip != "none":
-            *cuts, adds = _child_constraints(cfg, res, pick)
-            pieces += cuts
-        if stacks is not None:
-            pieces += stacks[:2]
-        for b, views in zip(rows.tolist(), _queued_state(pieces, rows)):
-            sub, views = subs[b], iter(views)
-            sub.lower, sub.upper = next(views), next(views)
-            sub.overrides = [(next(views), next(views)) for _ in overrides]
-            sub.planes = BoundingPlanes(next(views), next(views), None, None)
+            cut_normals, cut_offsets, adds = _child_constraints(cfg, res, pick)
+        for b in rows.tolist():
+            sub = subs[b]
+            sub.lower, sub.upper = lowers[b].copy(), uppers[b].copy()
+            sub.overrides = stacked[b].copy()
+            sub.planes = BoundingPlanes(final.a_low[b].copy(), final.c_low[b].copy(), None, None)
             if scored:
-                sub.scores = next(views)
+                sub.scores = flat_scores[b].copy()
             if pick is not None:
                 sub.pick = (layer[b], neuron[b]) if found[b] else None
             if cfg.clip != "none":
-                cut = next(views), next(views)
-                sub.child_constraints = cut if adds[b] else None
+                sub.child_constraints = (cut_normals[b].copy(), cut_offsets[b].copy()) if adds[b] else None
             if stacks is not None:
-                sub.normals, sub.offsets = next(views)[:stacks[2][b]], next(views)[:stacks[2][b]]
+                m = stacks[2][b]
+                sub.normals, sub.offsets = stacks[0][b, :m].copy(), stacks[1][b, :m].copy()
             else:
-                # not the parent's zero-row views, which keep its buffer alive
+                # every domain bounded without constraints shares one empty pair
                 sub.normals, sub.offsets = unconstrained
             sub.bound = float(bounds[b])
             heappush(heap, (sub.bound, next(tiebreak), sub))

@@ -8,6 +8,8 @@ relaxed clipping) and policy (``fixed(1)``, ``fixed(0)``, ``adaptive``),
 under a drawn batch size and sampler seed, must agree with
 ``exact_verify`` whenever it decides, report counterexamples that
 evaluate negative, and report bounds no higher than the exact minimum.
+The same holds on degenerate inputs: width-1 hidden layers, all-zero
+weight rows, zero-width input coordinates and point boxes.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from clipverify import (
     AffineLayer,
     AlphaPolicy,
     BabConfig,
+    BoxDomain,
     CanonicalProblem,
     NetworkModel,
     exact_verify,
@@ -59,12 +62,10 @@ def _away_from_zero(problem: CanonicalProblem, rng):
     return problem, exact_verify(problem).min_value, spread
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 2]),
-       batch=st.sampled_from([1, 3, 8]), search_seed=st.integers(0, 2**16))
-def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows, batch, search_seed):
-    rng = np.random.default_rng(seed)
-    problem, low, spread = _away_from_zero(random_network_problem(rng, rows=rows), rng)
+def _agrees_with_exact(problem: CanonicalProblem, rng, batch, search_seed):
+    """Run every setting on ``problem`` (moved away from a zero minimum)
+    and check each outcome against its exact minimum."""
+    problem, low, spread = _away_from_zero(problem, rng)
     assert abs(low) >= MARGIN * spread
     for mode in ("input", "activation"):
         for clip, sequential in CLIPS:
@@ -82,6 +83,56 @@ def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows, batch, sea
                     assert problem.box.contains(out.counterexample), where
                 if out.bound is not None:
                     assert out.bound <= low + ROUNDING * spread, where
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 2]),
+       batch=st.sampled_from([1, 3, 8]), search_seed=st.integers(0, 2**16))
+def test_every_slope_policy_agrees_with_exact_enumeration(seed, rows, batch, search_seed):
+    rng = np.random.default_rng(seed)
+    _agrees_with_exact(random_network_problem(rng, rows=rows), rng, batch, search_seed)
+
+
+@st.composite
+def degenerate_problems(draw):
+    """A random net and box like ``random_network_problem``'s, with drawn
+    degenerate parts: hidden layers as narrow as one neuron, all-zero weight
+    rows (whose neurons see only their bias), input coordinates of zero
+    width, a point box, one or two output rows.  At most two inputs and
+    three neurons per layer keep every instance quick to decide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2))
+    hidden = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    widths = [n, *hidden, draw(st.sampled_from([1, 2]))]
+    zero_rows = draw(st.booleans())
+    layers = []
+    for w_in, w_out in zip(widths, widths[1:]):
+        weights = rng.normal(size=(w_out, w_in)) / np.sqrt(w_in)
+        if zero_rows:
+            weights[rng.random(w_out) < 0.4] = 0.0
+        layers.append(AffineLayer(weights, 0.3 * rng.normal(size=w_out)))
+    center = 0.4 * rng.normal(size=n)
+    radius = rng.uniform(0.3, 1.2, size=n)
+    flat = draw(st.sampled_from(["none", "some", "all"]))
+    if flat == "some":
+        radius[rng.random(n) < 0.5] = 0.0
+    elif flat == "all":
+        radius[:] = 0.0
+    # recentred like random_network_problem's, so verdicts go both ways
+    last = layers[-1]
+    at_center = NetworkModel(layers).evaluate(center)
+    layers[-1] = AffineLayer(last.weights, last.bias - at_center + 0.4 * rng.normal(size=widths[-1]))
+    box = BoxDomain(center - radius, center + radius)
+    return CanonicalProblem(NetworkModel(layers), box, widths[-1]), rng
+
+
+# degenerate nets are decided within a few domains, so many more examples
+# fit in the time of the test above
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=degenerate_problems(), batch=st.sampled_from([1, 3, 8]),
+       search_seed=st.integers(0, 2**16))
+def test_degenerate_inputs_agree_with_exact_enumeration(drawn, batch, search_seed):
+    _agrees_with_exact(*drawn, batch, search_seed)
 
 
 def test_verified_input_mode_bound_is_at_most_the_minimum():

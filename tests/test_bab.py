@@ -80,12 +80,20 @@ def split_constraint_to_input(planes: BoundingPlanes, neuron: int, polarity: int
     return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
 
 
+def _layer_overrides(model, overrides) -> list:
+    """Per layer, the ``(lower, upper)`` column views of flat overrides, a
+    subdomain's ``(2, V)`` or a ``(B, 2, V)`` stack of them: the form
+    :func:`bound_batch` takes."""
+    ends = np.cumsum([layer.out_dim for layer in model.layers])
+    return [(part[..., 0, :], part[..., 1, :]) for part in np.split(overrides, ends[:-1], axis=-1)]
+
+
 def _root_pass(problem):
     """The root subdomain and its bounding pass in batch form, with the
     pin stacks it was bounded under."""
     root = Subdomain.root(problem)
     forced = [pins[None] for pins in root.forced]
-    overrides = [(lo[None], hi[None]) for lo, hi in root.overrides]
+    overrides = _layer_overrides(problem.model, root.overrides[None])
     res, _ = bab.bound_batch(
         problem.model, root.lower[None], root.upper[None], BabConfig().alpha, forced, overrides, None
     )
@@ -379,8 +387,7 @@ def _queued_arrays(sub):
     """The arrays a queued subdomain got from the pass that bounded it.  Its
     pins are left out: children share those with their parent by design,
     and no pass writes them."""
-    arrays = [sub.lower, sub.upper, sub.normals, sub.offsets, sub.planes.a_low, sub.planes.c_low]
-    arrays += [arr for pair in sub.overrides for arr in pair]
+    arrays = [sub.lower, sub.upper, sub.overrides, sub.normals, sub.offsets, sub.planes.a_low, sub.planes.c_low]
     if sub.scores is not None:
         arrays.append(sub.scores)
     if sub.child_constraints is not None:
@@ -410,34 +417,45 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
     # constraints used to keep its parent's zero-row constraint views, and
     # through them the parent's whole buffer.
     prob = random_network_problem(np.random.default_rng(15)) if rows == 1 else _verifiable_two_row_problem()
-    passes, pushed = [], []
-    original_pass, original_push, original_gather = bab.bound_batch, bab.heappush, bab._queued_state
+    passes, pushed, stacked_passes, stack = [], [], [], []
+    original_pass, original_push = bab.bound_batch, bab.heappush
+    original_refine, original_scores, original_cuts = bab._clip_refine, bab._branch_scores, bab._child_constraints
+
+    def spy_refine(cfg, model, lowers, uppers, stacks, *args):
+        # the constraint stack the next pass is bounded under
+        stack[:] = [] if stacks is None else stacks[:2]
+        return original_refine(cfg, model, lowers, uppers, stacks, *args)
 
     def spy_pass(*args):
         out = original_pass(*args)
-        passes.append(_pass_arrays(args, out))
+        passes.append(_pass_arrays(args, out) + stack)
+        stacked_passes.append(bool(stack))
         pushed.append([])
         return out
 
-    def spy_gather(pieces, rows):
-        # what settle gathers from: the pass's arrays, the scores and
-        # half-spaces computed from them, and the constraint stacks
-        passes[-1] += list(pieces)
-        return original_gather(pieces, rows)
+    def spy_derived(original):
+        # what settle computes from the pass: the scores and half-spaces
+        def spy(*args):
+            out = original(*args)
+            passes[-1].extend(out if isinstance(out, tuple) else [out])
+            return out
+        return spy
 
     def spy_push(heap, item):
         pushed[-1].append(item[2])
         original_push(heap, item)
 
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
-    monkeypatch.setattr(bab, "_queued_state", spy_gather)
+    monkeypatch.setattr(bab, "_clip_refine", spy_refine)
+    monkeypatch.setattr(bab, "_branch_scores", spy_derived(original_scores))
+    monkeypatch.setattr(bab, "_child_constraints", spy_derived(original_cuts))
     monkeypatch.setattr(bab, "heappush", spy_push)
     out = run_bab(prob, BabConfig(mode=mode, clip=clip, timeout=60.0))
     assert out.status == "verified"
     assert sum(len(subs) > 1 for subs in pushed) >= 2
     width = sum(layer.out_dim for layer in prob.model.layers[:-1])
     stacked, buffers = 0, set()
-    for batch_arrays, subs in zip(passes, pushed):
+    for batch_arrays, subs, under_stack in zip(passes, pushed, stacked_passes):
         kept = [_queued_arrays(sub) for sub in subs]
         for i, arrays in enumerate(kept):
             # only what later rounds read: the final lower planes always,
@@ -449,14 +467,12 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
             assert sub.scores is None or sub.scores.shape == (width,)
             assert sub.pick is None or mode == "activation"
             assert sub.child_constraints is None or clip != "none"
-            stacked += sub.offsets.base is not None  # bounded under a constraint stack
-            # one buffer of its own, even for zero-size views, which
-            # np.shares_memory never reports; only the empty pair of a
-            # subdomain without constraints owns no buffer
-            own = {id(arr.base) for arr in arrays if arr.base is not None}
-            assert len(own) == 1 and not own & buffers
-            buffers |= own
-            assert all(arr.base is not None or arr.size == 0 for arr in arrays)
+            stacked += under_stack
+            # no buffer shared with another queued subdomain, even through
+            # zero-size views, which np.shares_memory never reports
+            bases = {id(arr.base) for arr in arrays if arr.base is not None}
+            assert not bases & buffers
+            buffers |= bases
             for arr in arrays:
                 assert not any(np.shares_memory(arr, other) for other in batch_arrays)
                 for others in kept[i + 1:]:
@@ -464,57 +480,129 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
     assert (stacked > 0) == (clip != "none")
 
 
+def test_queued_subdomains_hold_only_their_own_fields(monkeypatch):
+    # A queued subdomain used to view one buffer that held its row of every
+    # kept array, with its pass's largest constraint stack instead of its
+    # own m rows, and the children's half-spaces even where it kept none:
+    # here 11 of the 41 queued subdomains held more than their fields.
+    prob = random_network_problem(np.random.default_rng(15))
+    pushed = []
+    push = bab.heappush
+
+    def spy(heap, item):
+        pushed.append(item[2])
+        push(heap, item)
+
+    monkeypatch.setattr(bab, "heappush", spy)
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
+    assert out.status == "verified"
+    assert len(pushed) > 10 and any(sub.child_constraints is None for sub in pushed)
+    for sub in pushed:
+        arrays = _queued_arrays(sub)
+        held = {}
+        for arr in arrays:
+            # an array's own data, or the base a view keeps alive
+            while arr.base is not None:
+                arr = arr.base
+            held[id(arr)] = arr.nbytes
+        assert sum(held.values()) == sum(arr.nbytes for arr in arrays), sub.path
+
+
+class _Queued(Exception):
+    """Ends a search once the pass under test has queued its domains."""
+
+
 @pytest.mark.parametrize("rows", [[1, 6, 11], list(range(16))])
-def test_queued_state_gathers_in_bounded_blocks(monkeypatch, rows):
-    # Gathering used to join every row of every kept array, the closed
+def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
+    # Queuing used to join every row of every kept array, the closed
     # domains' included, and then copy each queued row: a settle of 16
     # wide domains held three times what it keeps when 3 were queued, and
-    # twice when all 16 were.  Gathered in blocks, it holds at most two
-    # blocks (or rows) beyond what it keeps.
+    # twice when all 16 were.  Each queued domain now copies its own row of
+    # each array, so queuing holds what it keeps and at most one row more.
     rng = np.random.default_rng(4)
     widths = (8, 128, 128, 128, 1)
     model = NetworkModel([
         AffineLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in), 0.3 * rng.normal(size=w_out))
         for w_in, w_out in zip(widths, widths[1:])
     ])
-    root = Subdomain.root(CanonicalProblem(model, BoxDomain(np.full(8, -0.5), np.full(8, 0.5)), 1))
+    problem = CanonicalProblem(model, BoxDomain(np.full(8, -0.5), np.full(8, 0.5)), 1)
     batch = 16
-    forced = [np.array([pins] * batch) for pins in root.forced]
-    overrides = [(np.array([lo] * batch), np.array([hi] * batch)) for lo, hi in root.overrides]
     lowers = rng.uniform(-0.5, 0.0, size=(batch, 8))
     uppers = lowers + 0.5
-    res, _ = bab.bound_batch(model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
-    # what settle gathers in activation mode with clipping, the most it
-    # keeps: corners, overrides, final planes, scores, the children's
-    # half-spaces and a full constraint stack
-    cfg = BabConfig(mode="activation", clip="both")
-    scores = bab._branch_scores(res, forced)
-    pick = bab._pick_branch_neurons(scores, widths[1:-1])
-    final = res.planes[-1]
-    pieces = [lowers, uppers, *(arr for pair in overrides for arr in pair), final.a_low, final.c_low,
-              scores, *bab._child_constraints(cfg, res, pick)[:2],
-              rng.normal(size=(batch, bab.CONSTRAINT_BUDGET, 8)),
-              rng.normal(size=(batch, bab.CONSTRAINT_BUDGET))]
-    row_size = sum(piece.size // batch for piece in pieces)
-    # the default block holds the whole pass; the smaller ones make the
-    # gather go block by block
-    for block in (bab.GATHER_BLOCK, 4 * row_size, row_size // 2):
-        monkeypatch.setattr(bab, "GATHER_BLOCK", block)
-        tracemalloc.start()
-        try:
-            state = bab._queued_state(pieces, np.array(rows))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
+    # a full constraint stack per domain, every row holding on the whole
+    # problem box, so that no domain is proven empty
+    normals = rng.normal(size=(batch, bab.CONSTRAINT_BUDGET, 8))
+    offsets = -np.abs(normals).sum(axis=2)
+    stacks = normals, offsets, np.full(batch, bab.CONSTRAINT_BUDGET)
+    original_pass, original_close = bab.bound_batch, bab._close
+    original_cuts, original_push = bab._child_constraints, bab.heappush
+    seen, pushed = {}, []
+
+    def screen(problem, cfg, parents, children, rng):
+        # the root's children stand in for the 16 children of 8 parents,
+        # all surviving with the boxes and stacks above
+        parents[:] = parents[:1] * (batch // 2)
+        children[:] = [replace(children[k % 2], path=(k,)) for k in range(batch)]
+        return (np.arange(batch), lowers, uppers, stacks), np.inf, None
+
+    def spy_pass(*args):
+        seen["pass"] = args, original_pass(*args)
+        return seen["pass"][1]
+
+    def spy_close(cfg, bounds, alive, stacks):
+        left_open, floor = original_close(cfg, bounds, alive, stacks)
+        if len(bounds) == batch:
+            assert alive.all()
+            left_open = np.isin(np.arange(batch), rows)
+        return left_open, floor
+
+    def spy_cuts(*args):
+        # the last array settle computes for the whole pass; queuing starts
+        out = seen["cuts"] = original_cuts(*args)
+        if len(out[2]) == batch:
+            tracemalloc.start()
+        return out
+
+    def spy_push(heap, item):
+        original_push(heap, item)
+        if tracemalloc.is_tracing():
+            pushed.append(item[2])
+            if len(pushed) == len(rows):
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                raise _Queued
+
+    monkeypatch.setattr(bab, "_screen_children", screen)
+    monkeypatch.setattr(bab, "bound_batch", spy_pass)
+    monkeypatch.setattr(bab, "_close", spy_close)
+    monkeypatch.setattr(bab, "_child_constraints", spy_cuts)
+    monkeypatch.setattr(bab, "heappush", spy_push)
+    try:
+        with pytest.raises(_Queued):
+            run_bab(problem, BabConfig(mode="activation", clip="both", timeout=60.0))
+    finally:
+        if tracemalloc.is_tracing():
             tracemalloc.stop()
-        assert len(state) == len(rows)
-        for views, b in zip(state, rows):
-            assert len(views) == len(pieces)
-            for view, piece in zip(views, pieces):
-                assert view.shape == piece.shape[1:]
-                assert np.array_equal(view, piece[b], equal_nan=True)
-        kept = sum(views[0].base.nbytes for views in state)
-        held = max(8 * block, kept // len(rows))
-        assert peak <= kept + 2 * held + 64 * 2**10, (block, peak, kept)
+    assert [sub.path for sub in pushed] == [(b,) for b in rows]
+    (_, _, _, _, forced, overrides, _), (res, _) = seen["pass"]
+    scores = bab._branch_scores(res, forced)
+    cut_normals, cut_offsets, adds = seen["cuts"]
+    final = res.planes[-1]
+    for sub, b in zip(pushed, rows):
+        # each field is the domain's row of the pass, its stack unpadded
+        assert np.array_equal(sub.lower, lowers[b]) and np.array_equal(sub.upper, uppers[b])
+        flat = [np.concatenate([pair[side][b] for pair in overrides]) for side in (0, 1)]
+        assert np.array_equal(sub.overrides, flat, equal_nan=True)
+        assert np.array_equal(sub.planes.a_low, final.a_low[b])
+        assert np.array_equal(sub.planes.c_low, final.c_low[b])
+        assert np.array_equal(sub.scores, scores[b])
+        assert adds[b] and np.array_equal(sub.child_constraints[0], cut_normals[b])
+        assert np.array_equal(sub.child_constraints[1], cut_offsets[b])
+        assert np.array_equal(sub.normals, normals[b]) and np.array_equal(sub.offsets, offsets[b])
+    # the copies, their array and tuple objects (under 2 KiB a domain) and
+    # at no point more than one row beyond them
+    sizes = [sum(arr.nbytes for arr in _queued_arrays(sub)) for sub in pushed]
+    assert seen["peak"] <= sum(sizes) + 2048 * len(sizes) + max(sizes), (seen["peak"], sizes)
 
 
 def _cancelling_problem() -> CanonicalProblem:
@@ -894,14 +982,16 @@ def test_child_overrides_only_tighten_the_parents(monkeypatch):
     assert out.status == "verified"
     assert len(pushed) > 10
     kept_set = tightened = 0
+    width = sum(layer.out_dim for layer in prob.model.layers)
     for path, overrides in pushed.items():
+        assert overrides.shape == (2, width)
         if not path:
             continue
-        for (lo, hi), (par_lo, par_hi) in zip(overrides, pushed[path[:-1]]):
-            for child, parent, sign in ((lo, par_lo, 1.0), (hi, par_hi, -1.0)):
-                set_ = ~np.isnan(parent)
-                assert not np.isnan(child[set_]).any()
-                assert np.all(sign * child[set_] >= sign * parent[set_])
-                kept_set += int(set_.sum())
-                tightened += int(np.sum(sign * child[set_] > sign * parent[set_]))
+        # row 0 holds lower bounds, which tighten upwards; row 1 upper ones
+        for child, parent, sign in zip(overrides, pushed[path[:-1]], (1.0, -1.0)):
+            set_ = ~np.isnan(parent)
+            assert not np.isnan(child[set_]).any()
+            assert np.all(sign * child[set_] >= sign * parent[set_])
+            kept_set += int(set_.sum())
+            tightened += int(np.sum(sign * child[set_] > sign * parent[set_]))
     assert kept_set > 0 and tightened > 0

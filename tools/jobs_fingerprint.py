@@ -10,7 +10,8 @@ The first form builds each workload's corpus of ``verdictbench/corpus.py``
 for every seed, runs each job once with this checkout's ``src`` (one BLAS
 thread, as in the verdict benchmark) and prints one JSON line per job:
 its workload, seed, job and instance numbers, mode, and the outcome's
-``status``, ``domains_visited``, ``max_depth``, ``bound`` and ``value``.
+``status``, ``domains_visited``, ``max_depth``, ``bound``, ``value`` and
+``bound_history`` (the lowest open bound after each round).
 Floats are printed exactly (shortest repr), so equal lines mean equal bits.
 
 The second form compares two such files job by job and prints each job
@@ -32,7 +33,7 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELDS = ("status", "domains_visited", "max_depth", "bound", "value")
+FIELDS = ("status", "domains_visited", "max_depth", "bound", "value", "bound_history")
 KEY = ("workload", "seed", "job")
 
 
@@ -67,12 +68,22 @@ def fingerprint(seeds):
                     "max_depth": out.stats.max_depth,
                     "bound": out.bound,
                     "value": out.value,
+                    "bound_history": out.stats.bound_history,
                 }
 
 
 def _read(path):
     with open(path) as fh:
         return {tuple(rec[k] for k in KEY): rec for rec in map(json.loads, fh)}
+
+
+def _change(name, old, new) -> str:
+    """One field's change; a bound history by its first differing round."""
+    if name != "bound_history":
+        return f"{name} {old!r} -> {new!r}"
+    at = next((k for k, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    return (f"{name} ({len(old)} -> {len(new)} rounds) round {at}: "
+            f"{old[at] if at < len(old) else None!r} -> {new[at] if at < len(new) else None!r}")
 
 
 def diff(old_path, new_path) -> int:
@@ -89,7 +100,7 @@ def diff(old_path, new_path) -> int:
         if changed:
             differing += 1
             print(f"{key} ({old[key]['mode']}): " + ", ".join(
-                f"{f} {old[key][f]!r} -> {new[key][f]!r}" for f in changed))
+                _change(f, old[key][f], new[key][f]) for f in changed))
     total = sum(rec["domains_visited"] for rec in old.values()), sum(
         rec["domains_visited"] for rec in new.values())
     print(f"{len(old)} old jobs, {len(new)} new jobs, {differing} differ "
