@@ -21,8 +21,12 @@ first.  Then each round:
 
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
-2. branches each parent in two, on the neuron picked when it was bounded
-   (activation mode) or by bisection;
+2. branches the parents (:func:`_split_round`).  Activation mode splits
+   each in two, on the neuron picked when it was bounded or by bisection.
+   Input mode bisects each of the P parents d levels deep, d the largest
+   with ``P * 2**d <= 2 * cfg.batch``: a round bounds at most ``2 *
+   cfg.batch`` children, and it splits deeper when fewer parents are
+   open.  Its intermediate nodes are neither screened nor bounded;
 3. screens the children together (:func:`_screen_children`), each by, in
    this order: relaxed clipping of its box against its constraints (an
    empty box closes it), its parent's final planes over the clipped box (a
@@ -140,7 +144,9 @@ class Subdomain:
     hidden neurons, -inf where stable or pinned; ``pick``, the ``(layer,
     neuron)`` activation mode pins next (None: bisect);
     ``child_constraints``, ``(2, n)`` normals and ``(2,)`` offsets whose
-    row k child k adds (None: none).
+    row k a child adds whose last split step is k (None: none; in input
+    mode both rows are the same plane, which every descendant of a round
+    adds).
 
     Children share these arrays with their parent; none is ever modified
     in place.  A queued subdomain holds its own copy of each array it got
@@ -471,29 +477,34 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return j, float(vals[j, k]), pts[j, k].copy()
 
 
-def _child_stacks(parents) -> tuple | None:
-    """The constraints of a round's children (``2 p`` and ``2 p + 1`` are
-    those of ``parents[p]``) as ``(2P, M, n)`` normals, ``(2P, M)`` offsets
-    and ``(2P,)`` set sizes, M the largest, or None when no child has any.
-    Child k has its parent's rows, then row k of the parent's
-    ``child_constraints``, the most recent ``CONSTRAINT_BUDGET`` of them,
-    padded with the row ``0 . x + 0 <= 0``, which holds everywhere.  One
-    gather makes the stack."""
+def _child_stacks(parents, owner, sides) -> tuple | None:
+    """The constraints of a round's children, child k being a child of
+    ``parents[owner[k]]`` that adds row ``sides[k]`` of its parent's
+    ``child_constraints``, as ``(C, M, n)`` normals, ``(C, M)`` offsets and
+    ``(C,)`` set sizes, M the largest, or None when no child has any.
+    Child k has its parent's rows, then that added row, the most recent
+    ``CONSTRAINT_BUDGET`` of them, padded with the row ``0 . x + 0 <= 0``,
+    which holds everywhere.  One gather makes the stack."""
     sizes = [len(parent.offsets) for parent in parents]
     added = [parent.child_constraints for parent in parents if parent.child_constraints is not None]
     if not (any(sizes) or added):
         return None
-    # one table of every row, row 0 the padding, and each child's row indices
+    # one table of every row, row 0 the padding; each parent's kept row
+    # indices and the index of its first added row (None: it adds none)
     normals = np.concatenate([np.zeros((1, parents[0].lower.size)),
                               *(parent.normals for parent in parents), *(pair[0] for pair in added)])
     offsets = np.concatenate([np.zeros(1), *(parent.offsets for parent in parents),
                               *(pair[1] for pair in added)])
-    idx, start, own = [], 1, 1 + sum(sizes)
+    per_parent, start, own = [], 1, 1 + sum(sizes)
     for parent, size in zip(parents, sizes):
         grows = parent.child_constraints is not None
         rows = list(range(start + size - min(size, CONSTRAINT_BUDGET - grows), start + size))
-        idx += [rows + [own], rows + [own + 1]] if grows else [rows, rows]
+        per_parent.append((rows, own if grows else None))
         start, own = start + size, own + 2 * grows
+    idx = []
+    for p, side in zip(owner.tolist(), sides):
+        rows, first = per_parent[p]
+        idx.append(rows if first is None else rows + [first + side])
     counts = [len(rows) for rows in idx]
     idx = np.array([rows + [0] * (max(counts) - len(rows)) for rows in idx])
     return normals[idx], offsets[idx], np.array(counts)
@@ -519,10 +530,10 @@ def _close(cfg: BabConfig, bounds, alive, stacks) -> tuple:
     return left_open, floor
 
 
-def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, rng):
-    """Screen a round's children all at once.  ``children[2 p]`` and
-    ``children[2 p + 1]`` are the children of ``parents[p]``, and
-    ``children`` is in search order.
+def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, owner, rng):
+    """Screen a round's children all at once.  ``children[k]`` descends
+    from ``parents[owner[k]]`` (``owner`` is ``(C,)``), and ``children``
+    is in search order.
 
     Each child's box is relaxed-clipped against its constraints (an empty
     box closes it), its parent's final planes bound it over the clipped box
@@ -542,7 +553,9 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         return None, np.inf, None
     lowers = np.array([child.lower for child in children])
     uppers = np.array([child.upper for child in children])
-    stacks = _child_stacks(parents) if cfg.clip != "none" else None
+    stacks = None
+    if cfg.clip != "none":
+        stacks = _child_stacks(parents, owner, [child.path[-1] for child in children])
     nonempty = np.ones(len(children), dtype=bool)
     if stacks is not None and cfg.clip in ("relaxed", "both"):
         if not cfg.sequential_clip:
@@ -551,13 +564,13 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
             lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], "given")
         nonempty = ~empty
     mid, span = box_range(
-        np.array([parent.planes.a_low for parent in parents]).repeat(2, axis=0),
-        np.array([parent.planes.c_low for parent in parents]).repeat(2, axis=0),
+        np.array([parent.planes.a_low for parent in parents])[owner],
+        np.array([parent.planes.c_low for parent in parents])[owner],
         0.5 * (lowers + uppers),
         0.5 * (uppers - lowers),
     )
     quick = (mid - span).min(axis=1)
-    bounds = np.maximum(np.repeat([parent.bound for parent in parents], 2), quick)
+    bounds = np.maximum(np.array([parent.bound for parent in parents])[owner], quick)
     survive, floor = _close(cfg, bounds, nonempty, stacks)
     keep = np.flatnonzero(survive)
     if keep.size == 0:
@@ -579,8 +592,9 @@ def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
 
 
 def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
-    """Split a bounded, open subdomain in two: the only step of the search
-    that depends on the mode.  Returns the decision and the two children.
+    """Split a subdomain in two: with how deep :func:`_split_round` splits,
+    the only step of the search that depends on the mode.  Returns the
+    decision and the two children.
 
     Activation mode pins ``sub.pick`` and bisects when there is none.
     Input mode bisects, or takes the cut ``probe.replay`` recorded for this
@@ -596,6 +610,49 @@ def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
         dim, at = probe.replay.get(sub.path, (None, None))
     lo_child, hi_child, cut = branch_input(sub, dim, at)
     return cut, (lo_child, hi_child)
+
+
+def _is_point(sub: Subdomain) -> bool:
+    """Whether the box is narrower than ``POINT_RADIUS_TOL`` in every
+    coordinate."""
+    return float((0.5 * (sub.upper - sub.lower)).max()) < POINT_RADIUS_TOL
+
+
+def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
+    """Branch a round's parents: their children in search order and the
+    ``(C,)`` index of each one's parent.
+
+    Activation mode splits each parent once.  Input mode bisects each of
+    the P parents ``d`` levels deep, ``d`` the largest with ``P * 2**d <=
+    2 * cfg.batch`` (at least 1), so that a round with few parents still
+    fills its bounding pass; the children are the ones ``d`` rounds of
+    single bisections would reach, with nothing screened or bounded in
+    between.  A node narrower than ``POINT_RADIUS_TOL`` is not split
+    further: it goes on as a child, and a later round evaluates it.  Every
+    cut, an intermediate node's too, goes through :func:`_branch`, and
+    ``probe`` records it.
+    """
+    levels = 1
+    if cfg.mode == "input" and parents:
+        levels = (2 * cfg.batch // len(parents)).bit_length() - 1
+    children, owner = [], []
+    for p, parent in enumerate(parents):
+        nodes = [parent]
+        for level in range(levels):
+            split = []
+            for node in nodes:
+                # the parent itself was popped as wider than a point
+                if level and _is_point(node):
+                    split.append(node)
+                    continue
+                decision, pair = _branch(cfg, node, probe)
+                if probe is not None:
+                    probe.decisions[node.path] = decision
+                split.extend(pair)
+            nodes = split
+        children += nodes
+        owner += [p] * len(nodes)
+    return children, np.array(owner, dtype=int)
 
 
 def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
@@ -682,23 +739,20 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         if time.perf_counter() >= deadline:
             return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
-        parents, children, point_hit = [], [], None
+        parents, point_hit = [], None
         for sub in batch:
-            if float((0.5 * (sub.upper - sub.lower)).max()) < POINT_RADIUS_TOL:
+            if _is_point(sub):
                 center = 0.5 * (sub.lower + sub.upper)
                 val = problem.value(center)
                 if val < 0.0:
-                    # children branched before this point come first
+                    # children of the parents popped before this point come first
                     point_hit = (float(val), center)
                     break
                 verified_floor = min(verified_floor, val)
                 continue
-            decision, pair = _branch(cfg, sub, probe)
-            if probe is not None:
-                probe.decisions[sub.path] = decision
             parents.append(sub)
-            children.extend(pair)
-        survivors, floor, hit = _screen_children(problem, cfg, parents, children, rng)
+        children, owner = _split_round(cfg, parents, probe)
+        survivors, floor, hit = _screen_children(problem, cfg, parents, children, owner, rng)
         verified_floor = min(verified_floor, floor)
         hit = hit or point_hit
         if hit is not None:
@@ -708,7 +762,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             if time.perf_counter() >= deadline:
                 opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
                 return _outcome("unknown", stats, t0, bound=float(min(opened)))
-            scores = np.array([sub.scores for sub in parents])[keep // 2] if refined else None
+            scores = np.array([sub.scores for sub in parents])[owner[keep]] if refined else None
             settle([children[j] for j in keep], lowers, uppers, stacks, scores)
         if heap:
             stats.bound_history.append(float(heap[0][0]))

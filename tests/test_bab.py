@@ -209,7 +209,7 @@ def test_branch_activation_children(problem):
     assert adds.tolist() == [True]
     planes = compute_bounds(problem.model, problem.box).planes[0]
     sub = replace(sub, child_constraints=(normals[0], offsets[0]))
-    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub])
+    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub], np.array([0, 0]), [0, 1])
     assert sizes.tolist() == [1, 1]
     for k, polarity in enumerate((1, -1)):
         want = split_constraint_to_input(planes, 0, polarity)
@@ -327,13 +327,14 @@ def test_deterministic_outcomes():
 
 
 def _spy_screens(monkeypatch, rounds):
-    """Append ``(parents, children, survivors)`` of every round's screen to
-    ``rounds``."""
+    """Append ``(parents, children, owner, survivors)`` of every round's
+    screen to ``rounds``: ``children[k]`` descends from
+    ``parents[owner[k]]``."""
     screen = bab._screen_children
 
-    def spy(problem, cfg, parents, children, rng):
-        out = screen(problem, cfg, parents, children, rng)
-        rounds.append((parents, children, out[0]))
+    def spy(problem, cfg, parents, children, owner, rng):
+        out = screen(problem, cfg, parents, children, owner, rng)
+        rounds.append((parents, children, owner, out[0]))
         return out
 
     monkeypatch.setattr(bab, "_screen_children", spy)
@@ -359,17 +360,17 @@ def test_bounded_children_passed_every_screen(monkeypatch):
         passes.clear()
         out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
         assert out.status == "verified"
-        screened = [(parents, kept) for parents, _, kept in rounds if kept is not None]
+        screened = [(parents, owner, kept) for parents, _, owner, kept in rounds if kept is not None]
         assert screened
         # after the root's, each pass bounds one round's survivors as the
         # screen left them
         assert len(passes) == 1 + len(screened)
-        for (parents, (keep, lowers, uppers, _)), bounded in zip(screened, passes[1:]):
+        for (parents, owner, (keep, lowers, uppers, _)), bounded in zip(screened, passes[1:]):
             assert bounded[0] is lowers and bounded[1] is uppers
             for j, lo, up in zip(keep, lowers, uppers):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
-                assert quick_child_bound(parents[j // 2].planes, box) < 0.0
+                assert quick_child_bound(parents[owner[j]].planes, box) < 0.0
 
 
 def _pass_arrays(args, out):
@@ -396,10 +397,11 @@ def _queued_arrays(sub):
 
 
 def _verifiable_two_row_problem() -> CanonicalProblem:
-    """Two output rows, shifted to a minimum of 0.02.  Its passes mix
-    domains that harvest a final plane with domains that leave two rows
-    open and harvest none, and a later pass bounds only children without
-    constraints."""
+    """Two output rows, shifted to a minimum of 0.02.  Searched in input
+    mode with ``batch=3``, its first round bounds children without
+    constraints and queues a mix of domains that harvest a final plane and
+    domains that leave two rows open and harvest none; later rounds bound
+    and queue children under constraints."""
     prob = random_network_problem(np.random.default_rng(22), rows=2)
     last = prob.model.layers[-1]
     shift = 0.02 - exact_verify(prob).min_value
@@ -407,10 +409,10 @@ def _verifiable_two_row_problem() -> CanonicalProblem:
     return CanonicalProblem(NetworkModel(layers), prob.box, 2)
 
 
-@pytest.mark.parametrize("mode, clip, rows", [("input", "none", 1), ("input", "both", 1),
-                                              ("input", "both", 2), ("activation", "both", 1)],
+@pytest.mark.parametrize("mode, clip, rows, batch", [("input", "none", 1, 8), ("input", "both", 1, 8),
+                                                     ("input", "both", 2, 3), ("activation", "both", 1, 8)],
                          ids=["input-none", "input-both", "input-both-two-rows", "activation-both"])
-def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
+def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows, batch):
     # A queued subdomain used to keep views of its whole bounding pass: the
     # planes, bounds and stacks of every domain and layer stayed alive as
     # long as any one of them was queued.  A child bounded without
@@ -450,7 +452,7 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows):
     monkeypatch.setattr(bab, "_branch_scores", spy_derived(original_scores))
     monkeypatch.setattr(bab, "_child_constraints", spy_derived(original_cuts))
     monkeypatch.setattr(bab, "heappush", spy_push)
-    out = run_bab(prob, BabConfig(mode=mode, clip=clip, timeout=60.0))
+    out = run_bab(prob, BabConfig(mode=mode, clip=clip, batch=batch, timeout=60.0))
     assert out.status == "verified"
     assert sum(len(subs) > 1 for subs in pushed) >= 2
     width = sum(layer.out_dim for layer in prob.model.layers[:-1])
@@ -534,15 +536,18 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
     normals = rng.normal(size=(batch, bab.CONSTRAINT_BUDGET, 8))
     offsets = -np.abs(normals).sum(axis=2)
     stacks = normals, offsets, np.full(batch, bab.CONSTRAINT_BUDGET)
-    original_pass, original_close = bab.bound_batch, bab._close
+    original_split, original_pass, original_close = bab._split_round, bab.bound_batch, bab._close
     original_cuts, original_push = bab._child_constraints, bab.heappush
     seen, pushed = {}, []
 
-    def screen(problem, cfg, parents, children, rng):
-        # the root's children stand in for the 16 children of 8 parents,
-        # all surviving with the boxes and stacks above
+    def split(cfg, parents, probe):
+        # the root's children stand in for the 16 children of 8 parents
+        children, _ = original_split(cfg, parents, probe)
         parents[:] = parents[:1] * (batch // 2)
-        children[:] = [replace(children[k % 2], path=(k,)) for k in range(batch)]
+        return [replace(children[k % 2], path=(k,)) for k in range(batch)], np.arange(batch) // 2
+
+    def screen(problem, cfg, parents, children, owner, rng):
+        # all of them surviving with the boxes and stacks above
         return (np.arange(batch), lowers, uppers, stacks), np.inf, None
 
     def spy_pass(*args):
@@ -572,6 +577,7 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
                 tracemalloc.stop()
                 raise _Queued
 
+    monkeypatch.setattr(bab, "_split_round", split)
     monkeypatch.setattr(bab, "_screen_children", screen)
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
     monkeypatch.setattr(bab, "_close", spy_close)
@@ -616,14 +622,16 @@ def _cancelling_problem() -> CanonicalProblem:
 
 
 def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
+    # one level per round, so that each level harvests a plane: a round
+    # that splits d levels deep adds one constraint for all d
     prob = _cancelling_problem()
     rounds = []
     _spy_screens(monkeypatch, rounds)
-    out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=30.0))
+    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=1, timeout=30.0))
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
     # the constraint counts of the children that were bounded
-    sizes = [size for _, _, kept in rounds if kept is not None for size in kept[3][2]]
+    sizes = [size for *_, kept in rounds if kept is not None for size in kept[3][2]]
     assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
@@ -637,9 +645,9 @@ def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
         rounds.clear()
         out = run_bab(_cancelling_problem(), BabConfig(mode=mode, clip="none", timeout=30.0))
         assert out.status == "verified"
-        bounded = [children[j] for _, children, kept in rounds if kept is not None for j in kept[0]]
+        bounded = [children[j] for _, children, _, kept in rounds if kept is not None for j in kept[0]]
         assert bounded, mode
-        assert all(kept[3] is None for _, _, kept in rounds if kept is not None), mode
+        assert all(kept[3] is None for *_, kept in rounds if kept is not None), mode
         assert all(child.normals.shape[0] == 0 for child in bounded), mode
         assert all(child.child_constraints is None for child in bounded), mode
 
@@ -670,7 +678,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
                 cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential)
                 out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
                 assert out.status == "verified"
-                stacked = [kept[3] for _, _, kept in rounds if kept is not None and kept[3]]
+                stacked = [kept[3] for *_, kept in rounds if kept is not None and kept[3]]
                 assert bool(stacked) == (clip != "none"), (mode, clip, seed)
                 assert built == [], (mode, clip, seed)
 
@@ -685,8 +693,8 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     rounds, passes = [], []
     screen, original_pass = bab._screen_children, bab.bound_batch
 
-    def screen_spy(problem, cfg, parents, children, rng):
-        out = screen(problem, cfg, parents, children, rng)
+    def screen_spy(problem, cfg, parents, children, owner, rng):
+        out = screen(problem, cfg, parents, children, owner, rng)
         rounds.append(([parent.bound for parent in parents], children, out[0]))
         if len(rounds) == 2:
             clock[0] = 100.0  # past the deadline from here on
@@ -934,17 +942,18 @@ def test_parents_are_scored_once_per_round(monkeypatch):
     # Branching and complete clipping both read the parents' scores: one
     # scoring of each pass, at settle, must serve them, never one per
     # child.  Input mode without complete clipping scores nothing.
-    prob = random_network_problem(np.random.default_rng(21))
+    prob = random_network_problem(np.random.default_rng(15))
     events = []
     score, original_pass = bab._branch_scores, bab.bound_batch
 
+    # each event holds its pass's result, so that no two passes share an id
     def score_spy(res, forced):
-        events.append(("score", id(res), len(res.final_lower)))
+        events.append(("score", res, len(res.final_lower)))
         return score(res, forced)
 
     def pass_spy(model, lowers, uppers, *args):
         out = original_pass(model, lowers, uppers, *args)
-        events.append(("pass", id(out[0]), len(lowers)))
+        events.append(("pass", out[0], len(lowers)))
         return out
 
     monkeypatch.setattr(bab, "_branch_scores", score_spy)
@@ -958,8 +967,9 @@ def test_parents_are_scored_once_per_round(monkeypatch):
         # each scoring covers the whole pass just made, and no pass is
         # scored twice
         for k in scored:
-            assert events[k - 1][0] == "pass" and events[k - 1][1:] == events[k][1:]
-        assert len({events[k][1] for k in scored}) == len(scored)
+            assert events[k - 1][0] == "pass" and events[k - 1][1] is events[k][1]
+            assert events[k - 1][2] == events[k][2]
+        assert len({id(events[k][1]) for k in scored}) == len(scored)
     events.clear()
     run_bab(prob, BabConfig(mode="input", clip="none", timeout=60.0))
     assert events and all(kind == "pass" for kind, *_ in events)

@@ -7,7 +7,8 @@ per-child references give one child at a time, in search order:
 clipping), ``quick_child_bound`` and ``try_falsify`` (stopping at the first
 hit), each child with the set ``ConstraintSet.appended`` gives it: its
 parent's constraints plus the half-space its parent keeps for it, within
-the budget.  The survivors' constraint stacks must be what stacking those
+the budget.  A parent's children are its descendants one or more
+bisections down, as input mode makes them when few parents are open.  The survivors' constraint stacks must be what stacking those
 sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
 ties are exact.
 """
@@ -97,12 +98,13 @@ def _constraints(rng, box, m):
 
 
 def _round(rng, problem, budget):
-    """Parents and children of one round: each parent bisected, given up
-    to ``budget`` constraints of its own and, sometimes, a half-space for
-    each child (the same one for both, as input mode harvests); some
-    children are point boxes.  Returns the parents, the children and each
-    child's constraint set."""
-    parents, children, csets = [], [], []
+    """Parents and children of one round: each parent bisected one to three
+    levels deep, given up to ``budget`` constraints of its own and,
+    sometimes, a half-space for each side of a split (the same one for
+    both, as input mode harvests), which each child takes by its last
+    step; some children are point boxes.  Returns the parents, the
+    children, each child's parent index and each child's constraint set."""
+    parents, children, owner, csets = [], [], [], []
     for _ in range(int(rng.integers(1, 5))):
         box = _sub_box(rng, problem.box)
         if float(box.radius.max()) == 0.0:
@@ -121,27 +123,31 @@ def _round(rng, problem, budget):
             planes=res.planes[-1], normals=own.normals, offsets=own.offsets,
             child_constraints=adds,
         )
-        lo_child, hi_child, _ = branch_input(parent)
-        for k, child in enumerate((lo_child, hi_child)):
+        nodes = [parent]
+        for _ in range(int(rng.integers(1, 4))):
+            nodes = [child for node in nodes for child in branch_input(node)[:2]]
+        for child in nodes:
             if rng.uniform() < 0.15:
                 child.upper = child.lower.copy()
             cset = own
             if adds is not None:
+                k = child.path[-1]
                 cset = own.appended(LinearConstraint(adds[0][k], adds[1][k]), budget=budget)
             children.append(child)
+            owner.append(len(parents))
             csets.append(cset)
         parents.append(parent)
-    return parents, children, csets
+    return parents, children, np.array(owner, dtype=int), csets
 
 
-def _one_at_a_time(problem, cfg, parents, children, csets, seed):
+def _one_at_a_time(problem, cfg, parents, children, owner, csets, seed):
     """The per-child screens in search order, stopping at the first hit:
     the surviving ``(index, box, bound)``, the floor and the hit.  In input
     mode a closed child with constraints lowers the floor to 0."""
     rng = np.random.default_rng(seed)
     survivors, floor = [], np.inf
     for j, (child, cset) in enumerate(zip(children, csets)):
-        parent = parents[j // 2]
+        parent = parents[owner[j]]
         box = BoxDomain(child.lower, child.upper)
         if not cfg.sequential_clip:
             box = relaxed_clip_parallel(box, cset)
@@ -169,13 +175,13 @@ def _one_at_a_time(problem, cfg, parents, children, csets, seed):
 def test_round_screen_matches_per_child_screens(seed, sequential, mode, budget):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
-    parents, children, csets = _round(rng, problem, budget)
+    parents, children, owner, csets = _round(rng, problem, budget)
     cfg = BabConfig(mode=mode, clip="both", sequential_clip=sequential)
     rng = np.random.default_rng(seed)
     with mock.patch.object(bab, "CONSTRAINT_BUDGET", budget):
-        survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, rng)
+        survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, owner, rng)
     want_survivors, want_floor, want_hit = _one_at_a_time(
-        problem, cfg, parents, children, csets, seed
+        problem, cfg, parents, children, owner, csets, seed
     )
     if want_hit is not None:
         assert hit is not None

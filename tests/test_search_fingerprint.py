@@ -18,28 +18,28 @@ from conftest import random_network_problem
 
 EXPECTED = {
     ("input", "none"): [
-        ("falsified", 5, 2), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 28, 5), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 21, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 60, 9),
+        ("verified", 20, 6), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 51, 11),
     ],
     ("input", "relaxed"): [
-        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 16, 4), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 13, 3), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 31, 7),
+        ("verified", 20, 6), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 33, 8),
     ],
     ("input", "complete"): [
-        ("falsified", 5, 2), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 28, 5), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 24, 6),
+        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 29, 9),
     ],
     ("input", "both"): [
-        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 16, 4), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 14, 5),
+        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 29, 9),
     ],
     ("activation", "none"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
@@ -70,10 +70,10 @@ EXPECTED = {
 # Sequential relaxed clipping, keyed by mode, with clip="both".
 SEQUENTIAL = {
     "input": [
-        ("falsified", 3, 1), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
+        ("falsified", 16, 4), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 3, 1), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 14, 5),
+        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 29, 9),
     ],
     "activation": [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),

@@ -15,8 +15,9 @@ its workload, seed, job and instance numbers, mode, and the outcome's
 Floats are printed exactly (shortest repr), so equal lines mean equal bits.
 
 The second form compares two such files job by job and prints each job
-and field that differs, then a summary line; it exits 1 when anything
-differs.
+and field that differs, then one summary line per workload and mode (jobs,
+how many differ, how many differ in status, domains old -> new) and one for
+all jobs; it exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -87,22 +88,33 @@ def _change(name, old, new) -> str:
 
 
 def diff(old_path, new_path) -> int:
-    """Print every job and field in which the two files differ; the number
-    of differing jobs."""
+    """Print every job and field in which the two files differ, then a
+    summary per (workload, mode); the number of differing jobs."""
     old, new = _read(old_path), _read(new_path)
-    differing = 0
+    # per (workload, mode): jobs, differing jobs, status differences,
+    # domains in the old and the new file
+    groups = {}
     for key in sorted(old.keys() | new.keys(), key=str):
+        rec = old.get(key) or new[key]
+        group = groups.setdefault((rec["workload"], rec["mode"]), [0, 0, 0, 0, 0])
+        group[0] += 1
+        group[3] += old[key]["domains_visited"] if key in old else 0
+        group[4] += new[key]["domains_visited"] if key in new else 0
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key not in old else 'old'}")
-            differing += 1
+            group[1] += 1
             continue
         changed = [f for f in FIELDS if old[key][f] != new[key][f]]
         if changed:
-            differing += 1
+            group[1] += 1
+            group[2] += "status" in changed
             print(f"{key} ({old[key]['mode']}): " + ", ".join(
                 _change(f, old[key][f], new[key][f]) for f in changed))
-    total = sum(rec["domains_visited"] for rec in old.values()), sum(
-        rec["domains_visited"] for rec in new.values())
+    for (workload, mode), (jobs, differ, status, before, after) in groups.items():
+        print(f"{workload} {mode}: {jobs} jobs, {differ} differ, {status} in status; "
+              f"domains {before} -> {after}")
+    differing = sum(group[1] for group in groups.values())
+    total = sum(group[3] for group in groups.values()), sum(group[4] for group in groups.values())
     print(f"{len(old)} old jobs, {len(new)} new jobs, {differing} differ "
           f"in {', '.join(FIELDS)}; domains {total[0]} -> {total[1]}")
     return differing
