@@ -12,21 +12,24 @@ differ only in how a subdomain branches (:func:`_branch`):
   only known to be nonnegative, so closing a subdomain that carries
   constraints lowers the verified bound to 0.
 
-* activation splitting: pin the unstable ReLU with the highest branching
-  score to each of its two sides (bisect when none is left).  Every pin
-  yields a sound input-space half-space from the neuron's planes.
+* activation splitting: pin the unstable ReLUs with the highest branching
+  scores, one per level, each to its two sides (bisect when none is
+  left).  Every pin yields a sound input-space half-space from the
+  neuron's planes.
 
 Either way the constraints feed the same clipping.  The root is bounded
 first.  Then each round:
 
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
-2. branches the parents (:func:`_split_round`).  Activation mode splits
-   each in two, on the neuron picked when it was bounded or by bisection.
-   Input mode bisects each of the P parents d levels deep, d the largest
-   with ``P * 2**d <= 2 * cfg.batch``: a round bounds at most ``2 *
-   cfg.batch`` children, and it splits deeper when fewer parents are
-   open.  Its intermediate nodes are neither screened nor bounded;
+2. branches the parents (:func:`_split_round`): each of the P parents d
+   levels deep, d the largest with ``P * 2**d <= 2 * cfg.batch``, so a
+   round bounds at most ``2 * cfg.batch`` children, and it splits deeper
+   when fewer parents are open.  Input mode bisects every node of a level.
+   Activation mode pins level j on the parent's pick j, its j-th best
+   neuron when it was bounded; a parent with fewer picks stops at the
+   depth it has, one with none is bisected once.  The intermediate nodes
+   are neither screened nor bounded;
 3. screens the children together (:func:`_screen_children`), each by, in
    this order: relaxed clipping of its box against its constraints (an
    empty box closes it), its parent's final planes over the clipped box (a
@@ -41,16 +44,17 @@ first.  Then each round:
    inside the pass (:func:`_clip_refine`): each layer's critical neurons of
    all the children go to one batched dual ascent.  A child's critical
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
-   its own pin left out.  The refine writes its tightenings into the pass's
+   its own pins left out.  The refine writes its tightenings into the pass's
    override stack, whose rows become the children's overrides;
 5. closes each child whose bound reaches 0 and queues the others, each
    with its own copy of its row of each array that later rounds read of
    the pass, and of only its own constraint rows.  The screen in
    step 3 and this step close domains by one rule (:func:`_close`).  The
    queued rows are scored together (:func:`_branch_scores`), and each
-   one's neuron to pin and the half-space each of its children adds are
-   taken there too; a round stacks its children's constraints from these
-   and their parents' in array steps (:func:`_child_stacks`).
+   one's neurons to pin and the half-spaces its children add, one per pin
+   on a child's path, are taken there too; a round stacks its children's
+   constraints from these and their parents' in array steps
+   (:func:`_child_stacks`).
 
 Candidate counterexamples are checked by exact forward evaluation, so a
 "falsified" verdict is always certified.
@@ -87,7 +91,7 @@ from .network import CanonicalProblem
 
 # Neurons per hidden layer that complete clipping tightens in each domain
 # (its best-scoring ones).  No caller needs another value; it stays a named
-# constant because ROADMAP item 3 may make it depend on the mode.
+# constant because ROADMAP item 2 may make it depend on the mode.
 CRITICAL_TOPK = 20
 # Input-space constraints kept per subdomain, split constraints in activation
 # mode and harvested final planes in input mode (most recent win).  Dropping
@@ -141,11 +145,13 @@ class Subdomain:
     box.  The rest is what later rounds read of its bounding pass (its
     parent's until it is bounded itself): ``planes``, the final layer's
     lower planes; ``scores``, the flat ``(W,)`` branching scores of all
-    hidden neurons, -inf where stable or pinned; ``pick``, the ``(layer,
-    neuron)`` activation mode pins next (None: bisect);
-    ``child_constraints``, ``(2, n)`` normals and ``(2,)`` offsets whose
-    row k a child adds whose last split step is k (None: none; in input
-    mode both rows are the same plane, which every descendant of a round
+    hidden neurons, -inf where stable or pinned; ``picks``, the ``(layer,
+    neuron)`` pairs activation mode pins at levels 0, 1, ... below it,
+    best first, at most ``log2(2 * batch)`` (empty: bisect);
+    ``child_constraints``, ``(D, 2, n)`` normals and ``(D, 2)`` offsets
+    whose row ``(j, s)`` a descendant adds whose split step j below it
+    went to side s, for every j < D (None: none; in input mode D = 1 and
+    both sides are the same plane, which every descendant of a round
     adds).
 
     Children share these arrays with their parent; none is ever modified
@@ -165,7 +171,7 @@ class Subdomain:
     depth: int = 0
     planes: BoundingPlanes | None = None
     scores: np.ndarray | None = None
-    pick: tuple | None = None
+    picks: tuple = ()
     child_constraints: tuple | None = None
     path: tuple = ()
 
@@ -324,47 +330,52 @@ def _critical_masks(scores) -> list:
     return masks
 
 
-def _pick_branch_neurons(scores, widths) -> tuple:
-    """Each domain's highest-scoring neuron (ties to the lowest) from flat
-    ``(B, W)`` scores of hidden layers ``widths``, as ``(layer, neuron,
-    found)`` arrays; ``found`` is False where every neuron scores -inf."""
-    if scores.shape[1] == 0:
-        none = np.zeros(len(scores), dtype=int)
-        return none, none, none > 0
-    best = scores.argmax(axis=1)
+def _branch_picks(scores, widths, depth) -> tuple:
+    """Each domain's ``depth`` highest-scoring neurons, best first (ties to
+    the lowest flat index), from flat ``(B, W)`` scores of hidden layers
+    ``widths``, as ``(B, depth)`` ``(layer, neuron, found)`` arrays;
+    ``found`` is False where a neuron scores -inf, which sorts last."""
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :depth]
+    widths = np.array(widths, dtype=int)
     ends = np.cumsum(widths)
-    layer = np.searchsorted(ends, best, side="right")
-    return layer, best - (ends - widths)[layer], scores.max(axis=1) > -np.inf
+    layer = np.searchsorted(ends, top, side="right")
+    found = np.take_along_axis(scores, top, axis=1) > -np.inf
+    return layer, top - (ends - widths)[layer], found
 
 
-def _child_constraints(cfg: BabConfig, res: BoundsResult, pick) -> tuple:
-    """The half-space each child of every domain of the batch-form pass
-    ``res`` adds, ``(B, 2, n)`` normals and ``(B, 2)`` offsets (row k for
-    child k), and a ``(B,)`` mask of the domains whose children add one.
+def _child_constraints(cfg: BabConfig, res: BoundsResult, picks) -> tuple:
+    """The half-spaces the children of every domain of the batch-form pass
+    ``res`` add, ``(B, D, 2, n)`` normals and ``(B, D, 2)`` offsets, row
+    ``(j, s)`` for a child whose split step j went to side s, and the
+    ``(B,)`` number of steps each domain has rows for (0: none).
 
     In input mode that is the final lower plane of a lone open row, for
-    both children: ``plane(x) <= row(x)``, so ``plane(x) <= 0`` keeps every
-    point where the row can be negative (with several rows open a point can
-    violate one while clearing another).  In activation mode it is what the
-    pin ``pick`` implies: the active side needs the neuron's upper plane
-    >= 0, the inactive side its lower plane <= 0.  Both are necessary
-    conditions, so clipping with them removes no point of the child."""
+    both sides of the first step (D = 1): ``plane(x) <= row(x)``, so
+    ``plane(x) <= 0`` keeps every point where the row can be negative (with
+    several rows open a point can violate one while clearing another).  In
+    activation mode row j is what pinning pick j of ``picks`` (see
+    :func:`_branch_picks`) implies: the active side needs the neuron's
+    upper plane >= 0, the inactive side its lower plane <= 0.  Both are
+    necessary conditions, so clipping with them removes no point of the
+    child."""
     final = res.planes[-1]
     if cfg.mode == "input":
         open_rows = res.final_lower < 0.0
         at = np.arange(len(open_rows)), open_rows.argmax(axis=1)
-        normals = final.a_low[at][:, None].repeat(2, axis=1)
-        return normals, final.c_low[at][:, None].repeat(2, axis=1), open_rows.sum(axis=1) == 1
-    layer, neuron, found = pick
-    normals, offsets = np.zeros((len(found), 2, final.a_low.shape[2])), np.zeros((len(found), 2))
+        normals = final.a_low[at][:, None, None].repeat(2, axis=2)
+        offsets = final.c_low[at][:, None, None].repeat(2, axis=2)
+        return normals, offsets, (open_rows.sum(axis=1) == 1).astype(int)
+    layer, neuron, found = picks
+    normals = np.zeros(found.shape + (2, final.a_low.shape[2]))
+    offsets = np.zeros(found.shape + (2,))
     for i in set(layer[found].tolist()):
-        b = np.flatnonzero(found & (layer == i))
-        at, planes = (b, neuron[b]), res.planes[i]
-        normals[b, 0], offsets[b, 0] = planes.a_up[at], planes.c_up[at]
-        normals[b, 1], offsets[b, 1] = planes.a_low[at], planes.c_low[at]
+        b, j = np.nonzero(found & (layer == i))
+        at, planes = (b, neuron[b, j]), res.planes[i]
+        normals[b, j, 0], offsets[b, j, 0] = planes.a_up[at], planes.c_up[at]
+        normals[b, j, 1], offsets[b, j, 1] = planes.a_low[at], planes.c_low[at]
     # the active side needs the upper plane >= 0
-    normals[:, 0], offsets[:, 0] = -normals[:, 0], -offsets[:, 0]
-    return normals, offsets, found
+    normals[:, :, 0], offsets[:, :, 0] = -normals[:, :, 0], -offsets[:, :, 0]
+    return normals, offsets, found.sum(axis=1)
 
 
 def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, overrides):
@@ -477,34 +488,37 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return j, float(vals[j, k]), pts[j, k].copy()
 
 
-def _child_stacks(parents, owner, sides) -> tuple | None:
+def _child_stacks(parents, owner, steps) -> tuple | None:
     """The constraints of a round's children, child k being a child of
-    ``parents[owner[k]]`` that adds row ``sides[k]`` of its parent's
-    ``child_constraints``, as ``(C, M, n)`` normals, ``(C, M)`` offsets and
-    ``(C,)`` set sizes, M the largest, or None when no child has any.
-    Child k has its parent's rows, then that added row, the most recent
-    ``CONSTRAINT_BUDGET`` of them, padded with the row ``0 . x + 0 <= 0``,
-    which holds everywhere.  One gather makes the stack."""
+    ``parents[owner[k]]`` whose split steps below it went to the sides
+    ``steps[k]``, as ``(C, M, n)`` normals, ``(C, M)`` offsets and ``(C,)``
+    set sizes, M the largest, or None when no child has any.  Child k has
+    its parent's rows, then row ``(j, steps[k][j])`` of its parent's
+    ``child_constraints`` for each step j the parent has rows for, the most
+    recent ``CONSTRAINT_BUDGET`` of them (the parent's oldest rows go
+    first), padded with the row ``0 . x + 0 <= 0``, which holds everywhere.
+    One gather makes the stack."""
     sizes = [len(parent.offsets) for parent in parents]
     added = [parent.child_constraints for parent in parents if parent.child_constraints is not None]
     if not (any(sizes) or added):
         return None
-    # one table of every row, row 0 the padding; each parent's kept row
-    # indices and the index of its first added row (None: it adds none)
-    normals = np.concatenate([np.zeros((1, parents[0].lower.size)),
-                              *(parent.normals for parent in parents), *(pair[0] for pair in added)])
+    # one table of every row, row 0 the padding; each parent's rows, the
+    # index of its first added row and how many steps it has rows for
+    n = parents[0].lower.size
+    normals = np.concatenate([np.zeros((1, n)), *(parent.normals for parent in parents),
+                              *(pair[0].reshape(-1, n) for pair in added)])
     offsets = np.concatenate([np.zeros(1), *(parent.offsets for parent in parents),
-                              *(pair[1] for pair in added)])
+                              *(pair[1].reshape(-1) for pair in added)])
     per_parent, start, own = [], 1, 1 + sum(sizes)
     for parent, size in zip(parents, sizes):
-        grows = parent.child_constraints is not None
-        rows = list(range(start + size - min(size, CONSTRAINT_BUDGET - grows), start + size))
-        per_parent.append((rows, own if grows else None))
-        start, own = start + size, own + 2 * grows
+        levels = 0 if parent.child_constraints is None else len(parent.child_constraints[1])
+        per_parent.append((list(range(start, start + size)), own, levels))
+        start, own = start + size, own + 2 * levels
     idx = []
-    for p, side in zip(owner.tolist(), sides):
-        rows, first = per_parent[p]
-        idx.append(rows if first is None else rows + [first + side])
+    for p, sides in zip(owner.tolist(), steps):
+        rows, first, levels = per_parent[p]
+        rows = rows + [first + 2 * j + side for j, side in enumerate(sides[:levels])]
+        idx.append(rows[-CONSTRAINT_BUDGET:])
     counts = [len(rows) for rows in idx]
     idx = np.array([rows + [0] * (max(counts) - len(rows)) for rows in idx])
     return normals[idx], offsets[idx], np.array(counts)
@@ -555,7 +569,8 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
     uppers = np.array([child.upper for child in children])
     stacks = None
     if cfg.clip != "none":
-        stacks = _child_stacks(parents, owner, [child.path[-1] for child in children])
+        steps = [child.path[len(parents[p].path):] for child, p in zip(children, owner.tolist())]
+        stacks = _child_stacks(parents, owner, steps)
     nonempty = np.ones(len(children), dtype=bool)
     if stacks is not None and cfg.clip in ("relaxed", "both"):
         if not cfg.sequential_clip:
@@ -591,20 +606,20 @@ def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
     return VerificationOutcome(status, counterexample, value, bound, stats)
 
 
-def _branch(cfg: BabConfig, sub: Subdomain, probe: BranchProbe | None):
-    """Split a subdomain in two: with how deep :func:`_split_round` splits,
-    the only step of the search that depends on the mode.  Returns the
-    decision and the two children.
+def _branch(cfg: BabConfig, sub: Subdomain, level: int, probe: BranchProbe | None):
+    """Split a node ``level`` steps below its round's parent in two: with
+    how deep :func:`_split_round` splits, the only step of the search that
+    depends on the mode.  Returns the decision and the two children.
 
-    Activation mode pins ``sub.pick`` and bisects when there is none.
-    Input mode bisects, or takes the cut ``probe.replay`` recorded for this
-    path.
+    Activation mode pins the parent's pick ``level`` (a node shares its
+    parent's ``picks``) and bisects when there is none.  Input mode
+    bisects, or takes the cut ``probe.replay`` recorded for this path.
     """
     if cfg.mode == "activation":
-        if sub.pick is None:
+        if not sub.picks:
             lo_child, hi_child, cut = branch_input(sub)
             return ("input",) + cut, (lo_child, hi_child)
-        return sub.pick, branch_activation(sub, sub.pick)
+        return sub.picks[level], branch_activation(sub, sub.picks[level])
     dim = at = None
     if probe is not None and probe.replay is not None:
         dim, at = probe.replay.get(sub.path, (None, None))
@@ -618,34 +633,43 @@ def _is_point(sub: Subdomain) -> bool:
     return float((0.5 * (sub.upper - sub.lower)).max()) < POINT_RADIUS_TOL
 
 
+def _levels(cfg: BabConfig, parents: int) -> int:
+    """How many levels deep a round of ``parents`` parents splits each:
+    the largest d with ``parents * 2**d <= 2 * cfg.batch``, at least 1."""
+    return (2 * cfg.batch // max(parents, 1)).bit_length() - 1
+
+
 def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
     """Branch a round's parents: their children in search order and the
     ``(C,)`` index of each one's parent.
 
-    Activation mode splits each parent once.  Input mode bisects each of
-    the P parents ``d`` levels deep, ``d`` the largest with ``P * 2**d <=
-    2 * cfg.batch`` (at least 1), so that a round with few parents still
-    fills its bounding pass; the children are the ones ``d`` rounds of
-    single bisections would reach, with nothing screened or bounded in
-    between.  A node narrower than ``POINT_RADIUS_TOL`` is not split
-    further: it goes on as a child, and a later round evaluates it.  Every
-    cut, an intermediate node's too, goes through :func:`_branch`, and
-    ``probe`` records it.
+    Each of the P parents is split ``d`` levels deep, ``d`` the largest
+    with ``P * 2**d <= 2 * cfg.batch`` (at least 1), so that a round with
+    few parents still fills its bounding pass; nothing is screened or
+    bounded in between.  Input mode bisects every node of a level, so the
+    children are the ones ``d`` rounds of single bisections would reach; a
+    node narrower than ``POINT_RADIUS_TOL`` is not split further: it goes
+    on as a child, and a later round evaluates it.  Activation mode pins
+    level j on the parent's pick j, so a parent with fewer than ``d``
+    picks stops at the depth it has, and one with none is bisected once.
+    Every split, an intermediate node's too, goes through :func:`_branch`,
+    and ``probe`` records it.
     """
-    levels = 1
-    if cfg.mode == "input" and parents:
-        levels = (2 * cfg.batch // len(parents)).bit_length() - 1
+    levels = _levels(cfg, len(parents))
     children, owner = [], []
     for p, parent in enumerate(parents):
+        depth = levels
+        if cfg.mode == "activation":
+            depth = min(levels, len(parent.picks)) or 1
         nodes = [parent]
-        for level in range(levels):
+        for level in range(depth):
             split = []
             for node in nodes:
                 # the parent itself was popped as wider than a point
                 if level and _is_point(node):
                     split.append(node)
                     continue
-                decision, pair = _branch(cfg, node, probe)
+                decision, pair = _branch(cfg, node, level, probe)
                 if probe is not None:
                     probe.decisions[node.path] = decision
                 split.extend(pair)
@@ -675,6 +699,8 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     refined = cfg.clip in ("complete", "both")
     scored = cfg.mode == "activation" or refined
     widths = [layer.out_dim for layer in model.layers[:-1]]
+    # the most levels a round splits a parent, with one parent open
+    depth = _levels(cfg, 1)
     ends = itertools.accumulate(layer.out_dim for layer in model.layers)
     columns = [slice(end - layer.out_dim, end) for layer, end in zip(model.layers, ends)]
     unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
@@ -703,14 +729,16 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         if rows.size == 0:
             return
         # each queued domain copies its own row of what later rounds read
-        final, pick = res.planes[-1], None
+        final, picks = res.planes[-1], None
         if scored:
             flat_scores = _branch_scores(res, forced)
         if cfg.mode == "activation":
-            pick = _pick_branch_neurons(flat_scores, widths)
-            layer, neuron, found = (arr.tolist() for arr in pick)
+            picks = _branch_picks(flat_scores, widths, depth)
+            layer, neuron = picks[0].tolist(), picks[1].tolist()
+            found = picks[2].sum(axis=1).tolist()
         if cfg.clip != "none":
-            cut_normals, cut_offsets, adds = _child_constraints(cfg, res, pick)
+            cut_normals, cut_offsets, adds = _child_constraints(cfg, res, picks)
+            adds = adds.tolist()
         for b in rows.tolist():
             sub = subs[b]
             sub.lower, sub.upper = lowers[b].copy(), uppers[b].copy()
@@ -718,10 +746,11 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             sub.planes = BoundingPlanes(final.a_low[b].copy(), final.c_low[b].copy(), None, None)
             if scored:
                 sub.scores = flat_scores[b].copy()
-            if pick is not None:
-                sub.pick = (layer[b], neuron[b]) if found[b] else None
+            if picks is not None:
+                sub.picks = tuple(zip(layer[b][:found[b]], neuron[b][:found[b]]))
             if cfg.clip != "none":
-                sub.child_constraints = (cut_normals[b].copy(), cut_offsets[b].copy()) if adds[b] else None
+                k = adds[b]
+                sub.child_constraints = (cut_normals[b, :k].copy(), cut_offsets[b, :k].copy()) if k else None
             if stacks is not None:
                 m = stacks[2][b]
                 sub.normals, sub.offsets = stacks[0][b, :m].copy(), stacks[1][b, :m].copy()

@@ -373,7 +373,11 @@ def bound_batch(
             ovr_lo, ovr_hi = overrides[i]
             lower = np.where(np.isnan(ovr_lo), lower, np.maximum(lower, ovr_lo))
             upper = np.where(np.isnan(ovr_hi), upper, np.minimum(upper, ovr_hi))
-        planes = BoundingPlanes(a[:, :r], c[:, :r], -a[:, r:], -c[:, r:])
+        # the walk's second half holds the upper planes negated; turn them
+        # in place (negation is exact) and hand out views of both halves
+        np.negative(a[:, r:], out=a[:, r:])
+        np.negative(c[:, r:], out=c[:, r:])
+        planes = BoundingPlanes(a[:, :r], c[:, :r], a[:, r:], c[:, r:])
         if refine is not None:
             alive = np.array([err is None for err in failed])
             if alive.any():

@@ -100,3 +100,13 @@ def quick_child_bound(planes, box: BoxDomain) -> float:
     parent's final lower planes over a child's box."""
     lows = planes.a_low @ box.center + planes.c_low - np.abs(planes.a_low) @ box.radius
     return float(lows.min())
+
+
+def split_constraint_to_input(planes, neuron: int, polarity: int) -> LinearConstraint:
+    """Input-space condition implied by pinning ``neuron`` of the layer
+    ``planes`` describe to one side of zero: the active side (+1) needs the
+    upper plane >= 0, the inactive side (-1) the lower plane <= 0.  The
+    constraints activation mode adds."""
+    if polarity > 0:
+        return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
+    return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))

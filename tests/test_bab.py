@@ -27,7 +27,7 @@ from clipverify import (
     exact_verify,
     run_bab,
 )
-from conftest import quick_child_bound, random_network_problem, toy_problem
+from conftest import quick_child_bound, random_network_problem, split_constraint_to_input, toy_problem
 
 
 def reference_scores(results, forced) -> list:
@@ -46,19 +46,22 @@ def reference_scores(results, forced) -> list:
     return scores
 
 
-def reference_picks(scores) -> list:
-    """Each domain's highest-scoring unstable, unpinned neuron as
-    ``(layer, index)``, ties to the lowest; None for a domain with none."""
+def reference_picks(scores, depth) -> list:
+    """Each domain's ``depth`` highest-scoring unstable, unpinned neurons as
+    a tuple of ``(layer, index)``, best first, ties to the lowest: taken one
+    at a time by argmax, each taken neuron then scored -inf, stopping early
+    when every neuron left scores -inf."""
     flat = np.concatenate(scores, axis=1)
-    best = np.argmax(flat, axis=1)
     ends = np.cumsum([layer_scores.shape[1] for layer_scores in scores])
     picks = []
-    for b, k in enumerate(best.tolist()):
-        if flat[b, k] == -np.inf:
-            picks.append(None)
-            continue
-        layer = int(np.searchsorted(ends, k, side="right"))
-        picks.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
+    for row in flat.copy():
+        taken = []
+        while len(taken) < depth and row.size and row.max() > -np.inf:
+            k = int(np.argmax(row))
+            row[k] = -np.inf
+            layer = int(np.searchsorted(ends, k, side="right"))
+            taken.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
+        picks.append(tuple(taken))
     return picks
 
 
@@ -68,16 +71,6 @@ def final_plane_to_constraint(planes: BoundingPlanes, row: int) -> LinearConstra
     wherever the row is negative.  The constraint input mode adds when one
     row is left open."""
     return LinearConstraint(planes.a_low[row].copy(), float(planes.c_low[row]))
-
-
-def split_constraint_to_input(planes: BoundingPlanes, neuron: int, polarity: int) -> LinearConstraint:
-    """Input-space condition implied by pinning ``neuron`` of the layer
-    ``planes`` describe to one side of zero: the active side (+1) needs the
-    upper plane >= 0, the inactive side (-1) the lower plane <= 0.  The
-    constraints activation mode adds."""
-    if polarity > 0:
-        return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
-    return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
 
 
 def _layer_overrides(model, overrides) -> list:
@@ -198,18 +191,19 @@ def test_branch_activation_children(problem):
         branch_activation(active, (0, 0))  # already assigned
     for clip in ("none", "relaxed", "complete", "both"):
         cfg = BabConfig(mode="activation", clip=clip)
-        decision, children = bab._branch(cfg, replace(sub, pick=(0, 0)), None)
+        decision, children = bab._branch(cfg, replace(sub, picks=((0, 0),)), 0, None)
         assert decision == (0, 0)
         assert [child.forced[0].tolist() for child in children] == [[1, 0], [-1, 0]]
     # the half-spaces settle keeps for the children are the pin's split
-    # constraints, and the round gives child k row k
+    # constraints, and the round gives the child whose split step went to
+    # side k row (0, k)
     _, res, _ = _root_pass(problem)
-    pick = (np.array([0]), np.array([0]), np.array([True]))
-    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, pick)
-    assert adds.tolist() == [True]
+    picks = (np.array([[0]]), np.array([[0]]), np.array([[True]]))
+    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, picks)
+    assert adds.tolist() == [1]
     planes = compute_bounds(problem.model, problem.box).planes[0]
     sub = replace(sub, child_constraints=(normals[0], offsets[0]))
-    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub], np.array([0, 0]), [0, 1])
+    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub], np.array([0, 0]), [(0,), (1,)])
     assert sizes.tolist() == [1, 1]
     for k, polarity in enumerate((1, -1)):
         want = split_constraint_to_input(planes, 0, polarity)
@@ -467,7 +461,7 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows, batch)
             assert sub.planes.a_up is None and sub.planes.c_up is None
             assert (sub.scores is None) == (mode == "input" and clip == "none")
             assert sub.scores is None or sub.scores.shape == (width,)
-            assert sub.pick is None or mode == "activation"
+            assert not sub.picks or mode == "activation"
             assert sub.child_constraints is None or clip != "none"
             stacked += under_stack
             # no buffer shared with another queued subdomain, even through
@@ -605,9 +599,15 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
         assert adds[b] and np.array_equal(sub.child_constraints[0], cut_normals[b])
         assert np.array_equal(sub.child_constraints[1], cut_offsets[b])
         assert np.array_equal(sub.normals, normals[b]) and np.array_equal(sub.offsets, offsets[b])
-    # the copies, their array and tuple objects (under 2 KiB a domain) and
-    # at no point more than one row beyond them
+    # 11,160 bytes of copies a domain: corners 2 x 64, overrides 6,160, its
+    # 16 constraint rows 1,152, final planes 72, scores 3,072, and the
+    # half-spaces of its 4 picks (a round of one parent at batch 8 splits 4
+    # levels) 576, where one pick's were 144
     sizes = [sum(arr.nbytes for arr in _queued_arrays(sub)) for sub in pushed]
+    assert sizes == [11160] * len(rows)
+    assert all(len(sub.picks) == 4 for sub in pushed)
+    # the copies, their array and tuple objects, the picks among them
+    # (under 2 KiB a domain) and at no point more than one row beyond them
     assert seen["peak"] <= sum(sizes) + 2048 * len(sizes) + max(sizes), (seen["peak"], sizes)
 
 
@@ -812,9 +812,13 @@ def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):
         np.array([[0, 0], [0, 0], [0, 0], [1, -1]]),
     ]
     scores = bab._branch_scores(res, forced)
-    layer, neuron, found = bab._pick_branch_neurons(scores, [3, 2])
-    picks = [(i, j) if ok else None for i, j, ok in zip(layer.tolist(), neuron.tolist(), found)]
+    layer, neuron, found = bab._branch_picks(scores, [3, 2], 1)
+    picks = [(i, j) if ok else None for i, j, ok in zip(layer[:, 0].tolist(), neuron[:, 0].tolist(), found[:, 0])]
     assert picks == [(0, 0), (0, 1), (1, 0), None]
+    # deeper picks go on in the same order, and stop where -inf starts
+    layer, neuron, found = bab._branch_picks(scores, [3, 2], 4)
+    picks = [[(i, j) for i, j, ok in zip(*row) if ok] for row in zip(layer.tolist(), neuron.tolist(), found)]
+    assert picks == [[(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0), (1, 1)], [(1, 0), (1, 1)], []]
     # top-1 per layer, pinned neurons left out, ties to the lower index
     monkeypatch.setattr(bab, "CRITICAL_TOPK", 1)
     masks = bab._critical_masks([scores[1:2, :3], scores[1:2, 3:]])
@@ -858,40 +862,48 @@ def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
     domains = [crown._domain(res, b) for b in range(batch)]
     pins = [[layer_pins[b] for layer_pins in forced] for b in range(batch)]
     widths = [layer.out_dim for layer in problem.model.layers[:-1]]
+    depth = int(rng.integers(1, 6))
     scores = bab._branch_scores(res, forced)
     assert scores.shape == (batch, sum(widths))
     if hidden:
         want = np.concatenate(reference_scores(domains, pins), axis=1)
         assert np.array_equal(scores, want)
-        want_picks = reference_picks(reference_scores(domains, pins))
+        want_picks = reference_picks(reference_scores(domains, pins), depth)
     else:
-        want_picks = [None] * batch
-    pick = bab._pick_branch_neurons(scores, widths)
-    layer, neuron, found = (arr.tolist() for arr in pick)
-    assert [(i, j) if ok else None for i, j, ok in zip(layer, neuron, found)] == want_picks
-    # the half-spaces of the picked neuron (activation mode) and of a lone
-    # open row's final plane (input mode), row k for child k
-    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, pick)
-    assert adds.tolist() == [p is not None for p in want_picks]
+        want_picks = [()] * batch
+    picks = bab._branch_picks(scores, widths, depth)
+    layer, neuron, found = (arr.tolist() for arr in picks)
+    got = [tuple((i, j) for i, j, ok in zip(*row) if ok) for row in zip(layer, neuron, found)]
+    assert got == want_picks
+    # found picks come first
+    assert all(row == sorted(row, reverse=True) for row in found)
+    # the half-spaces of each picked neuron (activation mode), row (j, k)
+    # for the child whose step j went to side k, and of a lone open row's
+    # final plane (input mode), for both sides of the first step
+    normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, picks)
+    assert adds.tolist() == [len(p) for p in want_picks]
     for b, p in enumerate(want_picks):
-        if p is not None:
+        for j, (i, neuron) in enumerate(p):
             for k, polarity in enumerate((1, -1)):
-                cons = split_constraint_to_input(domains[b].planes[p[0]], p[1], polarity)
-                assert np.array_equal(normals[b, k], cons.normal) and offsets[b, k] == cons.offset
+                cons = split_constraint_to_input(domains[b].planes[i], neuron, polarity)
+                assert np.array_equal(normals[b, j, k], cons.normal) and offsets[b, j, k] == cons.offset
     normals, offsets, adds = bab._child_constraints(BabConfig(mode="input"), res, None)
+    assert normals.shape[1] == 1
     for b, domain in enumerate(domains):
         unverified = np.flatnonzero(domain.final_lower < 0.0)
         assert adds[b] == (unverified.size == 1)
         if adds[b]:
             cons = final_plane_to_constraint(domain.planes[-1], int(unverified[0]))
             for k in range(2):
-                assert np.array_equal(normals[b, k], cons.normal) and offsets[b, k] == cons.offset
+                assert np.array_equal(normals[b, 0, k], cons.normal) and offsets[b, 0, k] == cons.offset
 
 
 @pytest.mark.parametrize("mode", ["input", "activation"])
 def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     # In a search, each queued subdomain keeps its pass row's reference
-    # scores and pick, and the half-spaces its children add.
+    # scores and picks, and the half-spaces its children add: in activation
+    # mode one pair per pick, as many picks as a round of one parent splits
+    # levels (log2 of twice the batch).
     prob = random_network_problem(np.random.default_rng(15))
     passes, pushed = [], []
     original_pass, original_push = bab.bound_batch, bab.heappush
@@ -907,7 +919,9 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
 
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
     monkeypatch.setattr(bab, "heappush", spy_push)
-    out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
+    cfg = BabConfig(mode=mode, clip="both", timeout=60.0)
+    depth = (2 * cfg.batch).bit_length() - 1
+    out = run_bab(prob, cfg)
     assert out.status == "verified"
     assert len(pushed) > 5
     for k, sub in pushed:
@@ -922,20 +936,24 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
         layer_scores = reference_scores([domain], [pins])
         assert np.array_equal(sub.scores, np.concatenate(layer_scores, axis=1)[0])
         if mode == "activation":
-            assert sub.pick == reference_picks(layer_scores)[0]
-            want = None if sub.pick is None else [
-                split_constraint_to_input(domain.planes[sub.pick[0]], sub.pick[1], polarity)
-                for polarity in (1, -1)]
+            assert sub.picks == reference_picks(layer_scores, depth)[0]
+            want = [[split_constraint_to_input(domain.planes[i], neuron, polarity) for polarity in (1, -1)]
+                    for i, neuron in sub.picks]
         else:
+            assert sub.picks == ()
             unverified = np.flatnonzero(domain.final_lower < 0.0)
-            want = None if unverified.size != 1 else [
-                final_plane_to_constraint(domain.planes[-1], int(unverified[0]))] * 2
-        if want is None:
+            want = [] if unverified.size != 1 else [
+                [final_plane_to_constraint(domain.planes[-1], int(unverified[0]))] * 2]
+        if not want:
             assert sub.child_constraints is None
             continue
         normals, offsets = sub.child_constraints
-        for k, cons in enumerate(want):
-            assert np.array_equal(normals[k], cons.normal) and offsets[k] == cons.offset
+        assert normals.shape[:2] == offsets.shape == (len(want), 2)
+        for j, pair in enumerate(want):
+            for k, cons in enumerate(pair):
+                assert np.array_equal(normals[j, k], cons.normal) and offsets[j, k] == cons.offset
+    if mode == "activation":
+        assert any(len(sub.picks) == depth for _, sub in pushed)
 
 
 def test_parents_are_scored_once_per_round(monkeypatch):
@@ -978,7 +996,9 @@ def test_parents_are_scored_once_per_round(monkeypatch):
 def test_child_overrides_only_tighten_the_parents(monkeypatch):
     # Every open subdomain is pushed on the heap with its overrides; a
     # child's must be at least as tight as its parent's wherever the
-    # parent's are set, so complete clipping's tightenings accumulate.
+    # parent's are set, so complete clipping's tightenings accumulate.  A
+    # round splits a parent several levels deep, so the parent of a queued
+    # child is its nearest queued ancestor.
     prob = random_network_problem(np.random.default_rng(15))
     pushed = {}
     push = bab.heappush
@@ -991,17 +1011,19 @@ def test_child_overrides_only_tighten_the_parents(monkeypatch):
     out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
     assert out.status == "verified"
     assert len(pushed) > 10
-    kept_set = tightened = 0
+    kept_set = tightened = deep = 0
     width = sum(layer.out_dim for layer in prob.model.layers)
     for path, overrides in pushed.items():
         assert overrides.shape == (2, width)
         if not path:
             continue
         # row 0 holds lower bounds, which tighten upwards; row 1 upper ones
-        for child, parent, sign in zip(overrides, pushed[path[:-1]], (1.0, -1.0)):
+        ancestor = next(path[:k] for k in range(len(path) - 1, -1, -1) if path[:k] in pushed)
+        deep += len(path) - len(ancestor) > 1
+        for child, parent, sign in zip(overrides, pushed[ancestor], (1.0, -1.0)):
             set_ = ~np.isnan(parent)
             assert not np.isnan(child[set_]).any()
             assert np.all(sign * child[set_] >= sign * parent[set_])
             kept_set += int(set_.sum())
             tightened += int(np.sum(sign * child[set_] > sign * parent[set_]))
-    assert kept_set > 0 and tightened > 0
+    assert kept_set > 0 and tightened > 0 and deep > 0

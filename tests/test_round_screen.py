@@ -6,10 +6,11 @@ per-child references give one child at a time, in search order:
 ``relaxed_clip_parallel`` (``relaxed_clip_sequential`` under sequential
 clipping), ``quick_child_bound`` and ``try_falsify`` (stopping at the first
 hit), each child with the set ``ConstraintSet.appended`` gives it: its
-parent's constraints plus the half-space its parent keeps for it, within
-the budget.  A parent's children are its descendants one or more
-bisections down, as input mode makes them when few parents are open.  The survivors' constraint stacks must be what stacking those
-sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
+parent's constraints plus, step by step, the half-spaces its parent keeps
+for the sides its path took, within the budget.  A parent's children are
+its descendants one or more splits down, as a round makes them when few
+parents are open.  The survivors' constraint stacks must be what stacking
+those sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
 ties are exact.
 """
 
@@ -100,9 +101,10 @@ def _constraints(rng, box, m):
 def _round(rng, problem, budget):
     """Parents and children of one round: each parent bisected one to three
     levels deep, given up to ``budget`` constraints of its own and,
-    sometimes, a half-space for each side of a split (the same one for
-    both, as input mode harvests), which each child takes by its last
-    step; some children are point boxes.  Returns the parents, the
+    sometimes, a half-space for each side of each of its first few split
+    steps (or one for both sides of the first, as input mode harvests),
+    of which each child takes the one of every step on its path that has
+    them; some children are point boxes.  Returns the parents, the
     children, each child's parent index and each child's constraint set."""
     parents, children, owner, csets = [], [], [], []
     for _ in range(int(rng.integers(1, 5))):
@@ -114,10 +116,12 @@ def _round(rng, problem, budget):
         own = _constraints(rng, box, int(rng.integers(0, budget + 1)))
         adds = None
         if rng.uniform() < 0.6:
-            added = _constraints(rng, box, 2)
+            # a pair for each of one to three steps, or, as input mode
+            # harvests, one row for both sides of the first step
+            pairs = [_constraints(rng, box, 2) for _ in range(int(rng.integers(1, 4)))]
             if rng.uniform() < 0.5:
-                added = ConstraintSet(added.normals[[0, 0]], added.offsets[[0, 0]])
-            adds = (added.normals, added.offsets)
+                pairs = [ConstraintSet(pairs[0].normals[[0, 0]], pairs[0].offsets[[0, 0]])]
+            adds = (np.stack([pair.normals for pair in pairs]), np.stack([pair.offsets for pair in pairs]))
         parent = replace(
             Subdomain.root(problem), lower=box.lower, upper=box.upper, bound=bound,
             planes=res.planes[-1], normals=own.normals, offsets=own.offsets,
@@ -131,8 +135,8 @@ def _round(rng, problem, budget):
                 child.upper = child.lower.copy()
             cset = own
             if adds is not None:
-                k = child.path[-1]
-                cset = own.appended(LinearConstraint(adds[0][k], adds[1][k]), budget=budget)
+                for j, side in enumerate(child.path[:len(adds[1])]):
+                    cset = cset.appended(LinearConstraint(adds[0][j, side], adds[1][j, side]), budget=budget)
             children.append(child)
             owner.append(len(parents))
             csets.append(cset)

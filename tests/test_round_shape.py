@@ -1,13 +1,19 @@
-"""The shape of an input-mode round.
+"""The shape of a round.
 
-A round that pops P splittable parents bisects each one d levels deep, d
+A round that pops P splittable parents splits each one d levels deep, d
 the largest with ``P * 2**d <= 2 * batch`` (at least 1), so that a round
-with few open parents still fills its bounding pass.  Its children are the
-boxes d levels of ``branch_input`` give, each adding its parent's harvested
-plane; a node narrower than ``POINT_RADIUS_TOL`` is not split further; and
-``BranchProbe`` records and replays the cut at every split node, the
-intermediate ones too.  At ``batch=1`` a round still has at most two
-children.
+with few open parents still fills its bounding pass.  At ``batch=1`` a
+round still has at most two children.
+
+In input mode the children are the boxes d levels of ``branch_input``
+give, each adding its parent's harvested plane; a node narrower than
+``POINT_RADIUS_TOL`` is not split further; and ``BranchProbe`` records and
+replays the cut at every split node, the intermediate ones too.
+
+In activation mode level j pins the parent's pick j, its j-th best neuron
+by the scores of its own pass, so each child adds the pins on its path and,
+per pin, the half-space the pin implies; a parent with fewer picks than d
+stops at the depth it has, and one with none is bisected once.
 """
 
 import numpy as np
@@ -22,10 +28,11 @@ from clipverify import (
     NetworkModel,
     bab,
     branch_input,
+    compute_bounds,
     run_bab,
 )
 
-from conftest import random_network_problem
+from conftest import random_network_problem, split_constraint_to_input, toy_problem
 
 # verified nets whose input-mode searches take several rounds of varying width
 SEEDS = (8, 15, 21)
@@ -118,10 +125,12 @@ def test_children_are_the_bisection_descendants(monkeypatch):
             own_normals, own_offsets = parent.normals, parent.offsets
             if parent.child_constraints is not None:
                 added_normals, added_offsets = parent.child_constraints
-                # input mode harvests one plane for every child
-                assert np.array_equal(added_normals[0], added_normals[1])
-                own_normals = np.vstack([own_normals, added_normals[:1]])
-                own_offsets = np.concatenate([own_offsets, added_offsets[:1]])
+                # input mode harvests one plane for every child, on both
+                # sides of the first step
+                assert added_normals.shape[:2] == added_offsets.shape == (1, 2)
+                assert np.array_equal(added_normals[0, 0], added_normals[0, 1])
+                own_normals = np.vstack([own_normals, added_normals[0, :1]])
+                own_offsets = np.concatenate([own_offsets, added_offsets[0, :1]])
             own_normals = own_normals[-bab.CONSTRAINT_BUDGET:]
             own_offsets = own_offsets[-bab.CONSTRAINT_BUDGET:]
             assert sizes[i] == len(own_offsets)
@@ -178,3 +187,202 @@ def test_probe_records_and_replays_every_deep_cut():
     probe2 = BranchProbe(replay=moved)
     run_bab(prob, cfg, probe2)
     assert probe2.decisions[path] == (dim, at + 1e-9)
+
+
+def _activation_rounds(monkeypatch, batch, clip="both"):
+    """The rounds, each with its problem in front, and the pass sizes of
+    activation-mode searches of the ``SEEDS`` nets, each verified."""
+    rounds, passes, tagged = [], [], []
+    _spy_rounds(monkeypatch, rounds, passes)
+    for seed in SEEDS:
+        prob = random_network_problem(np.random.default_rng(seed))
+        out = run_bab(prob, BabConfig(mode="activation", clip=clip, batch=batch, timeout=60.0))
+        assert out.status == "verified"
+        tagged += [(prob, *entry) for entry in rounds[len(tagged):]]
+    assert tagged
+    return tagged, passes
+
+
+def _pin_depth(parent, levels: int) -> int:
+    """How deep an activation-mode round splits ``parent``: ``levels``, or
+    as many picks as it has, or one bisection when it has none."""
+    return min(levels, len(parent.picks)) or 1
+
+
+def _steps(parent, child) -> tuple:
+    """The sides ``child``'s split steps below ``parent`` went to."""
+    return child.path[len(parent.path):]
+
+
+def _pinned(parent, steps) -> list:
+    """``parent``'s pins plus those of the picks ``steps`` took, side 0 the
+    active one."""
+    forced = [pins.copy() for pins in parent.forced]
+    for (layer, neuron), side in zip(parent.picks, steps):
+        forced[layer][neuron] = 1 if side == 0 else -1
+    return forced
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+def test_activation_rounds_fill_the_pass(monkeypatch, batch):
+    rounds, passes = _activation_rounds(monkeypatch, batch)
+    full = deep = 0
+    for _, parents, children, owner, _ in rounds:
+        levels = _levels(len(parents), batch)
+        sizes = [2 ** _pin_depth(parent, levels) for parent in parents]
+        # each parent's children in one block of 2**d, in parent order
+        assert owner.tolist() == [p for p, size in enumerate(sizes) for _ in range(size)]
+        assert len(children) == sum(sizes) <= len(parents) * 2**levels
+        full += len(children) == len(parents) * 2**levels
+        deep += levels > 1 and max(sizes) > 2
+        if batch == 1:
+            assert len(children) <= 2
+    assert full
+    assert max(passes) <= 2 * batch
+    assert (deep > 0) == (batch > 1)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
+    # Each child adds exactly the pins its path took, and its constraint
+    # stack is its parent's last rows plus, per pin, the half-space it
+    # implies.  Relaxed clipping leaves the overrides unset, so the
+    # parent's pass can be rebuilt by compute_bounds over its box.
+    rounds, _ = _activation_rounds(monkeypatch, batch, clip="relaxed")
+    checked = deep = bisected = 0
+    for prob, parents, children, owner, survivors in rounds:
+        levels = _levels(len(parents), batch)
+        for child, p in zip(children, owner):
+            parent = parents[p]
+            steps = _steps(parent, child)
+            assert len(steps) == _pin_depth(parent, levels)
+            assert child.depth == parent.depth + len(steps)
+            want = _pinned(parent, steps)
+            assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, want))
+            if not parent.picks:
+                # bisected once: the child (clipped once it was bounded)
+                # lies in the half its step names
+                half = branch_input(parent)[steps[0]]
+                assert np.all(half.lower <= child.lower) and np.all(child.upper <= half.upper)
+                bisected += 1
+        if survivors is None or survivors[3] is None:
+            continue
+        keep, _, _, (normals, offsets, sizes) = survivors
+        for i, j in enumerate(keep):
+            parent = parents[owner[j]]
+            steps = _steps(parent, children[j])
+            rows = list(zip(parent.normals, parent.offsets))
+            if parent.picks:
+                # the parent's pass, as bound_batch made it over its box
+                # under its pins
+                splits = {(layer, int(neuron)): int(pins[neuron]) for layer, pins in enumerate(parent.forced)
+                          for neuron in np.flatnonzero(pins)}
+                planes = compute_bounds(prob.model, BoxDomain(parent.lower, parent.upper), splits=splits).planes
+                for (layer, neuron), side in zip(parent.picks, steps):
+                    cons = split_constraint_to_input(planes[layer], neuron, 1 if side == 0 else -1)
+                    rows.append((cons.normal, cons.offset))
+            rows = rows[-bab.CONSTRAINT_BUDGET:]
+            assert sizes[i] == len(rows)
+            for k, (normal, offset) in enumerate(rows):
+                assert np.array_equal(normals[i, k], normal) and offsets[i, k] == offset
+            checked += 1
+            deep += len(steps) > 1
+    assert checked and bisected and (deep > 0) == (batch > 1)
+
+
+def test_activation_parent_with_few_picks_stops_early(monkeypatch):
+    # The toy net has two hidden neurons, both unstable at the root, so a
+    # round of batch 8 pins the root 2 levels deep where d is 4.  A net
+    # whose only neuron is stable leaves no pick: the root is bisected
+    # once.  Both are negative somewhere, and the round's samples falsify.
+    rounds, passes = [], []
+    _spy_rounds(monkeypatch, rounds, passes)
+    toy = toy_problem()
+    out = run_bab(toy, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0))
+    assert out.status == "falsified"
+    parents, children, owner, _ = rounds[0]
+    assert len(parents) == 1 and _levels(1, 8) == 4 and len(parents[0].picks) == 2
+    assert [child.path for child in children] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert owner.tolist() == [0] * 4
+    for child in children:
+        assert child.depth == 2
+        want = _pinned(parents[0], child.path)
+        assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, want))
+    rounds.clear()
+    model = NetworkModel([AffineLayer(np.eye(1), np.array([10.0])), AffineLayer(np.ones((1, 1)), np.array([-10.5]))])
+    prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.0])), 1)
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0))
+    assert out.status == "falsified"
+    parents, children, owner, _ = rounds[0]
+    assert parents[0].picks == () and len(children) == 2
+    for child, half in zip(children, branch_input(parents[0])):
+        assert child.path == half.path
+        assert np.array_equal(child.lower, half.lower) and np.array_equal(child.upper, half.upper)
+        assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, parents[0].forced))
+
+
+def test_probe_records_every_activation_split(monkeypatch):
+    rounds, passes = [], []
+    _spy_rounds(monkeypatch, rounds, passes)
+    prob = random_network_problem(np.random.default_rng(15))
+    probe = BranchProbe()
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0), probe)
+    assert out.status == "verified" and len(out.stats.bound_history) > 1
+    # nodes split within a round and never bounded are recorded too
+    assert set(probe.decisions) - set(probe.intervals)
+    for path in probe.intervals:
+        assert all(path[:k] in probe.decisions for k in range(len(path)))
+    # each split node of a round records its parent's pick at its level,
+    # or the cut when the parent had none
+    nodes = 0
+    for parents, children, owner, _ in rounds:
+        for child, p in zip(children, owner):
+            parent = parents[p]
+            for level in range(len(_steps(parent, child))):
+                decision = probe.decisions[child.path[:len(parent.path) + level]]
+                if parent.picks:
+                    assert decision == parent.picks[level]
+                else:
+                    assert decision[0] == "input" and level == 0
+                nodes += level > 0
+    assert nodes
+
+
+def _pre_activations(model, points) -> list:
+    """Each hidden layer's pre-activations at ``points``, ``(S, w_i)``."""
+    out, h = [], points
+    for layer in model.layers[:-1]:
+        z = h @ layer.weights.T + layer.bias
+        out.append(z)
+        h = np.maximum(z, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("clip", ["relaxed", "both"])
+def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip):
+    # Every point of a child's box whose pre-activations take the sides of
+    # the child's pins satisfies every row of the child's stack: each row
+    # is a necessary condition of a pin on the child's path or above it.
+    rounds, _ = _activation_rounds(monkeypatch, 8, clip=clip)
+    rng = np.random.default_rng(0)
+    checked = 0
+    for prob, parents, children, owner, _ in rounds:
+        if max(len(_steps(parents[p], child)) for child, p in zip(children, owner)) < 2:
+            continue
+        steps = [_steps(parents[p], child) for child, p in zip(children, owner.tolist())]
+        stacks = bab._child_stacks(parents, owner, steps)
+        if stacks is None:
+            continue
+        normals, offsets, sizes = stacks
+        for k, child in enumerate(children):
+            # the parents' boxes, which a round's children split unclipped
+            parent = parents[owner[k]]
+            pts = rng.uniform(parent.lower, parent.upper, size=(4000, parent.lower.size))
+            zs = _pre_activations(prob.model, pts)
+            holds = np.ones(len(pts), dtype=bool)
+            for z, pins in zip(zs, child.forced):
+                holds &= np.all(np.where(pins > 0, z >= 0.0, True) & np.where(pins < 0, z <= 0.0, True), axis=1)
+            values = pts @ normals[k, :sizes[k]].T + offsets[k, :sizes[k]]
+            assert np.all(values[holds] <= 1e-9)
+            checked += int(holds.sum()) * int(sizes[k])
+    assert checked

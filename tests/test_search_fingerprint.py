@@ -44,26 +44,26 @@ EXPECTED = {
     ("activation", "none"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 88, 11), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 92, 11), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 2267, 18),
     ],
     ("activation", "relaxed"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 14, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 197, 12),
     ],
     ("activation", "complete"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 13, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 121, 13),
+        ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 111, 13),
     ],
     ("activation", "both"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 12, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 67, 11),
+        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 73, 11),
     ],
 }
 
@@ -78,8 +78,8 @@ SEQUENTIAL = {
     "activation": [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 12, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 64, 11),
+        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 71, 11),
     ],
 }
 
