@@ -17,8 +17,10 @@ differ only in how a subdomain branches (:func:`_branch`):
   left).  Every pin yields a sound input-space half-space from the
   neuron's planes.
 
-Either way the constraints feed the same clipping.  The root is bounded
-first.  Then each round:
+Either way the constraints feed the same clipping.  Activation mode bounds
+the root first, its picks coming from the root's scores; input mode queues
+it unbounded, so its first round bounds the root's descendants.  Then each
+round:
 
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
@@ -143,7 +145,8 @@ class Subdomain:
     columns side by side, the output layer last.  ``normals @ x + offsets
     <= 0``, ``(m, n)`` and ``(m,)``, holds for any counterexample in the
     box.  The rest is what later rounds read of its bounding pass (its
-    parent's until it is bounded itself): ``planes``, the final layer's
+    parent's until it is bounded itself; an unbounded root has no planes
+    or scores): ``planes``, the final layer's
     lower planes; ``scores``, the flat ``(W,)`` branching scores of all
     hidden neurons, -inf where stable or pinned; ``picks``, the ``(layer,
     neuron)`` pairs activation mode pins at levels 0, 1, ... below it,
@@ -174,6 +177,13 @@ class Subdomain:
     picks: tuple = ()
     child_constraints: tuple | None = None
     path: tuple = ()
+
+    def child(self, side: int, **fields) -> "Subdomain":
+        """This subdomain's child on ``side`` of one split: a shallow copy
+        one level deeper with ``fields`` replaced."""
+        child = object.__new__(Subdomain)
+        child.__dict__.update(self.__dict__, depth=self.depth + 1, path=self.path + (side,), **fields)
+        return child
 
     @classmethod
     def root(cls, problem: CanonicalProblem) -> "Subdomain":
@@ -270,10 +280,7 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
     lo_upper[dim] = mid
     hi_lower = sub.lower.copy()
     hi_lower[dim] = mid
-    depth = sub.depth + 1
-    lo_child = replace(sub, upper=lo_upper, depth=depth, path=sub.path + (0,))
-    hi_child = replace(sub, lower=hi_lower, depth=depth, path=sub.path + (1,))
-    return lo_child, hi_child, (dim, mid)
+    return sub.child(0, upper=lo_upper), sub.child(1, lower=hi_lower), (dim, mid)
 
 
 def branch_activation(sub: Subdomain, pick: tuple):
@@ -296,9 +303,7 @@ def branch_activation(sub: Subdomain, pick: tuple):
         forced = list(sub.forced)
         forced[layer] = forced[layer].copy()
         forced[layer][neuron] = polarity
-        children.append(
-            replace(sub, forced=forced, depth=sub.depth + 1, path=sub.path + (side,))
-        )
+        children.append(sub.child(side, forced=forced))
     return children[0], children[1]
 
 
@@ -578,14 +583,16 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         else:
             lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], "given")
         nonempty = ~empty
-    mid, span = box_range(
-        np.array([parent.planes.a_low for parent in parents])[owner],
-        np.array([parent.planes.c_low for parent in parents])[owner],
-        0.5 * (lowers + uppers),
-        0.5 * (uppers - lowers),
-    )
-    quick = (mid - span).min(axis=1)
-    bounds = np.maximum(np.array([parent.bound for parent in parents])[owner], quick)
+    bounds = np.array([parent.bound for parent in parents])[owner]
+    # an unbounded input-mode root has no planes, and is its round's only parent
+    if parents[0].planes is not None:
+        mid, span = box_range(
+            np.array([parent.planes.a_low for parent in parents])[owner],
+            np.array([parent.planes.c_low for parent in parents])[owner],
+            0.5 * (lowers + uppers),
+            0.5 * (uppers - lowers),
+        )
+        bounds = np.maximum(bounds, (mid - span).min(axis=1))
     survive, floor = _close(cfg, bounds, nonempty, stacks)
     keep = np.flatnonzero(survive)
     if keep.size == 0:
@@ -602,7 +609,9 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
 
 
 def _outcome(status, stats, t0, counterexample=None, value=None, bound=None):
+    """The run's outcome; an infinite ``bound`` (none known) is None."""
     stats.wall_time = time.perf_counter() - t0
+    bound = None if bound is None or np.isinf(bound) else float(bound)
     return VerificationOutcome(status, counterexample, value, bound, stats)
 
 
@@ -763,10 +772,15 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)
     root = Subdomain.root(problem)
-    settle([root], root.lower[None], root.upper[None])
+    if cfg.mode == "activation":
+        # its picks come from the root's scores
+        settle([root], root.lower[None], root.upper[None])
+    else:
+        # unbounded: the first round bisects it and bounds its descendants
+        heappush(heap, (root.bound, next(tiebreak), root))
     while heap:
         if time.perf_counter() >= deadline:
-            return _outcome("unknown", stats, t0, bound=float(heap[0][0]))
+            return _outcome("unknown", stats, t0, bound=heap[0][0])
         batch = [heappop(heap)[2] for _ in range(min(cfg.batch, len(heap)))]
         parents, point_hit = [], None
         for sub in batch:
@@ -790,10 +804,11 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             keep, lowers, uppers, stacks = survivors
             if time.perf_counter() >= deadline:
                 opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
-                return _outcome("unknown", stats, t0, bound=float(min(opened)))
-            scores = np.array([sub.scores for sub in parents])[owner[keep]] if refined else None
+                return _outcome("unknown", stats, t0, bound=min(opened))
+            scores = None
+            if refined and stacks is not None:
+                scores = np.array([sub.scores for sub in parents])[owner[keep]]
             settle([children[j] for j in keep], lowers, uppers, stacks, scores)
         if heap:
             stats.bound_history.append(float(heap[0][0]))
-    bound = None if np.isinf(verified_floor) else float(verified_floor)
-    return _outcome("verified", stats, t0, bound=bound)
+    return _outcome("verified", stats, t0, bound=verified_floor)

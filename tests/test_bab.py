@@ -248,6 +248,16 @@ def test_zero_timeout_returns_unknown(problem):
         assert out.bound is None
 
 
+def test_deadline_before_the_first_round_reports_no_bound(monkeypatch):
+    # input mode queues the root unbounded; a deadline that passes before
+    # the first round leaves no bound known, which is reported as None
+    clock = iter([0.0, 0.0] + [100.0] * 10)
+    monkeypatch.setattr(bab.time, "perf_counter", lambda: next(clock))
+    out = run_bab(shifted_toy(1.05), BabConfig(mode="input", timeout=10.0))
+    assert out.status == "unknown" and out.bound is None
+    assert out.stats.domains_visited == 0
+
+
 def test_bound_history_monotone():
     prob = shifted_toy(1.05)
     for mode in ("input", "activation"):
@@ -278,13 +288,21 @@ def test_sequential_clip_options_run():
 
 
 def test_probe_records_decisions_and_intervals():
+    # input mode queues the root unbounded and records its cut; the first
+    # nodes bounded are its two children (batch 1 splits one level deep)
     prob = shifted_toy(1.02)
     probe = BranchProbe()
     out = run_bab(prob, BabConfig(mode="input", clip="none", batch=1, timeout=30.0), probe)
     assert out.status == "verified"
-    assert () in probe.intervals
+    assert () in probe.decisions and () not in probe.intervals
+    assert (0,) in probe.intervals and (1,) in probe.intervals
     for path, decision in probe.decisions.items():
         assert isinstance(decision, tuple) and len(decision) == 2
+    # activation mode bounds the root first
+    probe = BranchProbe()
+    out = run_bab(prob, BabConfig(mode="activation", clip="none", batch=1, timeout=30.0), probe)
+    assert out.status == "verified"
+    assert () in probe.intervals
 
 
 def test_probe_replay_reproduces_run():
@@ -336,10 +354,11 @@ def _spy_screens(monkeypatch, rounds):
 
 def test_bounded_children_passed_every_screen(monkeypatch):
     # A child reaches a bounding pass only if relaxed clipping left its box
-    # nonempty and its parent's final planes cannot close it.  On this net
-    # the plane screen closes some activation-mode children, so the check
-    # has something to catch in both modes.
-    prob = random_network_problem(np.random.default_rng(21))
+    # nonempty and, where its parent has final planes, they cannot close
+    # it.  Input mode's unbounded root has none.  On this net the plane
+    # screen closes some children of bounded parents in both modes, so the
+    # check has something to catch.
+    prob = random_network_problem(np.random.default_rng(15))
     rounds, passes = [], []
     _spy_screens(monkeypatch, rounds)
     original = bab.bound_batch
@@ -356,15 +375,23 @@ def test_bounded_children_passed_every_screen(monkeypatch):
         assert out.status == "verified"
         screened = [(parents, owner, kept) for parents, _, owner, kept in rounds if kept is not None]
         assert screened
-        # after the root's, each pass bounds one round's survivors as the
-        # screen left them
-        assert len(passes) == 1 + len(screened)
-        for (parents, owner, (keep, lowers, uppers, _)), bounded in zip(screened, passes[1:]):
+        # after the root's in activation mode, each pass bounds one round's
+        # survivors as the screen left them
+        root_passes = int(mode == "activation")
+        assert len(passes) == root_passes + len(screened)
+        planed = 0
+        for (parents, owner, (keep, lowers, uppers, _)), bounded in zip(screened, passes[root_passes:]):
             assert bounded[0] is lowers and bounded[1] is uppers
             for j, lo, up in zip(keep, lowers, uppers):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
-                assert quick_child_bound(parents[owner[j]].planes, box) < 0.0
+                planes = parents[owner[j]].planes
+                if planes is None:
+                    assert mode == "input" and parents[owner[j]].path == ()
+                    continue
+                assert quick_child_bound(planes, box) < 0.0
+                planed += 1
+        assert planed, mode
 
 
 def _pass_arrays(args, out):
@@ -438,7 +465,11 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows, batch)
         return spy
 
     def spy_push(heap, item):
-        pushed[-1].append(item[2])
+        if not passes:
+            # input mode queues the root unbounded, before any pass
+            assert mode == "input" and item[2].path == () and item[2].planes is None
+        else:
+            pushed[-1].append(item[2])
         original_push(heap, item)
 
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
@@ -630,8 +661,9 @@ def test_input_mode_harvested_constraints_stay_within_budget(monkeypatch):
     out = run_bab(prob, BabConfig(mode="input", clip="both", batch=1, timeout=30.0))
     assert out.status == "verified"
     assert out.stats.max_depth > bab.CONSTRAINT_BUDGET
-    # the constraint counts of the children that were bounded
-    sizes = [size for *_, kept in rounds if kept is not None for size in kept[3][2]]
+    # the constraint counts of the children that were bounded under
+    # constraints (the root's descendants have none)
+    sizes = [size for *_, kept in rounds if kept is not None and kept[3] is not None for size in kept[3][2]]
     assert max(sizes) == bab.CONSTRAINT_BUDGET
 
 
@@ -656,7 +688,9 @@ def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
 def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
     # A subdomain's constraints are (m, n) / (m,) arrays and a round stacks
     # its children's in array steps: no LinearConstraint or ConstraintSet
-    # is built on the search path, in any mode or clip setting.
+    # is built on the search path, in any mode or clip setting.  Both nets
+    # take more than one round in both modes, so that some round stacks
+    # constraints whenever clipping is on.
     built = []
     for cls in (LinearConstraint, ConstraintSet):
         original = cls.__post_init__
@@ -673,7 +707,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
     _spy_screens(monkeypatch, rounds)
     for mode in ("input", "activation"):
         for clip in ("none", "relaxed", "complete", "both"):
-            for seed in (15, 21):
+            for seed in (15, 8):
                 rounds.clear()
                 cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential)
                 out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
@@ -717,7 +751,7 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     monkeypatch.setattr(bab, "heappop", pop_spy)
     out = run_bab(prob, BabConfig(mode="input", clip="both", batch=2, timeout=10.0))
     assert out.status == "unknown"
-    assert len(rounds) == 2 and len(passes) == 2  # the root's and the first round's
+    assert len(rounds) == 2 and len(passes) == 1  # the first round's; the root is not bounded alone
     assert all(t < 10.0 for t in passes)
     popped, children, survivors = rounds[-1]
     assert survivors is not None
@@ -914,7 +948,12 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
         return res, failed
 
     def spy_push(heap, item):
-        pushed.append((len(passes) - 1, item[2]))
+        if not passes:
+            # input mode queues the root unbounded, before any pass
+            assert mode == "input" and item[2].path == () and item[2].planes is None
+            assert item[2].scores is None and item[2].child_constraints is None
+        else:
+            pushed.append((len(passes) - 1, item[2]))
         original_push(heap, item)
 
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
@@ -959,7 +998,8 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
 def test_parents_are_scored_once_per_round(monkeypatch):
     # Branching and complete clipping both read the parents' scores: one
     # scoring of each pass, at settle, must serve them, never one per
-    # child.  Input mode without complete clipping scores nothing.
+    # child.  Input mode without complete clipping scores nothing.  At
+    # batch 2 both modes score more than two passes on this net.
     prob = random_network_problem(np.random.default_rng(15))
     events = []
     score, original_pass = bab._branch_scores, bab.bound_batch
@@ -978,7 +1018,7 @@ def test_parents_are_scored_once_per_round(monkeypatch):
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
     for mode in ("input", "activation"):
         events.clear()
-        out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=4, timeout=60.0))
+        out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=2, timeout=60.0))
         assert out.status == "verified"
         scored = [k for k, event in enumerate(events) if event[0] == "score"]
         assert len(scored) > 2

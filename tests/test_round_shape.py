@@ -5,10 +5,14 @@ the largest with ``P * 2**d <= 2 * batch`` (at least 1), so that a round
 with few open parents still fills its bounding pass.  At ``batch=1`` a
 round still has at most two children.
 
-In input mode the children are the boxes d levels of ``branch_input``
-give, each adding its parent's harvested plane; a node narrower than
-``POINT_RADIUS_TOL`` is not split further; and ``BranchProbe`` records and
-replays the cut at every split node, the intermediate ones too.
+In input mode the root is queued unbounded, so the first round bisects it
+d = log2(2 * batch) levels deep and the first pass bounds its descendants;
+a point root is evaluated exactly and nothing is bounded.  The children are
+the boxes d levels of ``branch_input`` give, each adding its parent's
+harvested plane; a node narrower than ``POINT_RADIUS_TOL`` is not split
+further; and ``BranchProbe`` records and replays the cut at every split
+node, the intermediate ones too.  Activation mode bounds the root alone
+first, because its picks come from the root's scores.
 
 In activation mode level j pins the parent's pick j, its j-th best neuron
 by the scores of its own pass, so each child adds the pins on its path and,
@@ -26,6 +30,7 @@ from clipverify import (
     BranchProbe,
     CanonicalProblem,
     NetworkModel,
+    Subdomain,
     bab,
     branch_input,
     compute_bounds,
@@ -167,10 +172,12 @@ def test_probe_records_and_replays_every_deep_cut():
     out0 = run_bab(prob, cfg, probe0)
     assert out0.status == "verified" and len(out0.stats.bound_history) > 1
     # the cuts at intermediate nodes, split within a round and never
-    # bounded, are recorded too: every bounded node below the root was cut
-    # from recorded nodes all the way down
+    # bounded, are recorded too: the unbounded root's and those below
+    # bounded parents; every bounded node was cut from recorded nodes all
+    # the way down
     inner = set(probe0.decisions) - set(probe0.intervals)
-    assert inner
+    below = [path for path in inner if any(path[:k] in probe0.intervals for k in range(len(path)))]
+    assert () in inner and below
     for path in probe0.intervals:
         assert all(path[:k] in probe0.decisions for k in range(len(path)))
     # replaying the recorded cuts reproduces the run
@@ -181,12 +188,121 @@ def test_probe_records_and_replays_every_deep_cut():
     assert out1.stats.domains_visited == out0.stats.domains_visited
     assert out1.stats.bound_history == out0.stats.bound_history
     # and the replay takes a moved cut at an intermediate node
-    path = min(inner, key=len)
+    path = min(below, key=len)
     dim, at = probe0.decisions[path]
     moved = {**probe0.decisions, path: (dim, at + 1e-9)}
     probe2 = BranchProbe(replay=moved)
     run_bab(prob, cfg, probe2)
     assert probe2.decisions[path] == (dim, at + 1e-9)
+
+
+def _spy_passes(monkeypatch, passes):
+    """Append the ``(lowers, uppers)`` corners of every bounding pass to
+    ``passes``."""
+    original = bab.bound_batch
+
+    def spy(model, lowers, uppers, *args):
+        passes.append((lowers, uppers))
+        return original(model, lowers, uppers, *args)
+
+    monkeypatch.setattr(bab, "bound_batch", spy)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
+    # The root is queued unbounded: the first round bisects it d levels
+    # deep, d the largest with 2**d <= 2 * batch, and the first pass bounds
+    # the 2**d descendants the screen kept.  Without planes or constraints
+    # nothing closes them, and the samples of these verified nets find
+    # nothing, so it keeps all of them.  No pass bounds the root alone.
+    rounds, passes = [], []
+    _spy_rounds(monkeypatch, rounds, [])
+    _spy_passes(monkeypatch, passes)
+    for seed in SEEDS:
+        rounds.clear()
+        passes.clear()
+        prob = random_network_problem(np.random.default_rng(seed))
+        out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
+        assert out.status == "verified"
+        (root,), children, owner, survivors = rounds[0]
+        assert root.path == () and root.bound == -np.inf
+        assert root.planes is None and root.scores is None and root.child_constraints is None
+        levels = _levels(1, batch)
+        want = _descendants(Subdomain.root(prob), levels)
+        assert len(children) == len(want) == 2**levels
+        assert owner.tolist() == [0] * len(want)
+        keep, lowers, uppers, stacks = survivors
+        assert keep.tolist() == list(range(len(want))) and stacks is None
+        for child, ref, lo, up in zip(children, want, lowers, uppers):
+            assert child.path == ref.path and child.depth == levels
+            assert np.array_equal(lo, ref.lower) and np.array_equal(up, ref.upper)
+        # the first pass is the first round's: one pass per round that kept
+        # children, none before
+        assert passes[0][0] is lowers and passes[0][1] is uppers
+        assert len(passes) == sum(kept is not None for *_, kept in rounds)
+        assert out.stats.domains_visited >= 2**levels
+
+
+@pytest.mark.parametrize("point, status", [((1.0, 0.75), "verified"), ((0.25, 0.25), "falsified")])
+def test_input_mode_point_root_gets_its_exact_verdict(monkeypatch, point, status):
+    # f(x) = x1 + x2 - 1 on a zero-radius box: the first round pops the
+    # root as a point and evaluates it exactly, and nothing is bounded
+    passes = []
+    _spy_passes(monkeypatch, passes)
+    model = NetworkModel([AffineLayer(np.eye(2), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.array([-1.0]))])
+    x = np.array(point)
+    prob = CanonicalProblem(model, BoxDomain(x, x), 1)
+    out = run_bab(prob, BabConfig(mode="input", clip="both", timeout=60.0))
+    assert out.status == status
+    assert out.stats.domains_visited == 0 and not passes
+    if status == "verified":
+        assert out.bound == prob.value(x) == 0.75 and out.counterexample is None
+    else:
+        assert out.value == prob.value(x) == -0.5
+        assert np.array_equal(out.counterexample, x)
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_input_mode_first_round_falsification_bounds_nothing(monkeypatch, batch):
+    # the first round's samples over the root's descendants hit: the
+    # counterexample is certified by exact evaluation, and no domain was
+    # bounded
+    passes = []
+    _spy_passes(monkeypatch, passes)
+    hits = 0
+    for seed in range(1, 8):
+        passes.clear()
+        prob = random_network_problem(np.random.default_rng(seed))
+        out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
+        if out.status != "falsified" or out.stats.domains_visited:
+            continue
+        assert not passes
+        x = out.counterexample
+        assert np.all(prob.box.lower <= x) and np.all(x <= prob.box.upper)
+        # the value of the batched evaluation that found it, up to rounding
+        assert prob.value(x) < 0.0 and out.value == pytest.approx(prob.value(x), abs=1e-12)
+        hits += 1
+    assert hits
+
+
+def test_activation_mode_bounds_the_root_alone_first(monkeypatch):
+    # its picks come from the root's scores: the first pass bounds the root
+    # alone, and the first round's one parent is the bounded root
+    rounds, passes = [], []
+    _spy_rounds(monkeypatch, rounds, [])
+    _spy_passes(monkeypatch, passes)
+    for seed in SEEDS:
+        rounds.clear()
+        passes.clear()
+        prob = random_network_problem(np.random.default_rng(seed))
+        out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
+        assert out.status == "verified"
+        lowers, uppers = passes[0]
+        assert np.array_equal(lowers, prob.box.lower[None]) and np.array_equal(uppers, prob.box.upper[None])
+        (root,), *_ = rounds[0]
+        assert root.path == () and root.bound > -np.inf
+        assert root.planes is not None and root.scores is not None and root.picks
+        assert len(passes) == 1 + sum(kept is not None for *_, kept in rounds)
 
 
 def _activation_rounds(monkeypatch, batch, clip="both"):
