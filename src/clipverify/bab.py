@@ -25,9 +25,12 @@ round:
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
 2. branches the parents (:func:`_split_round`): each of the P parents d
-   levels deep, d the largest with ``P * 2**d <= 2 * cfg.batch``, so a
-   round bounds at most ``2 * cfg.batch`` children, and it splits deeper
-   when fewer parents are open.  Input mode bisects every node of a level.
+   levels deep, d the largest with ``P * 2**d <= cfg.batch`` and at least
+   1.  A popped parent must be split anyway, so with more than ``cfg.batch
+   / 2`` parents a round splits each once and bounds up to ``2 *
+   cfg.batch`` children; the deeper levels of a round with fewer parents
+   are speculative and give at most ``cfg.batch``.  Input mode bisects
+   every node of a level.
    Activation mode pins level j on the parent's pick j, its j-th best
    neuron when it was bounded; a parent with fewer picks stops at the
    depth it has, one with none is bisected once.  The intermediate nodes
@@ -39,10 +42,12 @@ round:
    falsify the problem (the first hit in search order wins).  Each screen
    is one array expression, draw or forward evaluation for all children;
 4. checks the deadline again, then bounds the survivors in one pass
-   (:func:`crown.bound_batch`).  The clipped corners and constraint stacks
-   the screen built go in as they are; so do the children's pins, stacked
-   per layer, and their overrides, stacked in one array and handed over as
-   per-layer column views (see :class:`Subdomain`).  Complete clipping runs
+   (:func:`crown.bound_batch`), whose backward walk checks it too, before
+   each block of domains; a pass it cuts off bounds nothing.  The clipped
+   corners and constraint stacks the screen built go in as they are; so do
+   the children's pins, stacked per layer, and their overrides, stacked in
+   one array and handed over as per-layer column views (see
+   :class:`Subdomain`).  Complete clipping runs
    inside the pass (:func:`_clip_refine`): each layer's critical neurons of
    all the children go to one batched dual ascent.  A child's critical
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
@@ -85,6 +90,7 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
     BoundingPlanes,
     BoundsResult,
+    DeadlinePassed,
     bound_batch,
     compute_bounds,
 )
@@ -110,7 +116,7 @@ class BabConfig:
     mode: str = "input"  # "input" | "activation"
     clip: str = "both"  # "none" | "relaxed" | "complete" | "both"
     sequential_clip: bool = False
-    batch: int = 8
+    batch: int = 16
     timeout: float = 60.0
     alpha: AlphaPolicy = field(default_factory=AlphaPolicy.fixed)
     seed: int = 0
@@ -150,7 +156,8 @@ class Subdomain:
     lower planes; ``scores``, the flat ``(W,)`` branching scores of all
     hidden neurons, -inf where stable or pinned; ``picks``, the ``(layer,
     neuron)`` pairs activation mode pins at levels 0, 1, ... below it,
-    best first, at most ``log2(2 * batch)`` (empty: bisect);
+    best first, at most ``log2(batch)`` rounded down, or 1 at ``batch=1``
+    (empty: bisect);
     ``child_constraints``, ``(D, 2, n)`` normals and ``(D, 2)`` offsets
     whose row ``(j, s)`` a descendant adds whose split step j below it
     went to side s, for every j < D (None: none; in input mode D = 1 and
@@ -644,8 +651,9 @@ def _is_point(sub: Subdomain) -> bool:
 
 def _levels(cfg: BabConfig, parents: int) -> int:
     """How many levels deep a round of ``parents`` parents splits each:
-    the largest d with ``parents * 2**d <= 2 * cfg.batch``, at least 1."""
-    return (2 * cfg.batch // max(parents, 1)).bit_length() - 1
+    the largest d with ``parents * 2**d <= cfg.batch``, and 1 where no d
+    >= 1 has that (more than ``cfg.batch / 2`` parents)."""
+    return max(1, (cfg.batch // max(parents, 1)).bit_length() - 1)
 
 
 def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
@@ -653,16 +661,17 @@ def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
     ``(C,)`` index of each one's parent.
 
     Each of the P parents is split ``d`` levels deep, ``d`` the largest
-    with ``P * 2**d <= 2 * cfg.batch`` (at least 1), so that a round with
-    few parents still fills its bounding pass; nothing is screened or
-    bounded in between.  Input mode bisects every node of a level, so the
-    children are the ones ``d`` rounds of single bisections would reach; a
-    node narrower than ``POINT_RADIUS_TOL`` is not split further: it goes
-    on as a child, and a later round evaluates it.  Activation mode pins
-    level j on the parent's pick j, so a parent with fewer than ``d``
-    picks stops at the depth it has, and one with none is bisected once.
-    Every split, an intermediate node's too, goes through :func:`_branch`,
-    and ``probe`` records it.
+    with ``P * 2**d <= cfg.batch`` (at least 1; see :func:`_levels`), so
+    that a round with few parents still fills its bounding pass, and one
+    with more than ``cfg.batch / 2`` splits each parent once, up to ``2 *
+    cfg.batch`` children; nothing is screened or bounded in between.
+    Input mode bisects every node of a level, so the children are the ones
+    ``d`` rounds of single bisections would reach; a node narrower than
+    ``POINT_RADIUS_TOL`` is not split further: it goes on as a child, and a
+    later round evaluates it.  Activation mode pins level j on the parent's
+    pick j, so a parent with fewer than ``d`` picks stops at the depth it
+    has, and one with none is bisected once.  Every split, an intermediate
+    node's too, goes through :func:`_branch`, and ``probe`` records it.
     """
     levels = _levels(cfg, len(parents))
     children, owner = [], []
@@ -714,9 +723,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     columns = [slice(end - layer.out_dim, end) for layer, end in zip(model.layers, ends)]
     unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
 
-    def settle(subs, lowers, uppers, stacks=None, scores=None):
+    def settle(subs, lowers, uppers, stacks=None, scores=None) -> bool:
         """Bound subdomains in one pass; queue those still open, each with
-        its own copy of what later rounds read."""
+        its own copy of what later rounds read.  False, with nothing
+        bounded, when the deadline passes during the pass."""
         nonlocal verified_floor
         forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(widths))]
         # one override stack, which the pass reads and the refine writes
@@ -724,7 +734,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         stacked = np.array([sub.overrides for sub in subs])
         overrides = [(stacked[:, 0, cols], stacked[:, 1, cols]) for cols in columns]
         refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
-        res, failed = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine)
+        try:
+            res, failed = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine, deadline)
+        except DeadlinePassed:
+            return False
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
         alive = np.array([err is None for err in failed])
@@ -736,7 +749,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         verified_floor = min(verified_floor, floor)
         rows = np.flatnonzero(queued)
         if rows.size == 0:
-            return
+            return True
         # each queued domain copies its own row of what later rounds read
         final, picks = res.planes[-1], None
         if scored:
@@ -768,16 +781,17 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                 sub.normals, sub.offsets = unconstrained
             sub.bound = float(bounds[b])
             heappush(heap, (sub.bound, next(tiebreak), sub))
+        return True
 
     if time.perf_counter() >= deadline:
         return _outcome("unknown", stats, t0)
     root = Subdomain.root(problem)
-    if cfg.mode == "activation":
-        # its picks come from the root's scores
-        settle([root], root.lower[None], root.upper[None])
-    else:
+    if cfg.mode == "input":
         # unbounded: the first round bisects it and bounds its descendants
         heappush(heap, (root.bound, next(tiebreak), root))
+    elif not settle([root], root.lower[None], root.upper[None]):
+        # activation mode bounds it alone: its picks come from its scores
+        return _outcome("unknown", stats, t0)
     while heap:
         if time.perf_counter() >= deadline:
             return _outcome("unknown", stats, t0, bound=heap[0][0])
@@ -802,13 +816,14 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             return _outcome("falsified", stats, t0, hit[1], hit[0])
         if survivors is not None:
             keep, lowers, uppers, stacks = survivors
-            if time.perf_counter() >= deadline:
-                opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
-                return _outcome("unknown", stats, t0, bound=min(opened))
             scores = None
             if refined and stacks is not None:
                 scores = np.array([sub.scores for sub in parents])[owner[keep]]
-            settle([children[j] for j in keep], lowers, uppers, stacks, scores)
+            # the deadline is checked before the pass and within it
+            if time.perf_counter() >= deadline or not settle(
+                    [children[j] for j in keep], lowers, uppers, stacks, scores):
+                opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
+                return _outcome("unknown", stats, t0, bound=min(opened))
         if heap:
             stats.bound_history.append(float(heap[0][0]))
     return _outcome("verified", stats, t0, bound=verified_floor)

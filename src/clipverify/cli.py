@@ -50,10 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both", help="constraint handling (default: both)")
     parser.add_argument("--seq-clip", action="store_true",
                         help="clip boxes constraint-by-constraint instead of jointly")
-    parser.add_argument("--batch", type=int, default=8,
+    parser.add_argument("--batch", type=int, default=16,
                         help="subdomains popped per round; their children, at most twice "
-                             "this, are bounded together in one pass, and a round splits "
-                             "(bisects or pins) deeper when fewer are open (default: 8)")
+                             "this, are bounded together in one pass.  A round with more than "
+                             "half this many splits each once; one with fewer splits (bisects "
+                             "or pins) deeper, into at most this many (default: 16)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="wall-clock budget in seconds (default: 60)")
     parser.add_argument("--alpha", type=parse_alpha, default=AlphaPolicy.fixed(),

@@ -33,6 +33,7 @@ origin with a selectable slope ``alpha`` in [0, 1].
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,10 @@ WALK_BLOCK = 32768
 
 class InfeasibleSplitError(Exception):
     """A forced activation assignment (or bound override) is unsatisfiable."""
+
+
+class DeadlinePassed(Exception):
+    """The deadline of a :func:`bound_batch` pass passed during the pass."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,8 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect_coeffs=False):
+def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect_coeffs=False,
+          deadline=None):
     """Lower planes, in the network input, of the rows ``[W; -W]`` of layer
     ``target`` for ``batch`` domains at once.
 
@@ -260,7 +266,9 @@ def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect
     more than the arithmetic done in them.  Only the returned arrays are
     newly allocated.  A block makes, for each of its domains, the BLAS
     calls one whole-batch walk makes, so every value is the same whatever
-    the block.
+    the block.  Each block first checks ``deadline`` (a
+    ``time.perf_counter()`` reading, or None) and raises
+    :class:`DeadlinePassed` once it has passed.
 
     Returns coefficients ``(batch, 2r, n)``, constants ``(batch, 2r)`` and,
     with ``collect_coeffs``, ``{k: (batch, w_k)}`` means over the lower rows
@@ -277,6 +285,8 @@ def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect
     if collect_coeffs:
         coeffs = {k: np.empty((batch, layers[k].out_dim)) for k in range(target)}
     for start in range(0, batch, step):
+        if deadline is not None and time.perf_counter() >= deadline:
+            raise DeadlinePassed
         block = slice(start, min(batch, start + step))
         cb = c[block]
         bufs = work
@@ -309,6 +319,7 @@ def bound_batch(
     forced=None,
     overrides=None,
     refine=None,
+    deadline: float | None = None,
 ) -> tuple:
     """Bound every layer of ``model`` over B boxes in one pass.
 
@@ -333,6 +344,12 @@ def bound_batch(
     * it returns the tightened ``(B, w_i)`` bounds (rows of domains not
       alive are ignored) and a ``(B,)`` mask of the domains it proved
       empty.
+
+    ``deadline``, when given, is a ``time.perf_counter()`` reading that the
+    backward walk of every layer after the first checks before each of its
+    blocks, so between layers and, where a walk takes several blocks,
+    within one.  Once it has passed, the pass raises
+    :class:`DeadlinePassed`.
 
     Returns one :class:`BoundsResult` whose arrays carry the batch axis
     (layer bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
@@ -364,7 +381,7 @@ def bound_batch(
     all_bounds = []
     all_planes = []
     for i in range(model.num_layers):
-        a, c, coeffs = _walk(model.layers, relaxations, i, batch, steps[i], work, i == last)
+        a, c, coeffs = _walk(model.layers, relaxations, i, batch, steps[i], work, i == last, deadline)
         r = a.shape[1] // 2
         mid, span = box_range(a, c, centers, radii)
         ext = mid - span

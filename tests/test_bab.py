@@ -397,7 +397,7 @@ def test_bounded_children_passed_every_screen(monkeypatch):
 def _pass_arrays(args, out):
     """Every array a bounding pass takes in (corners, pin and override
     stacks) or hands out (its batch-form result)."""
-    _, lowers, uppers, _, forced, overrides, _ = args
+    _, lowers, uppers, _, forced, overrides, *_ = args
     res, _ = out
     arrays = [lowers, uppers, *forced, *(arr for pair in overrides for arr in pair)]
     arrays += [arr for lb in res.layer_bounds for arr in (lb.lower, lb.upper)]
@@ -615,7 +615,7 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
         if tracemalloc.is_tracing():
             tracemalloc.stop()
     assert [sub.path for sub in pushed] == [(b,) for b in rows]
-    (_, _, _, _, forced, overrides, _), (res, _) = seen["pass"]
+    (_, _, _, _, forced, overrides, *_), (res, _) = seen["pass"]
     scores = bab._branch_scores(res, forced)
     cut_normals, cut_offsets, adds = seen["cuts"]
     final = res.planes[-1]
@@ -632,7 +632,7 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
         assert np.array_equal(sub.normals, normals[b]) and np.array_equal(sub.offsets, offsets[b])
     # 11,160 bytes of copies a domain: corners 2 x 64, overrides 6,160, its
     # 16 constraint rows 1,152, final planes 72, scores 3,072, and the
-    # half-spaces of its 4 picks (a round of one parent at batch 8 splits 4
+    # half-spaces of its 4 picks (a round of one parent at batch 16 splits 4
     # levels) 576, where one pick's were 144
     sizes = [sum(arr.nbytes for arr in _queued_arrays(sub)) for sub in pushed]
     assert sizes == [11160] * len(rows)
@@ -760,6 +760,91 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     opened = [children[j].bound for j in survivors[0]] + heaps[-1]
     assert out.bound == min(opened)
     assert out.bound >= min(popped)
+
+
+def test_deadline_is_checked_within_the_bounding_pass(monkeypatch):
+    # The deadline passes during the second layer's walk of the second
+    # pass: the pass stops there, bounds and counts nothing, and the run
+    # reports the lowest open bound as the check before the pass does.
+    prob = random_network_problem(np.random.default_rng(15))
+    clock = [0.0]
+    monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
+    rounds, heaps, walks = [], [], []
+    screen, original_walk, original_pop = bab._screen_children, crown._walk, bab.heappop
+
+    def screen_spy(problem, cfg, parents, children, owner, rng):
+        out = screen(problem, cfg, parents, children, owner, rng)
+        rounds.append((children, out[0]))
+        return out
+
+    def walk_spy(layers, relaxations, target, *args):
+        walks.append(target)
+        if len(rounds) == 2 and target == 1:
+            clock[0] = 100.0  # past the deadline from here on
+        return original_walk(layers, relaxations, target, *args)
+
+    def pop_spy(heap):
+        item = original_pop(heap)
+        heaps.append([entry[0] for entry in heap])
+        return item
+
+    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    monkeypatch.setattr(crown, "_walk", walk_spy)
+    monkeypatch.setattr(bab, "heappop", pop_spy)
+    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=2, timeout=10.0))
+    assert out.status == "unknown"
+    children, survivors = rounds[-1]
+    assert len(rounds) == 2 and survivors is not None
+    layers = prob.model.num_layers
+    assert walks == list(range(layers)) + [0, 1]
+    assert out.stats.domains_visited == len(rounds[0][1][0])
+    opened = [children[j].bound for j in survivors[0]] + heaps[-1]
+    assert out.bound == min(opened)
+
+
+def test_deadline_within_the_activation_root_pass_reports_no_bound(monkeypatch):
+    # activation mode bounds the root alone first; a deadline that passes
+    # during that pass leaves nothing bounded and no bound known
+    clock = [0.0]
+    monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
+    original_walk = crown._walk
+
+    def walk_spy(layers, relaxations, target, *args):
+        if target == 1:
+            clock[0] = 100.0
+        return original_walk(layers, relaxations, target, *args)
+
+    monkeypatch.setattr(crown, "_walk", walk_spy)
+    out = run_bab(random_network_problem(np.random.default_rng(15)), BabConfig(mode="activation", timeout=10.0))
+    assert out.status == "unknown" and out.bound is None
+    assert out.stats.domains_visited == 0
+
+
+def _overrun_problem() -> CanonicalProblem:
+    """A random 8-128x4-2 net (rng 0) over a box of radius 1, shifted to a
+    margin of 1 at the box center: no short search decides it, and a pass
+    of 128 children takes about as long as a 0.2 s budget."""
+    rng = np.random.default_rng(0)
+    widths = (8, 128, 128, 128, 128, 2)
+    layers = [AffineLayer(rng.normal(size=(w_out, w_in)) / np.sqrt(w_in), 0.3 * rng.normal(size=w_out))
+              for w_in, w_out in zip(widths, widths[1:])]
+    center = 0.4 * rng.normal(size=8)
+    shift = 1.0 - NetworkModel(layers).evaluate(center)
+    layers[-1] = AffineLayer(layers[-1].weights, layers[-1].bias + shift)
+    return CanonicalProblem(NetworkModel(layers), BoxDomain(center - 1.0, center + 1.0), 2)
+
+
+def test_deadline_overrun_stays_small_with_wide_passes():
+    # A pass of up to 128 children used to run to its end once started: a
+    # 0.2 s budget overran by up to 0.18 s.  The walk now checks the
+    # deadline before each block of domains.
+    prob = _overrun_problem()
+    budget, worst = 0.2, 0.0
+    for _ in range(3):
+        out = run_bab(prob, BabConfig(mode="input", clip="both", batch=64, timeout=budget))
+        assert out.status == "unknown"
+        worst = max(worst, out.stats.wall_time - budget)
+    assert worst < 0.05
 
 
 def test_config_validation():
@@ -937,13 +1022,13 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     # In a search, each queued subdomain keeps its pass row's reference
     # scores and picks, and the half-spaces its children add: in activation
     # mode one pair per pick, as many picks as a round of one parent splits
-    # levels (log2 of twice the batch).
+    # levels (log2 of the batch).
     prob = random_network_problem(np.random.default_rng(15))
     passes, pushed = [], []
     original_pass, original_push = bab.bound_batch, bab.heappush
 
-    def spy_pass(model, lowers, uppers, policy, forced, overrides, refine):
-        res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine)
+    def spy_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline):
+        res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline)
         passes.append((res, forced))
         return res, failed
 
@@ -959,7 +1044,7 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     monkeypatch.setattr(bab, "bound_batch", spy_pass)
     monkeypatch.setattr(bab, "heappush", spy_push)
     cfg = BabConfig(mode=mode, clip="both", timeout=60.0)
-    depth = (2 * cfg.batch).bit_length() - 1
+    depth = cfg.batch.bit_length() - 1
     out = run_bab(prob, cfg)
     assert out.status == "verified"
     assert len(pushed) > 5

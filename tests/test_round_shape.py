@@ -1,17 +1,19 @@
 """The shape of a round.
 
-A round that pops P splittable parents splits each one d levels deep, d
-the largest with ``P * 2**d <= 2 * batch`` (at least 1), so that a round
-with few open parents still fills its bounding pass.  At ``batch=1`` a
-round still has at most two children.
+A round that pops P splittable parents, at most ``batch``, splits each one
+d levels deep, d the largest with ``P * 2**d <= batch`` (at least 1), so
+that a round with few open parents still fills its bounding pass, and one
+with more than ``batch / 2`` splits each parent once.  No pass bounds more
+than ``2 * batch`` children.  At ``batch=1`` a round still has at most two
+children.
 
 In input mode the root is queued unbounded, so the first round bisects it
-d = log2(2 * batch) levels deep and the first pass bounds its descendants;
-a point root is evaluated exactly and nothing is bounded.  The children are
-the boxes d levels of ``branch_input`` give, each adding its parent's
-harvested plane; a node narrower than ``POINT_RADIUS_TOL`` is not split
-further; and ``BranchProbe`` records and replays the cut at every split
-node, the intermediate ones too.  Activation mode bounds the root alone
+d = log2(batch) levels deep (at least 1) and the first pass bounds its
+descendants; a point root is evaluated exactly and nothing is bounded.  The
+children are the boxes d levels of ``branch_input`` give, each adding its
+parent's harvested plane; a node narrower than ``POINT_RADIUS_TOL`` is not
+split further; and ``BranchProbe`` records and replays the cut at every
+split node, the intermediate ones too.  Activation mode bounds the root alone
 first, because its picks come from the root's scores.
 
 In activation mode level j pins the parent's pick j, its j-th best neuron
@@ -19,6 +21,8 @@ by the scores of its own pass, so each child adds the pins on its path and,
 per pin, the half-space the pin implies; a parent with fewer picks than d
 stops at the depth it has, and one with none is bisected once.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -44,19 +48,22 @@ SEEDS = (8, 15, 21)
 
 
 def _levels(parents: int, batch: int) -> int:
-    """How deep a round with ``parents`` parents bisects each one."""
-    return max(d for d in range(1, 2 * batch + 1) if parents * 2**d <= 2 * batch)
+    """How deep a round with ``parents`` parents bisects each one: the
+    largest d with ``parents * 2**d <= batch``, at least 1."""
+    return max([1] + [d for d in range(1, batch + 1) if parents * 2**d <= batch])
 
 
 def _spy_rounds(monkeypatch, rounds, passes):
     """Append ``(parents, children, owner, survivors)`` of every round's
     screen to ``rounds`` and the size of every bounding pass to
-    ``passes``."""
+    ``passes``.  The children are shallow copies as the screen left them:
+    a queued child's fields are replaced by what its pass computed, its
+    box by the clipped one."""
     screen, original_pass = bab._screen_children, bab.bound_batch
 
     def screen_spy(problem, cfg, parents, children, owner, rng):
         out = screen(problem, cfg, parents, children, owner, rng)
-        rounds.append((list(parents), list(children), owner, out[0]))
+        rounds.append((list(parents), [copy.copy(child) for child in children], owner, out[0]))
         return out
 
     def pass_spy(model, lowers, *args):
@@ -65,6 +72,61 @@ def _spy_rounds(monkeypatch, rounds, passes):
 
     monkeypatch.setattr(bab, "_screen_children", screen_spy)
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16, 64])
+def test_levels_is_at_least_one(batch):
+    # with more than batch / 2 parents no depth d >= 1 has P * 2**d <=
+    # batch; a round still splits each parent once
+    cfg = BabConfig(batch=batch)
+    for parents in range(1, batch + 1):
+        assert bab._levels(cfg, parents) == _levels(parents, batch) >= 1
+    assert bab._levels(cfg, batch) == bab._levels(cfg, batch // 2 + 1) == 1
+
+
+@pytest.mark.parametrize("mode", ["input", "activation"])
+def test_wide_rounds_split_each_parent_once(monkeypatch, mode):
+    # A round of P parents, batch / 2 < P <= batch, splits each one once and
+    # bounds all its surviving children, up to 2P, in one pass; no pass
+    # bounds more than 2 batch children, and no parent is split deeper
+    # than P * 2**d <= batch allows.
+    events = []
+    screen, original_pass = bab._screen_children, bab.bound_batch
+
+    def screen_spy(problem, cfg, parents, children, owner, rng):
+        out = screen(problem, cfg, parents, children, owner, rng)
+        events.append(("round", list(parents), list(children), owner, out[0]))
+        return out
+
+    def pass_spy(model, lowers, *args):
+        events.append(("pass", len(lowers)))
+        return original_pass(model, lowers, *args)
+
+    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    monkeypatch.setattr(bab, "bound_batch", pass_spy)
+    wide = 0
+    for batch in (4, 8, 16):
+        for seed in SEEDS:
+            events.clear()
+            prob = random_network_problem(np.random.default_rng(seed))
+            out = run_bab(prob, BabConfig(mode=mode, clip="relaxed", batch=batch, timeout=60.0))
+            assert out.status == "verified"
+            for k, event in enumerate(events):
+                if event[0] == "pass":
+                    assert event[1] <= 2 * batch
+                    continue
+                _, parents, children, owner, survivors = event
+                assert len(parents) <= batch
+                depths = [child.depth - parents[p].depth for child, p in zip(children, owner)]
+                assert all(d == 1 or len(parents) * 2**d <= batch for d in depths)
+                if 2 * len(parents) <= batch:
+                    continue
+                wide += 1
+                assert depths == [1] * len(children) == [1] * (2 * len(parents))
+                assert owner.tolist() == [p for p in range(len(parents)) for _ in range(2)]
+                if survivors is not None:
+                    assert events[k + 1] == ("pass", len(survivors[0]))
+    assert wide
 
 
 def _descendants(sub, levels):
@@ -78,7 +140,7 @@ def _descendants(sub, levels):
     return nodes
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
 def test_input_rounds_fill_the_pass(monkeypatch, batch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
@@ -96,7 +158,7 @@ def test_input_rounds_fill_the_pass(monkeypatch, batch):
         if batch == 1:
             assert len(children) <= 2
     # no pass bounds more than 2 batch domains, and some round had fewer
-    # parents than a batch, so it split deeper than one level
+    # parents than a batch
     assert max(passes) <= 2 * batch
     if batch > 1:
         assert min(widths) < batch
@@ -105,14 +167,16 @@ def test_input_rounds_fill_the_pass(monkeypatch, batch):
 def test_children_are_the_bisection_descendants(monkeypatch):
     # each child is the box d levels of branch_input give, and takes its
     # parent's last constraints plus the parent's harvested plane
-    rounds, passes = [], []
+    rounds, passes, tagged = [], [], []
     _spy_rounds(monkeypatch, rounds, passes)
-    batch = 8
-    for seed in SEEDS:
-        prob = random_network_problem(np.random.default_rng(seed))
-        run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
+    for batch in (8, 16):
+        for seed in SEEDS:
+            rounds.clear()
+            prob = random_network_problem(np.random.default_rng(seed))
+            run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
+            tagged += [(batch, *entry) for entry in rounds]
     deep = checked = 0
-    for parents, children, owner, survivors in rounds:
+    for batch, parents, children, owner, survivors in tagged:
         levels = _levels(len(parents), batch)
         deep += levels > 1
         for p, parent in enumerate(parents):
@@ -148,14 +212,14 @@ def test_children_are_the_bisection_descendants(monkeypatch):
 def test_nodes_narrower_than_a_point_are_not_split_further(monkeypatch):
     # A box of radii (1.5, 1.2) * POINT_RADIUS_TOL: its root is split, and
     # so is each child (radii 0.75 and 1.2), but the grandchildren are
-    # narrower than a point, so a round of batch 8 gives 4 children, not 16.
+    # narrower than a point, so a round of batch 16 gives 4 children, not 16.
     # The net is negative on the whole box, so the round's samples falsify.
     radius = np.array([1.5, 1.2]) * bab.POINT_RADIUS_TOL
     model = NetworkModel([AffineLayer(np.eye(2), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.array([-1.0]))])
     prob = CanonicalProblem(model, BoxDomain(np.zeros(2), 2.0 * radius), 1)
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
-    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=8, timeout=60.0))
+    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=16, timeout=60.0))
     assert out.status == "falsified"
     (parents, children, owner, _), = rounds
     assert len(parents) == 1 and len(children) == 4
@@ -208,10 +272,10 @@ def _spy_passes(monkeypatch, passes):
     monkeypatch.setattr(bab, "bound_batch", spy)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
 def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
     # The root is queued unbounded: the first round bisects it d levels
-    # deep, d the largest with 2**d <= 2 * batch, and the first pass bounds
+    # deep, d the largest with 2**d <= batch (at least 1), and the first pass bounds
     # the 2**d descendants the screen kept.  Without planes or constraints
     # nothing closes them, and the samples of these verified nets find
     # nothing, so it keeps all of them.  No pass bounds the root alone.
@@ -339,7 +403,7 @@ def _pinned(parent, steps) -> list:
     return forced
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
 def test_activation_rounds_fill_the_pass(monkeypatch, batch):
     rounds, passes = _activation_rounds(monkeypatch, batch)
     full = deep = 0
@@ -355,10 +419,11 @@ def test_activation_rounds_fill_the_pass(monkeypatch, batch):
             assert len(children) <= 2
     assert full
     assert max(passes) <= 2 * batch
-    assert (deep > 0) == (batch > 1)
+    # a round splits a parent deeper than once only when 4 parents fit
+    assert (deep > 0) == (batch >= 4)
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 8])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
 def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
     # Each child adds exactly the pins its path took, and its constraint
     # stack is its parent's last rows plus, per pin, the half-space it
@@ -403,21 +468,21 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
                 assert np.array_equal(normals[i, k], normal) and offsets[i, k] == offset
             checked += 1
             deep += len(steps) > 1
-    assert checked and bisected and (deep > 0) == (batch > 1)
+    assert checked and bisected and (deep > 0) == (batch >= 4)
 
 
 def test_activation_parent_with_few_picks_stops_early(monkeypatch):
     # The toy net has two hidden neurons, both unstable at the root, so a
-    # round of batch 8 pins the root 2 levels deep where d is 4.  A net
+    # round of batch 16 pins the root 2 levels deep where d is 4.  A net
     # whose only neuron is stable leaves no pick: the root is bisected
     # once.  Both are negative somewhere, and the round's samples falsify.
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
     toy = toy_problem()
-    out = run_bab(toy, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0))
+    out = run_bab(toy, BabConfig(mode="activation", clip="both", batch=16, timeout=60.0))
     assert out.status == "falsified"
     parents, children, owner, _ = rounds[0]
-    assert len(parents) == 1 and _levels(1, 8) == 4 and len(parents[0].picks) == 2
+    assert len(parents) == 1 and _levels(1, 16) == 4 and len(parents[0].picks) == 2
     assert [child.path for child in children] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert owner.tolist() == [0] * 4
     for child in children:
@@ -427,7 +492,7 @@ def test_activation_parent_with_few_picks_stops_early(monkeypatch):
     rounds.clear()
     model = NetworkModel([AffineLayer(np.eye(1), np.array([10.0])), AffineLayer(np.ones((1, 1)), np.array([-10.5]))])
     prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.0])), 1)
-    out = run_bab(prob, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0))
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", batch=16, timeout=60.0))
     assert out.status == "falsified"
     parents, children, owner, _ = rounds[0]
     assert parents[0].picks == () and len(children) == 2

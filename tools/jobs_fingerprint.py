@@ -16,8 +16,10 @@ Floats are printed exactly (shortest repr), so equal lines mean equal bits.
 
 The second form compares two such files job by job and prints each job
 and field that differs, then one summary line per workload and mode (jobs,
-how many differ, how many differ in status, domains old -> new) and one for
-all jobs; it exits 1 when anything differs.
+how many differ, how many differ in status, domains old -> new, and rounds
+old -> new, counted as entries of ``bound_history``: one per round that
+leaves a domain open) and one for all jobs; it exits 1 when anything
+differs.
 """
 
 from __future__ import annotations
@@ -92,14 +94,16 @@ def diff(old_path, new_path) -> int:
     summary per (workload, mode); the number of differing jobs."""
     old, new = _read(old_path), _read(new_path)
     # per (workload, mode): jobs, differing jobs, status differences,
-    # domains in the old and the new file
+    # domains and rounds in the old and the new file
     groups = {}
     for key in sorted(old.keys() | new.keys(), key=str):
         rec = old.get(key) or new[key]
-        group = groups.setdefault((rec["workload"], rec["mode"]), [0, 0, 0, 0, 0])
+        group = groups.setdefault((rec["workload"], rec["mode"]), [0] * 7)
         group[0] += 1
-        group[3] += old[key]["domains_visited"] if key in old else 0
-        group[4] += new[key]["domains_visited"] if key in new else 0
+        for at, side in ((3, old), (4, new)):
+            if key in side:
+                group[at] += side[key]["domains_visited"]
+                group[at + 2] += len(side[key]["bound_history"])
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key not in old else 'old'}")
             group[1] += 1
@@ -110,13 +114,13 @@ def diff(old_path, new_path) -> int:
             group[2] += "status" in changed
             print(f"{key} ({old[key]['mode']}): " + ", ".join(
                 _change(f, old[key][f], new[key][f]) for f in changed))
-    for (workload, mode), (jobs, differ, status, before, after) in groups.items():
+    for (workload, mode), (jobs, differ, status, *totals) in groups.items():
         print(f"{workload} {mode}: {jobs} jobs, {differ} differ, {status} in status; "
-              f"domains {before} -> {after}")
+              f"domains {totals[0]} -> {totals[1]}, rounds {totals[2]} -> {totals[3]}")
     differing = sum(group[1] for group in groups.values())
-    total = sum(group[3] for group in groups.values()), sum(group[4] for group in groups.values())
+    totals = [sum(group[at] for group in groups.values()) for at in range(3, 7)]
     print(f"{len(old)} old jobs, {len(new)} new jobs, {differing} differ "
-          f"in {', '.join(FIELDS)}; domains {total[0]} -> {total[1]}")
+          f"in {', '.join(FIELDS)}; domains {totals[0]} -> {totals[1]}, rounds {totals[2]} -> {totals[3]}")
     return differing
 
 

@@ -14,8 +14,9 @@ Imports clipverify from this checkout's ``src`` and prints three tables:
   (on a wide net, of the fastest of ``WIDE_CALLS`` calls, by
   ``time.process_time``) and the ``tracemalloc`` peak of one call;
 * a long activation-mode run with ``clip=both`` on a hard 4-24-24-1
-  instance at ``--batch`` 8 and 64: the domains it visits within
-  ``LONG_SECONDS`` and its ``tracemalloc`` peak, in total and per domain.
+  instance at ``--batch`` 16 (the default) and 64: the domains it visits
+  within ``LONG_SECONDS`` and its ``tracemalloc`` peak, in total and per
+  domain.
 
 One BLAS thread, as in the verdict benchmark.  The nets are random with
 fixed seeds, so two checkouts time the same work.
@@ -68,7 +69,7 @@ BOUND_SHAPES = (
 # average away the host's spread (one slow call in three moved a mean by
 # 30%), so the row reports the fastest.
 WIDE_CALLS = 5
-LONG_BATCHES = (8, 64)
+LONG_BATCHES = (16, 64)
 # Budget of each long run: enough for thousands of domains on hard_problem.
 LONG_SECONDS = 6.0
 
