@@ -84,7 +84,6 @@ from .clipping import (  # noqa: F401
     relaxed_clip_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
-    relaxed_clip_sequential_batch,
 )
 from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     AlphaPolicy,
@@ -115,7 +114,6 @@ POINT_RADIUS_TOL = 1e-14
 class BabConfig:
     mode: str = "input"  # "input" | "activation"
     clip: str = "both"  # "none" | "relaxed" | "complete" | "both"
-    sequential_clip: bool = False
     batch: int = 16
     timeout: float = 60.0
     alpha: AlphaPolicy = field(default_factory=AlphaPolicy.fixed)
@@ -585,10 +583,7 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         stacks = _child_stacks(parents, owner, steps)
     nonempty = np.ones(len(children), dtype=bool)
     if stacks is not None and cfg.clip in ("relaxed", "both"):
-        if not cfg.sequential_clip:
-            lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stacks[:2])
-        else:
-            lowers, uppers, empty = relaxed_clip_sequential_batch(lowers, uppers, *stacks[:2], "given")
+        lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stacks[:2])
         nonempty = ~empty
     bounds = np.array([parent.bound for parent in parents])[owner]
     # an unbounded input-mode root has no planes, and is its round's only parent

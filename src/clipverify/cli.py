@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="branching strategy (default: input)")
     parser.add_argument("--clip", choices=("none", "relaxed", "complete", "both"),
                         default="both", help="constraint handling (default: both)")
-    parser.add_argument("--seq-clip", action="store_true",
-                        help="clip boxes constraint-by-constraint instead of jointly")
     parser.add_argument("--batch", type=int, default=16,
                         help="subdomains popped per round; their children, at most twice "
                              "this, are bounded together in one pass.  A round with more than "
@@ -106,7 +104,6 @@ def build_report(outcome, args, time_s: float) -> dict:
                 "property": args.property,
                 "mode": args.mode,
                 "clip": args.clip,
-                "seq_clip": bool(args.seq_clip),
                 "batch": args.batch,
                 "timeout": args.timeout,
                 "alpha": alpha_text,
@@ -145,7 +142,6 @@ def run(argv=None) -> int:
         cfg = BabConfig(
             mode=args.mode,
             clip=args.clip,
-            sequential_clip=bool(args.seq_clip),
             batch=args.batch,
             timeout=args.timeout,
             alpha=args.alpha,

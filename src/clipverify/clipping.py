@@ -24,8 +24,8 @@ known to hold on the region of interest:
   independent clip per coordinate.  :func:`relaxed_clip_batch` is the one
   clip step: every constraint of D domains against its domain's box, in
   one array expression over constraints and coordinates.  Applied once to
-  all rows it clips in parallel against the original box
-  (:func:`relaxed_clip_parallel` is its one-box case); applied once per
+  all rows it clips in parallel against the original box, as the search
+  does (:func:`relaxed_clip_parallel` is its one-box case); applied once per
   row, each step against the box the previous ones left, it clips
   sequentially with recomputed centers (:func:`relaxed_clip_sequential_batch`,
   order-dependent and usually tighter; :func:`relaxed_clip_sequential` is

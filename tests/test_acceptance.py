@@ -297,7 +297,6 @@ def test_11_identical_runs_produce_identical_reports(tmp_path, capsys):
                 "--property", str(ppath),
                 "--mode", "activation",
                 "--clip", "both",
-                "--seq-clip",
                 "--seed", "5",
                 "--batch", "4",
             ]

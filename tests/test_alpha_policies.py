@@ -3,11 +3,11 @@
 Every slope in [0, 1] gives a sound lower envelope of an unstable ReLU, so
 the policy may change how much the search has to do but never what it
 concludes.  Nor may any other search setting.  On oracle-sized nets, every
-combination of mode, clipping (each of the four settings, and sequential
-relaxed clipping) and policy (``fixed(1)``, ``fixed(0)``, ``adaptive``),
-under a drawn batch size and sampler seed, must agree with
-``exact_verify`` whenever it decides, report counterexamples that
-evaluate negative, and report bounds no higher than the exact minimum.
+combination of mode, clipping (each of the four settings) and policy
+(``fixed(1)``, ``fixed(0)``, ``adaptive``), under a drawn batch size and
+sampler seed, must agree with ``exact_verify`` whenever it decides, report
+counterexamples that evaluate negative, and report bounds no higher than
+the exact minimum.
 The same holds on degenerate inputs: width-1 hidden layers, all-zero
 weight rows, zero-width input coordinates and point boxes.
 """
@@ -30,11 +30,7 @@ from clipverify import (
 from conftest import random_network_problem
 
 POLICIES = (AlphaPolicy.fixed(1.0), AlphaPolicy.fixed(0.0), AlphaPolicy.adaptive())
-# (clip, sequential_clip): sequential clipping only changes relaxed clipping
-CLIPS = (
-    ("none", False), ("relaxed", False), ("complete", False), ("both", False),
-    ("relaxed", True), ("both", True),
-)
+CLIPS = ("none", "relaxed", "complete", "both")
 # Thresholds closer than this (times the output spread) to the exact minimum
 # are moved away: there the verdict turns on rounding, which this test does
 # not judge.
@@ -68,12 +64,12 @@ def _agrees_with_exact(problem: CanonicalProblem, rng, batch, search_seed):
     problem, low, spread = _away_from_zero(problem, rng)
     assert abs(low) >= MARGIN * spread
     for mode in ("input", "activation"):
-        for clip, sequential in CLIPS:
+        for clip in CLIPS:
             for alpha in POLICIES:
-                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential, batch=batch,
-                                alpha=alpha, timeout=20.0, seed=search_seed)
+                cfg = BabConfig(mode=mode, clip=clip, batch=batch, alpha=alpha,
+                                timeout=20.0, seed=search_seed)
                 out = run_bab(problem, cfg)
-                where = (mode, clip, sequential, alpha)
+                where = (mode, clip, alpha)
                 if out.status == "verified":
                     assert low >= 0.0, where
                     assert out.bound is None or out.bound >= 0.0, where

@@ -280,13 +280,6 @@ def test_all_clip_settings_agree_with_oracle():
                 assert out.status == ("verified" if truth else "falsified")
 
 
-def test_sequential_clip_options_run():
-    prob = shifted_toy(1.1)
-    cfg = BabConfig(mode="input", clip="both", sequential_clip=True, timeout=30.0)
-    out = run_bab(prob, cfg)
-    assert out.status == "verified"
-
-
 def test_probe_records_decisions_and_intervals():
     # input mode queues the root unbounded and records its cut; the first
     # nodes bounded are its two children (batch 1 splits one level deep)
@@ -684,8 +677,7 @@ def test_input_mode_without_clipping_harvests_no_constraints(monkeypatch):
         assert all(child.child_constraints is None for child in bounded), mode
 
 
-@pytest.mark.parametrize("sequential", [False, True])
-def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
+def test_search_constructs_no_constraint_objects(monkeypatch):
     # A subdomain's constraints are (m, n) / (m,) arrays and a round stacks
     # its children's in array steps: no LinearConstraint or ConstraintSet
     # is built on the search path, in any mode or clip setting.  Both nets
@@ -709,7 +701,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch, sequential):
         for clip in ("none", "relaxed", "complete", "both"):
             for seed in (15, 8):
                 rounds.clear()
-                cfg = BabConfig(mode=mode, clip=clip, sequential_clip=sequential)
+                cfg = BabConfig(mode=mode, clip=clip)
                 out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
                 assert out.status == "verified"
                 stacked = [kept[3] for *_, kept in rounds if kept is not None and kept[3]]

@@ -1,5 +1,5 @@
 """Property tests: the batched clipping paths against their one-row and
-one-domain references."""
+one-domain references, and against the exact LP over box and constraints."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +11,8 @@ from clipverify import (
     DualStatus,
     coordinate_ascent,
     dual_ascent_batch,
+    lp_box_oracle,
+    relaxed_clip_batch,
     relaxed_clip_parallel,
     relaxed_clip_sequential,
     relaxed_clip_single,
@@ -48,16 +50,19 @@ def _box_extremes(box, g):
 
 
 @st.composite
-def constraint_sets(draw, box, m, coeff=GRID):
+def constraint_sets(draw, box, m, coeff=GRID, excluding=False):
     """m rows mixing random, duplicate, all-zero, redundant and (at most one)
-    infeasible half-spaces."""
+    infeasible half-spaces.  With ``excluding``, all-zero rows may also have
+    a positive offset (``0 . x + h <= 0``, h > 0), which excludes every box."""
     n = box.dim
     normals = np.zeros((m, n))
     offsets = np.zeros(m)
     infeasible_used = False
+    kinds = ["random", "random", "random", "duplicate", "zero", "redundant", "infeasible"]
+    if excluding:
+        kinds.append("excluding")
     for k in range(m):
-        kind = draw(st.sampled_from(
-            ["random", "random", "random", "duplicate", "zero", "redundant", "infeasible"]))
+        kind = draw(st.sampled_from(kinds))
         g = np.array(draw(st.lists(coeff, min_size=n, max_size=n)))
         h = draw(GRID)
         lo, hi = _box_extremes(box, g)
@@ -66,6 +71,8 @@ def constraint_sets(draw, box, m, coeff=GRID):
             g, h = normals[j], offsets[j]
         elif kind == "zero":
             g, h = np.zeros(n), -abs(h)
+        elif kind == "excluding":
+            g, h = np.zeros(n), abs(h) + 0.25
         elif kind == "redundant":
             h = -hi - draw(st.sampled_from([0.0, 0.5]))
         elif kind == "infeasible" and not infeasible_used:
@@ -198,6 +205,47 @@ def test_parallel_clip_equals_intersection_of_singles(case):
     idle = np.all(np.abs(cset.normals) < ZERO_COEFF_TOL, axis=0)
     assert np.all(par.lower[idle] == box.lower[idle])
     assert np.all(par.upper[idle] == box.upper[idle])
+
+
+@st.composite
+def lp_cases(draw):
+    """A box with n <= 4 and m <= 6 rows (the budget of ``lp_box_oracle``),
+    all-zero excluding rows among them, and K objectives."""
+    n = draw(st.integers(1, 4))
+    box = draw(boxes(n))
+    cset = draw(constraint_sets(box, draw(st.integers(0, 6)), excluding=True))
+    k = draw(st.integers(1, 3))
+    objs = np.array(draw(st.lists(st.lists(GRID, min_size=n, max_size=n),
+                                  min_size=k, max_size=k)))
+    consts = np.array(draw(st.lists(GRID, min_size=k, max_size=k)))
+    return box, cset, objs, consts, draw(st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lp_cases())
+def test_clipping_primitives_agree_with_exact_lp(case):
+    # duplicate and all-zero rows, fed straight to the primitives: the
+    # screen excludes only empty regions, dual bounds never exceed the LP
+    # minimum, and a clipped box keeps every feasible point
+    box, cset, objs, consts, passes = case
+    infeasible = lp_box_oracle(np.zeros(box.dim), 0.0, box, cset).status == "infeasible"
+    feasible, active = _screen_one(box, cset)
+    if not feasible[0]:
+        assert infeasible
+    else:
+        bounds, _ = dual_ascent_batch(objs[None], consts[None], box.center[None], box.radius[None],
+                                      cset.normals[None], cset.offsets[None], active, passes)
+        for a, c, bound in zip(objs, consts, bounds[0]):
+            assert bound <= lp_box_oracle(a, c, box, cset).value + 1e-9
+    lowers, uppers, empty = relaxed_clip_batch(box.lower[None], box.upper[None],
+                                               cset.normals[None], cset.offsets[None])
+    if empty[0]:
+        assert infeasible
+    if empty[0] or infeasible:
+        return
+    for i, e in enumerate(np.eye(box.dim)):
+        assert lowers[0, i] <= lp_box_oracle(e, 0.0, box, cset, "min").value + 1e-9
+        assert lp_box_oracle(e, 0.0, box, cset, "max").value <= uppers[0, i] + 1e-9
 
 
 def test_active_rows_flags_infeasible_and_skips_redundant():

@@ -86,9 +86,9 @@ def test_usage_error_exit_code(toy_files, capsys):
 
 
 def test_removed_search_settings_exit_three(toy_files, capsys):
-    # the critical-neuron count, the dual sweeps and the sequential clip's
-    # order are fixed by the search; a flag that set them is a usage error
-    for extra in (["--topk", "5"], ["--passes", "2"], ["--reorder-constraints"]):
+    # the critical-neuron count and the dual sweeps are fixed, and the search
+    # always clips boxes jointly; a flag that set them is a usage error
+    for extra in (["--topk", "5"], ["--passes", "2"], ["--reorder-constraints"], ["--seq-clip"]):
         assert run(base_args(toy_files, *extra)) == 3, extra
         assert capsys.readouterr().out == "", extra
 
@@ -176,7 +176,6 @@ def test_config_echoed(toy_files, capsys):
             "activation",
             "--clip",
             "relaxed",
-            "--seq-clip",
             "--seed",
             "7",
             "--alpha",
@@ -186,10 +185,9 @@ def test_config_echoed(toy_files, capsys):
     cfgecho = read_report(capsys)["config"]
     assert cfgecho["mode"] == "activation"
     assert cfgecho["clip"] == "relaxed"
-    assert cfgecho["seq_clip"] is True
     assert cfgecho["seed"] == 7
     assert cfgecho["alpha"] == "adaptive"
-    assert not {"reorder_constraints", "topk", "passes"} & set(cfgecho)
+    assert not {"reorder_constraints", "topk", "passes", "seq_clip"} & set(cfgecho)
 
 
 def test_oracle_check_passes(toy_files, capsys):

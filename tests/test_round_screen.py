@@ -3,10 +3,10 @@
 ``bab._screen_children`` relaxed-clips, plane-screens and falsifies all
 children of a round together.  With the same seed it must give what the
 per-child references give one child at a time, in search order:
-``relaxed_clip_parallel`` (``relaxed_clip_sequential`` under sequential
-clipping), ``quick_child_bound`` and ``try_falsify`` (stopping at the first
-hit), each child with the set ``ConstraintSet.appended`` gives it: its
-parent's constraints plus, step by step, the half-spaces its parent keeps
+``relaxed_clip_parallel``, ``quick_child_bound`` and ``try_falsify``
+(stopping at the first hit), each child with the set
+``ConstraintSet.appended`` gives it: its parent's constraints plus, step
+by step, the half-spaces its parent keeps
 for the sides its path took, within the budget.  A parent's children are
 its descendants one or more splits down, as a round makes them when few
 parents are open.  The survivors' constraint stacks must be what stacking
@@ -34,7 +34,6 @@ from clipverify import (
     branch_input,
     compute_bounds,
     relaxed_clip_parallel,
-    relaxed_clip_sequential,
 )
 
 from conftest import quick_child_bound, stack_constraints
@@ -152,11 +151,7 @@ def _one_at_a_time(problem, cfg, parents, children, owner, csets, seed):
     survivors, floor = [], np.inf
     for j, (child, cset) in enumerate(zip(children, csets)):
         parent = parents[owner[j]]
-        box = BoxDomain(child.lower, child.upper)
-        if not cfg.sequential_clip:
-            box = relaxed_clip_parallel(box, cset)
-        else:
-            box = relaxed_clip_sequential(box, cset, "given")
+        box = relaxed_clip_parallel(BoxDomain(child.lower, child.upper), cset)
         constrained = cfg.mode == "input" and cset.size > 0
         if box.is_empty:
             if constrained:
@@ -174,13 +169,13 @@ def _one_at_a_time(problem, cfg, parents, children, owner, csets, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), sequential=st.booleans(),
-       mode=st.sampled_from(["input", "activation"]), budget=st.sampled_from([1, 2, 4, 16]))
-def test_round_screen_matches_per_child_screens(seed, sequential, mode, budget):
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["input", "activation"]),
+       budget=st.sampled_from([1, 2, 4, 16]))
+def test_round_screen_matches_per_child_screens(seed, mode, budget):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
     parents, children, owner, csets = _round(rng, problem, budget)
-    cfg = BabConfig(mode=mode, clip="both", sequential_clip=sequential)
+    cfg = BabConfig(mode=mode, clip="both")
     rng = np.random.default_rng(seed)
     with mock.patch.object(bab, "CONSTRAINT_BUDGET", budget):
         survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, owner, rng)
