@@ -53,7 +53,10 @@ round:
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
    its own pins left out.  The refine writes its tightenings into the pass's
    override stack, whose rows become the children's overrides;
-5. closes each child whose bound reaches 0 and queues the others, each
+5. raises each child's output-row lower bounds to a second bound, the
+   output layer's range over the box of its last hidden layer's ReLU
+   intervals (never past the row's upper bound), then
+   closes each child whose bound reaches 0 and queues the others, each
    with its own copy of its row of each array that later rounds read of
    the pass, and of only its own constraint rows.  The screen in
    step 3 and this step close domains by one rule (:func:`_close`).  The
@@ -735,6 +738,18 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             return False
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
+        if widths:
+            # a second lower bound per output row: the output layer's range
+            # over the box of the last hidden layer's ReLU outputs, raising
+            # final_lower in place (it is the output's lower bound array) but
+            # never past the pass's upper bound, so it proves nothing empty
+            hidden, out = res.layer_bounds[-2], res.layer_bounds[-1]
+            on = forced[-1] >= 0  # an inactive pin holds the ReLU at 0
+            lo = np.where(on, np.maximum(hidden.lower, 0.0), 0.0)
+            hi = np.where(on, np.maximum(hidden.upper, 0.0), 0.0)
+            last = model.layers[-1]
+            mid, span = box_range(last.weights, last.bias, 0.5 * (lo + hi), 0.5 * (hi - lo))
+            np.maximum(out.lower, np.minimum(mid - span, out.upper), out=out.lower)
         alive = np.array([err is None for err in failed])
         bounds = np.maximum([sub.bound for sub in subs], res.final_lower.min(axis=1))
         if probe is not None:

@@ -27,7 +27,13 @@ from clipverify import (
     exact_verify,
     run_bab,
 )
-from conftest import quick_child_bound, random_network_problem, split_constraint_to_input, toy_problem
+from conftest import (
+    long_search_problem,
+    quick_child_bound,
+    random_network_problem,
+    split_constraint_to_input,
+    toy_problem,
+)
 
 
 def reference_scores(results, forced) -> list:
@@ -351,7 +357,7 @@ def test_bounded_children_passed_every_screen(monkeypatch):
     # it.  Input mode's unbounded root has none.  On this net the plane
     # screen closes some children of bounded parents in both modes, so the
     # check has something to catch.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     rounds, passes = [], []
     _spy_screens(monkeypatch, rounds)
     original = bab.bound_batch
@@ -416,7 +422,7 @@ def _verifiable_two_row_problem() -> CanonicalProblem:
     constraints and queues a mix of domains that harvest a final plane and
     domains that leave two rows open and harvest none; later rounds bound
     and queue children under constraints."""
-    prob = random_network_problem(np.random.default_rng(22), rows=2)
+    prob = random_network_problem(np.random.default_rng(16), rows=2)
     last = prob.model.layers[-1]
     shift = 0.02 - exact_verify(prob).min_value
     layers = [*prob.model.layers[:-1], AffineLayer(last.weights, last.bias + shift)]
@@ -432,7 +438,7 @@ def test_queued_subdomains_share_no_memory(monkeypatch, mode, clip, rows, batch)
     # long as any one of them was queued.  A child bounded without
     # constraints used to keep its parent's zero-row constraint views, and
     # through them the parent's whole buffer.
-    prob = random_network_problem(np.random.default_rng(15)) if rows == 1 else _verifiable_two_row_problem()
+    prob = long_search_problem() if rows == 1 else _verifiable_two_row_problem()
     passes, pushed, stacked_passes, stack = [], [], [], []
     original_pass, original_push = bab.bound_batch, bab.heappush
     original_refine, original_scores, original_cuts = bab._clip_refine, bab._branch_scores, bab._child_constraints
@@ -505,7 +511,7 @@ def test_queued_subdomains_hold_only_their_own_fields(monkeypatch):
     # kept array, with its pass's largest constraint stack instead of its
     # own m rows, and the children's half-spaces even where it kept none:
     # here 11 of the 41 queued subdomains held more than their fields.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     pushed = []
     push = bab.heappush
 
@@ -697,23 +703,23 @@ def test_search_constructs_no_constraint_objects(monkeypatch):
     built.clear()
     rounds = []
     _spy_screens(monkeypatch, rounds)
+    problems = long_search_problem(), random_network_problem(np.random.default_rng(8))
     for mode in ("input", "activation"):
         for clip in ("none", "relaxed", "complete", "both"):
-            for seed in (15, 8):
+            for k, prob in enumerate(problems):
                 rounds.clear()
-                cfg = BabConfig(mode=mode, clip=clip)
-                out = run_bab(random_network_problem(np.random.default_rng(seed)), cfg)
+                out = run_bab(prob, BabConfig(mode=mode, clip=clip))
                 assert out.status == "verified"
                 stacked = [kept[3] for *_, kept in rounds if kept is not None and kept[3]]
-                assert bool(stacked) == (clip != "none"), (mode, clip, seed)
-                assert built == [], (mode, clip, seed)
+                assert bool(stacked) == (clip != "none"), (mode, clip, k)
+                assert built == [], (mode, clip, k)
 
 
 def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     # A round used to bound its survivors whatever the time: the deadline
     # was checked only at the top of the loop.  Here it passes between
     # that check and the round's pass.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     clock = [0.0]
     monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
     rounds, passes = [], []
@@ -758,7 +764,7 @@ def test_deadline_is_checked_within_the_bounding_pass(monkeypatch):
     # The deadline passes during the second layer's walk of the second
     # pass: the pass stops there, bounds and counts nothing, and the run
     # reports the lowest open bound as the check before the pass does.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     clock = [0.0]
     monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
     rounds, heaps, walks = [], [], []
@@ -807,7 +813,7 @@ def test_deadline_within_the_activation_root_pass_reports_no_bound(monkeypatch):
         return original_walk(layers, relaxations, target, *args)
 
     monkeypatch.setattr(crown, "_walk", walk_spy)
-    out = run_bab(random_network_problem(np.random.default_rng(15)), BabConfig(mode="activation", timeout=10.0))
+    out = run_bab(long_search_problem(), BabConfig(mode="activation", timeout=10.0))
     assert out.status == "unknown" and out.bound is None
     assert out.stats.domains_visited == 0
 
@@ -902,6 +908,61 @@ def test_multi_row_problem_falsifies():
         out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0))
         assert out.status == "falsified"
         assert prob.value(out.counterexample) < 0.0
+
+
+class _RootBounded(Exception):
+    """Ends a search once its probe has recorded the root's pass."""
+
+
+class _RootProbe(BranchProbe):
+    def record_bounds(self, path, res, b):
+        super().record_bounds(path, res, b)
+        raise _RootBounded
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 3), rows=st.sampled_from([1, 2]))
+def test_output_interval_bound_is_sound_and_no_looser(seed, hidden, rows):
+    # A pass raises each output row's lower bound to the output layer's
+    # range over the last hidden layer's ReLU intervals, up to the row's
+    # upper bound.  At the activation-mode root, which is bounded without
+    # pins or constraints, that is never below the backward planes' bound
+    # and, on the lowest row, never above the exact minimum.
+    prob = random_network_problem(np.random.default_rng(seed), width_max=4, hidden=hidden, rows=rows)
+    probe = _RootProbe()
+    with pytest.raises(_RootBounded):
+        run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0), probe)
+    lower, upper = probe.intervals[()][-1]
+    assert np.all(lower >= compute_bounds(prob.model, prob.box).final_lower)
+    assert np.all(lower <= upper)
+    assert lower.min() <= exact_verify(prob).min_value + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["input", "activation"])
+@pytest.mark.parametrize("out_bias", [0.2, 0.21, 0.19])
+def test_point_intervals_on_the_last_hidden_layer(mode, out_bias):
+    # The last hidden layer sees only its biases, so each of its intervals
+    # is a point and the output the constant out_bias - 0.2: the interval
+    # bound and the pass's upper bound are the same number up to rounding,
+    # and here the interval bound is the larger by an ulp or two.  A bound
+    # that intersected both sides found such a domain empty; raising the
+    # lower bound only, up to the upper one, keeps every bounded domain
+    # alive, and the verdict is the exact one.
+    layers = [
+        AffineLayer(np.array([[1.0, -2.0], [0.5, 1.5]]), np.array([0.1, -0.2])),
+        AffineLayer(np.zeros((3, 2)), np.array([0.1, 0.2, 0.3])),
+        AffineLayer(np.array([[3.0, -1.0, -1.0]]), np.array([out_bias])),
+    ]
+    prob = CanonicalProblem(NetworkModel(layers), BoxDomain(np.array([-1.0, -0.5]), np.array([1.0, 0.5])), 1)
+    probe = BranchProbe()
+    out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=60.0), probe)
+    assert out.status == ("verified" if exact_verify(prob).min_value >= 0.0 else "falsified")
+    # the probe records every bounded domain that stayed alive
+    assert len(probe.intervals) == out.stats.domains_visited
+    if mode == "activation":
+        assert () in probe.intervals
+    for bounds in probe.intervals.values():
+        assert np.all(bounds[-1][0] <= bounds[-1][1])
 
 
 def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):
@@ -1015,13 +1076,13 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     # scores and picks, and the half-spaces its children add: in activation
     # mode one pair per pick, as many picks as a round of one parent splits
     # levels (log2 of the batch).
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     passes, pushed = [], []
     original_pass, original_push = bab.bound_batch, bab.heappush
 
     def spy_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline):
         res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline)
-        passes.append((res, forced))
+        passes.append((res, forced, lowers, uppers))
         return res, failed
 
     def spy_push(heap, item):
@@ -1041,11 +1102,13 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     assert out.status == "verified"
     assert len(pushed) > 5
     for k, sub in pushed:
-        res, forced = passes[k]
-        # the row of the pass that bounded ``sub``
+        res, forced, lowers, uppers = passes[k]
+        # the row of the pass that bounded ``sub``: two rows of a pass may
+        # share their pins and final planes, but not their boxes
         rows = [b for b in range(len(res.final_lower))
                 if all(np.array_equal(pins[b], own) for pins, own in zip(forced, sub.forced))
-                and np.array_equal(res.planes[-1].a_low[b], sub.planes.a_low)]
+                and np.array_equal(res.planes[-1].a_low[b], sub.planes.a_low)
+                and np.array_equal(lowers[b], sub.lower) and np.array_equal(uppers[b], sub.upper)]
         assert rows
         domain = crown._domain(res, rows[0])
         pins = [layer_pins[rows[0]] for layer_pins in forced]
@@ -1077,7 +1140,7 @@ def test_parents_are_scored_once_per_round(monkeypatch):
     # scoring of each pass, at settle, must serve them, never one per
     # child.  Input mode without complete clipping scores nothing.  At
     # batch 2 both modes score more than two passes on this net.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     events = []
     score, original_pass = bab._branch_scores, bab.bound_batch
 
@@ -1116,7 +1179,7 @@ def test_child_overrides_only_tighten_the_parents(monkeypatch):
     # parent's are set, so complete clipping's tightenings accumulate.  A
     # round splits a parent several levels deep, so the parent of a queued
     # child is its nearest queued ancestor.
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     pushed = {}
     push = bab.heappush
 

@@ -44,7 +44,7 @@ def test_a_changed_job_is_printed_and_counted(tmp_path, capsys):
     assert "domains_visited 16 -> 40" in changed[0]
     assert not any(line.startswith("('small-exact', 1, 0)") for line in lines)
     assert "small-exact input: 2 jobs, 1 differ, 1 in status; domains 32 -> 56, rounds 4 -> 4" in lines
-    assert lines[-1].startswith("2 old jobs, 2 new jobs, 1 differ")
+    assert lines[-1] == "2 old jobs, 2 new jobs, 1 differ, 1 in status; domains 32 -> 56, rounds 4 -> 4"
 
 
 def test_a_job_in_one_file_only_is_reported(tmp_path, capsys):

@@ -41,10 +41,13 @@ from clipverify import (
     run_bab,
 )
 
-from conftest import random_network_problem, split_constraint_to_input, toy_problem
+from conftest import long_search_problem, random_network_problem, split_constraint_to_input, toy_problem
 
-# verified nets whose input-mode searches take several rounds of varying width
-SEEDS = (8, 15, 21)
+
+def _problems() -> list:
+    """Verified nets whose searches take rounds of varying width: two short
+    seeded ones and the long search."""
+    return [random_network_problem(np.random.default_rng(seed)) for seed in (8, 21)] + [long_search_problem()]
 
 
 def _levels(parents: int, batch: int) -> int:
@@ -106,9 +109,8 @@ def test_wide_rounds_split_each_parent_once(monkeypatch, mode):
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
     wide = 0
     for batch in (4, 8, 16):
-        for seed in SEEDS:
+        for prob in _problems():
             events.clear()
-            prob = random_network_problem(np.random.default_rng(seed))
             out = run_bab(prob, BabConfig(mode=mode, clip="relaxed", batch=batch, timeout=60.0))
             assert out.status == "verified"
             for k, event in enumerate(events):
@@ -145,8 +147,7 @@ def test_input_rounds_fill_the_pass(monkeypatch, batch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
     widths = set()
-    for seed in SEEDS:
-        prob = random_network_problem(np.random.default_rng(seed))
+    for prob in _problems():
         out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
         assert out.status == "verified"
     assert rounds
@@ -170,9 +171,8 @@ def test_children_are_the_bisection_descendants(monkeypatch):
     rounds, passes, tagged = [], [], []
     _spy_rounds(monkeypatch, rounds, passes)
     for batch in (8, 16):
-        for seed in SEEDS:
+        for prob in _problems():
             rounds.clear()
-            prob = random_network_problem(np.random.default_rng(seed))
             run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
             tagged += [(batch, *entry) for entry in rounds]
     deep = checked = 0
@@ -230,8 +230,8 @@ def test_nodes_narrower_than_a_point_are_not_split_further(monkeypatch):
 
 
 def test_probe_records_and_replays_every_deep_cut():
-    prob = random_network_problem(np.random.default_rng(15))
-    cfg = BabConfig(mode="input", clip="both", batch=8, timeout=60.0)
+    prob = long_search_problem()
+    cfg = BabConfig(mode="input", clip="both", batch=16, timeout=60.0)
     probe0 = BranchProbe()
     out0 = run_bab(prob, cfg, probe0)
     assert out0.status == "verified" and len(out0.stats.bound_history) > 1
@@ -282,10 +282,9 @@ def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, [])
     _spy_passes(monkeypatch, passes)
-    for seed in SEEDS:
+    for prob in _problems():
         rounds.clear()
         passes.clear()
-        prob = random_network_problem(np.random.default_rng(seed))
         out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
         assert out.status == "verified"
         (root,), children, owner, survivors = rounds[0]
@@ -355,10 +354,9 @@ def test_activation_mode_bounds_the_root_alone_first(monkeypatch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, [])
     _spy_passes(monkeypatch, passes)
-    for seed in SEEDS:
+    for prob in _problems():
         rounds.clear()
         passes.clear()
-        prob = random_network_problem(np.random.default_rng(seed))
         out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
         assert out.status == "verified"
         lowers, uppers = passes[0]
@@ -371,11 +369,10 @@ def test_activation_mode_bounds_the_root_alone_first(monkeypatch):
 
 def _activation_rounds(monkeypatch, batch, clip="both"):
     """The rounds, each with its problem in front, and the pass sizes of
-    activation-mode searches of the ``SEEDS`` nets, each verified."""
+    activation-mode searches of the :func:`_problems` nets, each verified."""
     rounds, passes, tagged = [], [], []
     _spy_rounds(monkeypatch, rounds, passes)
-    for seed in SEEDS:
-        prob = random_network_problem(np.random.default_rng(seed))
+    for prob in _problems():
         out = run_bab(prob, BabConfig(mode="activation", clip=clip, batch=batch, timeout=60.0))
         assert out.status == "verified"
         tagged += [(prob, *entry) for entry in rounds[len(tagged):]]
@@ -505,7 +502,7 @@ def test_activation_parent_with_few_picks_stops_early(monkeypatch):
 def test_probe_records_every_activation_split(monkeypatch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
-    prob = random_network_problem(np.random.default_rng(15))
+    prob = long_search_problem()
     probe = BranchProbe()
     out = run_bab(prob, BabConfig(mode="activation", clip="both", batch=8, timeout=60.0), probe)
     assert out.status == "verified" and len(out.stats.bound_history) > 1

@@ -21,49 +21,49 @@ EXPECTED = {
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 50, 11),
+        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "relaxed"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 32, 8),
+        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "complete"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 28, 9),
+        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "both"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 28, 9),
+        ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("activation", "none"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("verified", 92, 11), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 2267, 18),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
     ],
     ("activation", "relaxed"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 197, 12),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
     ],
     ("activation", "complete"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 111, 13),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
     ],
     ("activation", "both"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
         ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 73, 11),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
     ],
 }
 
