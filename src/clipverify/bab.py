@@ -53,9 +53,10 @@ round:
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
    its own pins left out.  The refine writes its tightenings into the pass's
    override stack, whose rows become the children's overrides;
-5. raises each child's output-row lower bounds to a second bound, the
-   output layer's range over the box of its last hidden layer's ReLU
-   intervals (never past the row's upper bound), then
+5. raises each child's output-row lower bounds to the better of two more
+   bounds, never past the row's upper bound: the output layer's range
+   over the box of its last hidden layer's ReLU intervals, and the output
+   walk with zero lower slopes (:func:`crown.zero_slope_lower`), then
    closes each child whose bound reaches 0 and queues the others, each
    with its own copy of its row of each array that later rounds read of
    the pass, and of only its own constraint rows.  The screen in
@@ -66,8 +67,8 @@ round:
    constraints from these and their parents' in array steps
    (:func:`_child_stacks`).
 
-Candidate counterexamples are checked by exact forward evaluation, so a
-"falsified" verdict is always certified.
+Candidate counterexamples are checked by exact forward evaluation of the
+point alone, so a "falsified" verdict is always certified.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .crown import (  # noqa: F401  (compute_bounds: patch point for tracers)
     DeadlinePassed,
     bound_batch,
     compute_bounds,
+    zero_slope_lower,
 )
 from .geometry import box_range, screen_rows
 from .network import CanonicalProblem
@@ -488,17 +490,24 @@ def _sample_points(lowers, uppers, rng):
 def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | None:
     """Evaluate each box's center plus a few random points, all in one
     call; return ``(box index, value, point)`` of the first box, in order,
-    with a negative value (its lowest, first such point), or None."""
+    with a point that is negative alone too (its lowest such point, first
+    on ties), or None.
+
+    A batch can round a point's value to the other sign than
+    ``problem.value`` of the point alone (BLAS kernels differ by shape), so
+    each candidate is evaluated again alone, lowest first, and reported
+    with that value; one that is not negative there is dropped."""
     pts, drew = _sample_points(lowers, uppers, rng)
     s, per, n = pts.shape
     vals = problem.model.evaluate(pts.reshape(s * per, n)).min(axis=1).reshape(s, per)
     vals[~drew, 1:] = np.inf
-    hits = np.flatnonzero(vals.min(axis=1) < 0.0)
-    if hits.size == 0:
-        return None
-    j = int(hits[0])
-    k = int(np.argmin(vals[j]))
-    return j, float(vals[j, k]), pts[j, k].copy()
+    for j in np.flatnonzero(vals.min(axis=1) < 0.0).tolist():
+        negative = int((vals[j] < 0.0).sum())
+        for k in np.argsort(vals[j], kind="stable")[:negative].tolist():
+            value = problem.value(pts[j, k])
+            if value < 0.0:
+                return j, value, pts[j, k].copy()
+    return None
 
 
 def _child_stacks(parents, owner, steps) -> tuple | None:
@@ -739,8 +748,9 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
         if widths:
-            # a second lower bound per output row: the output layer's range
-            # over the box of the last hidden layer's ReLU outputs, raising
+            # two more lower bounds per output row: the output layer's range
+            # over the box of the last hidden layer's ReLU outputs, and the
+            # output walk with zero lower slopes.  The better one raises
             # final_lower in place (it is the output's lower bound array) but
             # never past the pass's upper bound, so it proves nothing empty
             hidden, out = res.layer_bounds[-2], res.layer_bounds[-1]
@@ -749,7 +759,8 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             hi = np.where(on, np.maximum(hidden.upper, 0.0), 0.0)
             last = model.layers[-1]
             mid, span = box_range(last.weights, last.bias, 0.5 * (lo + hi), 0.5 * (hi - lo))
-            np.maximum(out.lower, np.minimum(mid - span, out.upper), out=out.lower)
+            best = np.maximum(mid - span, zero_slope_lower(model, res, lowers, uppers))
+            np.maximum(out.lower, np.minimum(best, out.upper), out=out.lower)
         alive = np.array([err is None for err in failed])
         bounds = np.maximum([sub.bound for sub in subs], res.final_lower.min(axis=1))
         if probe is not None:

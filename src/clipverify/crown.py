@@ -23,7 +23,9 @@ alive, and returns the tightened bounds and a mask of the domains it proved
 empty (see :func:`bound_batch`).  The pass returns its arrays in this
 batch form.  :func:`compute_bounds` is the one-box case, without
 refinement: it stacks its splits and overrides as one-row arrays and
-returns the pass's only row.
+returns the pass's only row.  The pass also returns its relaxations, so
+that :func:`zero_slope_lower` can walk the output rows back once more with
+other lower slopes.
 
 Unstable ReLUs use the triangle envelope: upper side is the chord through
 ``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
@@ -139,16 +141,20 @@ class BoundsResult:
 
     ``layer_bounds[i]`` / ``planes[i]`` describe layer i's pre-activations
     (the last entry is the network output).  ``final_lower`` is the
-    concretized lower bound per output row.  ``objective_coeffs[i]`` is the
-    mean, over output rows, of the backward coefficients that the final
-    lower-bound pass accumulated on layer i's post-activations; branching
-    scores consume it.
+    concretized lower bound per output row (the same array as
+    ``layer_bounds[-1].lower``).  ``objective_coeffs[i]`` is the mean, over
+    output rows, of the backward coefficients that the final lower-bound
+    pass accumulated on layer i's post-activations; branching scores
+    consume it.  ``relaxations[i]`` is the :class:`ReluRelaxation` the pass
+    built for the ReLU after hidden layer i, from that layer's final bounds;
+    :func:`zero_slope_lower` walks back through them once more.
     """
 
     layer_bounds: list
     planes: list
     final_lower: np.ndarray
     objective_coeffs: list = field(default_factory=list)
+    relaxations: list = field(default_factory=list)
 
 
 def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
@@ -353,7 +359,8 @@ def bound_batch(
 
     Returns one :class:`BoundsResult` whose arrays carry the batch axis
     (layer bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
-    ``final_lower`` ``(B, r)``, objective coefficients ``(B, w_i)``), and
+    ``final_lower`` ``(B, r)``, objective coefficients and relaxation
+    slopes and offsets ``(B, w_i)``), and
     per domain None or the :class:`InfeasibleSplitError` that proved it
     empty: by bounds that cross after overrides and refinement, by a
     forced side the bounds rule out, or by ``refine``.  The rows of such a
@@ -422,8 +429,39 @@ def bound_batch(
         planes=all_planes,
         final_lower=all_bounds[-1][0],
         objective_coeffs=[coeffs[k] for k in range(last)],
+        relaxations=relaxations,
     )
     return result, failed
+
+
+def zero_slope_lower(model: NetworkModel, res: BoundsResult, lowers, uppers) -> np.ndarray:
+    """Another lower bound of every output row of each domain of the
+    batch-form pass ``res`` (see :func:`bound_batch`) over its box, whose
+    ``(B, n)`` corners are ``lowers`` / ``uppers``: ``(B, r)``.
+
+    It walks back from the output rows once more through the pass's own
+    relaxations, but with the lower slope 0 wherever the lower and upper
+    slopes differ (the free unstable ReLUs): relu(z) >= 0 holds for every
+    z, so this plane is as valid as the pass's, and tighter where an
+    unstable neuron leans negative.  The walk takes the lower rows only,
+    for all domains at once: its coefficient arrays are ``(B, r, w)``, r
+    the output rows, where the pass's walk to a hidden layer holds twice
+    that layer's rows per domain.
+    """
+    layers = model.layers
+    a, c = layers[-1].weights, layers[-1].bias
+    for k in range(len(res.relaxations) - 1, -1, -1):
+        rel = res.relaxations[k]
+        neg = np.minimum(a, 0.0)
+        c = c + (neg @ rel.upper_offset[:, :, None])[..., 0]
+        # where the slopes agree, both signs of a take that one slope;
+        # elsewhere a positive coefficient takes slope 0
+        a = np.where((rel.lower_slope == rel.upper_slope)[:, None], a, neg)
+        a *= rel.upper_slope[:, None]
+        c += a @ layers[k].bias
+        a = a @ layers[k].weights
+    mid, span = box_range(a, c, 0.5 * (lowers + uppers), 0.5 * (uppers - lowers))
+    return mid - span
 
 
 def _domain(res: BoundsResult, b: int) -> BoundsResult:
@@ -434,6 +472,8 @@ def _domain(res: BoundsResult, b: int) -> BoundsResult:
         planes=[BoundingPlanes(p.a_low[b], p.c_low[b], p.a_up[b], p.c_up[b]) for p in res.planes],
         final_lower=res.final_lower[b].copy(),
         objective_coeffs=[coeffs[b] for coeffs in res.objective_coeffs],
+        relaxations=[ReluRelaxation(rel.lower_slope[b], rel.upper_slope[b], rel.upper_offset[b])
+                     for rel in res.relaxations],
     )
 
 

@@ -703,7 +703,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch):
     built.clear()
     rounds = []
     _spy_screens(monkeypatch, rounds)
-    problems = long_search_problem(), random_network_problem(np.random.default_rng(8))
+    problems = long_search_problem(), random_network_problem(np.random.default_rng(20))
     for mode in ("input", "activation"):
         for clip in ("none", "relaxed", "complete", "both"):
             for k, prob in enumerate(problems):
@@ -923,11 +923,12 @@ class _RootProbe(BranchProbe):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 3), rows=st.sampled_from([1, 2]))
 def test_output_interval_bound_is_sound_and_no_looser(seed, hidden, rows):
-    # A pass raises each output row's lower bound to the output layer's
-    # range over the last hidden layer's ReLU intervals, up to the row's
-    # upper bound.  At the activation-mode root, which is bounded without
-    # pins or constraints, that is never below the backward planes' bound
-    # and, on the lowest row, never above the exact minimum.
+    # A pass raises each output row's lower bound to the better of the
+    # output layer's range over the last hidden layer's ReLU intervals and
+    # the output walk with zero lower slopes, up to the row's upper bound.
+    # At the activation-mode root, which is bounded without pins or
+    # constraints, that is never below the backward planes' bound and, on
+    # the lowest row, never above the exact minimum.
     prob = random_network_problem(np.random.default_rng(seed), width_max=4, hidden=hidden, rows=rows)
     probe = _RootProbe()
     with pytest.raises(_RootBounded):
@@ -963,6 +964,45 @@ def test_point_intervals_on_the_last_hidden_layer(mode, out_bias):
         assert () in probe.intervals
     for bounds in probe.intervals.values():
         assert np.all(bounds[-1][0] <= bounds[-1][1])
+
+
+@pytest.mark.parametrize("mode", ["input", "activation"])
+def test_a_counterexample_is_negative_alone_too(mode):
+    # The output is 3 * 0.1 + 0.3 - 0.2 - 0.4, 0 up to rounding: alone, a
+    # point evaluates to +5.55e-17, the exact minimum, but in a batch of
+    # sampled points the BLAS kernel for that shape may round it to
+    # -5.55e-17.  A counterexample is reported only when it is negative
+    # alone, so the search never says falsified here; the bounds of this
+    # net sit just below 0, so it cannot verify it either before the
+    # deadline.
+    layers = [
+        AffineLayer(np.array([[1.0, -2.0], [0.5, 1.5]]), np.array([0.1, -0.2])),
+        AffineLayer(np.zeros((3, 2)), np.array([0.1, 0.3, 0.2])),
+        AffineLayer(np.array([[3.0, 1.0, -1.0]]), np.array([-0.4])),
+    ]
+    prob = CanonicalProblem(NetworkModel(layers), BoxDomain(np.array([-1.0, -0.5]), np.array([1.0, 0.5])), 1)
+    assert exact_verify(prob).min_value >= 0.0
+    out = run_bab(prob, BabConfig(mode=mode, clip="both", timeout=0.3))
+    assert out.status in ("verified", "unknown") and out.counterexample is None
+
+
+def test_zero_slope_output_walk_closes_what_the_other_bounds_cannot():
+    # relu(x - 0.5) on x in [-1, 1] is unstable but mostly inactive, and
+    # the output weighs it +1; relu(x + 2) - relu(x + 2) is 0 but its
+    # intervals are [1, 3] each.  With the lower slope 1 the output walk
+    # gives x - 0.5 + 0.1 >= -1.4, the interval bound 0 + 1 - 3 + 0.1 =
+    # -1.9, and with the lower slope 0 it gives 0.1, the exact minimum.
+    # Only that bound closes the activation-mode root.
+    layers = [
+        AffineLayer(np.ones((3, 1)), np.array([-0.5, 2.0, 2.0])),
+        AffineLayer(np.array([[1.0, 1.0, -1.0]]), np.array([0.1])),
+    ]
+    prob = CanonicalProblem(NetworkModel(layers), BoxDomain(np.array([-1.0]), np.array([1.0])), 1)
+    assert compute_bounds(prob.model, prob.box).final_lower[0] == pytest.approx(-1.4)
+    assert exact_verify(prob).min_value == pytest.approx(0.1)
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
+    assert out.status == "verified" and out.stats.domains_visited == 1
+    assert out.bound == pytest.approx(0.1)
 
 
 def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):

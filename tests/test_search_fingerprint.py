@@ -20,50 +20,50 @@ EXPECTED = {
     ("input", "none"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
+        ("verified", 16, 4), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "relaxed"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
+        ("verified", 16, 4), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "complete"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
+        ("verified", 16, 4), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("input", "both"): [
         ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4), ("verified", 16, 4),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
-        ("verified", 19, 6), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
+        ("verified", 16, 4), ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0),
         ("falsified", 0, 0), ("falsified", 0, 0), ("falsified", 0, 0), ("verified", 16, 4),
     ],
     ("activation", "none"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 92, 11), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
+        ("verified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0),
     ],
     ("activation", "relaxed"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
+        ("verified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0),
     ],
     ("activation", "complete"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 19, 5), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
+        ("verified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0),
     ],
     ("activation", "both"): [
         ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0), ("verified", 1, 0),
         ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("verified", 17, 4), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
-        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 17, 4),
+        ("verified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0),
+        ("falsified", 1, 0), ("falsified", 1, 0), ("falsified", 1, 0), ("verified", 1, 0),
     ],
 }
 

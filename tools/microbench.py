@@ -12,7 +12,9 @@ Imports clipverify from this checkout's ``src`` and prints three tables:
 * ``bound_batch`` on each workload's net at B = 1 (a root pass) and B = 16
   (a round of children), and on three wide nets: CPU milliseconds per call
   (on a wide net, of the fastest of ``WIDE_CALLS`` calls, by
-  ``time.process_time``) and the ``tracemalloc`` peak of one call;
+  ``time.process_time``) and the ``tracemalloc`` peak of one call, and
+  next to them, timed the same way, the CPU milliseconds of the bound the
+  search adds after each pass, ``crown.zero_slope_lower`` on that pass;
 * a long activation-mode run with ``clip=both`` on a hard 4-24-24-1
   instance at ``--batch`` 16 (the default) and 64: the domains it visits
   within ``LONG_SECONDS`` and its ``tracemalloc`` peak, in total and per
@@ -40,6 +42,7 @@ import numpy as np  # noqa: E402  (BLAS reads its thread count at import)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import clipverify as cv  # noqa: E402
+from clipverify.crown import zero_slope_lower  # noqa: E402
 
 # (name, layer widths, rows, attack): each workload's calibration batch in
 # verdictbench/corpus.py (small-exact at its widest oracle-sized net), with
@@ -139,7 +142,7 @@ def hard_problem(seed=5):
 
 
 def bench_bound_batch(calls):
-    print(f"{'bound_batch':<34}{'net, batch':<26}{'cpu ms':>8}{'peak MB':>9}")
+    print(f"{'bound_batch':<34}{'net, batch':<26}{'cpu ms':>8}{'peak MB':>9}{'zero ms':>10}")
     for seed, (name, widths, batches) in enumerate(BOUND_SHAPES):
         problem = random_problem(widths, 100 + seed)
         box = problem.box
@@ -152,14 +155,21 @@ def bench_bound_batch(calls):
             def call():
                 return cv.bound_batch(problem.model, lowers, uppers)
 
-            if name == "wide":
-                cpu = fastest_call(call, WIDE_CALLS)
-            else:
-                user, system, _ = per_call(call, calls)
-                cpu = user + system
+            res, _ = call()
+
+            def zero_walk():
+                return zero_slope_lower(problem.model, res, lowers, uppers)
+
+            cpus = []
+            for fn in (call, zero_walk):
+                if name == "wide":
+                    cpus.append(fastest_call(fn, WIDE_CALLS))
+                else:
+                    user, system, _ = per_call(fn, calls)
+                    cpus.append(user + system)
             _, peak = traced_peak(call)
             shape = f"{'-'.join(map(str, widths))}, B={batch}"
-            print(f"{name:<34}{shape:<26}{cpu:8.1f}{peak:9.2f}")
+            print(f"{name:<34}{shape:<26}{cpus[0]:8.1f}{peak:9.2f}{cpus[1]:10.3f}")
 
 
 def bench_long_runs():
