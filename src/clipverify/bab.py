@@ -19,8 +19,11 @@ differ only in how a subdomain branches (:func:`_branch`):
 
 Either way the constraints feed the same clipping.  Activation mode bounds
 the root first, its picks coming from the root's scores; input mode queues
-it unbounded, so its first round bounds the root's descendants.  Then each
-round:
+it unbounded, so its first round bounds the root's descendants, and the
+root with them as row 0 of the pass: a root whose bound clears ends the
+search, and one that does not is dropped.  Either way the root is row 0 of
+the first pass, so its intervals decide the slopes of a root policy
+(:meth:`crown.AlphaPolicy.root`) for the whole search.  Then each round:
 
 1. pops up to ``cfg.batch`` subdomains, worst bound first, and evaluates
    point boxes exactly; the others are the round's parents;
@@ -53,10 +56,9 @@ round:
    neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
    its own pins left out.  The refine writes its tightenings into the pass's
    override stack, whose rows become the children's overrides;
-5. raises each child's output-row lower bounds to the better of two more
-   bounds, never past the row's upper bound: the output layer's range
-   over the box of its last hidden layer's ReLU intervals, and the output
-   walk with zero lower slopes (:func:`crown.zero_slope_lower`), then
+5. raises each child's output-row lower bounds to one more bound, never
+   past the row's upper bound: the output walk with zero lower slopes
+   (:func:`crown.zero_slope_lower`), then
    closes each child whose bound reaches 0 and queues the others, each
    with its own copy of its row of each array that later rounds read of
    the pass, and of only its own constraint rows.  The screen in
@@ -121,7 +123,7 @@ class BabConfig:
     clip: str = "both"  # "none" | "relaxed" | "complete" | "both"
     batch: int = 16
     timeout: float = 60.0
-    alpha: AlphaPolicy = field(default_factory=AlphaPolicy.fixed)
+    alpha: AlphaPolicy = field(default_factory=AlphaPolicy.root)
     seed: int = 0
 
     def __post_init__(self):
@@ -729,12 +731,15 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     ends = itertools.accumulate(layer.out_dim for layer in model.layers)
     columns = [slice(end - layer.out_dim, end) for layer, end in zip(model.layers, ends)]
     unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
+    alpha = cfg.alpha
 
-    def settle(subs, lowers, uppers, stacks=None, scores=None) -> bool:
+    def settle(subs, lowers, uppers, stacks=None, scores=None, root_row=False) -> bool:
         """Bound subdomains in one pass; queue those still open, each with
         its own copy of what later rounds read.  False, with nothing
-        bounded, when the deadline passes during the pass."""
-        nonlocal verified_floor
+        bounded, when the deadline passes during the pass.  With
+        ``root_row``, row 0 is the root, bounded with its descendants: if
+        it closes, nothing is queued, and otherwise it is dropped."""
+        nonlocal verified_floor, alpha
         forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(widths))]
         # one override stack, which the pass reads and the refine writes
         # through per-layer column views
@@ -742,24 +747,20 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         overrides = [(stacked[:, 0, cols], stacked[:, 1, cols]) for cols in columns]
         refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
         try:
-            res, failed = bound_batch(model, lowers, uppers, cfg.alpha, forced, overrides, refine, deadline)
+            res, failed = bound_batch(model, lowers, uppers, alpha, forced, overrides, refine, deadline)
         except DeadlinePassed:
             return False
+        # the first pass, whose row 0 is the root, decides a root policy's slopes
+        alpha = res.policy
         stats.domains_visited += len(subs)
         stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
         if widths:
-            # two more lower bounds per output row: the output layer's range
-            # over the box of the last hidden layer's ReLU outputs, and the
-            # output walk with zero lower slopes.  The better one raises
-            # final_lower in place (it is the output's lower bound array) but
-            # never past the pass's upper bound, so it proves nothing empty
-            hidden, out = res.layer_bounds[-2], res.layer_bounds[-1]
-            on = forced[-1] >= 0  # an inactive pin holds the ReLU at 0
-            lo = np.where(on, np.maximum(hidden.lower, 0.0), 0.0)
-            hi = np.where(on, np.maximum(hidden.upper, 0.0), 0.0)
-            last = model.layers[-1]
-            mid, span = box_range(last.weights, last.bias, 0.5 * (lo + hi), 0.5 * (hi - lo))
-            best = np.maximum(mid - span, zero_slope_lower(model, res, lowers, uppers))
+            # one more lower bound per output row, the output walk with zero
+            # lower slopes: it raises final_lower in place (the output's lower
+            # bound array) but never past the pass's upper bound, so it
+            # proves nothing empty
+            out = res.layer_bounds[-1]
+            best = zero_slope_lower(model, res, lowers, uppers)
             np.maximum(out.lower, np.minimum(best, out.upper), out=out.lower)
         alive = np.array([err is None for err in failed])
         bounds = np.maximum([sub.bound for sub in subs], res.final_lower.min(axis=1))
@@ -768,6 +769,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                 probe.record_bounds(subs[b].path, res, b)
         queued, floor = _close(cfg, bounds, alive, stacks)
         verified_floor = min(verified_floor, floor)
+        if root_row:
+            if alive[0] and not queued[0]:
+                return True  # the root's bound clears: the whole box is verified
+            queued[0] = False
         rows = np.flatnonzero(queued)
         if rows.size == 0:
             return True
@@ -808,7 +813,8 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         return _outcome("unknown", stats, t0)
     root = Subdomain.root(problem)
     if cfg.mode == "input":
-        # unbounded: the first round bisects it and bounds its descendants
+        # unbounded: the first round bisects it and bounds it together with
+        # its descendants, as row 0 of the round's pass
         heappush(heap, (root.bound, next(tiebreak), root))
     elif not settle([root], root.lower[None], root.upper[None]):
         # activation mode bounds it alone: its picks come from its scores
@@ -837,12 +843,18 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             return _outcome("falsified", stats, t0, hit[1], hit[0])
         if survivors is not None:
             keep, lowers, uppers, stacks = survivors
-            scores = None
+            subs, scores = [children[j] for j in keep], None
             if refined and stacks is not None:
                 scores = np.array([sub.scores for sub in parents])[owner[keep]]
+            # only the unbounded input-mode root, alone in its round and
+            # without constraints, has no planes
+            root_row = parents[0].planes is None
+            if root_row:
+                subs = [root] + subs
+                lowers, uppers = np.vstack([root.lower, lowers]), np.vstack([root.upper, uppers])
             # the deadline is checked before the pass and within it
             if time.perf_counter() >= deadline or not settle(
-                    [children[j] for j in keep], lowers, uppers, stacks, scores):
+                    subs, lowers, uppers, stacks, scores, root_row):
                 opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
                 return _outcome("unknown", stats, t0, bound=min(opened))
         if heap:

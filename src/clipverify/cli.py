@@ -22,7 +22,10 @@ from .oracle import FEAS_TOL, BudgetError, exact_verify
 
 
 def parse_alpha(text: str) -> AlphaPolicy:
-    """Parse an --alpha value: 'adaptive', 'fixed' or 'fixed:V' with V in [0,1]."""
+    """Parse an --alpha value: 'root', 'adaptive', 'fixed' or 'fixed:V'
+    with V in [0,1]."""
+    if text == "root":
+        return AlphaPolicy.root()
     if text == "adaptive":
         return AlphaPolicy.adaptive()
     if text == "fixed":
@@ -33,8 +36,13 @@ def parse_alpha(text: str) -> AlphaPolicy:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
-        f"expected 'adaptive', 'fixed' or 'fixed:V', got {text!r}"
+        f"expected 'root', 'adaptive', 'fixed' or 'fixed:V', got {text!r}"
     )
+
+
+def format_alpha(alpha: AlphaPolicy) -> str:
+    """The --alpha value of ``alpha``."""
+    return f"fixed:{alpha.value!r}" if alpha.kind == "fixed" else alpha.kind
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "or pins) deeper, into at most this many (default: 16)")
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="wall-clock budget in seconds (default: 60)")
-    parser.add_argument("--alpha", type=parse_alpha, default=AlphaPolicy.fixed(),
-                        help="lower ReLU slope policy: fixed, fixed:V or adaptive")
+    parser.add_argument("--alpha", type=parse_alpha, default=AlphaPolicy.root(),
+                        help="lower ReLU slope policy: root (the adaptive rule on the root "
+                             "box's intervals, for the whole search), adaptive, fixed or "
+                             "fixed:V (default: root)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the falsification sampler (default: 0)")
     parser.add_argument("--oracle-check", action="store_true",
@@ -85,8 +95,6 @@ def _json_safe(value):
 
 def build_report(outcome, args, time_s: float) -> dict:
     """Assemble the run report with a stable field order."""
-    alpha = args.alpha
-    alpha_text = "adaptive" if alpha.kind == "adaptive" else f"fixed:{alpha.value!r}"
     return _json_safe(
         {
             "status": outcome.status,
@@ -106,7 +114,7 @@ def build_report(outcome, args, time_s: float) -> dict:
                 "clip": args.clip,
                 "batch": args.batch,
                 "timeout": args.timeout,
-                "alpha": alpha_text,
+                "alpha": format_alpha(args.alpha),
                 "seed": args.seed,
             },
         }

@@ -81,17 +81,26 @@ class AlphaPolicy:
 
     ``fixed(v)`` uses the constant slope v for every unstable neuron.
     ``adaptive()`` picks slope 1 when ``u >= -l`` (the interval leans
-    positive) and 0 otherwise, per neuron.
+    positive) and 0 otherwise, per neuron and per domain.  ``root()``
+    applies that rule once, to the intervals of the first box it bounds
+    (row 0 of a :func:`bound_batch` pass), and gives every domain the
+    resulting per-neuron slopes; the pass's :attr:`BoundsResult.policy`
+    carries them as ``slopes``, one ``(w_i,)`` array per hidden layer, for
+    bounding that box's sub-boxes.
     """
 
     kind: str = "fixed"
     value: float = 1.0
+    slopes: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "adaptive"):
+        if self.kind not in ("fixed", "adaptive", "root"):
             raise ValueError(f"unknown alpha policy kind {self.kind!r}")
         if self.kind == "fixed" and not (0.0 <= self.value <= 1.0):
             raise ValueError("fixed alpha must lie in [0, 1]")
+        if self.slopes is not None and (
+                self.kind != "root" or not all(np.all((s >= 0.0) & (s <= 1.0)) for s in self.slopes)):
+            raise ValueError("slopes belong to a root policy and must lie in [0, 1]")
 
     @classmethod
     def fixed(cls, value: float = 1.0) -> "AlphaPolicy":
@@ -100,6 +109,10 @@ class AlphaPolicy:
     @classmethod
     def adaptive(cls) -> "AlphaPolicy":
         return cls("adaptive", 0.0)
+
+    @classmethod
+    def root(cls, slopes=None) -> "AlphaPolicy":
+        return cls("root", 0.0, None if slopes is None else tuple(slopes))
 
 
 @dataclass
@@ -147,7 +160,9 @@ class BoundsResult:
     pass accumulated on layer i's post-activations; branching scores
     consume it.  ``relaxations[i]`` is the :class:`ReluRelaxation` the pass
     built for the ReLU after hidden layer i, from that layer's final bounds;
-    :func:`zero_slope_lower` walks back through them once more.
+    :func:`zero_slope_lower` walks back through them once more.  ``policy``
+    is the slope policy the pass ran under, a root policy with its slopes
+    decided.
     """
 
     layer_bounds: list
@@ -155,11 +170,28 @@ class BoundsResult:
     final_lower: np.ndarray
     objective_coeffs: list = field(default_factory=list)
     relaxations: list = field(default_factory=list)
+    policy: AlphaPolicy | None = None
 
 
-def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
+def _alpha(policy: AlphaPolicy, i: int, lower, upper):
+    """The lower slope under ``policy`` of the unstable ReLUs after hidden
+    layer i, whose bounds are ``lower`` / ``upper``: a scalar, a ``(w,)``
+    array or an array shaped like the bounds.  An undecided root policy
+    decides by row 0 of ``(B, w)`` bounds."""
+    if policy.kind == "fixed":
+        return policy.value
+    if policy.kind == "root":
+        if policy.slopes is not None:
+            return policy.slopes[i]
+        lower, upper = lower[0], upper[0]
+    return np.where(upper >= -lower, 1.0, 0.0)
+
+
+def _relax_rows(lower, upper, alpha, forced):
     """Envelopes for bound arrays of any shape, one neuron per element,
-    with masks in place of a per-neuron loop.
+    with masks in place of a per-neuron loop.  ``alpha`` is the unstable
+    neurons' lower slope, a scalar or an array that broadcasts to
+    ``lower``.
 
     Returns the :class:`ReluRelaxation` (arrays shaped like ``lower``) and
     the mask of neurons whose forced side the bounds rule out.
@@ -171,10 +203,6 @@ def _relax_rows(lower, upper, policy: AlphaPolicy, forced):
     active = free & np.where(collapsed, upper >= 0.0, lower >= 0.0)
     unstable = free & ~collapsed & (lower < 0.0) & (upper > 0.0)
     slope = upper / np.where(unstable, width, 1.0)
-    if policy.kind == "fixed":
-        alpha = policy.value
-    else:
-        alpha = np.where(upper >= -lower, 1.0, 0.0)
     identity = on | active
     lower_slope = np.where(identity, 1.0, np.where(unstable, alpha, 0.0))
     upper_slope = np.where(identity, 1.0, np.where(unstable, slope, 0.0))
@@ -210,7 +238,9 @@ def relax_relu(
     lower, upper : arrays, shape (w,)
         Pre-activation interval bounds.
     policy : AlphaPolicy
-        Lower-envelope slope selection for unstable neurons.
+        Lower-envelope slope selection for unstable neurons: ``fixed`` or
+        ``adaptive``.  A ``root`` policy decides its slopes over a whole
+        pass (:func:`bound_batch`), so it is refused here.
     forced : array of {-1, 0, +1} or None
         +1 pins the neuron to its active side (identity), -1 to its inactive
         side (zero); 0 leaves it free.  A forced side that the interval
@@ -227,7 +257,9 @@ def relax_relu(
         forced = np.asarray(forced, dtype=int)
         if forced.shape != lower.shape:
             raise ValueError("forced assignment shape does not match layer width")
-    rel, bad = _relax_rows(lower, upper, policy, forced)
+    if policy.kind == "root":
+        raise ValueError("a root policy decides its slopes in bound_batch")
+    rel, bad = _relax_rows(lower, upper, _alpha(policy, 0, lower, upper), forced)
     if bad.any():
         j = int(np.argmax(bad))
         raise _forced_side_error(j, forced[j], lower[j], upper[j])
@@ -329,6 +361,10 @@ def bound_batch(
 ) -> tuple:
     """Bound every layer of ``model`` over B boxes in one pass.
 
+    ``policy`` chooses the unstable ReLUs' lower slopes (default
+    ``fixed(1)``).  An undecided root policy decides them layer by layer
+    from row 0's bounds, for every row; the result's ``policy`` holds them.
+
     ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
     is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0
     free), and ``overrides[i]`` None or a ``(lower, upper)`` pair of ``(B,
@@ -385,6 +421,7 @@ def bound_batch(
     steps, work = _walk_blocks(model.layers, batch)
 
     relaxations = []
+    slopes = []
     all_bounds = []
     all_planes = []
     for i in range(model.num_layers):
@@ -417,19 +454,24 @@ def bound_batch(
         all_planes.append(planes)
         if i < last:
             side = forced[i] if forced is not None else np.zeros(lower.shape, dtype=int)
-            rel, bad = _relax_rows(lower, upper, policy, side)
+            alpha = _alpha(policy, i, lower, upper)
+            slopes.append(alpha)
+            rel, bad = _relax_rows(lower, upper, alpha, side)
             for b in np.flatnonzero(bad.any(axis=1)):
                 if failed[b] is None:
                     j = int(np.argmax(bad[b]))
                     failed[b] = _forced_side_error(j, side[b, j], lower[b, j], upper[b, j])
             relaxations.append(rel)
 
+    if policy.kind == "root" and policy.slopes is None:
+        policy = AlphaPolicy.root(slopes)
     result = BoundsResult(
         layer_bounds=[LayerBounds(lo, hi) for lo, hi in all_bounds],
         planes=all_planes,
         final_lower=all_bounds[-1][0],
         objective_coeffs=[coeffs[k] for k in range(last)],
         relaxations=relaxations,
+        policy=policy,
     )
     return result, failed
 
@@ -474,6 +516,7 @@ def _domain(res: BoundsResult, b: int) -> BoundsResult:
         objective_coeffs=[coeffs[b] for coeffs in res.objective_coeffs],
         relaxations=[ReluRelaxation(rel.lower_slope[b], rel.upper_slope[b], rel.upper_offset[b])
                      for rel in res.relaxations],
+        policy=res.policy,
     )
 
 

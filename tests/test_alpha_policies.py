@@ -4,7 +4,8 @@ Every slope in [0, 1] gives a sound lower envelope of an unstable ReLU, so
 the policy may change how much the search has to do but never what it
 concludes.  Nor may any other search setting.  On oracle-sized nets, every
 combination of mode, clipping (each of the four settings) and policy
-(``fixed(1)``, ``fixed(0)``, ``adaptive``), under a drawn batch size and
+(``fixed(1)``, ``fixed(0)``, ``adaptive``, and ``root``, which decides
+its slopes at the root for the whole search), under a drawn batch size and
 sampler seed, must agree with ``exact_verify`` whenever it decides, report
 counterexamples that evaluate negative, and report bounds no higher than
 the exact minimum.
@@ -29,7 +30,7 @@ from clipverify import (
 
 from conftest import random_network_problem
 
-POLICIES = (AlphaPolicy.fixed(1.0), AlphaPolicy.fixed(0.0), AlphaPolicy.adaptive())
+POLICIES = (AlphaPolicy.fixed(1.0), AlphaPolicy.fixed(0.0), AlphaPolicy.adaptive(), AlphaPolicy.root())
 CLIPS = ("none", "relaxed", "complete", "both")
 # Thresholds closer than this (times the output spread) to the exact minimum
 # are moved away: there the verdict turns on rounding, which this test does

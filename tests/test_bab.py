@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from clipverify import bab, crown
 from clipverify import (
     AffineLayer,
+    AlphaPolicy,
     BabConfig,
     BoundingPlanes,
     BoundsResult,
@@ -288,12 +289,13 @@ def test_all_clip_settings_agree_with_oracle():
 
 def test_probe_records_decisions_and_intervals():
     # input mode queues the root unbounded and records its cut; the first
-    # nodes bounded are its two children (batch 1 splits one level deep)
+    # pass bounds it together with its two children (batch 1 splits one
+    # level deep)
     prob = shifted_toy(1.02)
     probe = BranchProbe()
     out = run_bab(prob, BabConfig(mode="input", clip="none", batch=1, timeout=30.0), probe)
     assert out.status == "verified"
-    assert () in probe.decisions and () not in probe.intervals
+    assert () in probe.decisions and () in probe.intervals
     assert (0,) in probe.intervals and (1,) in probe.intervals
     for path, decision in probe.decisions.items():
         assert isinstance(decision, tuple) and len(decision) == 2
@@ -354,9 +356,9 @@ def _spy_screens(monkeypatch, rounds):
 def test_bounded_children_passed_every_screen(monkeypatch):
     # A child reaches a bounding pass only if relaxed clipping left its box
     # nonempty and, where its parent has final planes, they cannot close
-    # it.  Input mode's unbounded root has none.  On this net the plane
-    # screen closes some children of bounded parents in both modes, so the
-    # check has something to catch.
+    # it.  Input mode's unbounded root has none; its pass bounds the root
+    # too, as row 0.  On this net the plane screen closes some children of
+    # bounded parents in both modes, so the check has something to catch.
     prob = long_search_problem()
     rounds, passes = [], []
     _spy_screens(monkeypatch, rounds)
@@ -380,7 +382,14 @@ def test_bounded_children_passed_every_screen(monkeypatch):
         assert len(passes) == root_passes + len(screened)
         planed = 0
         for (parents, owner, (keep, lowers, uppers, _)), bounded in zip(screened, passes[root_passes:]):
-            assert bounded[0] is lowers and bounded[1] is uppers
+            if parents[0].planes is None:
+                assert mode == "input" and len(bounded[0]) == len(lowers) + 1
+                assert np.array_equal(bounded[0][0], prob.box.lower)
+                assert np.array_equal(bounded[1][0], prob.box.upper)
+                bounded = [corners[1:] for corners in bounded]
+                assert np.array_equal(bounded[0], lowers) and np.array_equal(bounded[1], uppers)
+            else:
+                assert bounded[0] is lowers and bounded[1] is uppers
             for j, lo, up in zip(keep, lowers, uppers):
                 box = BoxDomain(lo, up)
                 assert not box.is_empty
@@ -647,7 +656,7 @@ def _cancelling_problem() -> CanonicalProblem:
     bisection has to go about 20 levels deep before the bound clears 0."""
     w1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     w2 = np.array([[1.0, 1.0, -0.5, -0.5]])
-    model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-6]))])
+    model = NetworkModel([AffineLayer(w1, np.zeros(4)), AffineLayer(w2, np.array([1e-7]))])
     return CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.3])), 1)
 
 
@@ -703,7 +712,7 @@ def test_search_constructs_no_constraint_objects(monkeypatch):
     built.clear()
     rounds = []
     _spy_screens(monkeypatch, rounds)
-    problems = long_search_problem(), random_network_problem(np.random.default_rng(20))
+    problems = long_search_problem(), random_network_problem(np.random.default_rng(3859))
     for mode in ("input", "activation"):
         for clip in ("none", "relaxed", "complete", "both"):
             for k, prob in enumerate(problems):
@@ -795,7 +804,8 @@ def test_deadline_is_checked_within_the_bounding_pass(monkeypatch):
     assert len(rounds) == 2 and survivors is not None
     layers = prob.model.num_layers
     assert walks == list(range(layers)) + [0, 1]
-    assert out.stats.domains_visited == len(rounds[0][1][0])
+    # the first pass bounded the root too, as its row 0
+    assert out.stats.domains_visited == 1 + len(rounds[0][1][0])
     opened = [children[j].bound for j in survivors[0]] + heaps[-1]
     assert out.bound == min(opened)
 
@@ -923,18 +933,18 @@ class _RootProbe(BranchProbe):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 3), rows=st.sampled_from([1, 2]))
 def test_output_interval_bound_is_sound_and_no_looser(seed, hidden, rows):
-    # A pass raises each output row's lower bound to the better of the
-    # output layer's range over the last hidden layer's ReLU intervals and
-    # the output walk with zero lower slopes, up to the row's upper bound.
-    # At the activation-mode root, which is bounded without pins or
-    # constraints, that is never below the backward planes' bound and, on
-    # the lowest row, never above the exact minimum.
+    # A pass raises each output row's lower bound to the output walk with
+    # zero lower slopes, up to the row's upper bound.  At the
+    # activation-mode root, which is bounded without pins or constraints
+    # and decides the root policy's slopes, that is never below the
+    # backward planes' bound under the same slopes and, on the lowest row,
+    # never above the exact minimum.
     prob = random_network_problem(np.random.default_rng(seed), width_max=4, hidden=hidden, rows=rows)
     probe = _RootProbe()
     with pytest.raises(_RootBounded):
         run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0), probe)
     lower, upper = probe.intervals[()][-1]
-    assert np.all(lower >= compute_bounds(prob.model, prob.box).final_lower)
+    assert np.all(lower >= compute_bounds(prob.model, prob.box, AlphaPolicy.root()).final_lower)
     assert np.all(lower <= upper)
     assert lower.min() <= exact_verify(prob).min_value + 1e-9
 
@@ -943,12 +953,13 @@ def test_output_interval_bound_is_sound_and_no_looser(seed, hidden, rows):
 @pytest.mark.parametrize("out_bias", [0.2, 0.21, 0.19])
 def test_point_intervals_on_the_last_hidden_layer(mode, out_bias):
     # The last hidden layer sees only its biases, so each of its intervals
-    # is a point and the output the constant out_bias - 0.2: the interval
-    # bound and the pass's upper bound are the same number up to rounding,
-    # and here the interval bound is the larger by an ulp or two.  A bound
-    # that intersected both sides found such a domain empty; raising the
-    # lower bound only, up to the upper one, keeps every bounded domain
-    # alive, and the verdict is the exact one.
+    # is a point and the output the constant out_bias - 0.2, where bounds
+    # computed different ways agree only up to rounding (an interval bound
+    # over the last hidden layer once came out an ulp or two above the
+    # pass's upper bound, and a bound that intersected both sides found
+    # such a domain empty).  Raising the lower bound only, up to the upper
+    # one, keeps every bounded domain alive, and the verdict is the exact
+    # one.
     layers = [
         AffineLayer(np.array([[1.0, -2.0], [0.5, 1.5]]), np.array([0.1, -0.2])),
         AffineLayer(np.zeros((3, 2)), np.array([0.1, 0.2, 0.3])),
@@ -990,9 +1001,10 @@ def test_zero_slope_output_walk_closes_what_the_other_bounds_cannot():
     # relu(x - 0.5) on x in [-1, 1] is unstable but mostly inactive, and
     # the output weighs it +1; relu(x + 2) - relu(x + 2) is 0 but its
     # intervals are [1, 3] each.  With the lower slope 1 the output walk
-    # gives x - 0.5 + 0.1 >= -1.4, the interval bound 0 + 1 - 3 + 0.1 =
-    # -1.9, and with the lower slope 0 it gives 0.1, the exact minimum.
-    # Only that bound closes the activation-mode root.
+    # gives x - 0.5 + 0.1 >= -1.4, and with the lower slope 0 it gives
+    # 0.1, the exact minimum.  Under fixed(1) slopes only that bound closes
+    # the activation-mode root.  (A root policy gives relu(x - 0.5) the
+    # slope 0 itself.)
     layers = [
         AffineLayer(np.ones((3, 1)), np.array([-0.5, 2.0, 2.0])),
         AffineLayer(np.array([[1.0, 1.0, -1.0]]), np.array([0.1])),
@@ -1000,7 +1012,7 @@ def test_zero_slope_output_walk_closes_what_the_other_bounds_cannot():
     prob = CanonicalProblem(NetworkModel(layers), BoxDomain(np.array([-1.0]), np.array([1.0])), 1)
     assert compute_bounds(prob.model, prob.box).final_lower[0] == pytest.approx(-1.4)
     assert exact_verify(prob).min_value == pytest.approx(0.1)
-    out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0))
+    out = run_bab(prob, BabConfig(mode="activation", clip="both", timeout=60.0, alpha=AlphaPolicy.fixed()))
     assert out.status == "verified" and out.stats.domains_visited == 1
     assert out.bound == pytest.approx(0.1)
 

@@ -8,6 +8,9 @@
   batched refine runs the per-domain refine hooks (``refine_from_hooks``).
 * The backward walk in blocks of domains against one whole-batch block:
   equal bit for bit; and the pass's memory on a wide net stays bounded.
+* Per-neuron slope vectors: a vector of ones against ``fixed(1)``, and a
+  root policy's row 0 against an adaptive pass over that box alone, bit
+  for bit.
 """
 
 import tracemalloc
@@ -32,7 +35,7 @@ from clipverify import (
     relax_relu,
 )
 from clipverify import crown
-from clipverify.crown import STABLE_WIDTH_TOL, _relax_rows
+from clipverify.crown import STABLE_WIDTH_TOL, _alpha, _relax_rows
 
 from conftest import random_network_problem
 
@@ -174,7 +177,7 @@ def test_relax_relu_matches_loop_bitwise(layer, policy, use_forced):
 @given(layer=relu_layer(rows=4), policy=policies)
 def test_relaxation_rows_match_loop_bitwise(layer, policy):
     lower, upper, forced = layer
-    rel, bad = _relax_rows(lower, upper, policy, forced)
+    rel, bad = _relax_rows(lower, upper, _alpha(policy, 0, lower, upper), forced)
     for b in range(lower.shape[0]):
         want = _loop_or_error(lower[b], upper[b], policy, forced[b])
         assert bad[b].any() == isinstance(want, str)
@@ -484,6 +487,49 @@ def test_blocked_walk_equals_the_whole_batch_walk(case):
     _same_bits(got.final_lower[alive], want.final_lower[alive])
     for gc, wc in zip(got.objective_coeffs, want.objective_coeffs):
         _same_bits(gc[alive], wc[alive])
+
+
+def _assert_same_pass(got, want, rows):
+    """``rows`` of two batch-form passes hold the same bits."""
+    for gb, wb in zip(got.layer_bounds, want.layer_bounds):
+        _same_bits(gb.lower[rows], wb.lower[rows])
+        _same_bits(gb.upper[rows], wb.upper[rows])
+    for gp, wp in zip(got.planes, want.planes):
+        for name in ("a_low", "c_low", "a_up", "c_up"):
+            _same_bits(getattr(gp, name)[rows], getattr(wp, name)[rows])
+    for gr, wr in zip(got.relaxations, want.relaxations):
+        for g, w in zip(_fields(gr), _fields(wr)):
+            _same_bits(g[rows], w[rows])
+    for gc, wc in zip(got.objective_coeffs, want.objective_coeffs):
+        _same_bits(gc[rows], wc[rows])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_walk_cases())
+def test_slope_vectors_match_the_scalar_and_adaptive_passes(case):
+    widths, batch, _, _, seed = case
+    model, lowers, uppers, forced, overrides = _walk_inputs(widths, batch, seed)
+    every = slice(None)
+    # a per-layer vector of ones is fixed(1)
+    ones = AlphaPolicy.root([np.ones(w) for w in widths[1:-1]])
+    got, got_failed = bound_batch(model, lowers, uppers, ones, forced, overrides)
+    want, want_failed = bound_batch(model, lowers, uppers, AlphaPolicy.fixed(1.0), forced, overrides)
+    assert [err is None for err in got_failed] == [err is None for err in want_failed]
+    _assert_same_pass(got, want, every)
+    assert got.policy.slopes == ones.slopes
+    # a root policy's row 0 is an adaptive pass over that box alone, and
+    # its slopes are the adaptive rule on row 0's intervals, for every row
+    got, _ = bound_batch(model, lowers, uppers, AlphaPolicy.root(), forced, overrides)
+    first = [None if ovr is None else (ovr[0][:1], ovr[1][:1]) for ovr in overrides]
+    want, _ = bound_batch(model, lowers[:1], uppers[:1], AlphaPolicy.adaptive(), [f[:1] for f in forced], first)
+    _assert_same_pass(got, want, slice(0, 1))
+    slopes = got.policy.slopes
+    assert got.policy.kind == "root" and len(slopes) == len(widths) - 2
+    for lb, alpha in zip(got.layer_bounds, slopes):
+        _same_bits(alpha, np.where(lb.upper[0] >= -lb.lower[0], 1.0, 0.0))
+    # and the decided policy gives the pass again
+    again, _ = bound_batch(model, lowers, uppers, got.policy, forced, overrides)
+    _assert_same_pass(again, got, every)
 
 
 # A 16-256-256-256-1 pass over 32 boxes keeps each hidden layer's walk

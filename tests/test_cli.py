@@ -123,6 +123,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_alpha_parsing():
+    assert parse_alpha("root").kind == "root" and parse_alpha("root").slopes is None
     assert parse_alpha("adaptive").kind == "adaptive"
     assert parse_alpha("fixed").value == 1.0
     assert parse_alpha("fixed:0.25").value == 0.25
@@ -133,6 +134,19 @@ def test_alpha_parsing():
 def test_bad_alpha_flag_exits_three(toy_files, capsys):
     assert run(base_args(toy_files, "--alpha", "banana")) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, echoed", [((), "root"), (("--alpha", "root"), "root"),
+                                           (("--alpha", "fixed:0.5"), "fixed:0.5")])
+def test_root_alpha_is_the_default_and_echoed(toy_files, capsys, monkeypatch, flags, echoed):
+    # --alpha root, and no --alpha at all, run the search under the root
+    # policy and echo it as "root"
+    seen = []
+    run_bab = cli.run_bab
+    monkeypatch.setattr(cli, "run_bab", lambda problem, cfg: seen.append(cfg.alpha) or run_bab(problem, cfg))
+    assert run(base_args(toy_files, *flags)) == 1
+    assert read_report(capsys)["config"]["alpha"] == echoed
+    assert seen[0] == parse_alpha(echoed)
 
 
 def test_output_file_written(toy_files, capsys, tmp_path):

@@ -71,6 +71,21 @@ def test_adaptive_alpha_picks_steeper_side():
     assert rel.lower_slope[0] == 0.0
 
 
+def test_root_alpha_decides_once_at_the_first_box(model, box):
+    # the toy's root intervals are [-2, 22] and [-13, 5]: slope 1 for the
+    # first neuron (22 >= 2), 0 for the second (5 < 13), kept for any
+    # sub-box; relax_relu, which sees one layer, refuses the policy
+    res = compute_bounds(model, box, AlphaPolicy.root())
+    assert res.policy.kind == "root"
+    np.testing.assert_array_equal(res.policy.slopes[0], [1.0, 0.0])
+    np.testing.assert_array_equal(res.relaxations[0].lower_slope, [1.0, 0.0])
+    sub = BoxDomain(np.array([-1.0, -2.0]), np.array([0.0, -1.0]))
+    again = compute_bounds(model, sub, res.policy)
+    assert again.policy.slopes == res.policy.slopes
+    with pytest.raises(ValueError, match="root"):
+        relax_relu(np.array([-1.0]), np.array([2.0]), AlphaPolicy.root())
+
+
 def test_forced_signs_override_relaxation():
     rel = relax_relu(
         np.array([-1.0, -1.0]),
@@ -240,6 +255,13 @@ def test_alpha_policy_validation():
         AlphaPolicy.fixed(1.5)
     with pytest.raises(ValueError):
         AlphaPolicy("nonsense", 0.0)
+    # decided slopes must be sound ones, and belong to a root policy
+    for slopes in ([np.array([0.5, 1.5])], [np.array([np.nan])], [np.array([-0.1])]):
+        with pytest.raises(ValueError):
+            AlphaPolicy.root(slopes)
+    with pytest.raises(ValueError):
+        AlphaPolicy("adaptive", 0.0, (np.ones(2),))
+    assert AlphaPolicy.root([np.array([0.0, 1.0])]).slopes[0].tolist() == [0.0, 1.0]
 
 
 def test_tighter_box_gives_tighter_bounds(model):

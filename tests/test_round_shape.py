@@ -9,7 +9,9 @@ children.
 
 In input mode the root is queued unbounded, so the first round bisects it
 d = log2(batch) levels deep (at least 1) and the first pass bounds its
-descendants; a point root is evaluated exactly and nothing is bounded.  The
+descendants, and the root with them as row 0: a root whose bound clears
+ends the search, and one that does not is dropped.  A point root is
+evaluated exactly and nothing is bounded.  The
 children are the boxes d levels of ``branch_input`` give, each adding its
 parent's harvested plane; a node narrower than ``POINT_RADIUS_TOL`` is not
 split further; and ``BranchProbe`` records and replays the cut at every
@@ -29,6 +31,7 @@ import pytest
 
 from clipverify import (
     AffineLayer,
+    AlphaPolicy,
     BabConfig,
     BoxDomain,
     BranchProbe,
@@ -47,7 +50,7 @@ from conftest import long_search_problem, random_network_problem, split_constrai
 def _problems() -> list:
     """Verified nets whose searches take rounds of varying width: two short
     seeded ones and the long search."""
-    return [random_network_problem(np.random.default_rng(seed)) for seed in (20, 21)] + [long_search_problem()]
+    return [random_network_problem(np.random.default_rng(seed)) for seed in (268, 406)] + [long_search_problem()]
 
 
 def _levels(parents: int, batch: int) -> int:
@@ -146,10 +149,13 @@ def _descendants(sub, levels):
 def test_input_rounds_fill_the_pass(monkeypatch, batch):
     rounds, passes = [], []
     _spy_rounds(monkeypatch, rounds, passes)
-    widths = set()
+    widths, sizes = set(), []
     for prob in _problems():
+        passes.clear()
         out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
         assert out.status == "verified"
+        # the first pass bounds the root too, as its row 0
+        sizes += [passes[0] - 1] + passes[1:]
     assert rounds
     for parents, children, owner, _ in rounds:
         per_parent = 2 ** _levels(len(parents), batch)
@@ -158,9 +164,9 @@ def test_input_rounds_fill_the_pass(monkeypatch, batch):
         widths.add(len(parents))
         if batch == 1:
             assert len(children) <= 2
-    # no pass bounds more than 2 batch domains, and some round had fewer
+    # no pass bounds more than 2 batch children, and some round had fewer
     # parents than a batch
-    assert max(passes) <= 2 * batch
+    assert max(sizes) <= 2 * batch
     if batch > 1:
         assert min(widths) < batch
 
@@ -236,12 +242,13 @@ def test_probe_records_and_replays_every_deep_cut():
     out0 = run_bab(prob, cfg, probe0)
     assert out0.status == "verified" and len(out0.stats.bound_history) > 1
     # the cuts at intermediate nodes, split within a round and never
-    # bounded, are recorded too: the unbounded root's and those below
-    # bounded parents; every bounded node was cut from recorded nodes all
-    # the way down
+    # bounded, are recorded too: those below bounded parents, the root
+    # among them (its first round's pass bounds it with its descendants);
+    # every bounded node was cut from recorded nodes all the way down
     inner = set(probe0.decisions) - set(probe0.intervals)
     below = [path for path in inner if any(path[:k] in probe0.intervals for k in range(len(path)))]
-    assert () in inner and below
+    assert () in probe0.decisions and () in probe0.intervals and below
+    assert any(len(path) == 1 for path in below)
     for path in probe0.intervals:
         assert all(path[:k] in probe0.decisions for k in range(len(path)))
     # replaying the recorded cuts reproduces the run
@@ -272,19 +279,34 @@ def _spy_passes(monkeypatch, passes):
     monkeypatch.setattr(bab, "bound_batch", spy)
 
 
+def _spy_pushes(monkeypatch, pushed):
+    """Append the path of every subdomain queued to ``pushed``."""
+    push = bab.heappush
+
+    def spy(heap, item):
+        pushed.append(item[2].path)
+        push(heap, item)
+
+    monkeypatch.setattr(bab, "heappush", spy)
+
+
 @pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
 def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
     # The root is queued unbounded: the first round bisects it d levels
     # deep, d the largest with 2**d <= batch (at least 1), and the first pass bounds
     # the 2**d descendants the screen kept.  Without planes or constraints
     # nothing closes them, and the samples of these verified nets find
-    # nothing, so it keeps all of them.  No pass bounds the root alone.
-    rounds, passes = [], []
+    # nothing, so it keeps all of them.  No pass bounds the root alone: the
+    # first pass bounds it as row 0, and these roots, whose bounds do not
+    # clear, are dropped, not queued.
+    rounds, passes, pushed = [], [], []
     _spy_rounds(monkeypatch, rounds, [])
     _spy_passes(monkeypatch, passes)
+    _spy_pushes(monkeypatch, pushed)
     for prob in _problems():
         rounds.clear()
         passes.clear()
+        pushed.clear()
         out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
         assert out.status == "verified"
         (root,), children, owner, survivors = rounds[0]
@@ -300,10 +322,38 @@ def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
             assert child.path == ref.path and child.depth == levels
             assert np.array_equal(lo, ref.lower) and np.array_equal(up, ref.upper)
         # the first pass is the first round's: one pass per round that kept
-        # children, none before
-        assert passes[0][0] is lowers and passes[0][1] is uppers
-        assert len(passes) == sum(kept is not None for *_, kept in rounds)
-        assert out.stats.domains_visited >= 2**levels
+        # children, none before, and its row 0 is the root
+        assert np.array_equal(passes[0][0], np.vstack([prob.box.lower, lowers]))
+        assert np.array_equal(passes[0][1], np.vstack([prob.box.upper, uppers]))
+        assert len(passes) == sum(kept is not None for *_, kept in rounds) > 1
+        assert out.stats.domains_visited >= 1 + 2**levels
+        assert pushed.count(()) == 1
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_input_mode_root_whose_bound_clears_ends_the_search(monkeypatch, batch):
+    # The first pass bounds the root with its descendants.  Here every
+    # descendant is left open (their output bounds are pushed down to -1
+    # after the pass), but the root's bound clears: the search ends
+    # verified after that one pass, and queues nothing.
+    prob = random_network_problem(np.random.default_rng(20))
+    passes, pushed = [], []
+    _spy_passes(monkeypatch, passes)
+    _spy_pushes(monkeypatch, pushed)
+    zero_slope_lower = bab.zero_slope_lower
+
+    def open_descendants(model, res, lowers, uppers):
+        best = zero_slope_lower(model, res, lowers, uppers)
+        assert best[0].min() >= 0.0 or res.final_lower[0].min() >= 0.0
+        res.final_lower[1:] = best[1:] = -1.0
+        return best
+
+    monkeypatch.setattr(bab, "zero_slope_lower", open_descendants)
+    out = run_bab(prob, BabConfig(mode="input", clip="both", batch=batch, timeout=60.0))
+    assert out.status == "verified" and out.bound >= 0.0
+    assert len(passes) == 1 and len(passes[0][0]) == 1 + 2 ** _levels(1, batch)
+    assert out.stats.domains_visited == len(passes[0][0])
+    assert pushed == [()] and out.stats.bound_history == []
 
 
 @pytest.mark.parametrize("point, status", [((1.0, 0.75), "verified"), ((0.25, 0.25), "falsified")])
@@ -425,10 +475,12 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
     # Each child adds exactly the pins its path took, and its constraint
     # stack is its parent's last rows plus, per pin, the half-space it
     # implies.  Relaxed clipping leaves the overrides unset, so the
-    # parent's pass can be rebuilt by compute_bounds over its box.
+    # parent's pass can be rebuilt by compute_bounds over its box, under
+    # the slopes the root decided.
     rounds, _ = _activation_rounds(monkeypatch, batch, clip="relaxed")
     checked = deep = bisected = 0
     for prob, parents, children, owner, survivors in rounds:
+        slopes = compute_bounds(prob.model, prob.box, AlphaPolicy.root()).policy
         levels = _levels(len(parents), batch)
         for child, p in zip(children, owner):
             parent = parents[p]
@@ -455,7 +507,8 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
                 # under its pins
                 splits = {(layer, int(neuron)): int(pins[neuron]) for layer, pins in enumerate(parent.forced)
                           for neuron in np.flatnonzero(pins)}
-                planes = compute_bounds(prob.model, BoxDomain(parent.lower, parent.upper), splits=splits).planes
+                box = BoxDomain(parent.lower, parent.upper)
+                planes = compute_bounds(prob.model, box, slopes, splits=splits).planes
                 for (layer, neuron), side in zip(parent.picks, steps):
                     cons = split_constraint_to_input(planes[layer], neuron, 1 if side == 0 else -1)
                     rows.append((cons.normal, cons.offset))
