@@ -14,8 +14,9 @@ differ only in how a subdomain branches (:func:`_branch`):
 
 * activation splitting: pin the unstable ReLUs with the highest branching
   scores, one per level, each to its two sides (bisect when none is
-  left).  Every pin yields a sound input-space half-space from the
-  neuron's planes.
+  left).  A pin is a bound override of 0: the active side's lower bound,
+  the inactive side's upper bound.  Every pin yields a sound input-space
+  half-space from the neuron's planes.
 
 Either way the constraints feed the same clipping.  Activation mode bounds
 the root first, its picks coming from the root's scores; input mode queues
@@ -48,14 +49,15 @@ the first pass, so its intervals decide the slopes of a root policy
    (:func:`crown.bound_batch`), whose backward walk checks it too, before
    each block of domains; a pass it cuts off bounds nothing.  The clipped
    corners and constraint stacks the screen built go in as they are; so do
-   the children's pins, stacked per layer, and their overrides, stacked in
-   one array and handed over as per-layer column views (see
-   :class:`Subdomain`).  Complete clipping runs
-   inside the pass (:func:`_clip_refine`): each layer's critical neurons of
-   all the children go to one batched dual ascent.  A child's critical
-   neurons are its parent's ``CRITICAL_TOPK`` best-scoring ones per layer,
-   its own pins left out.  The refine writes its tightenings into the pass's
-   override stack, whose rows become the children's overrides;
+   the children's overrides, pins among them, stacked in one array and
+   handed over as per-layer column views (see :class:`Subdomain`).  A pin
+   the bounds rule out crosses them, and the pass reports the child empty.
+   Complete clipping runs inside the pass (:func:`_clip_refine`): each
+   layer's critical neurons of all the children go to one batched dual
+   ascent.  A child's critical neurons are its parent's ``CRITICAL_TOPK``
+   best-scoring ones per layer, those its own overrides decide left out.
+   The refine writes its tightenings into the pass's override stack, whose
+   rows become the children's overrides;
 5. raises each child's output-row lower bounds to one more bound, never
    past the row's upper bound: the output walk with zero lower slopes
    (:func:`crown.zero_slope_lower`), then
@@ -142,27 +144,29 @@ class BabConfig:
             raise ValueError("seed must be nonnegative")
         if not self.timeout >= 0:  # also rejects NaN, which would never expire
             raise ValueError("timeout must be nonnegative")
+        if not isinstance(self.alpha, AlphaPolicy):
+            raise ValueError(f"alpha must be an AlphaPolicy, got {self.alpha!r}")
 
 
 @dataclass
 class Subdomain:
     """One open region of the search: a box plus everything known about it.
 
-    ``lower`` / ``upper`` are its ``(n,)`` corners.  ``forced`` holds per
-    hidden layer a ``(w_i,)`` int array of ReLU pins (+1 active, -1
-    inactive, 0 free), the per-domain rows of what :func:`bound_batch`
-    takes.  ``overrides`` is a ``(2, V)`` array of bound tightenings (NaN:
-    none), lower in row 0 and upper in row 1, every layer's ``w_i``
-    columns side by side, the output layer last.  ``normals @ x + offsets
-    <= 0``, ``(m, n)`` and ``(m,)``, holds for any counterexample in the
-    box.  The rest is what later rounds read of its bounding pass (its
+    ``lower`` / ``upper`` are its ``(n,)`` corners.  ``overrides`` is a
+    ``(2, V)`` array of bound tightenings (NaN: none), lower in row 0 and
+    upper in row 1, every layer's ``w_i`` columns side by side, the output
+    layer last, so the first W columns are the hidden neurons in flat
+    order.  A ReLU pin is one of them: lower 0 for the active side, upper
+    0 for the inactive side.  ``normals @ x + offsets <= 0``, ``(m, n)``
+    and ``(m,)``, holds for any counterexample in the box.  ``path`` is
+    the side taken at each split from the root, so its length is the
+    depth.  The rest is what later rounds read of its bounding pass (its
     parent's until it is bounded itself; an unbounded root has no planes
-    or scores): ``planes``, the final layer's
-    lower planes; ``scores``, the flat ``(W,)`` branching scores of all
-    hidden neurons, -inf where stable or pinned; ``picks``, the ``(layer,
-    neuron)`` pairs activation mode pins at levels 0, 1, ... below it,
-    best first, at most ``log2(batch)`` rounded down, or 1 at ``batch=1``
-    (empty: bisect);
+    or scores): ``planes``, the final layer's lower planes; ``scores``,
+    the flat ``(W,)`` branching scores of all hidden neurons, -inf where
+    stable (pinned ones among them); ``picks``, the flat neuron indices
+    activation mode pins at levels 0, 1, ... below it, best first, at most
+    ``log2(batch)`` rounded down, or 1 at ``batch=1`` (empty: bisect);
     ``child_constraints``, ``(D, 2, n)`` normals and ``(D, 2)`` offsets
     whose row ``(j, s)`` a descendant adds whose split step j below it
     went to side s, for every j < D (None: none; in input mode D = 1 and
@@ -178,12 +182,10 @@ class Subdomain:
 
     lower: np.ndarray
     upper: np.ndarray
-    forced: list
     overrides: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
     bound: float
-    depth: int = 0
     planes: BoundingPlanes | None = None
     scores: np.ndarray | None = None
     picks: tuple = ()
@@ -194,7 +196,7 @@ class Subdomain:
         """This subdomain's child on ``side`` of one split: a shallow copy
         one level deeper with ``fields`` replaced."""
         child = object.__new__(Subdomain)
-        child.__dict__.update(self.__dict__, depth=self.depth + 1, path=self.path + (side,), **fields)
+        child.__dict__.update(self.__dict__, path=self.path + (side,), **fields)
         return child
 
     @classmethod
@@ -204,7 +206,6 @@ class Subdomain:
         return cls(
             problem.box.lower.copy(),
             problem.box.upper.copy(),
-            [np.zeros(layer.out_dim, dtype=int) for layer in layers[:-1]],
             np.full((2, sum(layer.out_dim for layer in layers)), np.nan),
             np.zeros((0, problem.box.dim)),
             np.zeros(0),
@@ -236,7 +237,8 @@ class BranchProbe:
     ``decisions`` maps a node's path (tuple of child indices from the root)
     to the branching choice taken there; input mode records the cut as a
     (dimension, coordinate) pair.  ``intervals`` maps paths to the
-    per-layer (lower, upper) bound arrays seen when the node was bounded.
+    per-layer (lower, upper) bound arrays seen when the node was bounded,
+    after its overrides (a pinned neuron's interval ends at 0).
     When ``replay`` is set, input-mode runs take the recorded cut instead
     of their own choice wherever the path is present, so two runs explore
     nested regions and their bounds become directly comparable.
@@ -277,7 +279,7 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
     """Bisect the box along ``dim`` (default: widest, ties to lowest index)
     at ``at`` (default: the midpoint, clamped into the box when given).
 
-    Children inherit pins, overrides, constraints and cached planes.
+    Children inherit overrides, constraints and cached planes.
     """
     radius = 0.5 * (sub.upper - sub.lower)
     if float(radius.max()) <= 0.0:
@@ -295,37 +297,38 @@ def branch_input(sub: Subdomain, dim: int | None = None, at: float | None = None
     return sub.child(0, upper=lo_upper), sub.child(1, lower=hi_lower), (dim, mid)
 
 
-def branch_activation(sub: Subdomain, pick: tuple):
-    """Split a subdomain on one unstable neuron; returns (active, inactive).
+def branch_activation(sub: Subdomain, pick: int):
+    """Split a subdomain on one unstable neuron, ``pick`` its flat index
+    among the hidden neurons; returns (active, inactive).
 
-    Each child pins the neuron to one side in ``forced``.  The neuron must
-    be free and score above -inf in ``sub.scores`` (be unstable).  The
-    search adds the input half-space a pin implies (see
+    The active child gets lower override 0 on the neuron, the inactive
+    child upper override 0.  No override may decide the neuron yet, and it
+    must score above -inf in ``sub.scores`` (be unstable), so any lower
+    override it has is below 0 and any upper one above: the assignment
+    tightens.  The search adds the input half-space a pin implies (see
     :func:`_child_constraints`), and only when clipping reads it.
     """
-    layer, neuron = pick
-    if sub.forced[layer][neuron] != 0:
-        raise ValueError(f"neuron ({layer}, {neuron}) is already assigned")
+    if sub.overrides[0, pick] >= 0.0 or sub.overrides[1, pick] <= 0.0:
+        raise ValueError(f"neuron {pick} is already decided by an override")
     if sub.scores is None:
         raise ValueError("subdomain has no branching scores to split with")
-    if not sub.scores[sum(len(pins) for pins in sub.forced[:layer]) + neuron] > -np.inf:
-        raise ValueError(f"neuron ({layer}, {neuron}) is not unstable here")
+    if not sub.scores[pick] > -np.inf:
+        raise ValueError(f"neuron {pick} is not unstable here")
     children = []
-    for side, polarity in enumerate((1, -1)):
-        forced = list(sub.forced)
-        forced[layer] = forced[layer].copy()
-        forced[layer][neuron] = polarity
-        children.append(sub.child(side, forced=forced))
+    for side in (0, 1):
+        overrides = sub.overrides.copy()
+        overrides[side, pick] = 0.0
+        children.append(sub.child(side, overrides=overrides))
     return children[0], children[1]
 
 
-def _branch_scores(res: BoundsResult, forced) -> np.ndarray:
+def _branch_scores(res: BoundsResult) -> np.ndarray:
     """BaBSR score of every hidden neuron of each domain of the batch-form
-    pass ``res`` (see :func:`crown.bound_batch`) under its pins ``forced``:
-    ``(B, W)``, layers side by side, -inf where stable or pinned."""
+    pass ``res`` (see :func:`crown.bound_batch`): ``(B, W)``, layers side
+    by side, -inf where stable (a pinned neuron is, by its override)."""
     scores = [np.zeros((len(res.final_lower), 0))]  # a net without hidden layers
-    for lb, coeff, pins in zip(res.layer_bounds, res.objective_coeffs, forced):
-        unstable = (lb.lower < 0.0) & (lb.upper > 0.0) & (pins == 0)
+    for lb, coeff in zip(res.layer_bounds, res.objective_coeffs):
+        unstable = (lb.lower < 0.0) & (lb.upper > 0.0)
         scores.append(np.where(unstable, babsr_intercept_score(lb.lower, lb.upper, coeff), -np.inf))
     return np.concatenate(scores, axis=1)
 
@@ -333,7 +336,7 @@ def _branch_scores(res: BoundsResult, forced) -> np.ndarray:
 def _critical_masks(scores) -> list:
     """Per hidden layer, a ``(B, w)`` mask of each domain's ``CRITICAL_TOPK``
     neurons by branching score (ties to the lower index), leaving out those
-    that score -inf (stable or pinned)."""
+    that score -inf (stable, or decided by an override)."""
     masks = []
     for layer_scores in scores:
         if layer_scores.shape[1] <= CRITICAL_TOPK:
@@ -347,17 +350,13 @@ def _critical_masks(scores) -> list:
     return masks
 
 
-def _branch_picks(scores, widths, depth) -> tuple:
+def _branch_picks(scores, depth) -> tuple:
     """Each domain's ``depth`` highest-scoring neurons, best first (ties to
-    the lowest flat index), from flat ``(B, W)`` scores of hidden layers
-    ``widths``, as ``(B, depth)`` ``(layer, neuron, found)`` arrays;
-    ``found`` is False where a neuron scores -inf, which sorts last."""
+    the lowest flat index), from flat ``(B, W)`` scores, as ``(B, depth)``
+    flat indices and a ``found`` mask, False where a neuron scores -inf,
+    which sorts last."""
     top = np.argsort(-scores, axis=1, kind="stable")[:, :depth]
-    widths = np.array(widths, dtype=int)
-    ends = np.cumsum(widths)
-    layer = np.searchsorted(ends, top, side="right")
-    found = np.take_along_axis(scores, top, axis=1) > -np.inf
-    return layer, top - (ends - widths)[layer], found
+    return top, np.take_along_axis(scores, top, axis=1) > -np.inf
 
 
 def _child_constraints(cfg: BabConfig, res: BoundsResult, picks) -> tuple:
@@ -382,20 +381,24 @@ def _child_constraints(cfg: BabConfig, res: BoundsResult, picks) -> tuple:
         normals = final.a_low[at][:, None, None].repeat(2, axis=2)
         offsets = final.c_low[at][:, None, None].repeat(2, axis=2)
         return normals, offsets, (open_rows.sum(axis=1) == 1).astype(int)
-    layer, neuron, found = picks
+    top, found = picks
     normals = np.zeros(found.shape + (2, final.a_low.shape[2]))
     offsets = np.zeros(found.shape + (2,))
-    for i in set(layer[found].tolist()):
-        b, j = np.nonzero(found & (layer == i))
-        at, planes = (b, neuron[b, j]), res.planes[i]
+    start = 0
+    # each hidden layer's planes serve the picks in its column range
+    for planes in res.planes[:-1]:
+        end = start + planes.c_low.shape[1]
+        b, j = np.nonzero(found & (top >= start) & (top < end))
+        at = b, top[b, j] - start
         normals[b, j, 0], offsets[b, j, 0] = planes.a_up[at], planes.c_up[at]
         normals[b, j, 1], offsets[b, j, 1] = planes.a_low[at], planes.c_low[at]
+        start = end
     # the active side needs the upper plane >= 0
     normals[:, :, 0], offsets[:, :, 0] = -normals[:, :, 0], -offsets[:, :, 0]
     return normals, offsets, found.sum(axis=1)
 
 
-def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, overrides):
+def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, overrides):
     """The refine of one bounding pass (see :func:`bound_batch`), running
     complete clipping for all its domains, or None when complete clipping
     is off or no domain has constraints (``stacks`` is None).
@@ -403,9 +406,10 @@ def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, 
     ``lowers`` / ``uppers`` are the domains' ``(B, n)`` corners and
     ``stacks`` their constraint stacks and set sizes (see
     :func:`_child_stacks`).  ``scores`` are the flat scores of each
-    domain's parent; with the domain's own pins (``forced``) left out they
-    pick its critical neurons.  ``overrides`` are the pass's per-layer
-    ``(lower, upper)`` override stacks.
+    domain's parent; with the neurons the domain's own overrides decide
+    left out (its pins among them) they pick its critical neurons.
+    ``overrides`` are the pass's per-layer ``(lower, upper)`` override
+    stacks.
 
     Each layer's freshly computed bounds are tightened for every domain's
     critical neurons before the layer's relaxation is built; the final
@@ -423,9 +427,10 @@ def _clip_refine(cfg: BabConfig, model, lowers, uppers, stacks, scores, forced, 
     last = model.num_layers - 1
     centers, radii = 0.5 * (lowers + uppers), 0.5 * (uppers - lowers)
     feasible, active = screen_rows(centers, radii, normals, offsets)
-    ends = itertools.accumulate(pins.shape[1] for pins in forced)
-    critical = _critical_masks([np.where(pins != 0, -np.inf, scores[:, end - pins.shape[1]:end])
-                                for pins, end in zip(forced, ends)])
+    ends = itertools.accumulate(ovr_lo.shape[1] for ovr_lo, _ in overrides[:last])
+    critical = _critical_masks([
+        np.where((ovr_lo >= 0.0) | (ovr_hi <= 0.0), -np.inf, scores[:, end - ovr_lo.shape[1]:end])
+        for (ovr_lo, ovr_hi), end in zip(overrides, ends)])
 
     def refine(i, planes, lower, upper, alive):
         crit = lower < 0.0 if i == last else critical[i]
@@ -725,7 +730,6 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     # children's critical neurons; activation splits pick by them
     refined = cfg.clip in ("complete", "both")
     scored = cfg.mode == "activation" or refined
-    widths = [layer.out_dim for layer in model.layers[:-1]]
     # the most levels a round splits a parent, with one parent open
     depth = _levels(cfg, 1)
     ends = itertools.accumulate(layer.out_dim for layer in model.layers)
@@ -740,21 +744,20 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         ``root_row``, row 0 is the root, bounded with its descendants: if
         it closes, nothing is queued, and otherwise it is dropped."""
         nonlocal verified_floor, alpha
-        forced = [np.array([sub.forced[i] for sub in subs]) for i in range(len(widths))]
         # one override stack, which the pass reads and the refine writes
         # through per-layer column views
         stacked = np.array([sub.overrides for sub in subs])
         overrides = [(stacked[:, 0, cols], stacked[:, 1, cols]) for cols in columns]
-        refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, forced, overrides)
+        refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, overrides)
         try:
-            res, failed = bound_batch(model, lowers, uppers, alpha, forced, overrides, refine, deadline)
+            res, empty = bound_batch(model, lowers, uppers, alpha, overrides, refine, deadline)
         except DeadlinePassed:
             return False
         # the first pass, whose row 0 is the root, decides a root policy's slopes
         alpha = res.policy
         stats.domains_visited += len(subs)
-        stats.max_depth = max(stats.max_depth, max(sub.depth for sub in subs))
-        if widths:
+        stats.max_depth = max(stats.max_depth, max(len(sub.path) for sub in subs))
+        if res.relaxations:
             # one more lower bound per output row, the output walk with zero
             # lower slopes: it raises final_lower in place (the output's lower
             # bound array) but never past the pass's upper bound, so it
@@ -762,7 +765,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             out = res.layer_bounds[-1]
             best = zero_slope_lower(model, res, lowers, uppers)
             np.maximum(out.lower, np.minimum(best, out.upper), out=out.lower)
-        alive = np.array([err is None for err in failed])
+        alive = ~empty
         bounds = np.maximum([sub.bound for sub in subs], res.final_lower.min(axis=1))
         if probe is not None:
             for b in np.flatnonzero(alive):
@@ -779,11 +782,10 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         # each queued domain copies its own row of what later rounds read
         final, picks = res.planes[-1], None
         if scored:
-            flat_scores = _branch_scores(res, forced)
+            flat_scores = _branch_scores(res)
         if cfg.mode == "activation":
-            picks = _branch_picks(flat_scores, widths, depth)
-            layer, neuron = picks[0].tolist(), picks[1].tolist()
-            found = picks[2].sum(axis=1).tolist()
+            picks = _branch_picks(flat_scores, depth)
+            top, found = picks[0].tolist(), picks[1].sum(axis=1).tolist()
         if cfg.clip != "none":
             cut_normals, cut_offsets, adds = _child_constraints(cfg, res, picks)
             adds = adds.tolist()
@@ -795,7 +797,7 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
             if scored:
                 sub.scores = flat_scores[b].copy()
             if picks is not None:
-                sub.picks = tuple(zip(layer[b][:found[b]], neuron[b][:found[b]]))
+                sub.picks = tuple(top[b][:found[b]])
             if cfg.clip != "none":
                 k = adds[b]
                 sub.child_constraints = (cut_normals[b, :k].copy(), cut_offsets[b, :k].copy()) if k else None

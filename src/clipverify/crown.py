@@ -22,8 +22,8 @@ layer index, the batch's planes and bounds and a mask of the domains still
 alive, and returns the tightened bounds and a mask of the domains it proved
 empty (see :func:`bound_batch`).  The pass returns its arrays in this
 batch form.  :func:`compute_bounds` is the one-box case, without
-refinement: it stacks its splits and overrides as one-row arrays and
-returns the pass's only row.  The pass also returns its relaxations, so
+refinement: it writes its splits into its overrides, one-row arrays,
+and returns the pass's only row.  The pass also returns its relaxations, so
 that :func:`zero_slope_lower` can walk the output rows back once more with
 other lower slopes.
 
@@ -187,42 +187,34 @@ def _alpha(policy: AlphaPolicy, i: int, lower, upper):
     return np.where(upper >= -lower, 1.0, 0.0)
 
 
-def _relax_rows(lower, upper, alpha, forced):
+def _relax_rows(lower, upper, alpha) -> ReluRelaxation:
     """Envelopes for bound arrays of any shape, one neuron per element,
     with masks in place of a per-neuron loop.  ``alpha`` is the unstable
     neurons' lower slope, a scalar or an array that broadcasts to
+    ``lower``.  Returns a :class:`ReluRelaxation` of arrays shaped like
     ``lower``.
-
-    Returns the :class:`ReluRelaxation` (arrays shaped like ``lower``) and
-    the mask of neurons whose forced side the bounds rule out.
     """
-    on, off = forced > 0, forced < 0
-    free = ~(on | off)
     width = upper - lower
     collapsed = width < STABLE_WIDTH_TOL
-    active = free & np.where(collapsed, upper >= 0.0, lower >= 0.0)
-    unstable = free & ~collapsed & (lower < 0.0) & (upper > 0.0)
+    active = np.where(collapsed, upper >= 0.0, lower >= 0.0)
+    unstable = ~collapsed & (lower < 0.0) & (upper > 0.0)
     slope = upper / np.where(unstable, width, 1.0)
-    identity = on | active
-    lower_slope = np.where(identity, 1.0, np.where(unstable, alpha, 0.0))
-    upper_slope = np.where(identity, 1.0, np.where(unstable, slope, 0.0))
+    lower_slope = np.where(active, 1.0, np.where(unstable, alpha, 0.0))
+    upper_slope = np.where(active, 1.0, np.where(unstable, slope, 0.0))
     # A tiny interval straddling zero, collapsed to active: relu(z) <= z - l
     # on [l, u], while the identity dips below.
     upper_offset = np.where(
         active & (lower < 0.0), -lower, np.where(unstable, -lower * slope, 0.0)
     )
-    rel = ReluRelaxation(lower_slope, upper_slope, upper_offset)
-    return rel, (on & (upper < 0.0)) | (off & (lower > 0.0))
+    return ReluRelaxation(lower_slope, upper_slope, upper_offset)
 
 
-def _forced_side_error(j: int, side, lower, upper) -> InfeasibleSplitError:
-    if side > 0:
-        return InfeasibleSplitError(
-            f"neuron {j} forced active but its upper bound {upper} is negative"
-        )
-    return InfeasibleSplitError(
-        f"neuron {j} forced inactive but its lower bound {lower} is positive"
-    )
+def _zero_where(rel: ReluRelaxation, off) -> ReluRelaxation:
+    """``rel`` with the zero envelope where ``off``: the neurons decided
+    inactive, also where their interval [l, 0] is narrow enough that
+    :func:`_relax_rows` collapses it to the active envelope."""
+    sides = (rel.lower_slope, rel.upper_slope, rel.upper_offset)
+    return ReluRelaxation(*(np.where(off, 0.0, side) for side in sides))
 
 
 def relax_relu(
@@ -259,11 +251,21 @@ def relax_relu(
             raise ValueError("forced assignment shape does not match layer width")
     if policy.kind == "root":
         raise ValueError("a root policy decides its slopes in bound_batch")
-    rel, bad = _relax_rows(lower, upper, _alpha(policy, 0, lower, upper), forced)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise _forced_side_error(j, forced[j], lower[j], upper[j])
-    return rel
+    on, off = forced > 0, forced < 0
+    bad = np.flatnonzero((on & (upper < 0.0)) | (off & (lower > 0.0)))
+    if bad.size:
+        j = int(bad[0])
+        if on[j]:
+            raise InfeasibleSplitError(
+                f"neuron {j} forced active but its upper bound {upper[j]} is negative"
+            )
+        raise InfeasibleSplitError(
+            f"neuron {j} forced inactive but its lower bound {lower[j]} is positive"
+        )
+    # the pins as the pass takes them: an active pin raises the lower
+    # bound to 0, which gives the identity; an inactive one gives zero
+    lower = np.where(on, np.maximum(lower, 0.0), lower)
+    return _zero_where(_relax_rows(lower, upper, _alpha(policy, 0, lower, upper)), off)
 
 
 def _walk_blocks(layers, batch: int):
@@ -349,12 +351,23 @@ def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect
     return out, c, coeffs
 
 
+def _check_overrides(model: NetworkModel, overrides, batch: int):
+    """Refuse overrides that are not None or one entry per layer, each None
+    or a ``(lower, upper)`` pair of ``(batch, w_i)`` arrays."""
+    if overrides is not None and len(overrides) != model.num_layers:
+        raise ValueError(f"overrides need one entry per layer ({model.num_layers}), got {len(overrides)}")
+    for i, entry in enumerate(overrides or ()):
+        shape = (batch, model.layers[i].out_dim)
+        pair = isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2
+        if entry is not None and not (pair and all(np.shape(arr) == shape for arr in entry)):
+            raise ValueError(f"layer {i} overrides must be a (lower, upper) pair of {shape} arrays")
+
+
 def bound_batch(
     model: NetworkModel,
     lowers: np.ndarray,
     uppers: np.ndarray,
     policy: AlphaPolicy | None = None,
-    forced=None,
     overrides=None,
     refine=None,
     deadline: float | None = None,
@@ -365,10 +378,13 @@ def bound_batch(
     ``fixed(1)``).  An undecided root policy decides them layer by layer
     from row 0's bounds, for every row; the result's ``policy`` holds them.
 
-    ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.  ``forced[i]``
-    is a ``(B, w_i)`` array of ReLU sides (+1 active, -1 inactive, 0
-    free), and ``overrides[i]`` None or a ``(lower, upper)`` pair of ``(B,
-    w_i)`` arrays intersected into layer i's bounds (NaN = none).
+    ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.
+    ``overrides``, None or one entry per layer, holds for layer i None or
+    a ``(lower, upper)`` pair of ``(B, w_i)`` arrays intersected into
+    layer i's bounds (NaN = none); anything else raises ``ValueError``.
+    A ReLU split is such an override: a lower bound of 0 pins the neuron
+    to its active side, an upper bound of 0 to its inactive side.  An
+    upper override of at most 0 gives the neuron's ReLU the zero envelope.
 
     ``refine``, when given, may tighten every layer's bounds before its
     ReLU relaxation is built (branch and bound runs complete clipping
@@ -396,13 +412,12 @@ def bound_batch(
     Returns one :class:`BoundsResult` whose arrays carry the batch axis
     (layer bounds ``(B, w_i)``, planes ``(B, w_i, n)`` and ``(B, w_i)``,
     ``final_lower`` ``(B, r)``, objective coefficients and relaxation
-    slopes and offsets ``(B, w_i)``), and
-    per domain None or the :class:`InfeasibleSplitError` that proved it
-    empty: by bounds that cross after overrides and refinement, by a
-    forced side the bounds rule out, or by ``refine``.  The rows of such a
-    domain are meaningless; it is never alive again, and its rows never
-    reach the others.  Branch and bound reads this form and keeps copies
-    of the rows it queues.
+    slopes and offsets ``(B, w_i)``), and the ``(B,)`` mask of the domains
+    proven empty: by ``refine``, or by bounds that cross after overrides
+    and refinement (a split that the bounds rule out among them).  The
+    rows of such a domain are meaningless; it is never alive again, and
+    its rows never reach the others.  Branch and bound reads this form and
+    keeps copies of the rows it queues.
     """
     policy = policy or AlphaPolicy.fixed(1.0)
     lowers = np.asarray(lowers, dtype=float)
@@ -414,9 +429,10 @@ def bound_batch(
     if np.any(lowers > uppers):
         raise EmptyBoxError("operation requires a nonempty box")
     batch = lowers.shape[0]
+    _check_overrides(model, overrides, batch)
     centers = 0.5 * (lowers + uppers)
     radii = 0.5 * (uppers - lowers)
-    failed = [None] * batch
+    empty = np.zeros(batch, dtype=bool)
     last = model.num_layers - 1
     steps, work = _walk_blocks(model.layers, batch)
 
@@ -439,28 +455,20 @@ def bound_batch(
         np.negative(a[:, r:], out=a[:, r:])
         np.negative(c[:, r:], out=c[:, r:])
         planes = BoundingPlanes(a[:, :r], c[:, :r], a[:, r:], c[:, r:])
-        if refine is not None:
-            alive = np.array([err is None for err in failed])
-            if alive.any():
-                lower, upper, empty = refine(i, planes, lower, upper, alive)
-                for b in np.flatnonzero(empty & alive):
-                    failed[b] = InfeasibleSplitError(
-                        f"layer {i}: refinement proved the domain empty"
-                    )
-        for b in np.flatnonzero(np.any(lower > upper, axis=1)):
-            if failed[b] is None:
-                failed[b] = InfeasibleSplitError(f"layer {i} bounds crossed after tightening")
+        if refine is not None and not empty.all():
+            lower, upper, proved = refine(i, planes, lower, upper, ~empty)
+            empty |= proved
+        empty |= np.any(lower > upper, axis=1)
         all_bounds.append((lower, upper))
         all_planes.append(planes)
         if i < last:
-            side = forced[i] if forced is not None else np.zeros(lower.shape, dtype=int)
             alpha = _alpha(policy, i, lower, upper)
             slopes.append(alpha)
-            rel, bad = _relax_rows(lower, upper, alpha, side)
-            for b in np.flatnonzero(bad.any(axis=1)):
-                if failed[b] is None:
-                    j = int(np.argmax(bad[b]))
-                    failed[b] = _forced_side_error(j, side[b, j], lower[b, j], upper[b, j])
+            rel = _relax_rows(lower, upper, alpha)
+            if overrides is not None and overrides[i] is not None:
+                # an upper override of at most 0, an inactive pin among
+                # them, decides the neuron inactive
+                rel = _zero_where(rel, overrides[i][1] <= 0.0)
             relaxations.append(rel)
 
     if policy.kind == "root" and policy.slopes is None:
@@ -473,7 +481,7 @@ def bound_batch(
         relaxations=relaxations,
         policy=policy,
     )
-    return result, failed
+    return result, empty
 
 
 def zero_slope_lower(model: NetworkModel, res: BoundsResult, lowers, uppers) -> np.ndarray:
@@ -538,32 +546,41 @@ def compute_bounds(
     propagates to everything downstream.  To tighten bounds during the
     pass, call :func:`bound_batch` with a ``refine``.
 
-    ``splits`` maps ``(layer, neuron)`` to +-1 and pins ReLUs to one side.
-    Raises :class:`InfeasibleSplitError` when overrides cross (lower >
-    upper) or a forced side is unsatisfiable; callers treat that as a
+    ``splits`` maps ``(layer, neuron)`` to +-1 and pins ReLUs to one side:
+    an override of 0 on the pinned side (a lower bound for +1, an upper
+    bound for -1), combined with a given override by max or min.  Raises
+    :class:`InfeasibleSplitError` when the bounds cross (lower > upper),
+    a split the bounds rule out among them; callers treat that as a
     verified-empty subproblem.
     """
     if box.dim != model.input_dim:
         raise ValueError("box dimension does not match model input")
-    forced = [np.zeros((1, layer.out_dim), dtype=int) for layer in model.layers[:-1]]
+    # one (lower, upper) pair of one-row arrays per layer, NaN where unset
+    stacked = [np.full((2, 1, layer.out_dim), np.nan) for layer in model.layers]
+    for pair, entry in zip(stacked, overrides or []):
+        for row, given in zip(pair, (None, None) if entry is None else entry):
+            if given is not None:
+                row[0] = given
     for (li, j), pol in (splits or {}).items():
-        if not 0 <= li < len(forced):
+        if not 0 <= li < model.num_layers - 1:
             raise ValueError(f"split layer {li} out of range")
-        if not 0 <= j < forced[li].shape[1]:
+        if not 0 <= j < model.layers[li].out_dim:
             raise ValueError(f"split neuron {j} out of range for layer {li}")
         if pol not in (-1, 1):
             raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
-        forced[li][0, j] = pol
-    stacked = [None] * model.num_layers
-    for i, entry in enumerate((overrides or [])[: model.num_layers]):
-        if entry is not None:
-            lo, hi = np.full((2, 1, model.layers[i].out_dim), np.nan)
-            if entry[0] is not None:
-                lo[0] = entry[0]
-            if entry[1] is not None:
-                hi[0] = entry[1]
-            stacked[i] = (lo, hi)
-    res, (err,) = bound_batch(model, box.lower[None], box.upper[None], policy, forced, stacked)
-    if err is not None:
-        raise err
+        lo, hi = stacked[li]
+        if pol > 0:
+            lo[0, j] = np.fmax(lo[0, j], 0.0)
+        else:
+            hi[0, j] = np.fmin(hi[0, j], 0.0)
+    # without a refine, the pass finds the box empty only where bounds cross
+    res, _ = bound_batch(model, box.lower[None], box.upper[None], policy, stacked)
+    for i, lb in enumerate(res.layer_bounds):
+        crossed = np.flatnonzero(lb.lower[0] > lb.upper[0])
+        if crossed.size:
+            j = crossed[0]
+            raise InfeasibleSplitError(
+                f"layer {i} neuron {j}: lower bound {lb.lower[0, j]} exceeds upper bound "
+                f"{lb.upper[0, j]} under the splits and overrides"
+            )
     return _domain(res, 0)

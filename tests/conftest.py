@@ -120,3 +120,24 @@ def split_constraint_to_input(planes, neuron: int, polarity: int) -> LinearConst
     if polarity > 0:
         return LinearConstraint(-planes.a_up[neuron].copy(), -float(planes.c_up[neuron]))
     return LinearConstraint(planes.a_low[neuron].copy(), float(planes.c_low[neuron]))
+
+
+def layer_neuron(model, pick: int) -> tuple:
+    """The ``(layer, neuron)`` a flat hidden-neuron index names."""
+    for layer, hidden in enumerate(model.layers[:-1]):
+        if pick < hidden.out_dim:
+            return layer, pick
+        pick -= hidden.out_dim
+    raise IndexError("pick beyond the hidden layers")
+
+
+def override_pins(model, overrides) -> list:
+    """The ReLU pins of a subdomain's flat ``(2, V)`` overrides, as one int
+    array per hidden layer: +1 where the lower override is exactly 0 (a pin
+    to the active side), -1 where the upper one is exactly 0, 0 elsewhere.
+    A pin is written as an exact 0, and complete clipping never tightens a
+    neuron that an override decides, so the pin stays 0 in every
+    descendant; a neuron that clipping decided has some other bound."""
+    ends = np.cumsum([layer.out_dim for layer in model.layers])
+    lo, hi = (np.split(side, ends[:-1])[:-1] for side in overrides)
+    return [np.where(low == 0.0, 1, np.where(high == 0.0, -1, 0)) for low, high in zip(lo, hi)]

@@ -29,7 +29,9 @@ from clipverify import (
     run_bab,
 )
 from conftest import (
+    layer_neuron,
     long_search_problem,
+    override_pins,
     quick_child_bound,
     random_network_problem,
     split_constraint_to_input,
@@ -39,9 +41,11 @@ from conftest import (
 
 def reference_scores(results, forced) -> list:
     """BaBSR score of every hidden neuron of the one-domain passes
-    ``results`` under the per-domain pins ``forced``, one ``(B, w)`` array
-    per hidden layer, with -inf wherever the neuron is stable or pinned:
-    the list-based scorer the search used before it scored at settle."""
+    ``results`` under the per-domain pins ``forced`` (one ``(w_i,)`` int
+    array per hidden layer: +1 active, -1 inactive, 0 free), one ``(B, w)``
+    array per hidden layer, with -inf wherever the neuron is stable or
+    pinned: the list-based scorer the search used before it scored at
+    settle."""
     scores = []
     for i in range(len(forced[0])):
         lower = np.array([res.layer_bounds[i].lower for res in results])
@@ -55,19 +59,15 @@ def reference_scores(results, forced) -> list:
 
 def reference_picks(scores, depth) -> list:
     """Each domain's ``depth`` highest-scoring unstable, unpinned neurons as
-    a tuple of ``(layer, index)``, best first, ties to the lowest: taken one
-    at a time by argmax, each taken neuron then scored -inf, stopping early
-    when every neuron left scores -inf."""
-    flat = np.concatenate(scores, axis=1)
-    ends = np.cumsum([layer_scores.shape[1] for layer_scores in scores])
+    a tuple of flat indices over the hidden layers, best first, ties to the
+    lowest: taken one at a time by argmax, each taken neuron then scored
+    -inf, stopping early when every neuron left scores -inf."""
     picks = []
-    for row in flat.copy():
+    for row in np.concatenate(scores, axis=1):
         taken = []
         while len(taken) < depth and row.size and row.max() > -np.inf:
-            k = int(np.argmax(row))
-            row[k] = -np.inf
-            layer = int(np.searchsorted(ends, k, side="right"))
-            taken.append((layer, k - int(ends[layer] - scores[layer].shape[1])))
+            taken.append(int(np.argmax(row)))
+            row[taken[-1]] = -np.inf
         picks.append(tuple(taken))
     return picks
 
@@ -89,25 +89,23 @@ def _layer_overrides(model, overrides) -> list:
 
 
 def _root_pass(problem):
-    """The root subdomain and its bounding pass in batch form, with the
-    pin stacks it was bounded under."""
+    """The root subdomain and its bounding pass in batch form."""
     root = Subdomain.root(problem)
-    forced = [pins[None] for pins in root.forced]
     overrides = _layer_overrides(problem.model, root.overrides[None])
     res, _ = bab.bound_batch(
-        problem.model, root.lower[None], root.upper[None], BabConfig().alpha, forced, overrides, None
+        problem.model, root.lower[None], root.upper[None], BabConfig().alpha, overrides, None
     )
-    return root, res, forced
+    return root, res
 
 
 def _scored_root(problem) -> Subdomain:
     """The root as the search queues it: bounded, its final planes and
     branching scores kept."""
-    root, res, forced = _root_pass(problem)
+    root, res = _root_pass(problem)
     final = res.planes[-1]
     return replace(
         root, bound=-1.0, planes=BoundingPlanes(final.a_low[0], final.c_low[0], None, None),
-        scores=bab._branch_scores(res, forced)[0],
+        scores=bab._branch_scores(res)[0],
     )
 
 
@@ -163,7 +161,7 @@ def test_branch_input_widest_dim(problem):
     lo, hi, cut = branch_input(sub)
     assert cut == (0, 0.5)  # widths 3 and 3: tie goes to dimension 0
     assert lo.upper[0] == 0.5 and hi.lower[0] == 0.5
-    assert lo.depth == 1 and lo.path == (0,) and hi.path == (1,)
+    assert len(lo.path) == 1 and lo.path == (0,) and hi.path == (1,)
     # the parent's box is left as it was
     np.testing.assert_array_equal(sub.lower, problem.box.lower)
     np.testing.assert_array_equal(sub.upper, problem.box.upper)
@@ -188,24 +186,31 @@ def test_branch_input_zero_volume_raises():
 
 def test_branch_activation_children(problem):
     sub = _scored_root(problem)
-    active, inactive = branch_activation(sub, (0, 0))
-    assert active.forced[0].tolist() == [1, 0]
-    assert inactive.forced[0].tolist() == [-1, 0]
-    assert sub.forced[0].tolist() == [0, 0]  # the parent keeps its pins
+    # a pin is an override of 0: the active side's lower bound, the
+    # inactive side's upper bound
+    free = np.full((2, 3), np.nan)
+    pinned = [free.copy(), free.copy()]
+    pinned[0][0, 0], pinned[1][1, 0] = 0.0, 0.0
+    active, inactive = branch_activation(sub, 0)
+    assert np.array_equal(active.overrides, pinned[0], equal_nan=True)
+    assert np.array_equal(inactive.overrides, pinned[1], equal_nan=True)
+    assert np.array_equal(sub.overrides, free, equal_nan=True)  # the parent keeps its own
     # branching only pins; the round stacks the split half-spaces
     assert active.normals.shape == inactive.normals.shape == (0, 2)
-    with pytest.raises(ValueError):
-        branch_activation(active, (0, 0))  # already assigned
+    for child in (active, inactive):
+        with pytest.raises(ValueError, match="already decided"):
+            branch_activation(child, 0)
     for clip in ("none", "relaxed", "complete", "both"):
         cfg = BabConfig(mode="activation", clip=clip)
-        decision, children = bab._branch(cfg, replace(sub, picks=((0, 0),)), 0, None)
-        assert decision == (0, 0)
-        assert [child.forced[0].tolist() for child in children] == [[1, 0], [-1, 0]]
+        decision, children = bab._branch(cfg, replace(sub, picks=(0,)), 0, None)
+        assert decision == 0
+        for child, want in zip(children, pinned):
+            assert np.array_equal(child.overrides, want, equal_nan=True)
     # the half-spaces settle keeps for the children are the pin's split
     # constraints, and the round gives the child whose split step went to
     # side k row (0, k)
-    _, res, _ = _root_pass(problem)
-    picks = (np.array([[0]]), np.array([[0]]), np.array([[True]]))
+    _, res = _root_pass(problem)
+    picks = (np.array([[0]]), np.array([[True]]))
     normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, picks)
     assert adds.tolist() == [1]
     planes = compute_bounds(problem.model, problem.box).planes[0]
@@ -224,9 +229,9 @@ def test_branch_activation_requires_unstable(problem):
     scores = sub.scores.copy()
     scores[0] = -np.inf
     with pytest.raises(ValueError, match="not unstable"):
-        branch_activation(replace(sub, scores=scores), (0, 0))
+        branch_activation(replace(sub, scores=scores), 0)
     with pytest.raises(ValueError, match="no branching scores"):
-        branch_activation(replace(sub, scores=None), (0, 0))
+        branch_activation(replace(sub, scores=None), 0)
 
 
 def test_falsifiable_toy_both_modes(problem):
@@ -403,20 +408,18 @@ def test_bounded_children_passed_every_screen(monkeypatch):
 
 
 def _pass_arrays(args, out):
-    """Every array a bounding pass takes in (corners, pin and override
-    stacks) or hands out (its batch-form result)."""
-    _, lowers, uppers, _, forced, overrides, *_ = args
+    """Every array a bounding pass takes in (corners and override stacks)
+    or hands out (its batch-form result)."""
+    _, lowers, uppers, _, overrides, *_ = args
     res, _ = out
-    arrays = [lowers, uppers, *forced, *(arr for pair in overrides for arr in pair)]
+    arrays = [lowers, uppers, *(arr for pair in overrides for arr in pair)]
     arrays += [arr for lb in res.layer_bounds for arr in (lb.lower, lb.upper)]
     arrays += [arr for p in res.planes for arr in (p.a_low, p.c_low, p.a_up, p.c_up)]
     return arrays + [res.final_lower, *res.objective_coeffs]
 
 
 def _queued_arrays(sub):
-    """The arrays a queued subdomain got from the pass that bounded it.  Its
-    pins are left out: children share those with their parent by design,
-    and no pass writes them."""
+    """The arrays a queued subdomain got from the pass that bounded it."""
     arrays = [sub.lower, sub.upper, sub.overrides, sub.normals, sub.offsets, sub.planes.a_low, sub.planes.c_low]
     if sub.scores is not None:
         arrays.append(sub.scores)
@@ -623,8 +626,8 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
         if tracemalloc.is_tracing():
             tracemalloc.stop()
     assert [sub.path for sub in pushed] == [(b,) for b in rows]
-    (_, _, _, _, forced, overrides, *_), (res, _) = seen["pass"]
-    scores = bab._branch_scores(res, forced)
+    (_, _, _, _, overrides, *_), (res, _) = seen["pass"]
+    scores = bab._branch_scores(res)
     cut_normals, cut_offsets, adds = seen["cuts"]
     final = res.planes[-1]
     for sub, b in zip(pushed, rows):
@@ -889,6 +892,108 @@ def test_nan_timeout_rejected():
         BabConfig(timeout=float("nan"))
 
 
+def test_config_rejects_an_alpha_that_is_no_policy():
+    # a policy's name used to be accepted, and run_bab then failed with an
+    # AttributeError
+    for alpha in ("root", None, 1.0):
+        with pytest.raises(ValueError, match="alpha must be an AlphaPolicy"):
+            BabConfig(alpha=alpha)
+
+
+def test_branch_activation_refuses_a_neuron_an_override_decides(problem):
+    # both toy neurons are unstable at the root; an override that decides
+    # one leaves nothing to split on it, whatever its score
+    sub = _scored_root(problem)
+    assert np.all(sub.scores > -np.inf)
+    for side, value in ((0, 0.0), (0, 0.5), (1, 0.0), (1, -0.5)):
+        overrides = sub.overrides.copy()
+        overrides[side, 1] = value
+        with pytest.raises(ValueError, match="neuron 1 is already decided"):
+            branch_activation(replace(sub, overrides=overrides), 1)
+    # an override that leaves it unstable is replaced by the pin's 0
+    overrides = sub.overrides.copy()
+    overrides[:, 1] = -0.5, 0.5
+    active, inactive = branch_activation(replace(sub, overrides=overrides), 1)
+    assert active.overrides[:, 1].tolist() == [0.0, 0.5]
+    assert inactive.overrides[:, 1].tolist() == [-0.5, 0.0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_critical_neurons_leave_out_what_overrides_decide(monkeypatch, seed):
+    # complete clipping tightens each domain's best-scoring neurons, never
+    # one its own overrides decide (a pin among them), whatever it scores
+    rng = np.random.default_rng(seed)
+    problem = random_network_problem(rng, hidden=int(rng.integers(1, 4)))
+    model, box = problem.model, problem.box
+    batch = 6
+    widths = [layer.out_dim for layer in model.layers]
+    v, w = sum(widths), sum(widths[:-1])
+    flat = np.full((batch, 2, v), np.nan)
+    pick = rng.uniform(size=(batch, 4, v))
+    flat[:, 0] = np.where(pick[:, 0] < 0.2, 0.0, np.where(pick[:, 1] < 0.2, rng.uniform(-1.0, 1.0, (batch, v)), np.nan))
+    flat[:, 1] = np.where(pick[:, 2] < 0.2, 0.0, np.where(pick[:, 3] < 0.2, rng.uniform(-1.0, 1.0, (batch, v)), np.nan))
+    overrides = _layer_overrides(model, flat)
+    lowers, uppers = np.stack([box.lower] * batch), np.stack([box.upper] * batch)
+    stacks = np.zeros((batch, 1, box.dim)), np.full((batch, 1), -1.0), np.ones(batch, dtype=int)
+    seen = []
+
+    def spy(scores):
+        seen.append(bab_critical(scores))
+        return seen[-1]
+
+    bab_critical = bab._critical_masks
+    monkeypatch.setattr(bab, "_critical_masks", spy)
+    scores = rng.uniform(size=(batch, w))
+    assert bab._clip_refine(BabConfig(clip="complete"), model, lowers, uppers, stacks, scores, overrides)
+    (masks,) = seen
+    decided = (flat[:, 0, :w] >= 0.0) | (flat[:, 1, :w] <= 0.0)
+    critical = np.concatenate(masks, axis=1)
+    assert decided.any() and not (critical & decided).any()
+    # every neuron no override decides is critical: these layers are no
+    # wider than CRITICAL_TOPK, and every score is finite
+    assert max(widths[:-1]) <= bab.CRITICAL_TOPK and np.array_equal(critical, ~decided)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_complete_clipping_with_duplicate_and_zero_rows_stays_sound(seed):
+    # Every stack holds a duplicated row, the row 0 . x + 0 <= 0 (holds
+    # everywhere) and, on some domains, 0 . x + 0.5 <= 0 (holds nowhere).
+    # A domain with the latter is empty or verified on every row; each
+    # other domain's final lower bounds are at most the sampled minimum of
+    # each output row over the box points that satisfy every row.
+    rng = np.random.default_rng(seed)
+    problem = random_network_problem(rng, rows=int(rng.integers(1, 3)))
+    model, box = problem.model, problem.box
+    batch, n = 4, box.dim
+    a, b = rng.uniform(box.lower, box.upper, size=(2, batch, n))
+    lowers, uppers = np.minimum(a, b), np.maximum(a, b)
+    # two half-spaces through a point of each box, the first duplicated
+    normals, offsets = np.zeros((batch, 5, n)), np.zeros((batch, 5))
+    inside = rng.uniform(lowers, uppers)
+    normals[:, :2] = rng.normal(size=(batch, 2, n))
+    offsets[:, :2] = -np.einsum("bmn,bn->bm", normals[:, :2], inside) - rng.uniform(0.0, 0.5, size=(batch, 2))
+    normals[:, 2], offsets[:, 2] = normals[:, 0], offsets[:, 0]
+    never = rng.uniform(size=batch) < 0.5
+    offsets[never, 4] = 0.5
+    stacks = normals, offsets, np.full(batch, 5)
+    cfg = BabConfig(clip="complete")
+    # the children's critical neurons come from their parents' scores
+    flat = np.full((batch, 2, sum(layer.out_dim for layer in model.layers)), np.nan)
+    overrides = _layer_overrides(model, flat)
+    parents, _ = bab.bound_batch(model, lowers, uppers, cfg.alpha, overrides)
+    refine = bab._clip_refine(cfg, model, lowers, uppers, stacks, bab._branch_scores(parents), overrides)
+    res, empty = bab.bound_batch(model, lowers, uppers, cfg.alpha, overrides, refine)
+    for b in range(batch):
+        if never[b]:
+            assert empty[b] or np.all(res.final_lower[b] >= 0.0)
+            continue
+        pts = rng.uniform(lowers[b], uppers[b], size=(20000, n))
+        pts = pts[np.all(pts @ normals[b].T + offsets[b] <= 0.0, axis=1)]
+        if len(pts):
+            assert not empty[b]
+            assert np.all(res.final_lower[b] <= model.evaluate(pts).min(axis=0) + 1e-9)
+
+
 def test_multi_row_problem_verifies():
     # conjunction of two rows: -31 <= f <= 31, comfortably true on the box
     base = toy_problem()
@@ -1020,29 +1125,32 @@ def test_zero_slope_output_walk_closes_what_the_other_bounds_cannot():
 def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):
     # every unstable neuron scores 0.5; neuron (0, 2) is stable
     rows = 4
+    # one domain per row, with the given pins per layer, applied to its
+    # bounds as the pass applies a pin's override of 0
+    forced = [
+        np.array([[0, 0, 0], [1, 0, 0], [1, -1, 0], [1, -1, 0]]),
+        np.array([[0, 0], [0, 0], [0, 0], [1, -1]]),
+    ]
+    bounds = [([[-1.0, -1.0, 1.0]] * rows, [[1.0, 1.0, 2.0]] * rows), ([[-1.0, -2.0]] * rows, [[1.0, 2.0]] * rows)]
     res = BoundsResult(
         layer_bounds=[
-            LayerBounds(np.array([[-1.0, -1.0, 1.0]] * rows), np.array([[1.0, 1.0, 2.0]] * rows)),
-            LayerBounds(np.array([[-1.0, -2.0]] * rows), np.array([[1.0, 2.0]] * rows)),
+            *(LayerBounds(np.where(pins > 0, np.maximum(lo, 0.0), lo), np.where(pins < 0, np.minimum(hi, 0.0), hi))
+              for pins, (lo, hi) in zip(forced, bounds)),
             LayerBounds(np.array([[-1.0]] * rows), np.array([[1.0]] * rows)),
         ],
         planes=[],
         final_lower=np.full((rows, 1), -1.0),
         objective_coeffs=[np.array([[-1.0, -1.0, -1.0]] * rows), np.array([[-1.0, -0.5]] * rows)],
     )
-    # one domain per row, with the given pins per layer
-    forced = [
-        np.array([[0, 0, 0], [1, 0, 0], [1, -1, 0], [1, -1, 0]]),
-        np.array([[0, 0], [0, 0], [0, 0], [1, -1]]),
-    ]
-    scores = bab._branch_scores(res, forced)
-    layer, neuron, found = bab._branch_picks(scores, [3, 2], 1)
-    picks = [(i, j) if ok else None for i, j, ok in zip(layer[:, 0].tolist(), neuron[:, 0].tolist(), found[:, 0])]
-    assert picks == [(0, 0), (0, 1), (1, 0), None]
+    scores = bab._branch_scores(res)
+    # flat indices: layer 1's neurons follow layer 0's three
+    top, found = bab._branch_picks(scores, 1)
+    picks = [k if ok else None for k, ok in zip(top[:, 0].tolist(), found[:, 0])]
+    assert picks == [0, 1, 3, None]
     # deeper picks go on in the same order, and stop where -inf starts
-    layer, neuron, found = bab._branch_picks(scores, [3, 2], 4)
-    picks = [[(i, j) for i, j, ok in zip(*row) if ok] for row in zip(layer.tolist(), neuron.tolist(), found)]
-    assert picks == [[(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0), (1, 1)], [(1, 0), (1, 1)], []]
+    top, found = bab._branch_picks(scores, 4)
+    picks = [[k for k, ok in zip(*row) if ok] for row in zip(top.tolist(), found)]
+    assert picks == [[0, 1, 3, 4], [1, 3, 4], [3, 4], []]
     # top-1 per layer, pinned neurons left out, ties to the lower index
     monkeypatch.setattr(bab, "CRITICAL_TOPK", 1)
     masks = bab._critical_masks([scores[1:2, :3], scores[1:2, 3:]])
@@ -1051,8 +1159,9 @@ def test_branch_pick_ties_go_to_lowest_layer_and_index(monkeypatch):
 
 def _random_pass(rng, hidden):
     """A bounding pass of a random net over random sub-boxes of its box,
-    under random pins (some of which the bounds rule out) and overrides:
-    the problem, the batch-form result and the pin stacks."""
+    under random overrides and pins (some of which the bounds rule out),
+    each pin an override of 0 on its side: the problem, the batch-form
+    result and the pin stacks."""
     problem = random_network_problem(rng, hidden=hidden, rows=int(rng.integers(1, 3)))
     box = problem.box
     batch = int(rng.integers(1, 7))
@@ -1069,15 +1178,18 @@ def _random_pass(rng, hidden):
          np.full((batch, layer.out_dim), np.nan))
         for layer in layers
     ]
-    res, _ = bab.bound_batch(problem.model, lowers, uppers, BabConfig().alpha, forced, overrides, None)
+    for (lo, hi), pins in zip(overrides, forced):
+        lo[pins > 0] = 0.0
+        hi[pins < 0] = 0.0
+    res, _ = bab.bound_batch(problem.model, lowers, uppers, BabConfig().alpha, overrides, None)
     return problem, res, forced
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(0, 3))
 def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
-    # Settle scores a pass's rows together from its batch-form bounds,
-    # coefficients and pins, picks each activation-mode row's neuron and
+    # Settle scores a pass's rows together from its batch-form bounds and
+    # coefficients, picks each activation-mode row's neuron and
     # takes the half-spaces its children add.  Each must be what the
     # list-based scorer and the one-domain half-space helpers give.
     rng = np.random.default_rng(seed)
@@ -1087,7 +1199,7 @@ def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
     pins = [[layer_pins[b] for layer_pins in forced] for b in range(batch)]
     widths = [layer.out_dim for layer in problem.model.layers[:-1]]
     depth = int(rng.integers(1, 6))
-    scores = bab._branch_scores(res, forced)
+    scores = bab._branch_scores(res)
     assert scores.shape == (batch, sum(widths))
     if hidden:
         want = np.concatenate(reference_scores(domains, pins), axis=1)
@@ -1095,9 +1207,9 @@ def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
         want_picks = reference_picks(reference_scores(domains, pins), depth)
     else:
         want_picks = [()] * batch
-    picks = bab._branch_picks(scores, widths, depth)
-    layer, neuron, found = (arr.tolist() for arr in picks)
-    got = [tuple((i, j) for i, j, ok in zip(*row) if ok) for row in zip(layer, neuron, found)]
+    picks = bab._branch_picks(scores, depth)
+    top, found = (arr.tolist() for arr in picks)
+    got = [tuple(k for k, ok in zip(*row) if ok) for row in zip(top, found)]
     assert got == want_picks
     # found picks come first
     assert all(row == sorted(row, reverse=True) for row in found)
@@ -1107,7 +1219,8 @@ def test_settle_scores_and_picks_equal_the_reference(seed, hidden):
     normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, picks)
     assert adds.tolist() == [len(p) for p in want_picks]
     for b, p in enumerate(want_picks):
-        for j, (i, neuron) in enumerate(p):
+        for j, pick in enumerate(p):
+            i, neuron = layer_neuron(problem.model, pick)
             for k, polarity in enumerate((1, -1)):
                 cons = split_constraint_to_input(domains[b].planes[i], neuron, polarity)
                 assert np.array_equal(normals[b, j, k], cons.normal) and offsets[b, j, k] == cons.offset
@@ -1132,10 +1245,12 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     passes, pushed = [], []
     original_pass, original_push = bab.bound_batch, bab.heappush
 
-    def spy_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline):
-        res, failed = original_pass(model, lowers, uppers, policy, forced, overrides, refine, deadline)
-        passes.append((res, forced, lowers, uppers))
-        return res, failed
+    def spy_pass(model, lowers, uppers, policy, overrides, refine, deadline):
+        res, empty = original_pass(model, lowers, uppers, policy, overrides, refine, deadline)
+        # each domain's flat overrides after the pass, refine tightenings in
+        flat = np.concatenate([np.stack(pair, axis=1) for pair in overrides], axis=2)
+        passes.append((res, flat, lowers, uppers))
+        return res, empty
 
     def spy_push(heap, item):
         if not passes:
@@ -1154,22 +1269,21 @@ def test_queued_subdomains_keep_what_settle_computed(monkeypatch, mode):
     assert out.status == "verified"
     assert len(pushed) > 5
     for k, sub in pushed:
-        res, forced, lowers, uppers = passes[k]
+        res, overrides, lowers, uppers = passes[k]
         # the row of the pass that bounded ``sub``: two rows of a pass may
-        # share their pins and final planes, but not their boxes
+        # share their overrides and final planes, but not their boxes
         rows = [b for b in range(len(res.final_lower))
-                if all(np.array_equal(pins[b], own) for pins, own in zip(forced, sub.forced))
+                if np.array_equal(overrides[b], sub.overrides, equal_nan=True)
                 and np.array_equal(res.planes[-1].a_low[b], sub.planes.a_low)
                 and np.array_equal(lowers[b], sub.lower) and np.array_equal(uppers[b], sub.upper)]
         assert rows
         domain = crown._domain(res, rows[0])
-        pins = [layer_pins[rows[0]] for layer_pins in forced]
-        layer_scores = reference_scores([domain], [pins])
+        layer_scores = reference_scores([domain], [override_pins(prob.model, sub.overrides)])
         assert np.array_equal(sub.scores, np.concatenate(layer_scores, axis=1)[0])
         if mode == "activation":
             assert sub.picks == reference_picks(layer_scores, depth)[0]
             want = [[split_constraint_to_input(domain.planes[i], neuron, polarity) for polarity in (1, -1)]
-                    for i, neuron in sub.picks]
+                    for i, neuron in (layer_neuron(prob.model, pick) for pick in sub.picks)]
         else:
             assert sub.picks == ()
             unverified = np.flatnonzero(domain.final_lower < 0.0)
@@ -1197,9 +1311,9 @@ def test_parents_are_scored_once_per_round(monkeypatch):
     score, original_pass = bab._branch_scores, bab.bound_batch
 
     # each event holds its pass's result, so that no two passes share an id
-    def score_spy(res, forced):
+    def score_spy(res):
         events.append(("score", res, len(res.final_lower)))
-        return score(res, forced)
+        return score(res)
 
     def pass_spy(model, lowers, uppers, *args):
         out = original_pass(model, lowers, uppers, *args)

@@ -3,14 +3,20 @@
 * The row-wise ReLU relaxation against the per-neuron loop it replaced
   (kept below as the reference): equal bit for bit, and the same
   InfeasibleSplitError message for the first bad neuron.
+* The pass's relaxation of a layer, its pins applied as bound overrides
+  of 0 (``_pin``), against the loop with those pins: equal bit for bit,
+  crossed bounds where the loop refuses a pin.
 * ``bound_batch`` over B boxes against ``bound_batch`` on each box alone:
-  each domain's rows equal within 1e-12, the same domains failed.  The
+  each domain's rows equal within 1e-12, the same domains empty.  The
   batched refine runs the per-domain refine hooks (``refine_from_hooks``).
 * The backward walk in blocks of domains against one whole-batch block:
   equal bit for bit; and the pass's memory on a wide net stays bounded.
 * Per-neuron slope vectors: a vector of ones against ``fixed(1)``, and a
   root policy's row 0 against an adaptive pass over that box alone, bit
   for bit.
+* Overrides that are not one ``(B, w_i)`` pair or None per layer are
+  refused, naming the layer; ``compute_bounds``'s splits are overrides of
+  0, bit for bit.
 """
 
 import tracemalloc
@@ -35,7 +41,7 @@ from clipverify import (
     relax_relu,
 )
 from clipverify import crown
-from clipverify.crown import STABLE_WIDTH_TOL, _alpha, _relax_rows
+from clipverify.crown import STABLE_WIDTH_TOL
 
 from conftest import random_network_problem
 
@@ -173,17 +179,44 @@ def test_relax_relu_matches_loop_bitwise(layer, policy, use_forced):
         _assert_bitwise(relax_relu(lower, upper, policy, forced), want)
 
 
+def _pin(pair, at, polarity):
+    """An override pair with a split applied as the pass takes it: 0 on
+    the pinned side at index ``at`` (lower for +1, upper for -1), combined
+    with the override there by max or min."""
+    lo, hi = (side.copy() for side in pair)
+    if polarity > 0:
+        lo[at] = np.fmax(lo[at], 0.0)
+    else:
+        hi[at] = np.fmin(hi[at], 0.0)
+    return lo, hi
+
+
 @settings(max_examples=150, deadline=None)
 @given(layer=relu_layer(rows=4), policy=policies)
 def test_relaxation_rows_match_loop_bitwise(layer, policy):
+    # The drawn intervals as the pass's own bounds: an identity layer over
+    # [-8, 8] (bounded exactly), tightened by a refine to the draws.  The
+    # pins go in as the pass takes them, bound overrides of 0.
     lower, upper, forced = layer
-    rel, bad = _relax_rows(lower, upper, _alpha(policy, 0, lower, upper), forced)
-    for b in range(lower.shape[0]):
+    rows, w = lower.shape
+    model = NetworkModel([AffineLayer(np.eye(w), np.zeros(w)), AffineLayer(np.ones((1, w)), np.zeros(1))])
+    pins = (np.full(lower.shape, np.nan),) * 2
+    for at in zip(*np.nonzero(forced)):
+        pins = _pin(pins, at, forced[at])
+
+    def refine(i, planes, lo, hi, alive):
+        if i == 0:
+            lo, hi = np.fmax(lo, lower), np.fmin(hi, upper)
+        return lo, hi, np.zeros(rows, dtype=bool)
+
+    box = np.full((rows, w), 8.0)
+    res, empty = bound_batch(model, -box, box, policy, [pins, None], refine)
+    for b in range(rows):
         want = _loop_or_error(lower[b], upper[b], policy, forced[b])
-        assert bad[b].any() == isinstance(want, str)
+        # a pin the interval rules out crosses the bounds
+        assert empty[b] == isinstance(want, str)
         if not isinstance(want, str):
-            row = ReluRelaxation(*(f[b].copy() for f in _fields(rel)))
-            _assert_bitwise(row, want)
+            _assert_bitwise(ReluRelaxation(*(f[b].copy() for f in _fields(res.relaxations[0]))), want)
 
 
 def test_first_bad_neuron_names_the_error():
@@ -201,11 +234,11 @@ def test_first_bad_neuron_names_the_error():
 
 
 def _domain(rng, problem, layer_bounds, kind):
-    """A sub-box of the problem box plus its pins, overrides and a hook.
+    """A sub-box of the problem box plus its overrides and a hook.
 
-    The pins are one ``(w_i,)`` int array per hidden layer and the
-    overrides one ``(lower, upper)`` pair of ``(w_i,)`` arrays per layer
-    (NaN = none): one domain's rows of what ``bound_batch`` takes.
+    The overrides are one ``(lower, upper)`` pair of ``(w_i,)`` arrays per
+    layer (NaN = none), pins among them (see :func:`_pin`): one domain's
+    rows of what ``bound_batch`` takes.
     ``layer_bounds`` are the root bounds, used to aim pins and overrides at
     neurons where they matter.  ``kind`` "raise" makes the hook reject the
     domain at one layer; the other kinds tighten or leave it be.
@@ -219,10 +252,10 @@ def _domain(rng, problem, layer_bounds, kind):
     hi[flat] = lo[flat]  # zero-width dims
     box = BoxDomain(lo, hi)
 
-    forced = [np.zeros(layer.out_dim, dtype=int) for layer in model.layers[:-1]]
+    pins = []
     for _ in range(int(rng.choice([0, 0, 1, 2]))):
         li = int(rng.integers(0, model.num_layers - 1))
-        forced[li][int(rng.integers(0, model.layers[li].out_dim))] = int(rng.choice([-1, 1]))
+        pins.append((li, int(rng.integers(0, model.layers[li].out_dim)), int(rng.choice([-1, 1]))))
 
     overrides = [(np.full(lb.lower.size, np.nan),) * 2 for lb in layer_bounds]
     if rng.uniform() < 0.6:
@@ -236,6 +269,8 @@ def _domain(rng, problem, layer_bounds, kind):
                 ovr_lo[j] = lb.upper[j] + 1.0
             if rng.uniform() < 0.8:
                 overrides[i] = (ovr_lo, ovr_hi)
+    for li, j, polarity in pins:
+        overrides[li] = _pin(overrides[li], j, polarity)
 
     hook_layer = int(rng.integers(0, model.num_layers))
     shrink = float(rng.uniform(0.0, 0.2))
@@ -253,15 +288,13 @@ def _domain(rng, problem, layer_bounds, kind):
 
         return hook
 
-    return box, forced, overrides, make_hook
+    return box, overrides, make_hook
 
 
-def _stack_rows(forced_rows, override_rows):
-    """Per-domain pins and overrides (as :func:`_domain` makes them) stacked
-    per layer into the ``(B, w_i)`` arrays ``bound_batch`` takes."""
-    forced = [np.stack(layer) for layer in zip(*forced_rows)]
-    overrides = [tuple(np.stack(side) for side in zip(*layer)) for layer in zip(*override_rows)]
-    return forced, overrides
+def _stack_rows(override_rows):
+    """Per-domain overrides (as :func:`_domain` makes them) stacked per
+    layer into the ``(B, w_i)`` arrays ``bound_batch`` takes."""
+    return [tuple(np.stack(side) for side in zip(*layer)) for layer in zip(*override_rows)]
 
 
 def _assert_same_result(got, want):
@@ -301,14 +334,14 @@ def refine_from_hooks(hooks, calls):
     return refine
 
 
-def _assert_dead_stay_dead(calls, failed):
+def _assert_dead_stay_dead(calls, empty):
     """A domain the refine proved empty is never alive again, and the pass
-    reports it as failed."""
-    dead = np.zeros(len(failed), dtype=bool)
-    for _, alive, empty in calls:
+    reports it empty."""
+    dead = np.zeros(len(empty), dtype=bool)
+    for _, alive, proved in calls:
         assert not np.any(alive & dead)
-        dead |= empty & alive
-    assert all(isinstance(failed[b], InfeasibleSplitError) for b in np.flatnonzero(dead))
+        dead |= proved & alive
+    assert empty.dtype == bool and np.all(empty[dead])
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -326,30 +359,30 @@ def test_batched_pass_matches_one_box_at_a_time(seed, batch, policy):
     domains = [_domain(rng, problem, root.layer_bounds, k) for k in kinds]
 
     calls = []
-    res, failed = bound_batch(
+    res, empty = bound_batch(
         model,
         np.stack([d[0].lower for d in domains]),
         np.stack([d[0].upper for d in domains]),
         policy,
-        *_stack_rows([d[1] for d in domains], [d[2] for d in domains]),
-        refine_from_hooks([d[3]() for d in domains], calls),
+        _stack_rows([d[1] for d in domains]),
+        refine_from_hooks([d[2]() for d in domains], calls),
     )
-    assert len(failed) == batch and res.final_lower.shape[0] == batch
+    assert empty.shape == (batch,) and res.final_lower.shape[0] == batch
     assert [i for i, _, _ in calls] == list(range(len(calls)))
-    _assert_dead_stay_dead(calls, failed)
-    for b, (box, forced, overrides, make_hook) in enumerate(domains):
-        want, (err,) = bound_batch(
+    _assert_dead_stay_dead(calls, empty)
+    for b, (box, overrides, make_hook) in enumerate(domains):
+        want, (alone_empty,) = bound_batch(
             model,
             box.lower[None],
             box.upper[None],
             policy,
-            *_stack_rows([forced], [overrides]),
+            _stack_rows([overrides]),
             refine_from_hooks([make_hook()], []),
         )
-        if err is not None:
-            assert failed[b] is not None
+        if alone_empty:
+            assert empty[b]
             continue
-        assert failed[b] is None
+        assert not empty[b]
         _assert_same_result(crown._domain(res, b), crown._domain(want, 0))
 
 
@@ -366,16 +399,15 @@ def test_batch_with_an_empty_domain_keeps_the_others():
         calls.append((i, alive.copy(), np.array([False, True, False])))
         return lower, upper, calls[-1][2]
 
-    res, failed = bound_batch(
+    res, empty = bound_batch(
         model,
         np.stack([box.lower] * 3),
         np.stack([box.upper] * 3),
         refine=reject_middle,
     )
-    assert failed[0] is None and failed[2] is None
-    assert isinstance(failed[1], InfeasibleSplitError)
+    assert empty.tolist() == [False, True, False]
     assert len(calls) == model.num_layers
-    _assert_dead_stay_dead(calls, failed)
+    _assert_dead_stay_dead(calls, empty)
     want = compute_bounds(model, box)
     _assert_same_result(crown._domain(res, 0), want)
     _assert_same_result(crown._domain(res, 2), want)
@@ -392,9 +424,9 @@ def test_all_nan_overrides_change_nothing():
     uppers = rng.uniform(box.center, box.upper, size=(4, box.dim))
     nan = [(np.full((4, layer.out_dim), np.nan),) * 2 for layer in model.layers]
     for policy in (AlphaPolicy.fixed(), AlphaPolicy.adaptive()):
-        want, want_failed = bound_batch(model, lowers, uppers, policy)
-        got, got_failed = bound_batch(model, lowers, uppers, policy, overrides=nan)
-        assert got_failed == want_failed == [None] * 4
+        want, want_empty = bound_batch(model, lowers, uppers, policy)
+        got, got_empty = bound_batch(model, lowers, uppers, policy, overrides=nan)
+        assert got_empty.tolist() == want_empty.tolist() == [False] * 4
         for lb, ref_lb in zip(got.layer_bounds, want.layer_bounds):
             np.testing.assert_array_equal(lb.lower, ref_lb.lower)
             np.testing.assert_array_equal(lb.upper, ref_lb.upper)
@@ -412,6 +444,115 @@ def test_nonfinite_corners_are_rejected():
         (lowers if corner == "lower" else uppers)[1, 0] = value
         with pytest.raises(ValueError, match="finite"):
             bound_batch(model, lowers, uppers)
+
+
+def test_overrides_of_the_wrong_length_are_rejected(model, box):
+    # on the two-layer toy net, one entry used to raise IndexError
+    lowers, uppers = box.lower[None], box.upper[None]
+    for overrides in ([None], [None] * 3):
+        with pytest.raises(ValueError, match="one entry per layer"):
+            bound_batch(model, lowers, uppers, overrides=overrides)
+    bound_batch(model, lowers, uppers, overrides=[None, None])
+
+
+def test_overrides_of_the_wrong_shape_are_rejected(model, box):
+    # a wrong width used to raise numpy's broadcast error, naming no layer
+    lowers, uppers = np.stack([box.lower] * 2), np.stack([box.upper] * 2)
+    nan = [np.full((2, layer.out_dim), np.nan) for layer in model.layers]
+    for layer, wrong in ((0, np.full((2, 3), np.nan)), (0, np.full((1, 2), np.nan)),
+                         (1, np.full((2, 2), np.nan)), (1, np.full(2, np.nan))):
+        for entry in ((wrong, nan[layer]), (nan[layer], wrong)):
+            overrides = [(arr, arr) for arr in nan]
+            overrides[layer] = entry
+            with pytest.raises(ValueError, match=f"layer {layer} overrides"):
+                bound_batch(model, lowers, uppers, overrides=overrides)
+    for entry in ((nan[0],), (nan[0],) * 3, 0.5):
+        with pytest.raises(ValueError, match="layer 0 overrides"):
+            bound_batch(model, lowers, uppers, overrides=[entry, None])
+    bound_batch(model, lowers, uppers, overrides=[(arr, arr) for arr in nan])
+
+
+def _one_box_overrides(rng, model, root):
+    """Random ``(lower, upper)`` overrides per layer for
+    :func:`compute_bounds`, near the root bounds ``root``, NaN where there
+    is none, and None for some layers."""
+    overrides = []
+    for lb in root.layer_bounds:
+        w = lb.lower.size
+        lo = np.where(rng.uniform(size=w) < 0.3, lb.lower + rng.uniform(0.0, 0.5, size=w), np.nan)
+        hi = np.where(rng.uniform(size=w) < 0.3, lb.upper - rng.uniform(0.0, 0.5, size=w), np.nan)
+        overrides.append((lo, hi) if rng.uniform() < 0.7 else None)
+    return overrides
+
+
+def _bounds_or_empty(model, box, policy, **kwargs):
+    try:
+        return compute_bounds(model, box, policy, **kwargs)
+    except InfeasibleSplitError:
+        return None
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), policy=policies)
+def test_splits_are_overrides_of_zero(seed, policy):
+    # compute_bounds(splits=S) is the pass under S's overrides of 0 (lower
+    # for +1, upper for -1) combined with the given ones by max or min,
+    # bit for bit, and both find the same splits infeasible
+    rng = np.random.default_rng(seed)
+    problem = random_network_problem(rng, hidden=int(rng.integers(1, 4)))
+    model, box = problem.model, problem.box
+    overrides = _one_box_overrides(rng, model, compute_bounds(model, box, policy))
+    splits = {}
+    for _ in range(int(rng.integers(1, 4))):
+        li = int(rng.integers(0, model.num_layers - 1))
+        splits[(li, int(rng.integers(0, model.layers[li].out_dim)))] = int(rng.choice([-1, 1]))
+    zeros = list(overrides)
+    for (li, j), polarity in splits.items():
+        if zeros[li] is None:
+            zeros[li] = (np.full(model.layers[li].out_dim, np.nan),) * 2
+        zeros[li] = _pin(zeros[li], j, polarity)
+    got = _bounds_or_empty(model, box, policy, splits=splits, overrides=overrides)
+    want = _bounds_or_empty(model, box, policy, overrides=zeros)
+    assert (got is None) == (want is None)
+    if got is not None:
+        _assert_same_pass(got, want, slice(None))
+        _same_bits(got.final_lower, want.final_lower)
+
+
+def test_inactive_pin_on_a_collapsed_interval_keeps_a_valid_envelope():
+    # z = x - 1e-13 on [0, 1]: pinned inactive, its interval [l, 0] is
+    # narrower than STABLE_WIDTH_TOL, where a free neuron collapses to the
+    # active envelope relu(z) <= z - l, whose upper plane follows z over
+    # the whole box.  An upper override of at most 0 decides the neuron
+    # inactive, so the pass gives it zero.
+    model = NetworkModel([AffineLayer(np.ones((1, 1)), np.array([-1e-13])),
+                          AffineLayer(np.ones((1, 1)), np.zeros(1))])
+    box = BoxDomain(np.zeros(1), np.ones(1))
+    res = compute_bounds(model, box, AlphaPolicy.fixed(), splits={(0, 0): -1})
+    lo, hi = res.layer_bounds[0].lower[0], res.layer_bounds[0].upper[0]
+    assert -STABLE_WIDTH_TOL < lo < 0.0 and hi == 0.0
+    rel = res.relaxations[0]
+    assert rel.lower_slope[0] == rel.upper_slope[0] == rel.upper_offset[0] == 0.0
+    for z in np.linspace(lo, hi, 11):
+        assert rel.lower_slope[0] * z <= max(z, 0.0) <= rel.upper_slope[0] * z + rel.upper_offset[0]
+    # the output is 0 wherever z <= 0
+    assert res.layer_bounds[-1].lower[0] == res.layer_bounds[-1].upper[0] == 0.0
+    # the free neuron keeps the collapsed active envelope
+    free = relax_relu(np.array([lo]), np.array([hi]), AlphaPolicy.fixed())
+    assert free.lower_slope[0] == free.upper_slope[0] == 1.0 and free.upper_offset[0] == -lo
+
+
+def test_infeasible_splits_name_the_crossed_neuron():
+    # neuron 1 of layer 0 is x + 1 >= 1 on [0, 1]: pinned inactive, its
+    # bounds cross; the error names the first layer and neuron they cross at
+    model = NetworkModel([AffineLayer(np.ones((2, 1)), np.array([-0.5, 1.0])),
+                          AffineLayer(np.ones((1, 2)), np.zeros(1))])
+    box = BoxDomain(np.zeros(1), np.ones(1))
+    with pytest.raises(InfeasibleSplitError, match="layer 0 neuron 1: lower bound 1.0 exceeds upper bound 0.0"):
+        compute_bounds(model, box, splits={(0, 0): 1, (0, 1): -1})
+    with pytest.raises(InfeasibleSplitError, match="layer 0 neuron 0: lower bound 0.0 exceeds upper bound -1.0"):
+        compute_bounds(model, box, overrides=[(np.full(2, np.nan), np.array([-1.0, np.nan])), None],
+                       splits={(0, 0): 1})
 
 
 # -- the backward walk in blocks ---------------------------------------------
@@ -438,12 +579,12 @@ def _walk_inputs(widths, batch, seed):
     n = widths[0]
     lowers = rng.uniform(-1.0, 0.5, size=(batch, n))
     uppers = lowers + rng.uniform(0.0, 0.5, size=(batch, n)) * (rng.uniform(size=n) > 0.2)
-    forced = [np.zeros((batch, w), dtype=int) for w in widths[1:-1]]
+    pins = []
     for b in range(batch):
         for _ in range(int(rng.integers(0, 3))):
-            if forced:
-                li = int(rng.integers(0, len(forced)))
-                forced[li][b, int(rng.integers(0, widths[li + 1]))] = int(rng.choice([-1, 1]))
+            if len(widths) > 2:
+                li = int(rng.integers(0, len(widths) - 2))
+                pins.append((li, (b, int(rng.integers(0, widths[li + 1]))), int(rng.choice([-1, 1]))))
     overrides = []
     for w in widths[1:]:
         # about half the domains override this layer, each a fifth of its
@@ -454,7 +595,11 @@ def _walk_inputs(widths, batch, seed):
         hi = np.where(touched & (rng.uniform(size=(batch, w)) < 0.2),
                       rng.normal(size=(batch, w)) + 1.0, np.nan)
         overrides.append((lo, hi) if rng.uniform() < 0.7 else None)
-    return model, lowers, uppers, forced, overrides
+    for li, at, polarity in pins:
+        if overrides[li] is None:
+            overrides[li] = (np.full((batch, widths[li + 1]), np.nan),) * 2
+        overrides[li] = _pin(overrides[li], at, polarity)
+    return model, lowers, uppers, overrides
 
 
 def _same_bits(got, want):
@@ -466,18 +611,18 @@ def _same_bits(got, want):
 @given(case=_walk_cases())
 def test_blocked_walk_equals_the_whole_batch_walk(case):
     widths, batch, block, policy, seed = case
-    model, lowers, uppers, forced, overrides = _walk_inputs(widths, batch, seed)
+    model, lowers, uppers, overrides = _walk_inputs(widths, batch, seed)
     with mock.patch.object(crown, "WALK_BLOCK", block):
-        got, got_failed = bound_batch(model, lowers, uppers, policy, forced, overrides)
+        got, got_empty = bound_batch(model, lowers, uppers, policy, overrides)
         if block == 1:
             # one domain per block: the scratch no longer grows with the batch
             _, work = crown._walk_blocks(model.layers, batch)
             assert work.size == crown._walk_blocks(model.layers, 1)[1].size
     with mock.patch.object(crown, "WALK_BLOCK", 10**12):
         assert crown._walk_blocks(model.layers, batch)[0] == [batch] * model.num_layers
-        want, want_failed = bound_batch(model, lowers, uppers, policy, forced, overrides)
-    assert [err is None for err in got_failed] == [err is None for err in want_failed]
-    alive = np.array([err is None for err in want_failed])
+        want, want_empty = bound_batch(model, lowers, uppers, policy, overrides)
+    assert got_empty.tolist() == want_empty.tolist()
+    alive = ~want_empty
     for gb, wb in zip(got.layer_bounds, want.layer_bounds):
         _same_bits(gb.lower[alive], wb.lower[alive])
         _same_bits(gb.upper[alive], wb.upper[alive])
@@ -508,27 +653,27 @@ def _assert_same_pass(got, want, rows):
 @given(case=_walk_cases())
 def test_slope_vectors_match_the_scalar_and_adaptive_passes(case):
     widths, batch, _, _, seed = case
-    model, lowers, uppers, forced, overrides = _walk_inputs(widths, batch, seed)
+    model, lowers, uppers, overrides = _walk_inputs(widths, batch, seed)
     every = slice(None)
     # a per-layer vector of ones is fixed(1)
     ones = AlphaPolicy.root([np.ones(w) for w in widths[1:-1]])
-    got, got_failed = bound_batch(model, lowers, uppers, ones, forced, overrides)
-    want, want_failed = bound_batch(model, lowers, uppers, AlphaPolicy.fixed(1.0), forced, overrides)
-    assert [err is None for err in got_failed] == [err is None for err in want_failed]
+    got, got_empty = bound_batch(model, lowers, uppers, ones, overrides)
+    want, want_empty = bound_batch(model, lowers, uppers, AlphaPolicy.fixed(1.0), overrides)
+    assert got_empty.tolist() == want_empty.tolist()
     _assert_same_pass(got, want, every)
     assert got.policy.slopes == ones.slopes
     # a root policy's row 0 is an adaptive pass over that box alone, and
     # its slopes are the adaptive rule on row 0's intervals, for every row
-    got, _ = bound_batch(model, lowers, uppers, AlphaPolicy.root(), forced, overrides)
+    got, _ = bound_batch(model, lowers, uppers, AlphaPolicy.root(), overrides)
     first = [None if ovr is None else (ovr[0][:1], ovr[1][:1]) for ovr in overrides]
-    want, _ = bound_batch(model, lowers[:1], uppers[:1], AlphaPolicy.adaptive(), [f[:1] for f in forced], first)
+    want, _ = bound_batch(model, lowers[:1], uppers[:1], AlphaPolicy.adaptive(), first)
     _assert_same_pass(got, want, slice(0, 1))
     slopes = got.policy.slopes
     assert got.policy.kind == "root" and len(slopes) == len(widths) - 2
     for lb, alpha in zip(got.layer_bounds, slopes):
         _same_bits(alpha, np.where(lb.upper[0] >= -lb.lower[0], 1.0, 0.0))
     # and the decided policy gives the pass again
-    again, _ = bound_batch(model, lowers, uppers, got.policy, forced, overrides)
+    again, _ = bound_batch(model, lowers, uppers, got.policy, overrides)
     _assert_same_pass(again, got, every)
 
 
@@ -552,9 +697,9 @@ def test_wide_pass_memory_is_bounded():
     bound_batch(model, lowers[:1], lowers[:1] + 0.5)  # first-call allocations
     tracemalloc.start()
     try:
-        res, failed = bound_batch(model, lowers, lowers + 0.5)
+        res, empty = bound_batch(model, lowers, lowers + 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.final_lower.shape == (32, 1) and failed == [None] * 32
+    assert res.final_lower.shape == (32, 1) and not empty.any()
     assert peak < WIDE_PASS_PEAK_BYTES, f"{peak / 2**20:.1f} MiB"

@@ -239,8 +239,8 @@ def test_refine_hook_tightening_feeds_forward(model, box):
             upper = np.minimum(upper, np.array([0.0, -3.0]))
         return lower, upper, np.zeros(alive.shape, dtype=bool)
 
-    res, failed = bound_batch(model, box.lower[None], box.upper[None], refine=refine)
-    assert failed == [None]
+    res, empty = bound_batch(model, box.lower[None], box.upper[None], refine=refine)
+    assert empty.tolist() == [False]
     assert res.final_lower[0, 0] >= -1e-12
 
 

@@ -1,8 +1,14 @@
-"""``tools/jobs_fingerprint.py --diff`` on small hand-made fingerprint files."""
+"""``tools/jobs_fingerprint.py``: ``--diff`` on small hand-made fingerprint
+files, and the records of the search fingerprint test's searches."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+
+from clipverify import BabConfig, run_bab
+from conftest import random_network_problem
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "jobs_fingerprint.py"
 
@@ -52,3 +58,32 @@ def test_a_job_in_one_file_only_is_reported(tmp_path, capsys):
     new = _write(tmp_path / "new.jsonl", [_job(0)])
     assert _tool().main(["--diff", old, new]) == 1
     assert "('small-exact', 1, 1): only in old" in capsys.readouterr().out
+
+
+def test_search_records_cover_the_search_fingerprint_table():
+    from test_search_fingerprint import EXPECTED, SEEDS
+
+    jobs = _tool().search_jobs()
+    assert len(jobs) == len(SEEDS) * len(EXPECTED) == 64
+    assert {(seed, mode, clip) for seed, _, mode, clip, _ in jobs} == {
+        (seed, mode, clip) for seed in SEEDS for mode, clip in EXPECTED}
+    for seed, position, _, _, problem in jobs:
+        assert SEEDS[position] == seed
+        want = random_network_problem(np.random.default_rng(seed))
+        assert np.array_equal(problem.box.lower, want.box.lower)
+        assert np.array_equal(problem.model.layers[-1].bias, want.model.layers[-1].bias)
+
+
+def test_a_search_record_is_the_searchs_outcome(monkeypatch):
+    tool = _tool()
+    jobs = tool.search_jobs()[:2]
+    monkeypatch.setattr(tool, "search_jobs", lambda: jobs)
+    records = list(tool.fingerprint([]))
+    assert len(records) == 2
+    for (seed, position, mode, clip, problem), rec in zip(jobs, records):
+        out = run_bab(problem, BabConfig(mode=mode, clip=clip))
+        assert (rec["workload"], rec["seed"], rec["job"], rec["instance"], rec["mode"]) == (
+            "search", seed, f"{mode}-{clip}", position, mode)
+        assert rec["status"] == out.status and rec["domains_visited"] == out.stats.domains_visited
+        assert rec["max_depth"] == out.stats.max_depth and rec["bound"] == out.bound
+        assert rec["bound_history"] == out.stats.bound_history

@@ -44,7 +44,14 @@ from clipverify import (
     run_bab,
 )
 
-from conftest import long_search_problem, random_network_problem, split_constraint_to_input, toy_problem
+from conftest import (
+    layer_neuron,
+    long_search_problem,
+    override_pins,
+    random_network_problem,
+    split_constraint_to_input,
+    toy_problem,
+)
 
 
 def _problems() -> list:
@@ -122,7 +129,7 @@ def test_wide_rounds_split_each_parent_once(monkeypatch, mode):
                     continue
                 _, parents, children, owner, survivors = event
                 assert len(parents) <= batch
-                depths = [child.depth - parents[p].depth for child, p in zip(children, owner)]
+                depths = [len(child.path) - len(parents[p].path) for child, p in zip(children, owner)]
                 assert all(d == 1 or len(parents) * 2**d <= batch for d in depths)
                 if 2 * len(parents) <= batch:
                     continue
@@ -189,7 +196,7 @@ def test_children_are_the_bisection_descendants(monkeypatch):
             got = [child for child, o in zip(children, owner) if o == p]
             want = _descendants(parent, levels)
             assert [child.path for child in got] == [child.path for child in want]
-            assert [child.depth for child in got] == [parent.depth + levels] * len(want)
+            assert [len(child.path) for child in got] == [len(parent.path) + levels] * len(want)
             for child, ref in zip(got, want):
                 assert np.array_equal(child.lower, ref.lower) and np.array_equal(child.upper, ref.upper)
         if survivors is None or survivors[3] is None:
@@ -319,7 +326,7 @@ def test_input_mode_first_pass_bounds_the_roots_descendants(monkeypatch, batch):
         keep, lowers, uppers, stacks = survivors
         assert keep.tolist() == list(range(len(want))) and stacks is None
         for child, ref, lo, up in zip(children, want, lowers, uppers):
-            assert child.path == ref.path and child.depth == levels
+            assert child.path == ref.path and len(child.path) == levels
             assert np.array_equal(lo, ref.lower) and np.array_equal(up, ref.upper)
         # the first pass is the first round's: one pass per round that kept
         # children, none before, and its row 0 is the root
@@ -441,13 +448,14 @@ def _steps(parent, child) -> tuple:
     return child.path[len(parent.path):]
 
 
-def _pinned(parent, steps) -> list:
-    """``parent``'s pins plus those of the picks ``steps`` took, side 0 the
-    active one."""
-    forced = [pins.copy() for pins in parent.forced]
-    for (layer, neuron), side in zip(parent.picks, steps):
-        forced[layer][neuron] = 1 if side == 0 else -1
-    return forced
+def _pinned(parent, steps) -> np.ndarray:
+    """``parent``'s overrides plus the pins of the picks ``steps`` took:
+    side 0, the active one, sets the pick's lower override to 0, side 1 its
+    upper one."""
+    overrides = parent.overrides.copy()
+    for pick, side in zip(parent.picks, steps):
+        overrides[side, pick] = 0.0
+    return overrides
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
@@ -474,9 +482,9 @@ def test_activation_rounds_fill_the_pass(monkeypatch, batch):
 def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
     # Each child adds exactly the pins its path took, and its constraint
     # stack is its parent's last rows plus, per pin, the half-space it
-    # implies.  Relaxed clipping leaves the overrides unset, so the
+    # implies.  Relaxed clipping sets no overrides but the pins, so the
     # parent's pass can be rebuilt by compute_bounds over its box, under
-    # the slopes the root decided.
+    # those splits and the slopes the root decided.
     rounds, _ = _activation_rounds(monkeypatch, batch, clip="relaxed")
     checked = deep = bisected = 0
     for prob, parents, children, owner, survivors in rounds:
@@ -486,9 +494,8 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
             parent = parents[p]
             steps = _steps(parent, child)
             assert len(steps) == _pin_depth(parent, levels)
-            assert child.depth == parent.depth + len(steps)
-            want = _pinned(parent, steps)
-            assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, want))
+            assert len(child.path) == len(parent.path) + len(steps)
+            assert np.array_equal(child.overrides, _pinned(parent, steps), equal_nan=True)
             if not parent.picks:
                 # bisected once: the child (clipped once it was bounded)
                 # lies in the half its step names
@@ -504,12 +511,15 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
             rows = list(zip(parent.normals, parent.offsets))
             if parent.picks:
                 # the parent's pass, as bound_batch made it over its box
-                # under its pins
-                splits = {(layer, int(neuron)): int(pins[neuron]) for layer, pins in enumerate(parent.forced)
+                # under its pins, every override it has a pin's 0
+                assert np.all(np.isnan(parent.overrides) | (parent.overrides == 0.0))
+                splits = {(layer, int(neuron)): int(pins[neuron])
+                          for layer, pins in enumerate(override_pins(prob.model, parent.overrides))
                           for neuron in np.flatnonzero(pins)}
                 box = BoxDomain(parent.lower, parent.upper)
                 planes = compute_bounds(prob.model, box, slopes, splits=splits).planes
-                for (layer, neuron), side in zip(parent.picks, steps):
+                for pick, side in zip(parent.picks, steps):
+                    layer, neuron = layer_neuron(prob.model, pick)
                     cons = split_constraint_to_input(planes[layer], neuron, 1 if side == 0 else -1)
                     rows.append((cons.normal, cons.offset))
             rows = rows[-bab.CONSTRAINT_BUDGET:]
@@ -536,9 +546,8 @@ def test_activation_parent_with_few_picks_stops_early(monkeypatch):
     assert [child.path for child in children] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert owner.tolist() == [0] * 4
     for child in children:
-        assert child.depth == 2
-        want = _pinned(parents[0], child.path)
-        assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, want))
+        assert len(child.path) == 2
+        assert np.array_equal(child.overrides, _pinned(parents[0], child.path), equal_nan=True)
     rounds.clear()
     model = NetworkModel([AffineLayer(np.eye(1), np.array([10.0])), AffineLayer(np.ones((1, 1)), np.array([-10.5]))])
     prob = CanonicalProblem(model, BoxDomain(np.array([-1.0]), np.array([1.0])), 1)
@@ -549,7 +558,7 @@ def test_activation_parent_with_few_picks_stops_early(monkeypatch):
     for child, half in zip(children, branch_input(parents[0])):
         assert child.path == half.path
         assert np.array_equal(child.lower, half.lower) and np.array_equal(child.upper, half.upper)
-        assert all(np.array_equal(got, pins) for got, pins in zip(child.forced, parents[0].forced))
+        assert np.array_equal(child.overrides, parents[0].overrides, equal_nan=True)
 
 
 def test_probe_records_every_activation_split(monkeypatch):
@@ -597,7 +606,15 @@ def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip
     rounds, _ = _activation_rounds(monkeypatch, 8, clip=clip)
     rng = np.random.default_rng(0)
     checked = 0
+    # each node's pins, (pick, side) from the root down, rebuilt from its
+    # ancestors' picks and its path; a node is its problem and its path
+    pins_at = {}
     for prob, parents, children, owner, _ in rounds:
+        for child, p in zip(children, owner.tolist()):
+            parent = parents[p]
+            assert parent.path == () or (id(prob), parent.path) in pins_at
+            above = pins_at.get((id(prob), parent.path), [])
+            pins_at[id(prob), child.path] = above + list(zip(parent.picks, _steps(parent, child)))
         if max(len(_steps(parents[p], child)) for child, p in zip(children, owner)) < 2:
             continue
         steps = [_steps(parents[p], child) for child, p in zip(children, owner.tolist())]
@@ -611,8 +628,15 @@ def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip
             pts = rng.uniform(parent.lower, parent.upper, size=(4000, parent.lower.size))
             zs = _pre_activations(prob.model, pts)
             holds = np.ones(len(pts), dtype=bool)
-            for z, pins in zip(zs, child.forced):
-                holds &= np.all(np.where(pins > 0, z >= 0.0, True) & np.where(pins < 0, z <= 0.0, True), axis=1)
+            want = [np.zeros(layer.out_dim, dtype=int) for layer in prob.model.layers[:-1]]
+            for pick, side in pins_at[id(prob), child.path]:
+                layer, neuron = layer_neuron(prob.model, pick)
+                z = zs[layer][:, neuron]
+                holds &= z >= 0.0 if side == 0 else z <= 0.0
+                want[layer][neuron] = 1 if side == 0 else -1
+            # the child's overrides hold these pins as their zeros
+            got = override_pins(prob.model, child.overrides)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
             values = pts @ normals[k, :sizes[k]].T + offsets[k, :sizes[k]]
             assert np.all(values[holds] <= 1e-9)
             checked += int(holds.sum()) * int(sizes[k])

@@ -11,8 +11,14 @@ for every seed, runs each job once with this checkout's ``src`` (one BLAS
 thread, as in the verdict benchmark) and prints one JSON line per job:
 its workload, seed, job and instance numbers, mode, and the outcome's
 ``status``, ``domains_visited``, ``max_depth``, ``bound``, ``value`` and
-``bound_history`` (the lowest open bound after each round).
-Floats are printed exactly (shortest repr), so equal lines mean equal bits.
+``bound_history`` (the lowest open bound after each round).  The corpora
+are mostly decided at the root, so each run then also prints one line per
+search of ``tests/test_search_fingerprint.py``: every net of its ``SEEDS``
+under every ``(mode, clip)`` setting of its table, with workload
+``search``, seed the net's seed, job ``MODE-CLIP`` and instance the seed's
+position in ``SEEDS``.  These searches branch for up to thousands of
+domains.  Floats are printed exactly (shortest repr), so equal lines mean
+equal bits.
 
 The second form compares two such files job by job and prints each job
 and field that differs, then one summary line per workload and mode (jobs,
@@ -36,44 +42,65 @@ import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("status", "domains_visited", "max_depth", "bound", "value", "bound_history")
 KEY = ("workload", "seed", "job")
 
 
-def _load_corpus():
-    """``verdictbench/corpus.py`` as a module, without importing the
-    benchmark's runner."""
-    spec = importlib.util.spec_from_file_location("verdictbench_corpus", ROOT / "verdictbench" / "corpus.py")
+def _load(name, path):
+    """The file at ``path`` as the module ``name``, without importing the
+    package or test suite around it."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
+    sys.modules[spec.name] = module  # dataclasses and later imports look it up
     spec.loader.exec_module(module)
     return module
 
 
+def search_jobs():
+    """``(seed, position, mode, clip, problem)`` of every search that
+    ``tests/test_search_fingerprint.py`` pins, setting by setting; the
+    problems come from ``tests/conftest.py``, which the test module imports
+    as ``conftest`` (under pytest it is loaded already)."""
+    conftest = sys.modules.get("conftest") or _load("conftest", ROOT / "tests" / "conftest.py")
+    table = _load("search_fingerprint", ROOT / "tests" / "test_search_fingerprint.py")
+    return [(seed, position, mode, clip, conftest.random_network_problem(np.random.default_rng(seed)))
+            for mode, clip in sorted(table.EXPECTED) for position, seed in enumerate(table.SEEDS)]
+
+
+def _record(workload, seed, job, instance, mode, out) -> dict:
+    return {
+        "workload": workload,
+        "seed": seed,
+        "job": job,
+        "instance": instance,
+        "mode": mode,
+        "status": out.status,
+        "domains_visited": out.stats.domains_visited,
+        "max_depth": out.stats.max_depth,
+        "bound": out.bound,
+        "value": out.value,
+        "bound_history": out.stats.bound_history,
+    }
+
+
 def fingerprint(seeds):
-    """One record per job of every workload at every seed, in corpus order."""
+    """One record per job of every workload at every seed, in corpus order,
+    then one per search of the search fingerprint test."""
     sys.path.insert(0, str(ROOT / "src"))
     import clipverify as cv
 
-    corpus = _load_corpus()
+    corpus = _load("verdictbench_corpus", ROOT / "verdictbench" / "corpus.py")
     for seed in seeds:
         for workload in corpus.WORKLOADS:
             for job in corpus.build_jobs(cv, workload, seed):
                 out = cv.run_bab(job.problem, job.config)
-                yield {
-                    "workload": workload.name,
-                    "seed": seed,
-                    "job": job.ident,
-                    "instance": job.instance,
-                    "mode": job.config.mode,
-                    "status": out.status,
-                    "domains_visited": out.stats.domains_visited,
-                    "max_depth": out.stats.max_depth,
-                    "bound": out.bound,
-                    "value": out.value,
-                    "bound_history": out.stats.bound_history,
-                }
+                yield _record(workload.name, seed, job.ident, job.instance, job.config.mode, out)
+    for seed, position, mode, clip, problem in search_jobs():
+        out = cv.run_bab(problem, cv.BabConfig(mode=mode, clip=clip))
+        yield _record("search", seed, f"{mode}-{clip}", position, mode, out)
 
 
 def _read(path):
