@@ -22,14 +22,19 @@ layer index, the batch's planes and bounds and a mask of the domains still
 alive, and returns the tightened bounds and a mask of the domains it proved
 empty (see :func:`bound_batch`).  The pass returns its arrays in this
 batch form.  :func:`compute_bounds` is the one-box case, without
-refinement: it writes its splits into its overrides, one-row arrays,
-and returns the pass's only row.  The pass also returns its relaxations, so
-that :func:`zero_slope_lower` can walk the output rows back once more with
+refinement: it stacks its overrides into one-row arrays and returns the
+pass's only row.  The pass also returns its relaxations, so that
+:func:`zero_slope_lower` can walk the output rows back once more with
 other lower slopes.
 
-Unstable ReLUs use the triangle envelope: upper side is the chord through
-``(l, 0)`` and ``(u, u)``, lower side is a line ``alpha * z`` through the
-origin with a selectable slope ``alpha`` in [0, 1].
+A ReLU's envelope follows from its layer's bounds alone, after overrides
+and refinement: zero where ``u <= 0``, the identity where ``l >= 0 < u``,
+and the triangle where ``l < 0 < u``.  The triangle's upper side is the
+chord through ``(l, 0)`` and ``(u, u)``, its lower side a line ``alpha *
+z`` through the origin with a selectable slope ``alpha`` in [0, 1].  A
+ReLU split is a bound override of 0 (a lower bound for the active side, an
+upper bound for the inactive one), so a pinned neuron takes the identity
+or zero envelope like any other neuron its bounds decide.
 """
 
 from __future__ import annotations
@@ -48,11 +53,6 @@ from .geometry import (  # noqa: F401  (concretize: patch point for tracers)
 )
 from .network import NetworkModel
 
-# Intervals narrower than this are collapsed to a stable neuron at the sign
-# of the upper bound; avoids dividing by u - l in the chord slope.  A
-# collapsed neuron with l < 0 <= u keeps the identity slopes, but its upper
-# side is lifted by -l (see relax_relu) so that the envelope stays sound.
-STABLE_WIDTH_TOL = 1e-12
 # Values per buffer of a backward-walk block: a block holds as many domains
 # as fit their ``(2r, w)`` coefficient arrays (w the widest hidden layer the
 # walk passes) in WALK_BLOCK values, and at least one.  32768 float64 values
@@ -68,7 +68,8 @@ WALK_BLOCK = 32768
 
 
 class InfeasibleSplitError(Exception):
-    """A forced activation assignment (or bound override) is unsatisfiable."""
+    """A box's bounds cross under their overrides (a ReLU split among them):
+    the box holds no point that meets them all."""
 
 
 class DeadlinePassed(Exception):
@@ -128,9 +129,9 @@ class ReluRelaxation:
     """Per-neuron linear envelope slopes and offsets for one ReLU layer.
 
     Guarantees ``lower_slope * z <= relu(z) <= upper_slope * z +
-    upper_offset`` for all z in [l, u] (or, for a forced neuron, for all z
-    on the forced side).  The lower side always passes through the origin,
-    so it has no offset.
+    upper_offset`` for all z in [l, u], the neuron's bounds after overrides
+    (for a pinned neuron, its pinned side).  The lower side always passes
+    through the origin, so it has no offset.
     """
 
     lower_slope: np.ndarray
@@ -189,83 +190,40 @@ def _alpha(policy: AlphaPolicy, i: int, lower, upper):
 
 def _relax_rows(lower, upper, alpha) -> ReluRelaxation:
     """Envelopes for bound arrays of any shape, one neuron per element,
-    with masks in place of a per-neuron loop.  ``alpha`` is the unstable
-    neurons' lower slope, a scalar or an array that broadcasts to
-    ``lower``.  Returns a :class:`ReluRelaxation` of arrays shaped like
-    ``lower``.
+    with masks in place of a per-neuron loop: zero where ``u <= 0``, the
+    identity where ``l >= 0 < u`` and the triangle where ``l < 0 < u``.
+    ``alpha`` is the triangles' lower slope, a scalar or an array that
+    broadcasts to ``lower``.  Returns a :class:`ReluRelaxation` of arrays
+    shaped like ``lower``.
     """
-    width = upper - lower
-    collapsed = width < STABLE_WIDTH_TOL
-    active = np.where(collapsed, upper >= 0.0, lower >= 0.0)
-    unstable = ~collapsed & (lower < 0.0) & (upper > 0.0)
-    slope = upper / np.where(unstable, width, 1.0)
+    active = (lower >= 0.0) & (upper > 0.0)
+    unstable = (lower < 0.0) & (upper > 0.0)
+    # where l < 0 < u, u - l > u exactly and rounding is monotone, so
+    # fl(u - l) >= u > 0 and the chord slope lies in [0, 1]
+    slope = upper / np.where(unstable, upper - lower, 1.0)
     lower_slope = np.where(active, 1.0, np.where(unstable, alpha, 0.0))
     upper_slope = np.where(active, 1.0, np.where(unstable, slope, 0.0))
-    # A tiny interval straddling zero, collapsed to active: relu(z) <= z - l
-    # on [l, u], while the identity dips below.
-    upper_offset = np.where(
-        active & (lower < 0.0), -lower, np.where(unstable, -lower * slope, 0.0)
-    )
+    upper_offset = np.where(unstable, -lower * slope, 0.0)
     return ReluRelaxation(lower_slope, upper_slope, upper_offset)
 
 
-def _zero_where(rel: ReluRelaxation, off) -> ReluRelaxation:
-    """``rel`` with the zero envelope where ``off``: the neurons decided
-    inactive, also where their interval [l, 0] is narrow enough that
-    :func:`_relax_rows` collapses it to the active envelope."""
-    sides = (rel.lower_slope, rel.upper_slope, rel.upper_offset)
-    return ReluRelaxation(*(np.where(off, 0.0, side) for side in sides))
+def relax_relu(lower: np.ndarray, upper: np.ndarray, policy: AlphaPolicy) -> ReluRelaxation:
+    """Build linear envelopes for one ReLU layer from its ``(w,)``
+    pre-activation bounds ``lower`` / ``upper`` (see :func:`_relax_rows`);
+    a pinned neuron is one whose bounds carry its pin, ``l = max(l, 0)``
+    for the active side or ``u = min(u, 0)`` for the inactive one.
 
-
-def relax_relu(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    policy: AlphaPolicy,
-    forced: np.ndarray | None = None,
-) -> ReluRelaxation:
-    """Build linear envelopes for one ReLU layer.
-
-    Parameters
-    ----------
-    lower, upper : arrays, shape (w,)
-        Pre-activation interval bounds.
-    policy : AlphaPolicy
-        Lower-envelope slope selection for unstable neurons: ``fixed`` or
-        ``adaptive``.  A ``root`` policy decides its slopes over a whole
-        pass (:func:`bound_batch`), so it is refused here.
-    forced : array of {-1, 0, +1} or None
-        +1 pins the neuron to its active side (identity), -1 to its inactive
-        side (zero); 0 leaves it free.  A forced side that the interval
-        rules out raises :class:`InfeasibleSplitError` for the first such
-        neuron.
+    ``policy`` selects the lower slope of the unstable neurons: ``fixed``
+    or ``adaptive``.  A ``root`` policy decides its slopes over a whole
+    pass (:func:`bound_batch`), so it is refused here.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower/upper must be matching 1-D arrays")
-    if forced is None:
-        forced = np.zeros(lower.size, dtype=int)
-    else:
-        forced = np.asarray(forced, dtype=int)
-        if forced.shape != lower.shape:
-            raise ValueError("forced assignment shape does not match layer width")
     if policy.kind == "root":
         raise ValueError("a root policy decides its slopes in bound_batch")
-    on, off = forced > 0, forced < 0
-    bad = np.flatnonzero((on & (upper < 0.0)) | (off & (lower > 0.0)))
-    if bad.size:
-        j = int(bad[0])
-        if on[j]:
-            raise InfeasibleSplitError(
-                f"neuron {j} forced active but its upper bound {upper[j]} is negative"
-            )
-        raise InfeasibleSplitError(
-            f"neuron {j} forced inactive but its lower bound {lower[j]} is positive"
-        )
-    # the pins as the pass takes them: an active pin raises the lower
-    # bound to 0, which gives the identity; an inactive one gives zero
-    lower = np.where(on, np.maximum(lower, 0.0), lower)
-    return _zero_where(_relax_rows(lower, upper, _alpha(policy, 0, lower, upper)), off)
+    return _relax_rows(lower, upper, _alpha(policy, 0, lower, upper))
 
 
 def _walk_blocks(layers, batch: int):
@@ -351,16 +309,30 @@ def _walk(layers, relaxations, target: int, batch: int, step: int, work, collect
     return out, c, coeffs
 
 
-def _check_overrides(model: NetworkModel, overrides, batch: int):
+def _check_overrides(model: NetworkModel, overrides, lead: tuple):
     """Refuse overrides that are not None or one entry per layer, each None
-    or a ``(lower, upper)`` pair of ``(batch, w_i)`` arrays."""
+    or a ``(lower, upper)`` pair of ``lead + (w_i,)`` arrays.  One-box
+    overrides (``lead`` empty) may leave either side None."""
     if overrides is not None and len(overrides) != model.num_layers:
         raise ValueError(f"overrides need one entry per layer ({model.num_layers}), got {len(overrides)}")
     for i, entry in enumerate(overrides or ()):
-        shape = (batch, model.layers[i].out_dim)
+        shape = lead + (model.layers[i].out_dim,)
         pair = isinstance(entry, (tuple, list, np.ndarray)) and len(entry) == 2
-        if entry is not None and not (pair and all(np.shape(arr) == shape for arr in entry)):
+        if entry is not None and not (pair and all(
+                np.shape(arr) == shape or (arr is None and not lead) for arr in entry)):
             raise ValueError(f"layer {i} overrides must be a (lower, upper) pair of {shape} arrays")
+
+
+def _check_slopes(model: NetworkModel, slopes):
+    """Refuse a decided root policy's slopes unless they are one ``(w_i,)``
+    array per hidden layer."""
+    hidden = model.num_layers - 1
+    if len(slopes) > hidden:
+        raise ValueError(f"root slopes need one array per hidden layer ({hidden}); layer {hidden} has no ReLU")
+    for i in range(hidden):
+        shape = (model.layers[i].out_dim,)
+        if i >= len(slopes) or np.shape(slopes[i]) != shape:
+            raise ValueError(f"layer {i} root slopes must be a {shape} array")
 
 
 def bound_batch(
@@ -377,14 +349,17 @@ def bound_batch(
     ``policy`` chooses the unstable ReLUs' lower slopes (default
     ``fixed(1)``).  An undecided root policy decides them layer by layer
     from row 0's bounds, for every row; the result's ``policy`` holds them.
+    A decided one's slopes must be one ``(w_i,)`` array per hidden layer;
+    anything else raises ``ValueError``.
 
     ``lowers`` / ``uppers`` are the ``(B, n)`` box corners.
     ``overrides``, None or one entry per layer, holds for layer i None or
     a ``(lower, upper)`` pair of ``(B, w_i)`` arrays intersected into
     layer i's bounds (NaN = none); anything else raises ``ValueError``.
     A ReLU split is such an override: a lower bound of 0 pins the neuron
-    to its active side, an upper bound of 0 to its inactive side.  An
-    upper override of at most 0 gives the neuron's ReLU the zero envelope.
+    to its active side, an upper bound of 0 to its inactive side.  Each
+    ReLU's envelope follows from its layer's bounds after overrides and
+    refinement (see :func:`_relax_rows`).
 
     ``refine``, when given, may tighten every layer's bounds before its
     ReLU relaxation is built (branch and bound runs complete clipping
@@ -429,7 +404,9 @@ def bound_batch(
     if np.any(lowers > uppers):
         raise EmptyBoxError("operation requires a nonempty box")
     batch = lowers.shape[0]
-    _check_overrides(model, overrides, batch)
+    _check_overrides(model, overrides, (batch,))
+    if policy.kind == "root" and policy.slopes is not None:
+        _check_slopes(model, policy.slopes)
     centers = 0.5 * (lowers + uppers)
     radii = 0.5 * (uppers - lowers)
     empty = np.zeros(batch, dtype=bool)
@@ -464,12 +441,7 @@ def bound_batch(
         if i < last:
             alpha = _alpha(policy, i, lower, upper)
             slopes.append(alpha)
-            rel = _relax_rows(lower, upper, alpha)
-            if overrides is not None and overrides[i] is not None:
-                # an upper override of at most 0, an inactive pin among
-                # them, decides the neuron inactive
-                rel = _zero_where(rel, overrides[i][1] <= 0.0)
-            relaxations.append(rel)
+            relaxations.append(_relax_rows(lower, upper, alpha))
 
     if policy.kind == "root" and policy.slopes is None:
         policy = AlphaPolicy.root(slopes)
@@ -532,7 +504,6 @@ def compute_bounds(
     model: NetworkModel,
     box: BoxDomain,
     policy: AlphaPolicy | None = None,
-    splits=None,
     overrides=None,
 ) -> BoundsResult:
     """Bound every layer of ``model`` over ``box``: the one-box case of
@@ -540,39 +511,28 @@ def compute_bounds(
 
     Layers are processed front to back; each one gets fresh planes from a
     backward pass through the relaxations built so far, then concrete
-    interval bounds.  ``overrides[i]``, an optional ``(lower, upper)`` pair
-    of arrays (NaN entries mean "no override"), is intersected into layer
+    interval bounds.  ``overrides``, None or one entry per layer, holds for
+    layer i None or a ``(lower, upper)`` pair, each side None or a
+    ``(w_i,)`` array (NaN entries mean "no override"); anything else raises
+    ``ValueError``, naming the layer.  The pair is intersected into layer
     i's bounds before the layer's ReLU relaxation is built, so it
-    propagates to everything downstream.  To tighten bounds during the
-    pass, call :func:`bound_batch` with a ``refine``.
+    propagates to everything downstream.  A ReLU split is an override of
+    0, as in :func:`bound_batch`.  To tighten bounds during the pass, call
+    :func:`bound_batch` with a ``refine``.
 
-    ``splits`` maps ``(layer, neuron)`` to +-1 and pins ReLUs to one side:
-    an override of 0 on the pinned side (a lower bound for +1, an upper
-    bound for -1), combined with a given override by max or min.  Raises
-    :class:`InfeasibleSplitError` when the bounds cross (lower > upper),
-    a split the bounds rule out among them; callers treat that as a
-    verified-empty subproblem.
+    Raises :class:`InfeasibleSplitError` when the bounds cross (lower >
+    upper), a split the bounds rule out among them; callers treat that as
+    a verified-empty subproblem.
     """
     if box.dim != model.input_dim:
         raise ValueError("box dimension does not match model input")
+    _check_overrides(model, overrides, ())
     # one (lower, upper) pair of one-row arrays per layer, NaN where unset
     stacked = [np.full((2, 1, layer.out_dim), np.nan) for layer in model.layers]
     for pair, entry in zip(stacked, overrides or []):
         for row, given in zip(pair, (None, None) if entry is None else entry):
             if given is not None:
                 row[0] = given
-    for (li, j), pol in (splits or {}).items():
-        if not 0 <= li < model.num_layers - 1:
-            raise ValueError(f"split layer {li} out of range")
-        if not 0 <= j < model.layers[li].out_dim:
-            raise ValueError(f"split neuron {j} out of range for layer {li}")
-        if pol not in (-1, 1):
-            raise ValueError("split polarity must be +1 (active) or -1 (inactive)")
-        lo, hi = stacked[li]
-        if pol > 0:
-            lo[0, j] = np.fmax(lo[0, j], 0.0)
-        else:
-            hi[0, j] = np.fmin(hi[0, j], 0.0)
     # without a refine, the pass finds the box empty only where bounds cross
     res, _ = bound_batch(model, box.lower[None], box.upper[None], policy, stacked)
     for i, lb in enumerate(res.layer_bounds):
@@ -581,6 +541,6 @@ def compute_bounds(
             j = crossed[0]
             raise InfeasibleSplitError(
                 f"layer {i} neuron {j}: lower bound {lb.lower[0, j]} exceeds upper bound "
-                f"{lb.upper[0, j]} under the splits and overrides"
+                f"{lb.upper[0, j]} under the overrides"
             )
     return _domain(res, 0)

@@ -1,11 +1,12 @@
 """The batched bounding pass against its references.
 
 * The row-wise ReLU relaxation against the per-neuron loop it replaced
-  (kept below as the reference): equal bit for bit, and the same
-  InfeasibleSplitError message for the first bad neuron.
+  (kept below as the reference), both with pins applied as bounds: equal
+  bit for bit, and crossed bounds where the loop finds a pin's domain
+  empty.  Each envelope also holds on its own interval.
 * The pass's relaxation of a layer, its pins applied as bound overrides
   of 0 (``_pin``), against the loop with those pins: equal bit for bit,
-  crossed bounds where the loop refuses a pin.
+  an empty domain where the loop finds one.
 * ``bound_batch`` over B boxes against ``bound_batch`` on each box alone:
   each domain's rows equal within 1e-12, the same domains empty.  The
   batched refine runs the per-domain refine hooks (``refine_from_hooks``).
@@ -15,8 +16,8 @@
   root policy's row 0 against an adaptive pass over that box alone, bit
   for bit.
 * Overrides that are not one ``(B, w_i)`` pair or None per layer are
-  refused, naming the layer; ``compute_bounds``'s splits are overrides of
-  0, bit for bit.
+  refused, naming the layer, and so are ``compute_bounds``'s overrides
+  that are not one pair of ``(w_i,)`` arrays or None per layer.
 """
 
 import tracemalloc
@@ -41,7 +42,6 @@ from clipverify import (
     relax_relu,
 )
 from clipverify import crown
-from clipverify.crown import STABLE_WIDTH_TOL
 
 from conftest import random_network_problem
 
@@ -55,19 +55,20 @@ class NeuronStatus(Enum):
 
 
 def neuron_status(lower: float, upper: float) -> NeuronStatus:
-    """The reference's status rule: an interval narrower than
-    STABLE_WIDTH_TOL collapses to the sign of its upper end."""
-    if upper - lower < STABLE_WIDTH_TOL:
-        return NeuronStatus.STABLE_ACTIVE if upper >= 0.0 else NeuronStatus.STABLE_INACTIVE
-    if lower >= 0.0:
-        return NeuronStatus.STABLE_ACTIVE
+    """The reference's status rule, from the bounds alone: inactive where
+    u <= 0, active where l >= 0 < u, unstable where l < 0 < u."""
     if upper <= 0.0:
         return NeuronStatus.STABLE_INACTIVE
+    if lower >= 0.0:
+        return NeuronStatus.STABLE_ACTIVE
     return NeuronStatus.UNSTABLE
 
 
 def relax_relu_loop(lower, upper, policy, forced=None) -> ReluRelaxation:
-    """Reference: the per-neuron relaxation loop."""
+    """Reference: the per-neuron relaxation loop.  ``forced`` pins apply
+    as bounds: +1 raises l to max(l, 0), -1 lowers u to min(u, 0).  Where
+    a pin crosses the bounds, the domain is empty and the loop raises
+    InfeasibleSplitError."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     w = lower.size
@@ -78,26 +79,15 @@ def relax_relu_loop(lower, upper, policy, forced=None) -> ReluRelaxation:
     for j in range(w):
         l, u = lower[j], upper[j]
         if forced[j] > 0:
-            if u < 0.0:
-                raise InfeasibleSplitError(
-                    f"neuron {j} forced active but its upper bound {u} is negative"
-                )
-            dl[j] = du[j] = 1.0
-            continue
-        if forced[j] < 0:
-            if l > 0.0:
-                raise InfeasibleSplitError(
-                    f"neuron {j} forced inactive but its lower bound {l} is positive"
-                )
-            continue
+            l = max(l, 0.0)
+        elif forced[j] < 0:
+            u = min(u, 0.0)
+        if l > u:
+            raise InfeasibleSplitError(f"neuron {j}: pinned bounds [{l}, {u}] cross")
         status = neuron_status(l, u)
         if status is NeuronStatus.STABLE_ACTIVE:
             dl[j] = du[j] = 1.0
-            if l < 0.0:
-                bu[j] = -l
-        elif status is NeuronStatus.STABLE_INACTIVE:
-            pass
-        else:
+        elif status is NeuronStatus.UNSTABLE:
             slope = u / (u - l)
             du[j] = slope
             bu[j] = -l * slope
@@ -120,7 +110,8 @@ def _assert_bitwise(got, want):
 
 @st.composite
 def neuron_interval(draw):
-    """(lower, upper) of one neuron: random, zero-width or collapsed."""
+    """(lower, upper) of one neuron: random, zero-width, a tiny straddle
+    or one side at zero."""
     kind = draw(st.sampled_from(["random", "zero", "collapsed", "sided"]))
     value = st.floats(-4.0, 4.0, allow_nan=False)
     if kind == "random":
@@ -130,12 +121,12 @@ def neuron_interval(draw):
         v = draw(st.sampled_from([0.0, -0.0, draw(value)]))
         return v, v
     if kind == "collapsed":
-        # straddles zero but is narrower than the collapse tolerance
-        lo = -draw(st.floats(1e-16, 0.5 * STABLE_WIDTH_TOL))
-        return lo, draw(st.floats(0.0, 0.4 * STABLE_WIDTH_TOL))
-    # one side exactly at zero
+        # within 1e-12 of zero on both sides, mostly straddling it
+        lo = -draw(st.floats(1e-16, 0.5e-12))
+        return lo, draw(st.floats(0.0, 0.4e-12))
+    # one side exactly at zero, of either sign
     v = abs(draw(value))
-    return draw(st.sampled_from([(0.0, v), (-v, 0.0)]))
+    return draw(st.sampled_from([(0.0, v), (-0.0, v), (-v, 0.0), (-v, -0.0)]))
 
 
 policies = st.one_of(
@@ -165,18 +156,43 @@ def _loop_or_error(lower, upper, policy, forced):
         return str(err)
 
 
+def _pinned_bounds(lower, upper, forced):
+    """The bounds with the pins ``forced`` applied as the pass takes them."""
+    return (np.where(forced > 0, np.fmax(lower, 0.0), lower),
+            np.where(forced < 0, np.fmin(upper, 0.0), upper))
+
+
 @settings(max_examples=300, deadline=None)
 @given(layer=relu_layer(), policy=policies, use_forced=st.booleans())
 def test_relax_relu_matches_loop_bitwise(layer, policy, use_forced):
     lower, upper, forced = (x[0] for x in layer)
-    forced = forced if use_forced else None
+    forced = forced if use_forced else np.zeros_like(forced)
     want = _loop_or_error(lower, upper, policy, forced)
-    if isinstance(want, str):
-        with pytest.raises(InfeasibleSplitError) as err:
-            relax_relu(lower, upper, policy, forced)
-        assert str(err.value) == want
-    else:
-        _assert_bitwise(relax_relu(lower, upper, policy, forced), want)
+    lower, upper = _pinned_bounds(lower, upper, forced)
+    # a pin the interval rules out crosses the bounds
+    assert np.any(lower > upper) == isinstance(want, str)
+    if not isinstance(want, str):
+        _assert_bitwise(relax_relu(lower, upper, policy), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=neuron_interval(), policy=policies)
+def test_envelope_holds_on_its_interval(cell, policy):
+    # On a grid of z in [l, u], both ends included, the envelope brackets
+    # relu(z) within a few ulps of the interval's magnitude; a triangle's
+    # upper side is the chord through (l, 0) and (u, u).
+    l, u = cell
+    rel = relax_relu(np.array([l]), np.array([u]), policy)
+    low, up, off = (f[0] for f in _fields(rel))
+    tol = 4.0 * np.spacing(max(abs(l), abs(u)))
+    z = np.linspace(l, u, 33)
+    assert z[0] == l and z[-1] == u
+    relu = np.maximum(z, 0.0)
+    assert np.all(low * z <= relu + tol)
+    assert np.all(relu <= up * z + off + tol)
+    if l < 0.0 < u:
+        assert abs(up * l + off) <= tol
+        assert abs(up * u + off - u) <= tol
 
 
 def _pin(pair, at, polarity):
@@ -217,17 +233,6 @@ def test_relaxation_rows_match_loop_bitwise(layer, policy):
         assert empty[b] == isinstance(want, str)
         if not isinstance(want, str):
             _assert_bitwise(ReluRelaxation(*(f[b].copy() for f in _fields(res.relaxations[0]))), want)
-
-
-def test_first_bad_neuron_names_the_error():
-    lower = np.array([-1.0, 1.0, -3.0])
-    upper = np.array([1.0, 2.0, -2.0])
-    forced = np.array([0, -1, 1])  # neurons 1 and 2 both impossible
-    with pytest.raises(InfeasibleSplitError, match="neuron 1 forced inactive"):
-        relax_relu(lower, upper, AlphaPolicy.fixed(), forced)
-    # without neuron 1, the bad neuron (now at index 1) is forced active
-    with pytest.raises(InfeasibleSplitError, match="neuron 1 forced active"):
-        relax_relu(lower[[0, 2]], upper[[0, 2]], AlphaPolicy.fixed(), forced[[0, 2]])
 
 
 # -- the batched pass against one box at a time ------------------------------
@@ -472,87 +477,38 @@ def test_overrides_of_the_wrong_shape_are_rejected(model, box):
     bound_batch(model, lowers, uppers, overrides=[(arr, arr) for arr in nan])
 
 
-def _one_box_overrides(rng, model, root):
-    """Random ``(lower, upper)`` overrides per layer for
-    :func:`compute_bounds`, near the root bounds ``root``, NaN where there
-    is none, and None for some layers."""
-    overrides = []
-    for lb in root.layer_bounds:
-        w = lb.lower.size
-        lo = np.where(rng.uniform(size=w) < 0.3, lb.lower + rng.uniform(0.0, 0.5, size=w), np.nan)
-        hi = np.where(rng.uniform(size=w) < 0.3, lb.upper - rng.uniform(0.0, 0.5, size=w), np.nan)
-        overrides.append((lo, hi) if rng.uniform() < 0.7 else None)
-    return overrides
-
-
-def _bounds_or_empty(model, box, policy, **kwargs):
-    try:
-        return compute_bounds(model, box, policy, **kwargs)
-    except InfeasibleSplitError:
-        return None
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), policy=policies)
-def test_splits_are_overrides_of_zero(seed, policy):
-    # compute_bounds(splits=S) is the pass under S's overrides of 0 (lower
-    # for +1, upper for -1) combined with the given ones by max or min,
-    # bit for bit, and both find the same splits infeasible
-    rng = np.random.default_rng(seed)
-    problem = random_network_problem(rng, hidden=int(rng.integers(1, 4)))
-    model, box = problem.model, problem.box
-    overrides = _one_box_overrides(rng, model, compute_bounds(model, box, policy))
-    splits = {}
-    for _ in range(int(rng.integers(1, 4))):
-        li = int(rng.integers(0, model.num_layers - 1))
-        splits[(li, int(rng.integers(0, model.layers[li].out_dim)))] = int(rng.choice([-1, 1]))
-    zeros = list(overrides)
-    for (li, j), polarity in splits.items():
-        if zeros[li] is None:
-            zeros[li] = (np.full(model.layers[li].out_dim, np.nan),) * 2
-        zeros[li] = _pin(zeros[li], j, polarity)
-    got = _bounds_or_empty(model, box, policy, splits=splits, overrides=overrides)
-    want = _bounds_or_empty(model, box, policy, overrides=zeros)
-    assert (got is None) == (want is None)
-    if got is not None:
-        _assert_same_pass(got, want, slice(None))
-        _same_bits(got.final_lower, want.final_lower)
-
-
 def test_inactive_pin_on_a_collapsed_interval_keeps_a_valid_envelope():
-    # z = x - 1e-13 on [0, 1]: pinned inactive, its interval [l, 0] is
-    # narrower than STABLE_WIDTH_TOL, where a free neuron collapses to the
-    # active envelope relu(z) <= z - l, whose upper plane follows z over
-    # the whole box.  An upper override of at most 0 decides the neuron
-    # inactive, so the pass gives it zero.
+    # z = x - 1e-13 on [0, 1], pinned inactive: its bounds [l, 0] are
+    # narrower than 1e-12, and u <= 0 gives the zero envelope, whose upper
+    # plane stays 0 over the whole box.  The same bounds without the pin
+    # take the same envelope.
     model = NetworkModel([AffineLayer(np.ones((1, 1)), np.array([-1e-13])),
                           AffineLayer(np.ones((1, 1)), np.zeros(1))])
     box = BoxDomain(np.zeros(1), np.ones(1))
-    res = compute_bounds(model, box, AlphaPolicy.fixed(), splits={(0, 0): -1})
+    res = compute_bounds(model, box, AlphaPolicy.fixed(), overrides=[(None, np.zeros(1)), None])
     lo, hi = res.layer_bounds[0].lower[0], res.layer_bounds[0].upper[0]
-    assert -STABLE_WIDTH_TOL < lo < 0.0 and hi == 0.0
+    assert -1e-12 < lo < 0.0 and hi == 0.0
     rel = res.relaxations[0]
     assert rel.lower_slope[0] == rel.upper_slope[0] == rel.upper_offset[0] == 0.0
     for z in np.linspace(lo, hi, 11):
         assert rel.lower_slope[0] * z <= max(z, 0.0) <= rel.upper_slope[0] * z + rel.upper_offset[0]
     # the output is 0 wherever z <= 0
     assert res.layer_bounds[-1].lower[0] == res.layer_bounds[-1].upper[0] == 0.0
-    # the free neuron keeps the collapsed active envelope
-    free = relax_relu(np.array([lo]), np.array([hi]), AlphaPolicy.fixed())
-    assert free.lower_slope[0] == free.upper_slope[0] == 1.0 and free.upper_offset[0] == -lo
+    _assert_bitwise(relax_relu(np.array([lo]), np.array([hi]), AlphaPolicy.fixed()), rel)
 
 
 def test_infeasible_splits_name_the_crossed_neuron():
-    # neuron 1 of layer 0 is x + 1 >= 1 on [0, 1]: pinned inactive, its
-    # bounds cross; the error names the first layer and neuron they cross at
+    # neuron 1 of layer 0 is x + 1 >= 1 on [0, 1]: pinned inactive (upper
+    # override 0), its bounds cross; the error names the first layer and
+    # neuron they cross at
     model = NetworkModel([AffineLayer(np.ones((2, 1)), np.array([-0.5, 1.0])),
                           AffineLayer(np.ones((1, 2)), np.zeros(1))])
     box = BoxDomain(np.zeros(1), np.ones(1))
+    pins = [(np.array([0.0, np.nan]), np.array([np.nan, 0.0])), None]
     with pytest.raises(InfeasibleSplitError, match="layer 0 neuron 1: lower bound 1.0 exceeds upper bound 0.0"):
-        compute_bounds(model, box, splits={(0, 0): 1, (0, 1): -1})
+        compute_bounds(model, box, overrides=pins)
     with pytest.raises(InfeasibleSplitError, match="layer 0 neuron 0: lower bound 0.0 exceeds upper bound -1.0"):
-        compute_bounds(model, box, overrides=[(np.full(2, np.nan), np.array([-1.0, np.nan])), None],
-                       splits={(0, 0): 1})
+        compute_bounds(model, box, overrides=[(np.array([0.0, np.nan]), np.array([-1.0, np.nan])), None])
 
 
 # -- the backward walk in blocks ---------------------------------------------

@@ -21,9 +21,11 @@ def test_neuron_status_three_ways():
     assert neuron_status(1.0, 2.0) is NeuronStatus.STABLE_ACTIVE
     assert neuron_status(-2.0, -1.0) is NeuronStatus.STABLE_INACTIVE
     assert neuron_status(-1.0, 1.0) is NeuronStatus.UNSTABLE
-    # zero-width near the origin collapses to the sign of the upper end
-    assert neuron_status(0.0, 0.0) is NeuronStatus.STABLE_ACTIVE
-    assert neuron_status(-1e-15, 1e-15) is NeuronStatus.STABLE_ACTIVE
+    # the bounds alone decide, however narrow: u <= 0 is inactive, also at
+    # zero width, and any straddle is unstable
+    assert neuron_status(0.0, 0.0) is NeuronStatus.STABLE_INACTIVE
+    assert neuron_status(0.0, 1e-15) is NeuronStatus.STABLE_ACTIVE
+    assert neuron_status(-1e-15, 1e-15) is NeuronStatus.UNSTABLE
 
 
 def test_relaxation_envelopes_relu():
@@ -49,15 +51,18 @@ def test_relaxation_stable_sides_exact():
 
 
 def test_collapsed_straddling_neuron_envelope_is_sound():
-    # u - l < STABLE_WIDTH_TOL collapses the neuron to stable-active; its
-    # upper side must still cover relu(z) at z = l < 0.
+    # a straddle narrower than 1e-12 takes the triangle like any other: its
+    # upper side is the chord through (l, 0) and (u, u)
     l, u = -4e-13, 5e-13
-    assert neuron_status(l, u) is NeuronStatus.STABLE_ACTIVE
+    assert neuron_status(l, u) is NeuronStatus.UNSTABLE
     rel = relax_relu(np.array([l]), np.array([u]), AlphaPolicy.fixed())
+    assert rel.upper_slope[0] == u / (u - l) and rel.upper_offset[0] == -l * rel.upper_slope[0]
     z = np.append(np.linspace(l, u, 101), [l, 0.0, u])
     relu = np.maximum(z, 0.0)
-    assert np.all(rel.upper_slope[0] * z + rel.upper_offset[0] >= relu)
+    tol = 4.0 * np.spacing(u)
+    assert np.all(rel.upper_slope[0] * z + rel.upper_offset[0] >= relu - tol)
     assert np.all(rel.lower_slope[0] * z <= relu)
+    assert abs(rel.upper_slope[0] * u + rel.upper_offset[0] - u) <= tol
     # truly stable neurons keep their exact zero offsets
     rel = relax_relu(np.array([0.0, 1e-13]), np.array([5e-13, 2e-13]), AlphaPolicy.fixed())
     np.testing.assert_array_equal(rel.upper_offset, [0.0, 0.0])
@@ -86,26 +91,56 @@ def test_root_alpha_decides_once_at_the_first_box(model, box):
         relax_relu(np.array([-1.0]), np.array([2.0]), AlphaPolicy.root())
 
 
+def test_root_slopes_must_fit_the_hidden_layers(model, box):
+    # the toy net has one hidden layer of two neurons: one slope used to be
+    # broadcast to both, and no slopes raised IndexError
+    for slopes, message in (
+        ([np.array([0.5])], "layer 0 root slopes"),
+        ([0.5], "layer 0 root slopes"),
+        ([], "layer 0 root slopes"),
+        ([np.ones(2), np.ones(1)], "layer 1 has no ReLU"),
+    ):
+        policy = AlphaPolicy.root(slopes)
+        with pytest.raises(ValueError, match=message):
+            compute_bounds(model, box, policy)
+        with pytest.raises(ValueError, match=message):
+            bound_batch(model, box.lower[None], box.upper[None], policy)
+    # both root intervals straddle zero, so both take their given slope
+    res = compute_bounds(model, box, AlphaPolicy.root([np.array([0.5, 0.25])]))
+    np.testing.assert_array_equal(res.relaxations[0].lower_slope, [0.5, 0.25])
+
+
 def test_forced_signs_override_relaxation():
-    rel = relax_relu(
-        np.array([-1.0, -1.0]),
-        np.array([1.0, 1.0]),
-        AlphaPolicy.fixed(),
-        forced=np.array([1, -1]),
-    )
-    np.testing.assert_allclose(rel.lower_slope, [1.0, 0.0])
-    np.testing.assert_allclose(rel.upper_slope, [1.0, 0.0])
+    # two neurons on [-1, 1], pinned as bounds: active l = 0 gives the
+    # identity, inactive u = 0 gives zero
+    rel = relax_relu(np.array([0.0, -1.0]), np.array([1.0, 0.0]), AlphaPolicy.fixed())
+    np.testing.assert_array_equal(rel.lower_slope, [1.0, 0.0])
+    np.testing.assert_array_equal(rel.upper_slope, [1.0, 0.0])
+    np.testing.assert_array_equal(rel.upper_offset, [0.0, 0.0])
+    # in the pass, as overrides of 0 in one domain each
+    net = NetworkModel([AffineLayer(np.ones((2, 1)), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.zeros(1))])
+    nan = np.full((2, 2), np.nan)
+    lo, hi = nan.copy(), nan.copy()
+    lo[0, 0], hi[1, 0] = 0.0, 0.0
+    res, empty = bound_batch(net, np.full((2, 1), -1.0), np.ones((2, 1)), overrides=[(lo, hi), None])
+    assert empty.tolist() == [False, False]
+    np.testing.assert_array_equal(res.relaxations[0].upper_slope[:, 0], [1.0, 0.0])
 
 
 def test_forced_sign_contradiction_raises():
-    with pytest.raises(InfeasibleSplitError):
-        relax_relu(
-            np.array([-2.0]), np.array([-1.0]), AlphaPolicy.fixed(), forced=np.array([1])
-        )
-    with pytest.raises(InfeasibleSplitError):
-        relax_relu(
-            np.array([1.0]), np.array([2.0]), AlphaPolicy.fixed(), forced=np.array([-1])
-        )
+    # z in [-5, -4] pinned active and z in [5, 6] pinned inactive: each pin
+    # crosses the bounds, so the pass finds the domain empty and
+    # compute_bounds raises
+    box = BoxDomain(np.zeros(1), np.ones(1))
+    for bias, lo, hi in ((-5.0, 0.0, np.nan), (5.0, np.nan, 0.0)):
+        net = NetworkModel([AffineLayer(np.ones((1, 1)), np.array([bias])),
+                            AffineLayer(np.ones((1, 1)), np.zeros(1))])
+        pin = (np.array([lo]), np.array([hi]))
+        _, empty = bound_batch(net, box.lower[None], box.upper[None],
+                               overrides=[(pin[0][None], pin[1][None]), None])
+        assert empty.tolist() == [True]
+        with pytest.raises(InfeasibleSplitError):
+            compute_bounds(net, box, overrides=[pin, None])
 
 
 def test_toy_network_layer_bounds(model, box):
@@ -169,8 +204,9 @@ def test_splits_stay_sound_on_their_regions(model, box):
     # a split bound need not beat the unsplit one (forcing a mostly-positive
     # neuron inactive can loosen the envelope; search merges with the parent
     # bound instead), but it must hold everywhere on the pinned region
-    res_active = compute_bounds(model, box, splits={(0, 0): 1})
-    res_inactive = compute_bounds(model, box, splits={(0, 0): -1})
+    pin = np.array([0.0, np.nan])
+    res_active = compute_bounds(model, box, overrides=[(pin, None), None])
+    res_inactive = compute_bounds(model, box, overrides=[(None, pin), None])
     rng = np.random.default_rng(4)
     pts = rng.uniform(box.lower, box.upper, size=(4000, 2))
     pre = pts @ np.array([[1.0, -7.0], [5.0, -1.0]]).T + np.array([6.0, -7.0])
@@ -191,21 +227,29 @@ def test_contradictory_split_raises():
     )
     box = BoxDomain(np.array([0.0]), np.array([1.0]))
     with pytest.raises(InfeasibleSplitError):
-        compute_bounds(net, box, splits={(0, 0): 1})
+        compute_bounds(net, box, overrides=[(np.zeros(1), None), None])
 
 
-def test_malformed_splits_raise_value_error(model, box):
-    # the toy net has one hidden layer of two neurons
-    for splits, message in (
-        ({(1, 0): 1}, "split layer 1 out of range"),
-        ({(-1, 0): 1}, "split layer -1 out of range"),
-        ({(0, 2): 1}, "split neuron 2 out of range for layer 0"),
-        ({(0, -1): 1}, "split neuron -1 out of range for layer 0"),
-        ({(0, 0): 0}, "split polarity"),
-        ({(0, 1): 2}, "split polarity"),
+def test_malformed_overrides_raise_value_error(model, box):
+    # the toy net has two layers, of two neurons and one: a third entry used
+    # to be dropped and a scalar side broadcast to every neuron
+    for overrides in ([None], [None] * 3):
+        with pytest.raises(ValueError, match="one entry per layer"):
+            compute_bounds(model, box, overrides=overrides)
+    for overrides, layer in (
+        ([(0.0, None), None], 0),
+        ([(None, np.zeros(3)), None], 0),
+        ([(np.zeros((1, 2)), None), None], 0),
+        ([np.zeros(2), None], 0),
+        ([(np.zeros(2),), None], 0),
+        ([None, (None, np.zeros(2))], 1),
+        ([None, 0.0], 1),
     ):
-        with pytest.raises(ValueError, match=message):
-            compute_bounds(model, box, splits=splits)
+        with pytest.raises(ValueError, match=f"layer {layer} overrides"):
+            compute_bounds(model, box, overrides=overrides)
+    # either side may be None
+    res = compute_bounds(model, box, overrides=[(None, np.array([0.0, -3.0])), (None, None)])
+    np.testing.assert_allclose(res.layer_bounds[0].upper, [0.0, -3.0], atol=1e-12)
 
 
 def test_overrides_intersect_bounds(model, box):

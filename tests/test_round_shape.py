@@ -484,7 +484,7 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
     # stack is its parent's last rows plus, per pin, the half-space it
     # implies.  Relaxed clipping sets no overrides but the pins, so the
     # parent's pass can be rebuilt by compute_bounds over its box, under
-    # those splits and the slopes the root decided.
+    # those pins as overrides of 0 and the slopes the root decided.
     rounds, _ = _activation_rounds(monkeypatch, batch, clip="relaxed")
     checked = deep = bisected = 0
     for prob, parents, children, owner, survivors in rounds:
@@ -513,11 +513,10 @@ def test_activation_children_add_the_pins_on_their_path(monkeypatch, batch):
                 # the parent's pass, as bound_batch made it over its box
                 # under its pins, every override it has a pin's 0
                 assert np.all(np.isnan(parent.overrides) | (parent.overrides == 0.0))
-                splits = {(layer, int(neuron)): int(pins[neuron])
-                          for layer, pins in enumerate(override_pins(prob.model, parent.overrides))
-                          for neuron in np.flatnonzero(pins)}
+                ends = np.cumsum([layer.out_dim for layer in prob.model.layers])[:-1]
+                overrides = list(zip(*(np.split(side, ends) for side in parent.overrides)))
                 box = BoxDomain(parent.lower, parent.upper)
-                planes = compute_bounds(prob.model, box, slopes, splits=splits).planes
+                planes = compute_bounds(prob.model, box, slopes, overrides).planes
                 for pick, side in zip(parent.picks, steps):
                     layer, neuron = layer_neuron(prob.model, pick)
                     cons = split_constraint_to_input(planes[layer], neuron, 1 if side == 0 else -1)
