@@ -38,13 +38,17 @@ the first pass, so its intervals decide the slopes of a root policy
    Activation mode pins level j on the parent's pick j, its j-th best
    neuron when it was bounded; a parent with fewer picks stops at the
    depth it has, one with none is bisected once.  The intermediate nodes
-   are neither screened nor bounded;
+   are neither screened nor bounded.  Each split gives both children their
+   complete constraint rows: the split node's, then the half-space the
+   parent keeps for that step and side, if any; everything else a child
+   reads of its parent's pass (bound, planes, scores) it inherits;
 3. screens the children together (:func:`_screen_children`), each by, in
-   this order: relaxed clipping of its box against its constraints (an
-   empty box closes it), its parent's final planes over the clipped box (a
-   bound >= 0 closes it), and a few sampled points, any of which may
-   falsify the problem (the first hit in search order wins).  Each screen
-   is one array expression, draw or forward evaluation for all children;
+   this order: relaxed clipping of its box against its own constraint
+   rows, padded into one stack (:func:`_child_stacks`; an empty box closes
+   it), its parent's final planes over the clipped box (a bound >= 0
+   closes it), and a few sampled points, any of which may falsify the
+   problem (the first hit in search order wins).  Each screen is one array
+   expression, draw or forward evaluation for all children;
 4. checks the deadline again, then bounds the survivors in one pass
    (:func:`crown.bound_batch`), whose backward walk checks it too, before
    each block of domains; a pass it cuts off bounds nothing.  The clipped
@@ -55,7 +59,8 @@ the first pass, so its intervals decide the slopes of a root policy
    Complete clipping runs inside the pass (:func:`_clip_refine`): each
    layer's critical neurons of all the children go to one batched dual
    ascent.  A child's critical neurons are its parent's ``CRITICAL_TOPK``
-   best-scoring ones per layer, those its own overrides decide left out.
+   best-scoring ones per layer (by the scores it inherited), those its own
+   overrides decide left out.
    The refine writes its tightenings into the pass's override stack, whose
    rows become the children's overrides;
 5. raises each child's output-row lower bounds to one more bound, never
@@ -67,9 +72,8 @@ the first pass, so its intervals decide the slopes of a root policy
    step 3 and this step close domains by one rule (:func:`_close`).  The
    queued rows are scored together (:func:`_branch_scores`), and each
    one's neurons to pin and the half-spaces its children add, one per pin
-   on a child's path, are taken there too; a round stacks its children's
-   constraints from these and their parents' in array steps
-   (:func:`_child_stacks`).
+   on a child's path, are taken there too; the splits of a later round
+   append them (step 2).
 
 Candidate counterexamples are checked by exact forward evaluation of the
 point alone, so a "falsified" verdict is always certified.
@@ -158,26 +162,28 @@ class Subdomain:
     layer last, so the first W columns are the hidden neurons in flat
     order.  A ReLU pin is one of them: lower 0 for the active side, upper
     0 for the inactive side.  ``normals @ x + offsets <= 0``, ``(m, n)``
-    and ``(m,)``, holds for any counterexample in the box.  ``path`` is
-    the side taken at each split from the root, so its length is the
-    depth.  The rest is what later rounds read of its bounding pass (its
-    parent's until it is bounded itself; an unbounded root has no planes
-    or scores): ``planes``, the final layer's lower planes; ``scores``,
-    the flat ``(W,)`` branching scores of all hidden neurons, -inf where
-    stable (pinned ones among them); ``picks``, the flat neuron indices
-    activation mode pins at levels 0, 1, ... below it, best first, at most
-    ``log2(batch)`` rounded down, or 1 at ``batch=1`` (empty: bisect);
-    ``child_constraints``, ``(D, 2, n)`` normals and ``(D, 2)`` offsets
-    whose row ``(j, s)`` a descendant adds whose split step j below it
-    went to side s, for every j < D (None: none; in input mode D = 1 and
-    both sides are the same plane, which every descendant of a round
-    adds).
+    and ``(m,)``, holds for any counterexample in the box; these rows are
+    its own from its split on (see :func:`_split_round`).  ``path`` is the
+    side taken at each split from the root, so its length is the depth.
+    The rest is what later rounds read of its bounding pass, so, like
+    ``bound``, it is its parent's until it is bounded itself (an unbounded
+    root has no planes or scores): ``planes``, the final layer's lower
+    planes; ``scores``, the flat ``(W,)`` branching scores of all hidden
+    neurons, -inf where stable (pinned ones among them); ``picks``, the
+    flat neuron indices activation mode pins at levels 0, 1, ... below
+    it, best first, at most ``log2(batch)`` rounded down, or 1 at
+    ``batch=1`` (empty: bisect); ``child_constraints``, ``(D, 2, n)``
+    normals and ``(D, 2)`` offsets whose row ``(j, s)`` a descendant adds
+    whose split step j below it went to side s, for every j < D (None:
+    none; in input mode D = 1 and both sides are the same plane, which
+    every descendant of a round adds).
 
-    Children share these arrays with their parent; none is ever modified
-    in place.  A queued subdomain holds its own copy of each array it got
+    Children share these arrays with their parent, and a split's two
+    children view one array pair for their rows; none is ever modified in
+    place.  A queued subdomain holds its own copy of each array it got
     from its bounding pass, its ``m`` constraint rows only; one bounded
-    without constraints has the run's shared empty ``normals`` /
-    ``offsets`` instead.
+    without constraints keeps the empty ``normals`` / ``offsets`` it
+    inherited, which no other array views.
     """
 
     lower: np.ndarray
@@ -517,40 +523,20 @@ def _falsify_boxes(problem: CanonicalProblem, lowers, uppers, rng) -> tuple | No
     return None
 
 
-def _child_stacks(parents, owner, steps) -> tuple | None:
-    """The constraints of a round's children, child k being a child of
-    ``parents[owner[k]]`` whose split steps below it went to the sides
-    ``steps[k]``, as ``(C, M, n)`` normals, ``(C, M)`` offsets and ``(C,)``
-    set sizes, M the largest, or None when no child has any.  Child k has
-    its parent's rows, then row ``(j, steps[k][j])`` of its parent's
-    ``child_constraints`` for each step j the parent has rows for, the most
-    recent ``CONSTRAINT_BUDGET`` of them (the parent's oldest rows go
-    first), padded with the row ``0 . x + 0 <= 0``, which holds everywhere.
-    One gather makes the stack."""
-    sizes = [len(parent.offsets) for parent in parents]
-    added = [parent.child_constraints for parent in parents if parent.child_constraints is not None]
-    if not (any(sizes) or added):
+def _child_stacks(children) -> tuple | None:
+    """The constraints of a round's children, their own rows padded with
+    the row ``0 . x + 0 <= 0``, which holds everywhere: ``(C, M, n)``
+    normals, ``(C, M)`` offsets and ``(C,)`` set sizes, M the largest, or
+    None when no child has any."""
+    sizes = np.array([len(child.offsets) for child in children])
+    m = int(sizes.max())
+    if m == 0:
         return None
-    # one table of every row, row 0 the padding; each parent's rows, the
-    # index of its first added row and how many steps it has rows for
-    n = parents[0].lower.size
-    normals = np.concatenate([np.zeros((1, n)), *(parent.normals for parent in parents),
-                              *(pair[0].reshape(-1, n) for pair in added)])
-    offsets = np.concatenate([np.zeros(1), *(parent.offsets for parent in parents),
-                              *(pair[1].reshape(-1) for pair in added)])
-    per_parent, start, own = [], 1, 1 + sum(sizes)
-    for parent, size in zip(parents, sizes):
-        levels = 0 if parent.child_constraints is None else len(parent.child_constraints[1])
-        per_parent.append((list(range(start, start + size)), own, levels))
-        start, own = start + size, own + 2 * levels
-    idx = []
-    for p, sides in zip(owner.tolist(), steps):
-        rows, first, levels = per_parent[p]
-        rows = rows + [first + 2 * j + side for j, side in enumerate(sides[:levels])]
-        idx.append(rows[-CONSTRAINT_BUDGET:])
-    counts = [len(rows) for rows in idx]
-    idx = np.array([rows + [0] * (max(counts) - len(rows)) for rows in idx])
-    return normals[idx], offsets[idx], np.array(counts)
+    normals = np.zeros((len(children), m, children[0].lower.size))
+    offsets = np.zeros((len(children), m))
+    for k, child in enumerate(children):
+        normals[k, :sizes[k]], offsets[k, :sizes[k]] = child.normals, child.offsets
+    return normals, offsets, sizes
 
 
 def _close(cfg: BabConfig, bounds, alive, stacks) -> tuple:
@@ -573,43 +559,40 @@ def _close(cfg: BabConfig, bounds, alive, stacks) -> tuple:
     return left_open, floor
 
 
-def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, children, owner, rng):
-    """Screen a round's children all at once.  ``children[k]`` descends
-    from ``parents[owner[k]]`` (``owner`` is ``(C,)``), and ``children``
-    is in search order.
+def _screen_children(problem: CanonicalProblem, cfg: BabConfig, children, rng):
+    """Screen a round's children, in search order, all at once.
 
     Each child's box is relaxed-clipped against its constraints (an empty
     box closes it), its parent's final planes bound it over the clipped box
     (a bound >= 0 closes it), and the survivors' sampled points are
-    evaluated together.
+    evaluated together.  What a child knows of its parent's pass, its
+    ``bound`` and ``planes``, it inherited at its split.
 
     Returns the survivors, the lowest bound of the closed children (inf if
     none; at most 0 in input mode if one carries constraints), and
     ``(value, point)`` of the first survivor in search order with a
     negative point, or None.  The survivors are ``(keep, lowers, uppers,
     stacks)``: their indices in ``children``, clipped ``(S, n)`` corners
-    and :func:`_child_stacks` rows trimmed to their largest set (None when
-    that is empty).  Each survivor's ``bound`` is set.  When there is none,
-    or on a hit, the survivors are None: a hit ends the search.
+    and the :func:`_child_stacks` of their rows alone.  Each survivor's
+    ``bound`` is set.  When there is none, or on a hit, the survivors are
+    None: a hit ends the search.
     """
     if not children:
         return None, np.inf, None
     lowers = np.array([child.lower for child in children])
     uppers = np.array([child.upper for child in children])
-    stacks = None
-    if cfg.clip != "none":
-        steps = [child.path[len(parents[p].path):] for child, p in zip(children, owner.tolist())]
-        stacks = _child_stacks(parents, owner, steps)
+    stacks = _child_stacks(children)
     nonempty = np.ones(len(children), dtype=bool)
     if stacks is not None and cfg.clip in ("relaxed", "both"):
         lowers, uppers, empty = relaxed_clip_batch(lowers, uppers, *stacks[:2])
         nonempty = ~empty
-    bounds = np.array([parent.bound for parent in parents])[owner]
-    # an unbounded input-mode root has no planes, and is its round's only parent
-    if parents[0].planes is not None:
+    bounds = np.array([child.bound for child in children])
+    # the unbounded input-mode root, its round's only parent, left its
+    # children no planes
+    if children[0].planes is not None:
         mid, span = box_range(
-            np.array([parent.planes.a_low for parent in parents])[owner],
-            np.array([parent.planes.c_low for parent in parents])[owner],
+            np.array([child.planes.a_low for child in children]),
+            np.array([child.planes.c_low for child in children]),
             0.5 * (lowers + uppers),
             0.5 * (uppers - lowers),
         )
@@ -623,9 +606,7 @@ def _screen_children(problem: CanonicalProblem, cfg: BabConfig, parents, childre
         return None, floor, hit[1:]
     for j in keep:
         children[j].bound = float(bounds[j])
-    if stacks is not None:
-        m = int(stacks[2][keep].max())
-        stacks = (stacks[0][keep, :m], stacks[1][keep, :m], stacks[2][keep]) if m else None
+    stacks = _child_stacks([children[j] for j in keep])
     return (keep, lowers[keep], uppers[keep], stacks), floor, None
 
 
@@ -670,9 +651,25 @@ def _levels(cfg: BabConfig, parents: int) -> int:
     return max(1, (cfg.batch // max(parents, 1)).bit_length() - 1)
 
 
-def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
-    """Branch a round's parents: their children in search order and the
-    ``(C,)`` index of each one's parent.
+def _add_step_rows(node: Subdomain, level: int, pair) -> None:
+    """Give both children ``pair`` of ``node``'s split at step ``level``
+    below their round's parent their constraint rows: ``node``'s, then row
+    ``(level, side)`` of the parent's ``child_constraints`` (which ``node``
+    shares), the most recent ``CONSTRAINT_BUDGET`` of them.  One array pair
+    holds both children's rows, and each child gets a view of its side."""
+    added_normals, added_offsets = node.child_constraints
+    m = min(len(node.offsets), CONSTRAINT_BUDGET - 1)
+    normals, offsets = np.empty((2, m + 1, node.lower.size)), np.empty((2, m + 1))
+    old = slice(len(node.offsets) - m, None)  # node's most recent m rows
+    normals[:, :m], offsets[:, :m] = node.normals[old], node.offsets[old]
+    normals[:, m], offsets[:, m] = added_normals[level], added_offsets[level]
+    for side, child in enumerate(pair):
+        child.normals, child.offsets = normals[side], offsets[side]
+
+
+def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> list:
+    """Branch a round's parents: their children, in search order, each
+    with its complete constraint rows.
 
     Each of the P parents is split ``d`` levels deep, ``d`` the largest
     with ``P * 2**d <= cfg.batch`` (at least 1; see :func:`_levels`), so
@@ -686,10 +683,13 @@ def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
     pick j, so a parent with fewer than ``d`` picks stops at the depth it
     has, and one with none is bisected once.  Every split, an intermediate
     node's too, goes through :func:`_branch`, and ``probe`` records it.
+    A split at a step the parent has ``child_constraints`` for adds that
+    step's row to both children (see :func:`_add_step_rows`); everything
+    else a child reads of its parent's pass it inherits.
     """
     levels = _levels(cfg, len(parents))
-    children, owner = [], []
-    for p, parent in enumerate(parents):
+    children = []
+    for parent in parents:
         depth = levels
         if cfg.mode == "activation":
             depth = min(levels, len(parent.picks)) or 1
@@ -704,11 +704,12 @@ def _split_round(cfg: BabConfig, parents, probe: BranchProbe | None) -> tuple:
                 decision, pair = _branch(cfg, node, level, probe)
                 if probe is not None:
                     probe.decisions[node.path] = decision
+                if node.child_constraints is not None and level < len(node.child_constraints[1]):
+                    _add_step_rows(node, level, pair)
                 split.extend(pair)
             nodes = split
         children += nodes
-        owner += [p] * len(nodes)
-    return children, np.array(owner, dtype=int)
+    return children
 
 
 def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None = None) -> VerificationOutcome:
@@ -734,10 +735,9 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
     depth = _levels(cfg, 1)
     ends = itertools.accumulate(layer.out_dim for layer in model.layers)
     columns = [slice(end - layer.out_dim, end) for layer, end in zip(model.layers, ends)]
-    unconstrained = np.zeros((0, problem.box.dim)), np.zeros(0)
     alpha = cfg.alpha
 
-    def settle(subs, lowers, uppers, stacks=None, scores=None, root_row=False) -> bool:
+    def settle(subs, lowers, uppers, stacks=None, root_row=False) -> bool:
         """Bound subdomains in one pass; queue those still open, each with
         its own copy of what later rounds read.  False, with nothing
         bounded, when the deadline passes during the pass.  With
@@ -748,6 +748,9 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
         # through per-layer column views
         stacked = np.array([sub.overrides for sub in subs])
         overrides = [(stacked[:, 0, cols], stacked[:, 1, cols]) for cols in columns]
+        # complete clipping picks critical neurons by the parents' scores,
+        # which each child inherited
+        scores = np.array([sub.scores for sub in subs]) if refined and stacks is not None else None
         refine = _clip_refine(cfg, model, lowers, uppers, stacks, scores, overrides)
         try:
             res, empty = bound_batch(model, lowers, uppers, alpha, overrides, refine, deadline)
@@ -802,11 +805,9 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                 k = adds[b]
                 sub.child_constraints = (cut_normals[b, :k].copy(), cut_offsets[b, :k].copy()) if k else None
             if stacks is not None:
+                # without a stack, the domains hold the empty rows they inherited
                 m = stacks[2][b]
                 sub.normals, sub.offsets = stacks[0][b, :m].copy(), stacks[1][b, :m].copy()
-            else:
-                # every domain bounded without constraints shares one empty pair
-                sub.normals, sub.offsets = unconstrained
             sub.bound = float(bounds[b])
             heappush(heap, (sub.bound, next(tiebreak), sub))
         return True
@@ -837,26 +838,23 @@ def run_bab(problem: CanonicalProblem, cfg: BabConfig, probe: BranchProbe | None
                 verified_floor = min(verified_floor, val)
                 continue
             parents.append(sub)
-        children, owner = _split_round(cfg, parents, probe)
-        survivors, floor, hit = _screen_children(problem, cfg, parents, children, owner, rng)
+        children = _split_round(cfg, parents, probe)
+        survivors, floor, hit = _screen_children(problem, cfg, children, rng)
         verified_floor = min(verified_floor, floor)
         hit = hit or point_hit
         if hit is not None:
             return _outcome("falsified", stats, t0, hit[1], hit[0])
         if survivors is not None:
             keep, lowers, uppers, stacks = survivors
-            subs, scores = [children[j] for j in keep], None
-            if refined and stacks is not None:
-                scores = np.array([sub.scores for sub in parents])[owner[keep]]
-            # only the unbounded input-mode root, alone in its round and
-            # without constraints, has no planes
-            root_row = parents[0].planes is None
+            subs = [children[j] for j in keep]
+            # only the children of the unbounded input-mode root, alone in
+            # its round and without constraints, have no planes
+            root_row = subs[0].planes is None
             if root_row:
                 subs = [root] + subs
                 lowers, uppers = np.vstack([root.lower, lowers]), np.vstack([root.upper, uppers])
             # the deadline is checked before the pass and within it
-            if time.perf_counter() >= deadline or not settle(
-                    subs, lowers, uppers, stacks, scores, root_row):
+            if time.perf_counter() >= deadline or not settle(subs, lowers, uppers, stacks, root_row):
                 opened = [children[j].bound for j in keep] + [item[0] for item in heap[:1]]
                 return _outcome("unknown", stats, t0, bound=min(opened))
         if heap:

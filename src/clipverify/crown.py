@@ -99,6 +99,11 @@ class AlphaPolicy:
             raise ValueError(f"unknown alpha policy kind {self.kind!r}")
         if self.kind == "fixed" and not (0.0 <= self.value <= 1.0):
             raise ValueError("fixed alpha must lie in [0, 1]")
+        if self.slopes is not None:
+            try:  # one float array per layer, whose shapes bound_batch checks
+                object.__setattr__(self, "slopes", tuple(np.asarray(s, dtype=float) for s in self.slopes))
+            except (TypeError, ValueError):
+                raise ValueError("root slopes must be numeric arrays, one per hidden layer") from None
         if self.slopes is not None and (
                 self.kind != "root" or not all(np.all((s >= 0.0) & (s <= 1.0)) for s in self.slopes)):
             raise ValueError("slopes belong to a root policy and must lie in [0, 1]")
@@ -113,7 +118,7 @@ class AlphaPolicy:
 
     @classmethod
     def root(cls, slopes=None) -> "AlphaPolicy":
-        return cls("root", 0.0, None if slopes is None else tuple(slopes))
+        return cls("root", 0.0, slopes)
 
 
 @dataclass
@@ -397,8 +402,8 @@ def bound_batch(
     policy = policy or AlphaPolicy.fixed(1.0)
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
-    if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim:
-        raise ValueError("box corners must be (B, n) arrays matching the model input")
+    if lowers.ndim != 2 or lowers.shape != uppers.shape or lowers.shape[1] != model.input_dim or not len(lowers):
+        raise ValueError("box corners must be (B, n) arrays matching the model input, at least one box per pass")
     if not (np.isfinite(lowers).all() and np.isfinite(uppers).all()):
         raise ValueError("box corners must be finite")
     if np.any(lowers > uppers):

@@ -9,6 +9,7 @@ from clipverify import (
     CanonicalProblem,
     LinearConstraint,
     NetworkModel,
+    bab,
 )
 
 
@@ -141,3 +142,36 @@ def override_pins(model, overrides) -> list:
     ends = np.cumsum([layer.out_dim for layer in model.layers])
     lo, hi = (np.split(side, ends[:-1])[:-1] for side in overrides)
     return [np.where(low == 0.0, 1, np.where(high == 0.0, -1, 0)) for low, high in zip(lo, hi)]
+
+
+def round_owner(parents, children) -> np.ndarray:
+    """The ``(C,)`` index in ``parents`` of the round parent each of
+    ``children`` descends from: the one whose path its own path starts
+    with.  A round's parents are leaves of the search tree, so no parent's
+    path starts another's and exactly one parent matches."""
+    owner = [[p for p, parent in enumerate(parents) if child.path[:len(parent.path)] == parent.path]
+             for child in children]
+    assert all(len(match) == 1 for match in owner)
+    return np.array([match[0] for match in owner], dtype=int)
+
+
+def spy_screens(monkeypatch, record):
+    """Call ``record(parents, children, owner, out)`` after the screen of
+    every round of a search, before the round goes on: ``parents`` the
+    round's parents as ``bab._split_round`` got them, ``children`` and
+    ``out`` what ``bab._screen_children`` got and returned, and ``owner``
+    their :func:`round_owner`."""
+    split, screen = bab._split_round, bab._screen_children
+    popped = []
+
+    def split_spy(cfg, parents, probe):
+        popped[:] = [list(parents)]
+        return split(cfg, parents, probe)
+
+    def screen_spy(problem, cfg, children, rng):
+        out = screen(problem, cfg, children, rng)
+        record(popped[0], children, round_owner(popped[0], children), out)
+        return out
+
+    monkeypatch.setattr(bab, "_split_round", split_spy)
+    monkeypatch.setattr(bab, "_screen_children", screen_spy)

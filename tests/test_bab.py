@@ -35,6 +35,7 @@ from conftest import (
     quick_child_bound,
     random_network_problem,
     split_constraint_to_input,
+    spy_screens,
     toy_problem,
 )
 
@@ -207,20 +208,27 @@ def test_branch_activation_children(problem):
         for child, want in zip(children, pinned):
             assert np.array_equal(child.overrides, want, equal_nan=True)
     # the half-spaces settle keeps for the children are the pin's split
-    # constraints, and the round gives the child whose split step went to
-    # side k row (0, k)
+    # constraints, and the round's split gives the child whose split step
+    # went to side k row (0, k) as its own
     _, res = _root_pass(problem)
     picks = (np.array([[0]]), np.array([[True]]))
     normals, offsets, adds = bab._child_constraints(BabConfig(mode="activation"), res, picks)
     assert adds.tolist() == [1]
     planes = compute_bounds(problem.model, problem.box).planes[0]
-    sub = replace(sub, child_constraints=(normals[0], offsets[0]))
-    stacked_normals, stacked_offsets, sizes = bab._child_stacks([sub], np.array([0, 0]), [(0,), (1,)])
-    assert sizes.tolist() == [1, 1]
-    for k, polarity in enumerate((1, -1)):
+    sub = replace(sub, picks=(0,), child_constraints=(normals[0], offsets[0]))
+    children = bab._split_round(BabConfig(mode="activation", batch=1), [sub], None)
+    assert [child.path for child in children] == [(0,), (1,)]
+    for child, polarity in zip(children, (1, -1)):
         want = split_constraint_to_input(planes, 0, polarity)
-        np.testing.assert_array_equal(stacked_normals[k, 0], want.normal)
-        assert stacked_offsets[k, 0] == want.offset
+        assert child.normals.shape == (1, 2) and child.offsets.shape == (1,)
+        np.testing.assert_array_equal(child.normals[0], want.normal)
+        assert child.offsets[0] == want.offset
+    # the screen stacks the children's own rows
+    stacked_normals, stacked_offsets, sizes = bab._child_stacks(children)
+    assert sizes.tolist() == [1, 1]
+    for k, child in enumerate(children):
+        np.testing.assert_array_equal(stacked_normals[k], child.normals)
+        np.testing.assert_array_equal(stacked_offsets[k], child.offsets)
 
 
 def test_branch_activation_requires_unstable(problem):
@@ -348,14 +356,8 @@ def _spy_screens(monkeypatch, rounds):
     """Append ``(parents, children, owner, survivors)`` of every round's
     screen to ``rounds``: ``children[k]`` descends from
     ``parents[owner[k]]``."""
-    screen = bab._screen_children
-
-    def spy(problem, cfg, parents, children, owner, rng):
-        out = screen(problem, cfg, parents, children, owner, rng)
-        rounds.append((parents, children, owner, out[0]))
-        return out
-
-    monkeypatch.setattr(bab, "_screen_children", spy)
+    spy_screens(monkeypatch, lambda parents, children, owner, out: rounds.append(
+        (parents, children, owner, out[0])))
 
 
 def test_bounded_children_passed_every_screen(monkeypatch):
@@ -578,11 +580,10 @@ def test_queuing_holds_only_the_copies_it_keeps(monkeypatch, rows):
 
     def split(cfg, parents, probe):
         # the root's children stand in for the 16 children of 8 parents
-        children, _ = original_split(cfg, parents, probe)
-        parents[:] = parents[:1] * (batch // 2)
-        return [replace(children[k % 2], path=(k,)) for k in range(batch)], np.arange(batch) // 2
+        children = original_split(cfg, parents, probe)
+        return [replace(children[k % 2], path=(k,)) for k in range(batch)]
 
-    def screen(problem, cfg, parents, children, owner, rng):
+    def screen(problem, cfg, children, rng):
         # all of them surviving with the boxes and stacks above
         return (np.arange(batch), lowers, uppers, stacks), np.inf, None
 
@@ -735,14 +736,12 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
     clock = [0.0]
     monkeypatch.setattr(bab.time, "perf_counter", lambda: clock[0])
     rounds, passes = [], []
-    screen, original_pass = bab._screen_children, bab.bound_batch
+    original_pass = bab.bound_batch
 
-    def screen_spy(problem, cfg, parents, children, owner, rng):
-        out = screen(problem, cfg, parents, children, owner, rng)
+    def screen_spy(parents, children, owner, out):
         rounds.append(([parent.bound for parent in parents], children, out[0]))
         if len(rounds) == 2:
             clock[0] = 100.0  # past the deadline from here on
-        return out
 
     def pass_spy(*args):
         passes.append(clock[0])
@@ -756,7 +755,7 @@ def test_deadline_is_checked_before_the_bounding_pass(monkeypatch):
         heaps.append([entry[0] for entry in heap])
         return item
 
-    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    spy_screens(monkeypatch, screen_spy)
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
     monkeypatch.setattr(bab, "heappop", pop_spy)
     out = run_bab(prob, BabConfig(mode="input", clip="both", batch=2, timeout=10.0))
@@ -782,8 +781,8 @@ def test_deadline_is_checked_within_the_bounding_pass(monkeypatch):
     rounds, heaps, walks = [], [], []
     screen, original_walk, original_pop = bab._screen_children, crown._walk, bab.heappop
 
-    def screen_spy(problem, cfg, parents, children, owner, rng):
-        out = screen(problem, cfg, parents, children, owner, rng)
+    def screen_spy(problem, cfg, children, rng):
+        out = screen(problem, cfg, children, rng)
         rounds.append((children, out[0]))
         return out
 

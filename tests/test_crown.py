@@ -110,6 +110,34 @@ def test_root_slopes_must_fit_the_hidden_layers(model, box):
     np.testing.assert_array_equal(res.relaxations[0].lower_slope, [0.5, 0.25])
 
 
+def test_root_slopes_given_as_lists_are_float_arrays(model, box):
+    # slopes given as plain lists used to raise TypeError in the range
+    # check; each layer's are now a float array, whose shape bound_batch
+    # checks
+    policy = AlphaPolicy.root([[0.5, 0.25]])
+    assert isinstance(policy.slopes[0], np.ndarray) and policy.slopes[0].dtype == float
+    res = compute_bounds(model, box, policy)
+    np.testing.assert_array_equal(res.relaxations[0].lower_slope, [0.5, 0.25])
+    with pytest.raises(ValueError, match="layer 0 root slopes"):
+        bound_batch(model, box.lower[None], box.upper[None], AlphaPolicy.root([[0.5]]))
+    with pytest.raises(ValueError, match="must lie in"):
+        AlphaPolicy.root([[0.5, 1.5]])
+    # non-numeric or ragged entries, and slopes that are no sequence
+    for bad in ([["a", 0.5]], [[0.5, [0.25, 0.5]]], [object()], 5):
+        with pytest.raises(ValueError, match="numeric arrays"):
+            AlphaPolicy.root(bad)
+
+
+@pytest.mark.parametrize("policy", [AlphaPolicy.fixed(), AlphaPolicy.adaptive(), AlphaPolicy.root()])
+def test_bound_batch_refuses_an_empty_batch(model, policy):
+    # zero boxes used to crash inside the pass: the walk's block loop took
+    # a step of 0 under fixed and adaptive slopes, and an undecided root
+    # policy read row 0
+    corners = np.zeros((0, model.input_dim))
+    with pytest.raises(ValueError, match="at least one box"):
+        bound_batch(model, corners, corners, policy)
+
+
 def test_forced_signs_override_relaxation():
     # two neurons on [-1, 1], pinned as bounds: active l = 0 gives the
     # identity, inactive u = 0 gives zero

@@ -6,12 +6,12 @@ per-child references give one child at a time, in search order:
 ``relaxed_clip_parallel``, ``quick_child_bound`` and ``try_falsify``
 (stopping at the first hit), each child with the set
 ``ConstraintSet.appended`` gives it: its parent's constraints plus, step
-by step, the half-spaces its parent keeps
-for the sides its path took, within the budget.  A parent's children are
-its descendants one or more splits down, as a round makes them when few
-parents are open.  The survivors' constraint stacks must be what stacking
-those sets gives.  Networks, boxes and constraints sit on a quarter-step grid, so
-ties are exact.
+by step, the half-spaces its parent keeps for the sides its path took,
+within the budget.  A parent's children are its descendants one or more
+splits down, as ``bab._split_round`` makes them when few parents are
+open, each carrying the rows its splits gave it.  The survivors'
+constraint stacks must be what stacking those sets gives.  Networks,
+boxes and constraints sit on a quarter-step grid, so ties are exact.
 """
 
 from dataclasses import replace
@@ -31,7 +31,6 @@ from clipverify import (
     NetworkModel,
     Subdomain,
     bab,
-    branch_input,
     compute_bounds,
     relaxed_clip_parallel,
 )
@@ -98,13 +97,15 @@ def _constraints(rng, box, m):
 
 
 def _round(rng, problem, budget):
-    """Parents and children of one round: each parent bisected one to three
-    levels deep, given up to ``budget`` constraints of its own and,
-    sometimes, a half-space for each side of each of its first few split
-    steps (or one for both sides of the first, as input mode harvests),
-    of which each child takes the one of every step on its path that has
-    them; some children are point boxes.  Returns the parents, the
-    children, each child's parent index and each child's constraint set."""
+    """Parents and children of one round: each parent split one to three
+    levels deep by ``bab._split_round``, given up to ``budget`` constraints
+    of its own and, sometimes, a half-space for each side of each of its
+    first few split steps (or one for both sides of the first, as input
+    mode harvests), of which each child takes the one of every step on its
+    path that has them; some children are point boxes.  Returns the
+    parents, the children, each child's parent index and each child's
+    constraint set, built by ``ConstraintSet.appended``.  Call it with
+    ``bab.CONSTRAINT_BUDGET`` set to ``budget``."""
     parents, children, owner, csets = [], [], [], []
     for _ in range(int(rng.integers(1, 5))):
         box = _sub_box(rng, problem.box)
@@ -126,9 +127,8 @@ def _round(rng, problem, budget):
             planes=res.planes[-1], normals=own.normals, offsets=own.offsets,
             child_constraints=adds,
         )
-        nodes = [parent]
-        for _ in range(int(rng.integers(1, 4))):
-            nodes = [child for node in nodes for child in branch_input(node)[:2]]
+        # one parent a round splits d levels deep at batch 2**d
+        nodes = bab._split_round(BabConfig(batch=2 ** int(rng.integers(1, 4))), [parent], None)
         for child in nodes:
             if rng.uniform() < 0.15:
                 child.upper = child.lower.copy()
@@ -174,11 +174,10 @@ def _one_at_a_time(problem, cfg, parents, children, owner, csets, seed):
 def test_round_screen_matches_per_child_screens(seed, mode, budget):
     rng = np.random.default_rng(seed)
     problem = _problem(rng)
-    parents, children, owner, csets = _round(rng, problem, budget)
     cfg = BabConfig(mode=mode, clip="both")
-    rng = np.random.default_rng(seed)
     with mock.patch.object(bab, "CONSTRAINT_BUDGET", budget):
-        survivors, floor, hit = bab._screen_children(problem, cfg, parents, children, owner, rng)
+        parents, children, owner, csets = _round(rng, problem, budget)
+        survivors, floor, hit = bab._screen_children(problem, cfg, children, np.random.default_rng(seed))
     want_survivors, want_floor, want_hit = _one_at_a_time(
         problem, cfg, parents, children, owner, csets, seed
     )

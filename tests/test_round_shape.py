@@ -25,6 +25,7 @@ stops at the depth it has, and one with none is bisected once.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from clipverify import (
     BoxDomain,
     BranchProbe,
     CanonicalProblem,
+    ConstraintSet,
+    LinearConstraint,
     NetworkModel,
     Subdomain,
     bab,
@@ -49,7 +52,9 @@ from conftest import (
     long_search_problem,
     override_pins,
     random_network_problem,
+    round_owner,
     split_constraint_to_input,
+    spy_screens,
     toy_problem,
 )
 
@@ -72,18 +77,14 @@ def _spy_rounds(monkeypatch, rounds, passes):
     ``passes``.  The children are shallow copies as the screen left them:
     a queued child's fields are replaced by what its pass computed, its
     box by the clipped one."""
-    screen, original_pass = bab._screen_children, bab.bound_batch
-
-    def screen_spy(problem, cfg, parents, children, owner, rng):
-        out = screen(problem, cfg, parents, children, owner, rng)
-        rounds.append((list(parents), [copy.copy(child) for child in children], owner, out[0]))
-        return out
+    original_pass = bab.bound_batch
 
     def pass_spy(model, lowers, *args):
         passes.append(len(lowers))
         return original_pass(model, lowers, *args)
 
-    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    spy_screens(monkeypatch, lambda parents, children, owner, out: rounds.append(
+        (parents, [copy.copy(child) for child in children], owner, out[0])))
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
 
 
@@ -104,18 +105,14 @@ def test_wide_rounds_split_each_parent_once(monkeypatch, mode):
     # bounds more than 2 batch children, and no parent is split deeper
     # than P * 2**d <= batch allows.
     events = []
-    screen, original_pass = bab._screen_children, bab.bound_batch
-
-    def screen_spy(problem, cfg, parents, children, owner, rng):
-        out = screen(problem, cfg, parents, children, owner, rng)
-        events.append(("round", list(parents), list(children), owner, out[0]))
-        return out
+    original_pass = bab.bound_batch
 
     def pass_spy(model, lowers, *args):
         events.append(("pass", len(lowers)))
         return original_pass(model, lowers, *args)
 
-    monkeypatch.setattr(bab, "_screen_children", screen_spy)
+    spy_screens(monkeypatch, lambda parents, children, owner, out: events.append(
+        ("round", parents, list(children), owner, out[0])))
     monkeypatch.setattr(bab, "bound_batch", pass_spy)
     wide = 0
     for batch in (4, 8, 16):
@@ -600,8 +597,9 @@ def _pre_activations(model, points) -> list:
 @pytest.mark.parametrize("clip", ["relaxed", "both"])
 def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip):
     # Every point of a child's box whose pre-activations take the sides of
-    # the child's pins satisfies every row of the child's stack: each row
-    # is a necessary condition of a pin on the child's path or above it.
+    # the child's pins satisfies every one of the child's own constraint
+    # rows: each row is a necessary condition of a pin on the child's path
+    # or above it.  The pins are rebuilt from the ancestors' picks.
     rounds, _ = _activation_rounds(monkeypatch, 8, clip=clip)
     rng = np.random.default_rng(0)
     checked = 0
@@ -616,11 +614,6 @@ def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip
             pins_at[id(prob), child.path] = above + list(zip(parent.picks, _steps(parent, child)))
         if max(len(_steps(parents[p], child)) for child, p in zip(children, owner)) < 2:
             continue
-        steps = [_steps(parents[p], child) for child, p in zip(children, owner.tolist())]
-        stacks = bab._child_stacks(parents, owner, steps)
-        if stacks is None:
-            continue
-        normals, offsets, sizes = stacks
         for k, child in enumerate(children):
             # the parents' boxes, which a round's children split unclipped
             parent = parents[owner[k]]
@@ -636,7 +629,64 @@ def test_deep_children_constraints_hold_wherever_their_pins_do(monkeypatch, clip
             # the child's overrides hold these pins as their zeros
             got = override_pins(prob.model, child.overrides)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            values = pts @ normals[k, :sizes[k]].T + offsets[k, :sizes[k]]
+            values = pts @ child.normals.T + child.offsets
             assert np.all(values[holds] <= 1e-9)
-            checked += int(holds.sum()) * int(sizes[k])
+            checked += int(holds.sum()) * len(child.offsets)
     assert checked
+
+
+def _appended_rows(parent, child) -> ConstraintSet:
+    """The rows ``child`` must carry: ``parent``'s, then row ``(j, side)``
+    of the parent's ``child_constraints`` for each step j < D on the
+    child's path below it, appended one at a time within the budget."""
+    cset = ConstraintSet(parent.normals, parent.offsets)
+    normals, offsets = parent.child_constraints
+    for j, side in enumerate(_steps(parent, child)[:len(offsets)]):
+        cset = cset.appended(LinearConstraint(normals[j, side], offsets[j, side]), budget=bab.CONSTRAINT_BUDGET)
+    return cset
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 16])
+def test_children_carry_their_own_rows(monkeypatch, batch):
+    # Each split gives both children their complete constraint rows: the
+    # parent's, then row (j, side) of its child_constraints for each step
+    # j < D on the child's path, as ConstraintSet.appended builds them
+    # within the budget.  A parent without child_constraints passes its own
+    # arrays to its children unchanged.  Each round is split once more from
+    # copies of its parents that hold a full budget of distinct rows, so
+    # that the trim runs.
+    split = bab._split_round
+    seen = dict.fromkeys(["rows", "full", "plain"], 0)
+
+    def check(parents, children):
+        for child, p in zip(children, round_owner(parents, children)):
+            parent = parents[p]
+            if parent.child_constraints is None:
+                assert child.normals is parent.normals and child.offsets is parent.offsets
+                seen["plain"] += 1
+                continue
+            want = _appended_rows(parent, child)
+            assert np.array_equal(child.normals, want.normals)
+            assert np.array_equal(child.offsets, want.offsets)
+            seen["rows"] += 1
+            seen["full"] += len(parent.offsets) == bab.CONSTRAINT_BUDGET
+
+    def split_spy(cfg, parents, probe):
+        children = split(cfg, parents, probe)
+        check(parents, children)
+        n, budget = parents[0].lower.size, bab.CONSTRAINT_BUDGET
+        full = [replace(parent, normals=np.arange(budget * n, dtype=float).reshape(budget, n),
+                        offsets=-np.arange(budget, dtype=float))
+                for parent in parents if parent.child_constraints is not None]
+        if full:
+            check(full, split(cfg, full, None))
+        return children
+
+    monkeypatch.setattr(bab, "_split_round", split_spy)
+    for mode in ("input", "activation"):
+        before = dict(seen)
+        for prob in _problems():
+            out = run_bab(prob, BabConfig(mode=mode, clip="both", batch=batch, timeout=60.0))
+            assert out.status == "verified"
+        assert seen["rows"] > before["rows"] and seen["full"] > before["full"], mode
+    assert seen["plain"]
